@@ -12,7 +12,7 @@
 #include "common/stopwatch.hpp"
 #include "metrics/distribution.hpp"
 #include "noise/catalog.hpp"
-#include "sim/backend.hpp"
+#include "sim/compiled.hpp"
 #include "transpile/pipeline.hpp"
 
 static int run(int argc, char** argv) {
@@ -27,16 +27,16 @@ static int run(int argc, char** argv) {
   const auto nm = noise::NoiseModel::from_device(sub, {});
 
   common::Stopwatch sw;
-  sim::DensityMatrixBackend dm(nm, 1);
-  const auto exact = dm.run_probabilities(tr.circuit);
+  const auto exact =
+      sim::density_matrix_probabilities(sim::compile_noisy_circuit(tr.circuit, nm));
   const double dm_ms = sw.millis();
 
   common::Table table({"engine", "shots", "tvd_vs_dm", "time_ms"});
   table.add_row({"density-matrix", "-", "0", common::format_double(dm_ms, 2)});
   for (std::size_t shots : {256u, 1024u, 4096u, 16384u}) {
     sw.reset();
-    sim::TrajectoryBackend traj(nm, shots, 7);
-    const auto sampled = traj.run_probabilities(tr.circuit);
+    const auto sampled = metrics::counts_to_distribution(sim::trajectory_counts_streamed(
+        sim::compile_noisy_circuit(tr.circuit, nm), 0, shots, 7));
     const double ms = sw.millis();
     table.add_row({"trajectory", std::to_string(shots),
                    common::format_double(metrics::total_variation(exact, sampled), 4),

@@ -10,7 +10,6 @@
 #include "bench_util.hpp"
 #include "common/strings.hpp"
 #include "noise/catalog.hpp"
-#include "sim/backend.hpp"
 #include "sim/observables.hpp"
 #include "transpile/pipeline.hpp"
 #include "transpile/twirling.hpp"

@@ -28,7 +28,7 @@
 #include "noise/channel.hpp"
 #include "sim/density_matrix.hpp"
 #include "noise/catalog.hpp"
-#include "sim/backend.hpp"
+#include "sim/compiled.hpp"
 #include "sim/statevector.hpp"
 #include "synth/qfactor.hpp"
 #include "synth/cost.hpp"
@@ -147,9 +147,9 @@ void BM_TrajectoryShots(benchmark::State& state) {
   const auto model = noise::simulator_noise_model(device);
   ir::QuantumCircuit qc(3);
   qc.u3(0.7, 0.1, 0.2, 0).cx(0, 1).cx(1, 2).u3(0.4, -0.3, 0.2, 2);
-  sim::TrajectoryBackend backend(model, 64, 3);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(backend.run_counts(qc, 64).size());
+    const auto compiled = sim::compile_noisy_circuit(qc, model);
+    benchmark::DoNotOptimize(sim::trajectory_counts_streamed(compiled, 0, 64, 3).size());
   }
   state.SetItemsProcessed(state.iterations() * 64);
 }

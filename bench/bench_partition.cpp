@@ -148,31 +148,19 @@ void BM_PartitionParallel(benchmark::State& state) {
 }
 BENCHMARK(BM_PartitionParallel)->Unit(benchmark::kMillisecond);
 
-void bench_partitioner(benchmark::State& state, synth::PartitionStrategy strategy) {
+void BM_PartitionerDag(benchmark::State& state) {
   const ir::QuantumCircuit circuit =
       transpile::decompose_to_cx_u3(ramped_tfim(10, 50)).unitary_part();
   std::size_t blocks = 0;
   for (auto _ : state) {
-    const auto parts = strategy == synth::PartitionStrategy::kDag
-                           ? synth::partition_circuit_dag(circuit, 3)
-                           : synth::partition_circuit(circuit, 3);
-    blocks = parts.size();
+    blocks = synth::partition_circuit_dag(circuit, 3).size();
     benchmark::DoNotOptimize(blocks);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(circuit.size()));
   state.counters["blocks"] = static_cast<double>(blocks);
 }
-
-void BM_PartitionerDag(benchmark::State& state) {
-  bench_partitioner(state, synth::PartitionStrategy::kDag);
-}
 BENCHMARK(BM_PartitionerDag)->Unit(benchmark::kMicrosecond);
-
-void BM_PartitionerLinear(benchmark::State& state) {
-  bench_partitioner(state, synth::PartitionStrategy::kLinear);
-}
-BENCHMARK(BM_PartitionerLinear)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -15,8 +15,8 @@
 #include "common/cli.hpp"
 #include "metrics/process.hpp"
 #include "noise/catalog.hpp"
-#include "sim/backend.hpp"
 #include "sim/observables.hpp"
+#include "sim/statevector.hpp"
 #include "synth/partition.hpp"
 #include "transpile/decompose.hpp"
 
@@ -49,9 +49,9 @@ static int run(int argc, char** argv) {
 
   const auto device = common::driver::device("toronto");
   const approx::ExecutionConfig exec = approx::ExecutionConfig::simulator(device);
-  sim::IdealBackend ideal_backend(1);
-  const double ideal =
-      sim::average_z_magnetization(ideal_backend.run_probabilities(circuit));
+  sim::StateVector ideal_state(circuit.num_qubits());
+  ideal_state.apply(circuit);
+  const double ideal = sim::average_z_magnetization(ideal_state.probabilities());
   const double before = sim::average_z_magnetization(
       approx::execute_distribution(circuit, exec));
   const double after = sim::average_z_magnetization(

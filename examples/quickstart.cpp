@@ -15,7 +15,7 @@
 #include "common/cli.hpp"
 #include "metrics/distribution.hpp"
 #include "noise/catalog.hpp"
-#include "sim/backend.hpp"
+#include "sim/statevector.hpp"
 
 static int run(int, char**) {
   using namespace qc;
@@ -37,8 +37,9 @@ static int run(int, char**) {
               circuit.count(ir::GateKind::CX));
 
   // 2. Ideal output distribution (what a perfect machine would return).
-  sim::IdealBackend ideal(1);
-  const auto ideal_probs = ideal.run_probabilities(circuit);
+  sim::StateVector ideal(circuit.num_qubits());
+  ideal.apply(circuit);
+  const auto ideal_probs = ideal.probabilities();
 
   // 3. Harvest approximate circuits from instrumented QSearch.
   approx::GeneratorConfig gen;

@@ -311,11 +311,8 @@ std::shared_ptr<const sim::CompiledCircuit> ExecutionEngine::compiled_cached(
     bool* hit) {
   const CompiledKey key{tkey, mkey};
   return get_or_compute(compiled_cache_, CacheId::Compiled, key, hit, [&] {
-    sim::CompileOptions copts;
-    copts.max_fuse_qubits = options_.max_fuse_qubits;
     return sim::compile_noisy_circuit(
-        tr.circuit, model, [this](const ir::Gate& g) { return gate_matrix(g); },
-        copts);
+        tr.circuit, model, [this](const ir::Gate& g) { return gate_matrix(g); });
   });
 }
 
@@ -324,11 +321,8 @@ std::shared_ptr<const sim::CompiledCircuit> ExecutionEngine::compiled_ideal_cach
   const CompiledKey key{tkey, ModelKey{}, /*ideal=*/1};
   return get_or_compute(compiled_cache_, CacheId::Compiled, key, hit, [&] {
     const noise::NoiseModel model = noise::NoiseModel::ideal(tr.circuit.num_qubits());
-    sim::CompileOptions copts;
-    copts.max_fuse_qubits = options_.max_fuse_qubits;
     return sim::compile_noisy_circuit(
-        tr.circuit, model, [this](const ir::Gate& g) { return gate_matrix(g); },
-        copts);
+        tr.circuit, model, [this](const ir::Gate& g) { return gate_matrix(g); });
   });
 }
 

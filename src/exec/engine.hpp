@@ -57,10 +57,6 @@ struct EngineOptions {
   /// on any pool size. Must be positive (ContractError otherwise); values
   /// above kMaxTrajectoryBlock are clamped with a warning.
   std::size_t trajectory_block = 128;
-  /// Largest qubit union gate fusion may grow a compiled step to, forwarded
-  /// to sim::CompileOptions::max_fuse_qubits (clamped there to [1, 4]).
-  /// 2 restores the pre-k<=4 fusion behaviour for A/B comparisons.
-  int max_fuse_qubits = 4;
 };
 
 /// Ceiling on EngineOptions::trajectory_block: a block far beyond any real

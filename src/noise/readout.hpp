@@ -1,6 +1,6 @@
 // Measurement (read-out) error: per-qubit confusion probabilities, applied
-// either exactly to a probability vector (density-matrix backend) or as
-// sampled bit flips (trajectory backend).
+// either exactly to a probability vector (density-matrix engine) or as
+// sampled bit flips (trajectory engine).
 #pragma once
 
 #include <cstdint>

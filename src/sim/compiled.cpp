@@ -210,28 +210,6 @@ std::uint64_t run_trajectory_shot(const CompiledCircuit& compiled, common::Rng& 
   return noise::sample_readout_flip(outcome, compiled.readout, rng);
 }
 
-std::uint64_t run_trajectory_shot(const CompiledCircuit& compiled, common::Rng& rng) {
-  TrajectoryScratch scratch(compiled.num_qubits);
-  return run_trajectory_shot(compiled, rng, scratch);
-}
-
-std::vector<std::uint64_t> trajectory_counts(const CompiledCircuit& compiled,
-                                             std::size_t shots, common::Rng& rng) {
-  std::vector<std::uint64_t> counts(std::size_t{1} << compiled.num_qubits, 0);
-  TrajectoryScratch scratch(compiled.num_qubits);
-  for (std::size_t shot = 0; shot < shots; ++shot)
-    ++counts[run_trajectory_shot(compiled, rng, scratch)];
-  return counts;
-}
-
-std::vector<std::uint64_t> trajectory_counts_streamed(const CompiledCircuit& compiled,
-                                                      std::size_t shot_begin,
-                                                      std::size_t shot_end,
-                                                      std::uint64_t seed) {
-  return trajectory_counts_streamed(compiled, shot_begin, shot_end, seed,
-                                    common::Deadline::never(), nullptr);
-}
-
 std::vector<std::uint64_t> trajectory_counts_streamed(const CompiledCircuit& compiled,
                                                       std::size_t shot_begin,
                                                       std::size_t shot_end,
@@ -271,12 +249,6 @@ void check_outcome_mass(const std::vector<double>& probs, const char* engine) {
 
 }  // namespace
 
-std::vector<double> density_matrix_probabilities(const CompiledCircuit& compiled) {
-  bool timed_out = false;
-  return density_matrix_probabilities(compiled, common::Deadline::never(),
-                                      &timed_out);
-}
-
 std::vector<double> density_matrix_probabilities(const CompiledCircuit& compiled,
                                                  const common::Deadline& deadline,
                                                  bool* timed_out) {
@@ -296,17 +268,6 @@ std::vector<double> density_matrix_probabilities(const CompiledCircuit& compiled
   return metrics::normalized(std::move(probs));
 }
 
-std::vector<double> density_matrix_probabilities(const ir::QuantumCircuit& circuit,
-                                                 const noise::NoiseModel& model) {
-  return density_matrix_probabilities(compile_noisy_circuit(circuit, model));
-}
-
-std::vector<double> statevector_probabilities(const CompiledCircuit& compiled) {
-  bool timed_out = false;
-  return statevector_probabilities(compiled, common::Deadline::never(),
-                                   &timed_out);
-}
-
 std::vector<double> statevector_probabilities(const CompiledCircuit& compiled,
                                               const common::Deadline& deadline,
                                               bool* timed_out) {
@@ -322,30 +283,6 @@ std::vector<double> statevector_probabilities(const CompiledCircuit& compiled,
   auto probs = state.probabilities();
   check_outcome_mass(probs, "statevector");
   return probs;
-}
-
-std::vector<std::uint64_t> sample_counts_from_probs(const std::vector<double>& probs,
-                                                    std::size_t shots,
-                                                    common::Rng& rng) {
-  QC_CHECK(!probs.empty());
-  std::vector<double> cdf(probs.size());
-  double acc = 0.0;
-  for (std::size_t i = 0; i < probs.size(); ++i) {
-    acc += probs[i];
-    cdf[i] = acc;
-  }
-  std::vector<std::uint64_t> counts(probs.size(), 0);
-  for (std::size_t s = 0; s < shots; ++s) {
-    const double x = rng.uniform();
-    // First bucket whose cumulative mass exceeds x — the same pick the seed's
-    // linear subtraction scan made, up to rounding-order ties.
-    auto it = std::upper_bound(cdf.begin(), cdf.end(), x);
-    const std::size_t idx =
-        it == cdf.end() ? probs.size() - 1
-                        : static_cast<std::size_t>(it - cdf.begin());
-    ++counts[idx];
-  }
-  return counts;
 }
 
 }  // namespace qc::sim

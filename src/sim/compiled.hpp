@@ -9,11 +9,15 @@
 //  * evolve  — per shot: apply the precompiled steps to a fresh state vector,
 //    sampling noise branches from an RNG stream.
 //
-// The seed TrajectoryBackend fused both phases inside run_counts; the
-// execution engine (src/exec) caches CompiledCircuit programs per
+// The execution engine (src/exec) caches CompiledCircuit programs per
 // (transpiled circuit, noise model) and fans evolve out across threads with
 // counter-based per-shot RNG streams (qsim/Cirq amortize noisy trajectory
 // repetitions the same way, Isakov et al., arXiv:2111.02396).
+//
+// Four simulate entry points: run_trajectory_shot (one shot),
+// trajectory_counts_streamed (a shot range), density_matrix_probabilities
+// (exact noisy) and statevector_probabilities (noise free). The last three
+// take an optional Deadline and stop early on expiry.
 #pragma once
 
 #include <array>
@@ -93,7 +97,8 @@ struct CompileOptions {
 
 /// Compiles `circuit` against `model` once (phase 1 above). Noise ops that
 /// touch device qubits outside the circuit's register (crosstalk spectators,
-/// which start in |0> and trace out) are dropped, as in the seed backends.
+/// which start in |0> and trace out) are dropped. Throws common::Error when
+/// the circuit is wider than the model's device.
 CompiledCircuit compile_noisy_circuit(const ir::QuantumCircuit& circuit,
                                       const noise::NoiseModel& model,
                                       const GateMatrixFn& matrix_fn = {},
@@ -118,78 +123,45 @@ struct TrajectoryScratch {
 inline constexpr double kNormDriftTolerance = 1e-6;
 
 /// Evolves one shot: |0...0> through every compiled step, measurement sample,
-/// readout bit flips. All randomness is drawn from `rng` in a fixed order.
-/// Throws SimulationError when the final state fails the norm-drift guard.
-std::uint64_t run_trajectory_shot(const CompiledCircuit& compiled, common::Rng& rng);
-
-/// Same, but reusing caller-owned buffers across shots (the hot path; the
-/// two-argument overload is a convenience wrapper that allocates one).
+/// readout bit flips. All randomness is drawn from `rng` in a fixed order;
+/// `scratch` is reset, not reallocated, so a shot loop reuses one. Throws
+/// SimulationError when the final state fails the norm-drift guard.
 /// `fault_stream` keys deterministic NaN injection (faults::Site::StateNan);
 /// callers with no stable stream id pass 0.
 std::uint64_t run_trajectory_shot(const CompiledCircuit& compiled, common::Rng& rng,
                                   TrajectoryScratch& scratch,
                                   std::uint64_t fault_stream = 0);
 
-/// Serial shot loop over one shared RNG stream (the seed TrajectoryBackend
-/// semantics — kept for the Backend API).
-std::vector<std::uint64_t> trajectory_counts(const CompiledCircuit& compiled,
-                                             std::size_t shots, common::Rng& rng);
-
 /// Shot range [shot_begin, shot_end) with one counter-derived RNG stream per
 /// shot index (common::derive_stream_seed(seed, shot)). Disjoint ranges can
 /// run on different threads and their counts summed; the totals are
-/// bit-identical for every partition, hence every thread count.
-std::vector<std::uint64_t> trajectory_counts_streamed(const CompiledCircuit& compiled,
-                                                      std::size_t shot_begin,
-                                                      std::size_t shot_end,
-                                                      std::uint64_t seed);
-
-/// Deadline-aware variant: polls `deadline` between shots and stops early on
-/// expiry, returning the counts accumulated so far. `*completed` (if non-null)
-/// receives the number of shots actually run from this range. The per-shot
-/// streams are unchanged, so completed shots are bit-identical to an unbounded
+/// bit-identical for every partition, hence every thread count. Polls
+/// `deadline` between shots and stops early on expiry, returning the counts
+/// accumulated so far; `*completed` (if non-null) receives the number of
+/// shots actually run. Completed shots are bit-identical to an unbounded
 /// run's.
-std::vector<std::uint64_t> trajectory_counts_streamed(const CompiledCircuit& compiled,
-                                                      std::size_t shot_begin,
-                                                      std::size_t shot_end,
-                                                      std::uint64_t seed,
-                                                      const common::Deadline& deadline,
-                                                      std::size_t* completed);
+std::vector<std::uint64_t> trajectory_counts_streamed(
+    const CompiledCircuit& compiled, std::size_t shot_begin, std::size_t shot_end,
+    std::uint64_t seed, const common::Deadline& deadline = common::Deadline::never(),
+    std::size_t* completed = nullptr);
 
-/// Exact noisy evolution of `circuit` under `model` (density matrix + exact
-/// readout confusion), normalized. The DensityMatrixBackend delegates here;
-/// compiles internally, then runs the compiled overload below.
-std::vector<double> density_matrix_probabilities(const ir::QuantumCircuit& circuit,
-                                                 const noise::NoiseModel& model);
-
-/// Exact noisy evolution of an already-compiled program, using its hoisted
-/// unitary/Kraus adjoints. The execution engine calls this with cached
-/// CompiledCircuits so repeated DM runs skip compilation and adjoints.
-/// Throws SimulationError when the evolved trace drifts (corrupt state).
-std::vector<double> density_matrix_probabilities(const CompiledCircuit& compiled);
-
-/// Deadline-aware variant: polls between steps; on expiry sets `*timed_out`
+/// Exact noisy evolution of a compiled program (density matrix + exact
+/// readout confusion), normalized, using its hoisted unitary/Kraus adjoints.
+/// Polls `deadline` between steps; on expiry sets `*timed_out` (if non-null)
 /// and returns the distribution of the partially evolved state (readout error
-/// still applied) as a best-effort answer.
-std::vector<double> density_matrix_probabilities(const CompiledCircuit& compiled,
-                                                 const common::Deadline& deadline,
-                                                 bool* timed_out);
+/// still applied) as a best-effort answer. Throws SimulationError when the
+/// evolved trace drifts (corrupt state).
+std::vector<double> density_matrix_probabilities(
+    const CompiledCircuit& compiled,
+    const common::Deadline& deadline = common::Deadline::never(),
+    bool* timed_out = nullptr);
 
 /// Noise-free evolution of a compiled program (every step must carry no
 /// noise, e.g. compiled against NoiseModel::ideal): one state-vector pass.
-std::vector<double> statevector_probabilities(const CompiledCircuit& compiled);
-
-/// Deadline-aware variant: polls between steps; on expiry sets `*timed_out`
-/// and returns the partially evolved state's distribution.
-std::vector<double> statevector_probabilities(const CompiledCircuit& compiled,
-                                              const common::Deadline& deadline,
-                                              bool* timed_out);
-
-/// Samples `shots` outcomes from a (normalized) distribution via cumulative
-/// sums + binary search — O(2^n + shots log 2^n), replacing the seed's
-/// O(shots * 2^n) linear scan.
-std::vector<std::uint64_t> sample_counts_from_probs(const std::vector<double>& probs,
-                                                    std::size_t shots,
-                                                    common::Rng& rng);
+/// Deadline handling as for density_matrix_probabilities.
+std::vector<double> statevector_probabilities(
+    const CompiledCircuit& compiled,
+    const common::Deadline& deadline = common::Deadline::never(),
+    bool* timed_out = nullptr);
 
 }  // namespace qc::sim

@@ -1,8 +1,8 @@
 // Pure-state simulator.
 //
-// The ideal-execution engine (noise-free references) and the per-shot engine
-// inside the trajectory backend. Amplitudes are indexed with qubit 0 as the
-// least-significant bit.
+// The ideal-execution engine (noise-free references) and the per-shot state
+// of the trajectory engine (sim/compiled.hpp). Amplitudes are indexed with
+// qubit 0 as the least-significant bit.
 #pragma once
 
 #include <cstdint>

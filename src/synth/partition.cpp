@@ -51,47 +51,6 @@ Partition make_partition(const QuantumCircuit& circuit, const std::set<int>& sup
 
 }  // namespace
 
-std::vector<Partition> partition_circuit(const QuantumCircuit& circuit,
-                                         int block_qubits) {
-  QC_CHECK(block_qubits >= 2);
-  std::vector<Partition> out;
-
-  // Current open block state.
-  std::set<int> support;
-  std::vector<std::size_t> pending;
-
-  auto flush = [&] {
-    if (pending.empty()) return;
-    out.push_back(make_partition(circuit, support, pending));
-    support.clear();
-    pending.clear();
-  };
-
-  for (std::size_t i = 0; i < circuit.size(); ++i) {
-    const Gate& g = circuit.gate(i);
-    QC_CHECK_MSG(g.kind != GateKind::Measure,
-                 "partition_circuit expects the unitary part of a circuit");
-    if (g.kind == GateKind::Barrier) {
-      flush();
-      continue;
-    }
-    QC_CHECK_MSG(static_cast<int>(g.qubits.size()) <= block_qubits,
-                 "gate wider than the partition block size");
-
-    std::set<int> grown = support;
-    grown.insert(g.qubits.begin(), g.qubits.end());
-    if (static_cast<int>(grown.size()) > block_qubits) {
-      flush();
-      grown.clear();
-      grown.insert(g.qubits.begin(), g.qubits.end());
-    }
-    support = std::move(grown);
-    pending.push_back(i);
-  }
-  flush();
-  return out;
-}
-
 std::vector<Partition> partition_circuit_dag(const QuantumCircuit& circuit,
                                              int block_qubits,
                                              std::size_t max_block_gates) {
@@ -300,9 +259,7 @@ PartitionedSynthesisResult resynthesize_partitioned(
   const QuantumCircuit lowered = transpile::decompose_to_cx_u3(circuit);
   const QuantumCircuit basis = lowered.unitary_part();
   const std::vector<Partition> partitions =
-      options.strategy == PartitionStrategy::kLinear
-          ? partition_circuit(basis, block_qubits)
-          : partition_circuit_dag(basis, block_qubits, options.max_block_gates);
+      partition_circuit_dag(basis, block_qubits, options.max_block_gates);
 
   const SynthCacheStats cache_before = synth_cache_stats();
 

@@ -5,9 +5,7 @@
 //
 //   1. A DAG-aware sliding-window partitioner keeps several blocks open at
 //      once and grows each along the circuit's dependency structure, so
-//      gates on disjoint qubits no longer cut each other's blocks (the old
-//      strict-gate-order partitioner survives as PartitionStrategy::kLinear
-//      and as the A/B baseline).
+//      gates on disjoint qubits no longer cut each other's blocks.
 //   2. Each block is canonicalized — compact qubit relabeling plus a
 //      unitary/structure fingerprint with exact shape discriminators — so
 //      the recurring blocks of a Trotterized circuit collapse to one
@@ -46,30 +44,15 @@ struct Partition {
   std::size_t last_gate = 0;        // inclusive
 };
 
-enum class PartitionStrategy {
-  /// Greedy maximal scan in strict gate order: one open block at a time,
-  /// closed whenever the next gate would overflow its qubit support. A gate
-  /// on disjoint qubits cuts the block even though it commutes past it.
-  kLinear,
-  /// DAG-aware sliding window: any number of blocks stay open concurrently,
-  /// each qubit is owned by at most one open block, and a gate lands in the
-  /// open block that already owns its qubits (closing conflicting owners
-  /// only when the union would overflow). Blocks are emitted in close
-  /// order, which is a linearization of the block dependency DAG, so
-  /// reassembling the blocks in order reproduces the circuit's unitary
-  /// exactly (gates only commute across blocks when they share no qubits).
-  kDag,
-};
-
-/// Legacy strict-gate-order partitioning (PartitionStrategy::kLinear).
-/// Barriers close the open block; Measure gates throw (partition the
-/// unitary_part). Every unitary gate lands in exactly one block.
-std::vector<Partition> partition_circuit(const ir::QuantumCircuit& circuit,
-                                         int block_qubits);
-
-/// DAG-aware sliding-window partitioning (PartitionStrategy::kDag). Same
-/// contract as partition_circuit; additionally guarantees the emitted block
-/// order is a valid linearization of the block dependency DAG.
+/// DAG-aware sliding-window partitioning. Any number of blocks stay open
+/// concurrently, each qubit is owned by at most one open block, and a gate
+/// lands in the open block that already owns its qubits (closing conflicting
+/// owners only when the union would overflow). Blocks are emitted in close
+/// order, which is a linearization of the block dependency DAG, so
+/// reassembling the blocks in order reproduces the circuit's unitary exactly
+/// (gates only commute across blocks when they share no qubits). Barriers
+/// close every open block; Measure gates throw (partition the unitary_part);
+/// every unitary gate lands in exactly one block.
 /// `max_block_gates` closes any block reaching that many gates (0 = off).
 std::vector<Partition> partition_circuit_dag(const ir::QuantumCircuit& circuit,
                                              int block_qubits,
@@ -112,7 +95,6 @@ struct PartitionedSynthesisOptions {
   /// taken as device qubit i; gates on uncoupled/out-of-range pairs weigh in
   /// at the device's average CX error.
   const noise::DeviceProperties* device = nullptr;
-  PartitionStrategy strategy = PartitionStrategy::kDag;
   /// Collapse canonically-identical blocks to one synthesis problem within
   /// this call (recurring Trotter blocks never reach the cache twice).
   bool dedupe = true;

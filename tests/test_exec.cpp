@@ -112,21 +112,6 @@ TEST(ExecutionEngineTest, RunRecordReportsFusionStats) {
   EXPECT_GT(blocks, 0u);
   EXPECT_LE(blocks, rec.compiled_steps);
   EXPECT_EQ(rec.fused_blocks_by_k[0], 0u);
-
-  // A cap of 2 restores the narrower fusion: never fewer source gates, never
-  // more fused blocks wider than 2 qubits.
-  exec::EngineOptions narrow_opts;
-  narrow_opts.max_fuse_qubits = 2;
-  exec::ExecutionEngine narrow(narrow_opts);
-  const auto nres = narrow.run({circuit, cfg});
-  EXPECT_EQ(nres.record.source_gates, rec.source_gates);
-  EXPECT_LE(nres.record.fused_gates, rec.fused_gates);
-  EXPECT_EQ(nres.record.fused_blocks_by_k[3], 0u);
-  EXPECT_EQ(nres.record.fused_blocks_by_k[4], 0u);
-  // Same physics either way.
-  ASSERT_EQ(nres.probabilities.size(), result.probabilities.size());
-  for (std::size_t k = 0; k < nres.probabilities.size(); ++k)
-    EXPECT_NEAR(nres.probabilities[k], result.probabilities[k], 1e-10);
 }
 
 TEST(ExecutionEngineTest, DmResultsMatchLegacyExecutePath) {

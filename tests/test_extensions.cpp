@@ -14,7 +14,8 @@
 #include "metrics/process.hpp"
 #include "noise/catalog.hpp"
 #include "noise/mitigation.hpp"
-#include "sim/backend.hpp"
+#include "sim/compiled.hpp"
+#include "sim/statevector.hpp"
 #include "synth/partition.hpp"
 #include "synth/qfactor.hpp"
 #include "transpile/decompose.hpp"
@@ -26,6 +27,12 @@ namespace {
 using ir::GateKind;
 using ir::QuantumCircuit;
 using linalg::Matrix;
+
+std::vector<double> ideal_probabilities(const QuantumCircuit& qc) {
+  sim::StateVector state(qc.num_qubits());
+  state.apply(qc);
+  return state.probabilities();
+}
 
 // ---- QFactor ---------------------------------------------------------------
 
@@ -119,7 +126,7 @@ TEST(Partition, BlocksRespectWidthAndCoverAllGates) {
   model.num_qubits = 4;
   const QuantumCircuit circuit =
       transpile::decompose_to_cx_u3(model.circuit_up_to(4));
-  const auto parts = synth::partition_circuit(circuit, 2);
+  const auto parts = synth::partition_circuit_dag(circuit, 2);
   std::size_t total_gates = 0;
   for (const auto& p : parts) {
     EXPECT_LE(p.qubits.size(), 2u);
@@ -133,7 +140,7 @@ TEST(Partition, ReassemblyIsExact) {
   algos::TfimModel model;
   const QuantumCircuit circuit =
       transpile::decompose_to_cx_u3(model.circuit_up_to(3));
-  const auto parts = synth::partition_circuit(circuit, 2);
+  const auto parts = synth::partition_circuit_dag(circuit, 2);
   QuantumCircuit rebuilt(circuit.num_qubits());
   for (const auto& p : parts) rebuilt.append_mapped(p.sub_circuit, p.qubits);
   EXPECT_LT(metrics::hs_distance(circuit.to_unitary(), rebuilt.to_unitary()), 1e-7);
@@ -142,14 +149,14 @@ TEST(Partition, ReassemblyIsExact) {
 TEST(Partition, BarriersCutBlocks) {
   QuantumCircuit qc(2);
   qc.cx(0, 1).barrier().cx(0, 1);
-  const auto parts = synth::partition_circuit(qc, 2);
+  const auto parts = synth::partition_circuit_dag(qc, 2);
   EXPECT_EQ(parts.size(), 2u);
 }
 
 TEST(Partition, RejectsOversizedGates) {
   QuantumCircuit qc(3);
   qc.ccx(0, 1, 2);
-  EXPECT_THROW(synth::partition_circuit(qc, 2), common::Error);
+  EXPECT_THROW(synth::partition_circuit_dag(qc, 2), common::Error);
 }
 
 TEST(Partition, ResynthesisShrinksRedundantCircuits) {
@@ -200,8 +207,7 @@ TEST(QuantumVolume, ModelCircuitShape) {
 TEST(QuantumVolume, HeavySetIsHalfTheOutcomes) {
   common::Rng rng(8);
   const QuantumCircuit model = algos::qv_model_circuit(3, rng);
-  sim::IdealBackend backend(1);
-  const auto ideal = backend.run_probabilities(model);
+  const auto ideal = ideal_probabilities(model);
   const auto heavy = algos::qv_heavy_set(ideal);
   // With continuous probabilities the heavy set has exactly half the
   // outcomes (no ties at the median).
@@ -215,8 +221,7 @@ TEST(QuantumVolume, IdealHopNearTheoreticalValue) {
   const int trials = 12;
   for (int t = 0; t < trials; ++t) {
     const QuantumCircuit model = algos::qv_model_circuit(3, rng);
-    sim::IdealBackend backend(1);
-    const auto ideal = backend.run_probabilities(model);
+    const auto ideal = ideal_probabilities(model);
     hop += algos::heavy_output_probability(ideal, ideal);
   }
   EXPECT_NEAR(hop / trials, 0.846, 0.06);
@@ -225,8 +230,7 @@ TEST(QuantumVolume, IdealHopNearTheoreticalValue) {
 TEST(QuantumVolume, FullyMixedFailsAndIdealPasses) {
   common::Rng rng(10);
   const QuantumCircuit model = algos::qv_model_circuit(3, rng);
-  sim::IdealBackend backend(1);
-  const auto ideal = backend.run_probabilities(model);
+  const auto ideal = ideal_probabilities(model);
   EXPECT_GT(algos::heavy_output_probability(ideal, ideal), 2.0 / 3.0);
   const auto mixed = metrics::uniform_distribution(ideal.size());
   EXPECT_NEAR(algos::heavy_output_probability(ideal, mixed), 0.5, 1e-9);
@@ -275,12 +279,11 @@ TEST(Mitigation, ImprovesNoisyBackendOutput) {
   const auto device = noise::device_by_name("ourense");
   ir::QuantumCircuit bell(2);
   bell.h(0).cx(0, 1);
-  sim::IdealBackend ideal_backend(1);
-  const auto ideal = ideal_backend.run_probabilities(bell);
+  const auto ideal = ideal_probabilities(bell);
 
   const auto model = noise::simulator_noise_model(device);
-  sim::DensityMatrixBackend backend(model, 1);
-  const auto noisy = backend.run_probabilities(bell);
+  const auto noisy =
+      sim::density_matrix_probabilities(sim::compile_noisy_circuit(bell, model));
 
   const std::vector<noise::ReadoutError> errs(model.readout_errors().begin(),
                                               model.readout_errors().begin() + 2);
@@ -334,15 +337,13 @@ TEST(Twirling, AverageConvergesUnderCoherentNoise) {
   const auto model = noise::NoiseModel::from_device(device, opts);
 
   auto run = [&](const ir::QuantumCircuit& c) {
-    sim::DensityMatrixBackend backend(model, 1);
-    return backend.run_probabilities(c);
+    return sim::density_matrix_probabilities(sim::compile_noisy_circuit(c, model));
   };
   const auto averaged = transpile::twirled_average(qc, 16, rng, run);
   EXPECT_TRUE(metrics::is_distribution(averaged, 1e-9));
   // Averaging cannot be *worse* than the raw coherent run by much; typically
   // it is closer to ideal (coherent -> stochastic conversion).
-  sim::IdealBackend ideal(1);
-  const auto reference = ideal.run_probabilities(qc);
+  const auto reference = ideal_probabilities(qc);
   const double raw = metrics::total_variation(reference, run(qc));
   const double twirled = metrics::total_variation(reference, averaged);
   EXPECT_LT(twirled, raw + 0.02);

@@ -14,8 +14,8 @@
 #include "metrics/distribution.hpp"
 #include "metrics/process.hpp"
 #include "noise/catalog.hpp"
-#include "sim/backend.hpp"
 #include "sim/observables.hpp"
+#include "sim/statevector.hpp"
 #include "transpile/pipeline.hpp"
 
 namespace qc {
@@ -29,9 +29,9 @@ TEST(Integration, ShortApproximationBeatsDeepExactUnderNoise) {
   const ir::QuantumCircuit reference = model.circuit_up_to(step);
 
   // Ideal output.
-  sim::IdealBackend ideal(1);
-  const double ideal_mag = sim::average_z_magnetization(
-      ideal.run_probabilities(transpile::transpile_all_to_all(reference)));
+  sim::StateVector ideal(reference.num_qubits());
+  ideal.apply(transpile::transpile_all_to_all(reference));
+  const double ideal_mag = sim::average_z_magnetization(ideal.probabilities());
 
   // Approximations via instrumented QSearch.
   approx::GeneratorConfig gen = approx::tfim_generator_preset(3);
@@ -66,9 +66,9 @@ TEST(Integration, HigherCxErrorFavorsShallowerCircuits) {
   const auto circuits = approx::generate_from_reference(reference, gen);
   ASSERT_GT(circuits.size(), 3u);
 
-  sim::IdealBackend ideal(1);
-  const double ideal_mag = sim::average_z_magnetization(
-      ideal.run_probabilities(transpile::transpile_all_to_all(reference)));
+  sim::StateVector ideal(reference.num_qubits());
+  ideal.apply(transpile::transpile_all_to_all(reference));
+  const double ideal_mag = sim::average_z_magnetization(ideal.probabilities());
 
   auto best_depth_at = [&](double cx_error) {
     approx::ExecutionConfig exec =

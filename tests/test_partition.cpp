@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include "algos/tfim.hpp"
 #include "approx/workflow.hpp"
@@ -65,14 +66,19 @@ TEST(DagPartition, ReassemblyIsExactOnRandomCircuits) {
 }
 
 TEST(DagPartition, CoalescesInterleavedDisjointGates) {
-  // Strictly interleaved streams on disjoint pairs: the linear scan cuts a
-  // block at every other gate, the DAG window keeps one block per stream.
+  // Strictly interleaved streams on disjoint pairs: a strict gate-order scan
+  // would cut a block at every other gate, the DAG window keeps one block
+  // per stream holding all four of its gates.
   QuantumCircuit qc(4);
   for (int r = 0; r < 4; ++r) qc.cx(0, 1).cx(2, 3);
-  const auto linear = synth::partition_circuit(qc, 2);
   const auto dag = synth::partition_circuit_dag(qc, 2);
-  EXPECT_EQ(dag.size(), 2u);
-  EXPECT_GT(linear.size(), dag.size());
+  ASSERT_EQ(dag.size(), 2u);
+  std::set<std::vector<int>> supports;
+  for (const auto& p : dag) {
+    EXPECT_EQ(p.sub_circuit.size(), 4u);
+    supports.insert(p.qubits);
+  }
+  EXPECT_EQ(supports, (std::set<std::vector<int>>{{0, 1}, {2, 3}}));
   EXPECT_LT(metrics::hs_distance(qc.to_unitary(),
                                  reassemble(dag, 4).to_unitary()),
             1e-9);

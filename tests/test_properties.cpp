@@ -12,7 +12,7 @@
 #include "metrics/process.hpp"
 #include "noise/catalog.hpp"
 #include "noise/channel.hpp"
-#include "sim/backend.hpp"
+#include "sim/compiled.hpp"
 #include "sim/density_matrix.hpp"
 #include "sim/statevector.hpp"
 #include "transpile/decompose.hpp"
@@ -26,6 +26,12 @@ namespace {
 using ir::GateKind;
 using ir::QuantumCircuit;
 using linalg::Matrix;
+
+std::vector<double> ideal_probabilities(const QuantumCircuit& qc) {
+  sim::StateVector state(qc.num_qubits());
+  state.apply(qc);
+  return state.probabilities();
+}
 
 QuantumCircuit random_named_circuit(int num_qubits, int num_gates, common::Rng& rng) {
   QuantumCircuit qc(num_qubits);
@@ -91,9 +97,8 @@ TEST_P(RandomCircuitTest, TranspilePipelinePreservesOutput) {
     transpile::TranspileOptions opts;
     opts.optimization_level = level;
     const auto tr = transpile::transpile(qc, device, opts);
-    sim::IdealBackend backend(1);
     const auto physical = transpile::unpermute_distribution(
-        backend.run_probabilities(tr.circuit), tr.wire_of_virtual);
+        ideal_probabilities(tr.circuit), tr.wire_of_virtual);
     sim::StateVector logical(3);
     logical.apply(transpile::decompose_to_cx_u3(qc));
     const auto expect = logical.probabilities();
@@ -180,8 +185,8 @@ TEST_P(CatalogDeviceTest, NoiseModelDegradesABellPair) {
   ir::QuantumCircuit bell(2);
   bell.u3(3.14159265 / 2, 0, 3.14159265, 0);
   bell.cx(0, 1);
-  sim::DensityMatrixBackend backend(model, 1);
-  const auto probs = backend.run_probabilities(bell);
+  const auto probs =
+      sim::density_matrix_probabilities(sim::compile_noisy_circuit(bell, model));
   // Still mostly Bell-like, but measurably degraded.
   EXPECT_GT(probs[0] + probs[3], 0.8);
   EXPECT_LT(probs[0] + probs[3], 1.0 - 1e-4);
@@ -194,14 +199,14 @@ TEST_P(CatalogDeviceTest, HardwareModelIsStrictlyNoisier) {
     probe.cx(0, 1);
     probe.u3(0.4, 0.1, -0.3, 0);
   }
-  sim::DensityMatrixBackend sim_backend(noise::simulator_noise_model(device), 1);
-  sim::DensityMatrixBackend hw_backend(noise::hardware_noise_model(device), 1);
-  sim::IdealBackend ideal(1);
-  const auto reference = ideal.run_probabilities(probe);
-  const double sim_tvd =
-      metrics::total_variation(reference, sim_backend.run_probabilities(probe));
-  const double hw_tvd =
-      metrics::total_variation(reference, hw_backend.run_probabilities(probe));
+  const auto reference = ideal_probabilities(probe);
+  const auto noisy_tvd = [&](const noise::NoiseModel& model) {
+    return metrics::total_variation(
+        reference,
+        sim::density_matrix_probabilities(sim::compile_noisy_circuit(probe, model)));
+  };
+  const double sim_tvd = noisy_tvd(noise::simulator_noise_model(device));
+  const double hw_tvd = noisy_tvd(noise::hardware_noise_model(device));
   EXPECT_GT(hw_tvd, sim_tvd);
 }
 
@@ -229,9 +234,8 @@ TEST_P(RoutingTopologyTest, AllToAllCircuitRoutesEverywhere) {
     ASSERT_TRUE(device.coupling.are_coupled(pa, pb));
   }
   // Output equivalence.
-  sim::IdealBackend backend(1);
-  const auto got = transpile::unpermute_distribution(
-      backend.run_probabilities(tr.circuit), tr.wire_of_virtual);
+  const auto got = transpile::unpermute_distribution(ideal_probabilities(tr.circuit),
+                                                     tr.wire_of_virtual);
   sim::StateVector logical(4);
   logical.apply(transpile::decompose_to_cx_u3(qc));
   const auto expect = logical.probabilities();

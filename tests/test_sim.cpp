@@ -1,7 +1,8 @@
 // Unit + property tests for qc::sim — state vector, density matrix,
-// trajectory sampling, backends, observables.
+// trajectory sampling, compiled programs, observables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 
@@ -12,7 +13,6 @@
 #include "linalg/kernels.hpp"
 #include "metrics/distribution.hpp"
 #include "noise/catalog.hpp"
-#include "sim/backend.hpp"
 #include "sim/compiled.hpp"
 #include "sim/density_matrix.hpp"
 #include "sim/observables.hpp"
@@ -151,79 +151,103 @@ TEST(Observables, ZExpectationFromProbs) {
   EXPECT_NEAR(z_expectation_from_probs({0.25, 0.75}, 0), -0.5, 1e-12);
 }
 
-TEST(Backends, IdealMatchesStateVector) {
+TEST(Compiled, IdealMatchesStateVector) {
   common::Rng rng(8);
   const auto qc = random_basis_circuit(3, 15, rng);
-  IdealBackend backend(1);
-  const auto probs = backend.run_probabilities(qc);
+  const auto probs =
+      statevector_probabilities(compile_noisy_circuit(qc, noise::NoiseModel::ideal(3)));
   StateVector sv(3);
   sv.apply(qc);
   const auto expect = sv.probabilities();
   for (std::size_t i = 0; i < 8; ++i) EXPECT_NEAR(probs[i], expect[i], 1e-10);
 }
 
-TEST(Backends, DensityMatrixAppliesReadoutError) {
-  // Identity circuit on 1 qubit: only readout error moves probability.
-  auto device = noise::device_by_name("ourense");
-  auto sub = device;  // full 5q device; run a 1-gate circuit on qubit 0
-  DensityMatrixBackend backend(noise::simulator_noise_model(sub), 1);
+TEST(Compiled, DensityMatrixAppliesReadoutError) {
+  // Identity circuit on 1 qubit of the 5q device: only noise moves
+  // probability, and the readout flip from |0> dominates.
+  const auto model = noise::simulator_noise_model(noise::device_by_name("ourense"));
   ir::QuantumCircuit qc(1);
   qc.u3(0, 0, 0, 0);  // identity-ish U3 still triggers gate noise channels
-  const auto probs = backend.run_probabilities(qc);
-  EXPECT_GT(probs[1], 0.0);  // readout flip from |0>
+  const auto probs = density_matrix_probabilities(compile_noisy_circuit(qc, model));
+  EXPECT_GT(probs[1], 0.0);
   EXPECT_NEAR(probs[0] + probs[1], 1.0, 1e-9);
 }
 
-TEST(Backends, NoiseDegradesDeepCircuitsMore) {
-  const auto device = noise::device_by_name("ourense");
-  const auto model = noise::simulator_noise_model(device);
+TEST(Compiled, NoiseDegradesDeepCircuitsMore) {
+  const auto model = noise::simulator_noise_model(noise::device_by_name("ourense"));
   ir::QuantumCircuit shallow(2);
   shallow.cx(0, 1);
   ir::QuantumCircuit deep(2);
   for (int i = 0; i < 10; ++i) deep.cx(0, 1);
   // Both implement the same map on |00>; deep should have more weight off 00.
-  DensityMatrixBackend backend(model, 1);
-  const auto ps = backend.run_probabilities(shallow);
-  const auto pd = backend.run_probabilities(deep);
+  const auto ps = density_matrix_probabilities(compile_noisy_circuit(shallow, model));
+  const auto pd = density_matrix_probabilities(compile_noisy_circuit(deep, model));
   EXPECT_GT(ps[0], pd[0]);
 }
 
-TEST(Backends, TrajectoryConvergesToDensityMatrix) {
+TEST(Compiled, TrajectoryConvergesToDensityMatrix) {
+  // Three qubits on Ourense (0-1-2 is a path), so CX crosstalk onto the
+  // spectator qubit stays inside the register in hardware mode.
   const auto device = noise::device_by_name("ourense");
-  const auto model = noise::simulator_noise_model(device);
-  ir::QuantumCircuit qc(2);
-  qc.u3(1.1, 0.3, -0.2, 0).cx(0, 1).u3(0.4, 0.0, 0.9, 1);
-  DensityMatrixBackend exact(model, 1);
-  TrajectoryBackend sampled(model, 60000, 2);
-  const auto pe = exact.run_probabilities(qc);
-  const auto pt = sampled.run_probabilities(qc);
-  EXPECT_LT(metrics::total_variation(pe, pt), 0.02);
+  ir::QuantumCircuit qc(3);
+  qc.u3(1.1, 0.3, -0.2, 0).cx(0, 1).u3(0.4, 0.0, 0.9, 1).cx(1, 2).u3(0.8, -0.5, 0.1, 2);
+  for (const bool hardware : {false, true}) {
+    SCOPED_TRACE(hardware ? "hardware model" : "simulator model");
+    const auto model = hardware ? noise::hardware_noise_model(device)
+                                : noise::simulator_noise_model(device);
+    const auto compiled = compile_noisy_circuit(qc, model);
+    // The program must exercise the Born-weighted Kraus branch (thermal
+    // relaxation) and, in hardware mode, crosstalk onto a qubit outside the
+    // gate's step.
+    bool kraus = false, crosstalk = false;
+    for (const auto& step : compiled.steps) {
+      for (const auto& op : step.noise) {
+        kraus = kraus || !op.mixed_unitary;
+        for (int q : op.qubits)
+          if (std::find(step.qubits.begin(), step.qubits.end(), q) == step.qubits.end())
+            crosstalk = true;
+      }
+    }
+    EXPECT_TRUE(kraus);
+    EXPECT_EQ(crosstalk, hardware);
+    const auto pe = density_matrix_probabilities(compiled);
+    const auto pt = metrics::counts_to_distribution(
+        trajectory_counts_streamed(compiled, 0, 60000, 2));
+    EXPECT_LT(metrics::total_variation(pe, pt), 0.02);
+  }
 }
 
-TEST(Backends, TrajectoryDeterministicInSeed) {
+TEST(Compiled, TrajectoryDeterministicInSeed) {
   const auto model = noise::simulator_noise_model(noise::device_by_name("rome"));
   ir::QuantumCircuit qc(2);
   qc.u3(0.7, 0.1, 0.2, 0).cx(0, 1);
-  TrajectoryBackend a(model, 500, 42), b(model, 500, 42);
-  EXPECT_EQ(a.run_counts(qc, 500), b.run_counts(qc, 500));
+  const auto compiled = compile_noisy_circuit(qc, model);
+  const auto whole = trajectory_counts_streamed(compiled, 0, 500, 42);
+  EXPECT_EQ(whole, trajectory_counts_streamed(compiled, 0, 500, 42));
+  // Per-shot streams: any split of the shot range sums to the same counts.
+  const auto head = trajectory_counts_streamed(compiled, 0, 137, 42);
+  const auto tail = trajectory_counts_streamed(compiled, 137, 500, 42);
+  for (std::size_t i = 0; i < whole.size(); ++i) EXPECT_EQ(whole[i], head[i] + tail[i]);
 }
 
-TEST(Backends, CircuitWiderThanModelThrows) {
+TEST(Compiled, CircuitWiderThanModelThrows) {
   const auto model = noise::simulator_noise_model(noise::device_by_name("ourense"));
-  DensityMatrixBackend backend(model, 1);
   ir::QuantumCircuit qc(6);
   qc.h(5);
-  EXPECT_THROW(backend.run_probabilities(qc), common::Error);
+  EXPECT_THROW(compile_noisy_circuit(qc, model), common::Error);
 }
 
-TEST(Backends, CountsSumToShots) {
-  IdealBackend backend(3);
+TEST(Compiled, CountsSumToShots) {
   ir::QuantumCircuit qc(2);
   qc.h(0).h(1);
-  const auto counts = backend.run_counts(qc, 1234);
+  const auto compiled = compile_noisy_circuit(qc, noise::NoiseModel::ideal(2));
+  std::size_t completed = 0;
+  const auto counts = trajectory_counts_streamed(compiled, 0, 1234, 3,
+                                                 common::Deadline::never(), &completed);
   std::uint64_t total = 0;
   for (auto c : counts) total += c;
   EXPECT_EQ(total, 1234u);
+  EXPECT_EQ(completed, 1234u);
 }
 
 TEST(Compiled, FusionMergesNoiseFreeNeighbours) {
@@ -330,12 +354,14 @@ TEST(Compiled, ScratchShotLoopMatchesAllocatingOverload) {
   common::Rng rng(11);
   const auto qc = random_basis_circuit(3, 16, rng);
   const auto compiled = compile_noisy_circuit(qc, model);
+  // A scratch reused across shots must leave no state behind: every shot
+  // matches one run on a freshly allocated scratch.
   TrajectoryScratch scratch(compiled.num_qubits);
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     common::Rng a(seed), b(seed);
-    const auto with_scratch = run_trajectory_shot(compiled, a, scratch);
-    const auto standalone = run_trajectory_shot(compiled, b);
-    ASSERT_EQ(with_scratch, standalone);
+    TrajectoryScratch fresh(compiled.num_qubits);
+    ASSERT_EQ(run_trajectory_shot(compiled, a, scratch),
+              run_trajectory_shot(compiled, b, fresh));
   }
 }
 

@@ -10,7 +10,6 @@
 #include "linalg/factories.hpp"
 #include "metrics/process.hpp"
 #include "noise/catalog.hpp"
-#include "sim/backend.hpp"
 #include "sim/statevector.hpp"
 #include "transpile/decompose.hpp"
 #include "transpile/euler.hpp"
@@ -398,9 +397,10 @@ TEST(SabreRouting, PipelineIntegration) {
   opts.router = TranspileOptions::Router::Sabre;
   opts.optimization_level = 1;
   const auto tr = transpile(qc, device, opts);
-  sim::IdealBackend backend(1);
-  const auto got = unpermute_distribution(backend.run_probabilities(tr.circuit),
-                                          tr.wire_of_virtual);
+  sim::StateVector physical(tr.circuit.num_qubits());
+  physical.apply(tr.circuit);
+  const auto got =
+      unpermute_distribution(physical.probabilities(), tr.wire_of_virtual);
   sim::StateVector logical(4);
   logical.apply(decompose_to_cx_u3(qc));
   const auto expect = logical.probabilities();
