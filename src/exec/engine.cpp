@@ -341,9 +341,13 @@ std::vector<double> ExecutionEngine::trajectory_probabilities(
     span.arg("blocks", num_blocks);
   }
   static obs::Counter& shot_counter = obs::counter("sim.trajectory_shots");
+  // Leaf states of the shot trees: unique evolutions per shot is their ratio
+  // to sim.trajectory_shots.
+  static obs::Counter& leaf_counter = obs::counter("sim.trajectory.unique_evolutions");
   std::vector<std::uint64_t> counts(std::size_t{1} << compiled.num_qubits, 0);
   std::mutex merge_mutex;
   std::size_t completed_total = 0;
+  std::size_t leaves_total = 0;
   // The block partition depends only on `trajectory_block`, and each shot
   // draws from its own counter-derived stream, so the merged integer counts
   // are bit-identical for every pool size and merge order. (A timed-out run
@@ -356,13 +360,17 @@ std::vector<double> ExecutionEngine::trajectory_probabilities(
     const std::size_t end = std::min(shots, begin + block);
     if (block_span.active()) block_span.arg("shots", end - begin);
     std::size_t completed = 0;
+    std::size_t leaves = 0;
     const auto local = sim::trajectory_counts_streamed(compiled, begin, end, seed,
-                                                       deadline, &completed);
+                                                       deadline, &completed, &leaves);
+    if (block_span.active()) block_span.arg("leaves", leaves);
     std::lock_guard<std::mutex> lock(merge_mutex);
     completed_total += completed;
+    leaves_total += leaves;
     for (std::size_t i = 0; i < counts.size(); ++i) counts[i] += local[i];
   });
   shot_counter.add(completed_total);
+  leaf_counter.add(leaves_total);
   rec.completed_shots = completed_total;
   rec.timed_out = completed_total < shots;
   if (completed_total == 0) {

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <limits>
 #include <sstream>
 
 #include "common/error.hpp"
 #include "common/faults.hpp"
+#include "common/rng.hpp"
 #include "linalg/embed.hpp"
 #include "metrics/distribution.hpp"
 #include "noise/readout.hpp"
@@ -164,73 +166,181 @@ void check_state_norm(double norm_squared) {
   if (std::fabs(norm_squared - 1.0) <= kNormDriftTolerance) return;
   std::ostringstream os;
   os << "trajectory state corrupt: |psi|^2 = " << norm_squared
-     << " after step loop (norm-drift guard, tolerance " << kNormDriftTolerance
+     << " at a shot-tree leaf (norm-drift guard, tolerance " << kNormDriftTolerance
      << ")";
   throw common::SimulationError(os.str());
 }
 
-}  // namespace
-
-std::uint64_t run_trajectory_shot(const CompiledCircuit& compiled, common::Rng& rng,
-                                  TrajectoryScratch& scratch,
-                                  std::uint64_t fault_stream) {
-  StateVector& state = scratch.state;
-  state.reset();
-  for (const CompiledStep& step : compiled.steps) {
-    state.apply_matrix(step.unitary, step.qubits);
-    for (const CompiledNoiseOp& op : step.noise) {
-      if (op.mixed_unitary) {
-        // Branch weights are state independent: sample, apply one unitary.
-        const std::size_t pick = rng.discrete(op.probs);
-        state.apply_matrix(op.operators[pick], op.qubits);
-        continue;
-      }
-      // General quantum-trajectory step: Born weights p_i = ||K_i psi||^2,
-      // evaluated on the single branch scratch instead of materializing every
-      // branch; the picked operator is then re-applied to the live state.
-      scratch.weights.resize(op.operators.size());
-      for (std::size_t i = 0; i < op.operators.size(); ++i) {
-        scratch.branch = state;
-        scratch.branch.apply_matrix(op.operators[i], op.qubits);
-        scratch.weights[i] = scratch.branch.norm_squared();
-      }
-      const std::size_t pick = rng.discrete(scratch.weights);
-      state.apply_matrix(op.operators[pick], op.qubits);
-      state.normalize();
+/// Depth-first shot tree over one shot range (see trajectory_counts_streamed).
+/// Every shot keeps its own RNG stream; a group of shots shares one state until
+/// their draws at some noise op differ, then splits by the branch picked.
+class ShotTree {
+ public:
+  ShotTree(const CompiledCircuit& compiled, std::size_t shot_begin,
+           std::size_t shot_end, std::uint64_t seed, const common::Deadline& deadline)
+      : compiled_(compiled),
+        shot_begin_(shot_begin),
+        seed_(seed),
+        picks_(shot_end - shot_begin),
+        branch_(compiled.num_qubits),
+        poller_(deadline, /*stride=*/1),
+        counts_(std::size_t{1} << compiled.num_qubits, 0) {
+    const std::size_t n = shot_end - shot_begin;
+    rngs_.reserve(n);
+    ids_.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      rngs_.emplace_back(common::derive_stream_seed(seed, shot_begin + i));
+      ids_.push_back(i);
     }
   }
-  // Fault firing never touches `rng`, so non-faulted shots draw the exact
-  // same stream with or without injection armed.
-  if (common::faults::enabled() &&
-      common::faults::fires(common::faults::Site::StateNan, fault_stream)) {
-    state.apply_matrix(nan_matrix(), {0});
+
+  void run() {
+    if (ids_.empty()) return;
+    states_.emplace_back(compiled_.num_qubits);
+    evolve(0, ids_.size(), /*depth=*/0, /*step=*/0, /*op=*/0);
   }
-  check_state_norm(state.norm_squared());
-  std::uint64_t outcome = state.sample(rng);
-  return noise::sample_readout_flip(outcome, compiled.readout, rng);
-}
+
+  std::vector<std::uint64_t>& counts() { return counts_; }
+  std::size_t completed() const { return completed_; }
+  std::size_t leaves() const { return leaves_; }
+
+ private:
+  /// Evolves the group ids_[lo, hi) on states_[depth] from noise op `op` of
+  /// step `step` (op 0: the step's unitary first) to the end of the program,
+  /// then samples its shots.
+  void evolve(std::size_t lo, std::size_t hi, std::size_t depth, std::size_t step,
+              std::size_t op) {
+    StateVector& state = states_[depth];
+    for (; step < compiled_.steps.size(); ++step, op = 0) {
+      const CompiledStep& s = compiled_.steps[step];
+      if (op == 0) state.apply_matrix(s.unitary, s.qubits);
+      for (; op < s.noise.size(); ++op) {
+        const CompiledNoiseOp& nop = s.noise[op];
+        const std::vector<double>& weights =
+            nop.mixed_unitary ? nop.probs : born_weights(state, nop);
+        bool split = false;
+        for (std::size_t i = lo; i < hi; ++i) {
+          picks_[ids_[i]] = rngs_[ids_[i]].discrete(weights);
+          split = split || picks_[ids_[i]] != picks_[ids_[lo]];
+        }
+        if (split) {
+          // Group the ids by pick. Every run but the largest gets a copy of
+          // the state and is finished first; the largest then continues here
+          // in place. A non-largest run holds at most half its group, so the
+          // split depth, hence the number of live states (one per depth plus
+          // the Born-weight scratch), is at most floor(log2(range)) + 2.
+          std::sort(ids_.begin() + lo, ids_.begin() + hi,
+                    [this](std::size_t a, std::size_t b) { return picks_[a] < picks_[b]; });
+          std::size_t keep_lo = lo, keep_hi = lo;
+          for (std::size_t a = lo, b; a < hi; a = b) {
+            b = run_end(a, hi);
+            if (b - a > keep_hi - keep_lo) {
+              keep_lo = a;
+              keep_hi = b;
+            }
+          }
+          if (states_.size() == depth + 1) states_.emplace_back(compiled_.num_qubits);
+          for (std::size_t a = lo, b; a < hi; a = b) {
+            b = run_end(a, hi);
+            if (a == keep_lo) continue;
+            StateVector& child = states_[depth + 1];
+            child = state;
+            apply_branch(child, nop, picks_[ids_[a]]);
+            evolve(a, b, depth + 1, step, op + 1);
+            if (stopped_) return;
+          }
+          lo = keep_lo;
+          hi = keep_hi;
+        }
+        apply_branch(state, nop, picks_[ids_[lo]]);
+      }
+    }
+    sample_leaf(state, lo, hi);
+  }
+
+  /// End of the run of equal picks starting at ids_[a].
+  std::size_t run_end(std::size_t a, std::size_t hi) const {
+    std::size_t b = a + 1;
+    while (b < hi && picks_[ids_[b]] == picks_[ids_[a]]) ++b;
+    return b;
+  }
+
+  /// Born weights p_i = ||K_i psi||^2, evaluated on the single branch scratch
+  /// instead of materializing every branch.
+  const std::vector<double>& born_weights(const StateVector& state,
+                                          const CompiledNoiseOp& op) {
+    weights_.resize(op.operators.size());
+    for (std::size_t i = 0; i < op.operators.size(); ++i) {
+      branch_ = state;
+      branch_.apply_matrix(op.operators[i], op.qubits);
+      weights_[i] = branch_.norm_squared();
+    }
+    return weights_;
+  }
+
+  static void apply_branch(StateVector& state, const CompiledNoiseOp& op,
+                           std::size_t pick) {
+    state.apply_matrix(op.operators[pick], op.qubits);
+    if (!op.mixed_unitary) state.normalize();
+  }
+
+  void sample_leaf(StateVector& state, std::size_t lo, std::size_t hi) {
+    if (poller_.should_stop()) {
+      stopped_ = true;
+      return;
+    }
+    check_state_norm(state.norm_squared());
+    // The per-shot stream seed doubles as the NaN-fault stream id: stable
+    // across thread counts and block partitions. Fault firing never touches
+    // an RNG, so non-faulted shots draw the same stream with or without
+    // injection armed.
+    if (common::faults::enabled()) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        const std::uint64_t stream = common::derive_stream_seed(seed_, shot_begin_ + ids_[i]);
+        if (common::faults::fires(common::faults::Site::StateNan, stream)) {
+          state.apply_matrix(nan_matrix(), {0});
+          check_state_norm(state.norm_squared());
+        }
+      }
+    }
+    for (std::size_t i = lo; i < hi; ++i) {
+      common::Rng& rng = rngs_[ids_[i]];
+      ++counts_[noise::sample_readout_flip(state.sample(rng), compiled_.readout, rng)];
+    }
+    completed_ += hi - lo;
+    ++leaves_;
+  }
+
+  const CompiledCircuit& compiled_;
+  std::size_t shot_begin_;
+  std::uint64_t seed_;
+  std::vector<common::Rng> rngs_;    // per shot, indexed by shot - shot_begin
+  std::vector<std::size_t> ids_;     // shot indices, grouped by branch history
+  std::vector<std::size_t> picks_;   // per shot: branch drawn at the current op
+  std::deque<StateVector> states_;   // states_[d]: group state at split depth d
+  StateVector branch_;
+  std::vector<double> weights_;
+  common::StopPoller poller_;
+  std::vector<std::uint64_t> counts_;
+  std::size_t completed_ = 0;
+  std::size_t leaves_ = 0;
+  bool stopped_ = false;
+};
+
+}  // namespace
 
 std::vector<std::uint64_t> trajectory_counts_streamed(const CompiledCircuit& compiled,
                                                       std::size_t shot_begin,
                                                       std::size_t shot_end,
                                                       std::uint64_t seed,
                                                       const common::Deadline& deadline,
-                                                      std::size_t* completed) {
-  std::vector<std::uint64_t> counts(std::size_t{1} << compiled.num_qubits, 0);
-  TrajectoryScratch scratch(compiled.num_qubits);
-  common::StopPoller poller(deadline, /*stride=*/4);
-  std::size_t done = 0;
-  for (std::size_t shot = shot_begin; shot < shot_end; ++shot) {
-    if (poller.should_stop()) break;
-    const std::uint64_t stream = common::derive_stream_seed(seed, shot);
-    common::Rng rng(stream);
-    // The per-shot stream seed doubles as the NaN-fault stream id: stable
-    // across thread counts and block partitions.
-    ++counts[run_trajectory_shot(compiled, rng, scratch, stream)];
-    ++done;
-  }
-  if (completed != nullptr) *completed = done;
-  return counts;
+                                                      std::size_t* completed,
+                                                      std::size_t* leaves) {
+  ShotTree tree(compiled, shot_begin, shot_end, seed, deadline);
+  tree.run();
+  if (completed != nullptr) *completed = tree.completed();
+  if (leaves != nullptr) *leaves = tree.leaves();
+  return std::move(tree.counts());
 }
 
 namespace {

@@ -6,18 +6,21 @@
 //  * compile — per (circuit, noise model): fetch gate matrices, bind the
 //    model's error channels to concrete qubits, precompute mixed-unitary
 //    decompositions. Identical for every shot.
-//  * evolve  — per shot: apply the precompiled steps to a fresh state vector,
-//    sampling noise branches from an RNG stream.
+//  * evolve  — per shot range: a depth-first shot tree. All shots of the
+//    range start on one shared state and each draws its noise branches from
+//    its own RNG stream; at a noise op the group splits by the branch each
+//    shot picked. Every distinct branch history is therefore evolved once and
+//    sampled by all of its shots, and each shot draws exactly what a lone
+//    replay of it would, on a bit-identical state.
 //
 // The execution engine (src/exec) caches CompiledCircuit programs per
 // (transpiled circuit, noise model) and fans evolve out across threads with
 // counter-based per-shot RNG streams (qsim/Cirq amortize noisy trajectory
 // repetitions the same way, Isakov et al., arXiv:2111.02396).
 //
-// Four simulate entry points: run_trajectory_shot (one shot),
-// trajectory_counts_streamed (a shot range), density_matrix_probabilities
-// (exact noisy) and statevector_probabilities (noise free). The last three
-// take an optional Deadline and stop early on expiry.
+// Three simulate entry points: trajectory_counts_streamed (a shot range),
+// density_matrix_probabilities (exact noisy) and statevector_probabilities
+// (noise free). All three take an optional Deadline and stop early on expiry.
 #pragma once
 
 #include <array>
@@ -26,7 +29,6 @@
 #include <vector>
 
 #include "common/deadline.hpp"
-#include "common/rng.hpp"
 #include "ir/circuit.hpp"
 #include "linalg/kernels.hpp"
 #include "noise/noise_model.hpp"
@@ -104,46 +106,31 @@ CompiledCircuit compile_noisy_circuit(const ir::QuantumCircuit& circuit,
                                       const GateMatrixFn& matrix_fn = {},
                                       const CompileOptions& options = {});
 
-/// Per-task reusable buffers for trajectory evolution: one state vector that
-/// is reset (not reallocated) every shot, plus a branch scratch for
-/// Born-weighted Kraus selection.
-struct TrajectoryScratch {
-  explicit TrajectoryScratch(int num_qubits)
-      : state(num_qubits), branch(num_qubits) {}
-  StateVector state;
-  StateVector branch;
-  std::vector<double> weights;
-};
-
-/// Relative tolerance on |norm² - 1| after a shot's step loop. Unitary and
+/// Relative tolerance on |norm² - 1| of a trajectory leaf state. Unitary and
 /// renormalized-Kraus applications preserve the norm to rounding, so drift
 /// beyond this means the state is corrupt (NaN amplitudes, a broken kernel, an
-/// injected fault) and the shot throws SimulationError instead of sampling
+/// injected fault) and the run throws SimulationError instead of sampling
 /// garbage.
 inline constexpr double kNormDriftTolerance = 1e-6;
 
-/// Evolves one shot: |0...0> through every compiled step, measurement sample,
-/// readout bit flips. All randomness is drawn from `rng` in a fixed order;
-/// `scratch` is reset, not reallocated, so a shot loop reuses one. Throws
-/// SimulationError when the final state fails the norm-drift guard.
-/// `fault_stream` keys deterministic NaN injection (faults::Site::StateNan);
-/// callers with no stable stream id pass 0.
-std::uint64_t run_trajectory_shot(const CompiledCircuit& compiled, common::Rng& rng,
-                                  TrajectoryScratch& scratch,
-                                  std::uint64_t fault_stream = 0);
-
 /// Shot range [shot_begin, shot_end) with one counter-derived RNG stream per
-/// shot index (common::derive_stream_seed(seed, shot)). Disjoint ranges can
-/// run on different threads and their counts summed; the totals are
-/// bit-identical for every partition, hence every thread count. Polls
-/// `deadline` between shots and stops early on expiry, returning the counts
-/// accumulated so far; `*completed` (if non-null) receives the number of
-/// shots actually run. Completed shots are bit-identical to an unbounded
-/// run's.
+/// shot index (common::derive_stream_seed(seed, shot)), evolved as a
+/// depth-first shot tree (see "evolve" above): a leaf is one distinct branch
+/// history, and every shot that reached it samples the leaf state with its
+/// own stream (measurement, then readout bit flips). Disjoint ranges can run
+/// on different threads and their counts summed; the totals are bit-identical
+/// for every partition, hence every thread count. Polls `deadline` before
+/// each leaf and stops early on expiry, returning the counts of the leaves
+/// sampled so far; `*completed` (if non-null) receives the number of shots
+/// sampled and `*leaves` (if non-null) the number of leaves they came from.
+/// Completed shots are bit-identical to an unbounded run's. Throws
+/// SimulationError when a leaf state fails the norm-drift guard; the
+/// faults::Site::StateNan site poisons the leaf of any shot whose stream seed
+/// it fires on.
 std::vector<std::uint64_t> trajectory_counts_streamed(
     const CompiledCircuit& compiled, std::size_t shot_begin, std::size_t shot_end,
     std::uint64_t seed, const common::Deadline& deadline = common::Deadline::never(),
-    std::size_t* completed = nullptr);
+    std::size_t* completed = nullptr, std::size_t* leaves = nullptr);
 
 /// Exact noisy evolution of a compiled program (density matrix + exact
 /// readout confusion), normalized, using its hoisted unitary/Kraus adjoints.

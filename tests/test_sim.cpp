@@ -5,14 +5,20 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
+#include <utility>
+#include <vector>
 
+#include "common/deadline.hpp"
 #include "common/error.hpp"
+#include "common/faults.hpp"
 #include "common/rng.hpp"
 #include "ir/circuit.hpp"
 #include "linalg/factories.hpp"
 #include "linalg/kernels.hpp"
 #include "metrics/distribution.hpp"
 #include "noise/catalog.hpp"
+#include "noise/readout.hpp"
 #include "sim/compiled.hpp"
 #include "sim/density_matrix.hpp"
 #include "sim/observables.hpp"
@@ -349,20 +355,199 @@ TEST(Compiled, FusionPreservesNoisyEngines) {
   EXPECT_LE(moved, 8u);  // a rare shot may land on the other side of a cut
 }
 
-TEST(Compiled, ScratchShotLoopMatchesAllocatingOverload) {
-  const auto model = noise::hardware_noise_model(noise::device_by_name("rome"));
-  common::Rng rng(11);
-  const auto qc = random_basis_circuit(3, 16, rng);
-  const auto compiled = compile_noisy_circuit(qc, model);
-  // A scratch reused across shots must leave no state behind: every shot
-  // matches one run on a freshly allocated scratch.
-  TrajectoryScratch scratch(compiled.num_qubits);
-  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
-    common::Rng a(seed), b(seed);
-    TrajectoryScratch fresh(compiled.num_qubits);
-    ASSERT_EQ(run_trajectory_shot(compiled, a, scratch),
-              run_trajectory_shot(compiled, b, fresh));
+// ---- per-shot reference -----------------------------------------------------
+//
+// The per-shot trajectory replay the shot tree replaced: |0...0> through every
+// compiled step for each shot alone. Kept as the oracle the shot tree must
+// match exactly.
+
+/// Per-task reusable buffers for trajectory evolution: one state vector that
+/// is reset (not reallocated) every shot, plus a branch scratch for
+/// Born-weighted Kraus selection.
+struct TrajectoryScratch {
+  explicit TrajectoryScratch(int num_qubits)
+      : state(num_qubits), branch(num_qubits) {}
+  StateVector state;
+  StateVector branch;
+  std::vector<double> weights;
+};
+
+const linalg::Matrix& nan_matrix() {
+  static const linalg::Matrix m = [] {
+    const auto nan = std::numeric_limits<double>::quiet_NaN();
+    linalg::Matrix out(2, 2);
+    for (std::size_t r = 0; r < 2; ++r)
+      for (std::size_t c = 0; c < 2; ++c) out(r, c) = linalg::cplx(nan, nan);
+    return out;
+  }();
+  return m;
+}
+
+void check_state_norm(double norm_squared) {
+  if (std::fabs(norm_squared - 1.0) <= kNormDriftTolerance) return;
+  throw common::SimulationError("trajectory state corrupt");
+}
+
+/// Evolves one shot: |0...0> through every compiled step, measurement sample,
+/// readout bit flips. All randomness is drawn from `rng` in a fixed order;
+/// `scratch` is reset, not reallocated, so a shot loop reuses one. Throws
+/// SimulationError when the final state fails the norm-drift guard.
+/// `fault_stream` keys deterministic NaN injection (faults::Site::StateNan);
+/// callers with no stable stream id pass 0.
+std::uint64_t run_trajectory_shot(const CompiledCircuit& compiled, common::Rng& rng,
+                                  TrajectoryScratch& scratch,
+                                  std::uint64_t fault_stream = 0) {
+  StateVector& state = scratch.state;
+  state.reset();
+  for (const CompiledStep& step : compiled.steps) {
+    state.apply_matrix(step.unitary, step.qubits);
+    for (const CompiledNoiseOp& op : step.noise) {
+      if (op.mixed_unitary) {
+        // Branch weights are state independent: sample, apply one unitary.
+        const std::size_t pick = rng.discrete(op.probs);
+        state.apply_matrix(op.operators[pick], op.qubits);
+        continue;
+      }
+      // General quantum-trajectory step: Born weights p_i = ||K_i psi||^2,
+      // evaluated on the single branch scratch instead of materializing every
+      // branch; the picked operator is then re-applied to the live state.
+      scratch.weights.resize(op.operators.size());
+      for (std::size_t i = 0; i < op.operators.size(); ++i) {
+        scratch.branch = state;
+        scratch.branch.apply_matrix(op.operators[i], op.qubits);
+        scratch.weights[i] = scratch.branch.norm_squared();
+      }
+      const std::size_t pick = rng.discrete(scratch.weights);
+      state.apply_matrix(op.operators[pick], op.qubits);
+      state.normalize();
+    }
   }
+  // Fault firing never touches `rng`, so non-faulted shots draw the exact
+  // same stream with or without injection armed.
+  if (common::faults::enabled() &&
+      common::faults::fires(common::faults::Site::StateNan, fault_stream)) {
+    state.apply_matrix(nan_matrix(), {0});
+  }
+  check_state_norm(state.norm_squared());
+  std::uint64_t outcome = state.sample(rng);
+  return noise::sample_readout_flip(outcome, compiled.readout, rng);
+}
+
+/// The per-shot oracle: outcome of every shot in [0, shots), one stream per
+/// shot index.
+std::vector<std::uint64_t> per_shot_outcomes(const CompiledCircuit& compiled,
+                                             std::size_t shots, std::uint64_t seed) {
+  std::vector<std::uint64_t> outcomes;
+  TrajectoryScratch scratch(compiled.num_qubits);
+  for (std::size_t shot = 0; shot < shots; ++shot) {
+    const std::uint64_t stream = common::derive_stream_seed(seed, shot);
+    common::Rng rng(stream);
+    outcomes.push_back(run_trajectory_shot(compiled, rng, scratch, stream));
+  }
+  return outcomes;
+}
+
+TEST(Compiled, ShotTreeMatchesPerShotOracle) {
+  const auto device = noise::device_by_name("rome");
+  const std::vector<std::pair<const char*, noise::NoiseModel>> models = {
+      {"simulator", noise::simulator_noise_model(device)},
+      {"hardware", noise::hardware_noise_model(device)},
+      {"hardware, CX error x4", noise::hardware_noise_model(device).with_cx_error_scale(4)},
+  };
+  const std::vector<std::pair<std::size_t, std::size_t>> ranges = {
+      {0, 1}, {0, 137}, {137, 500}, {0, 500}};
+  common::Rng rng(31);
+  std::size_t split_runs = 0;
+  for (int n = 2; n <= 5; ++n) {
+    const auto qc = random_basis_circuit(n, 6 * n, rng);
+    for (const auto& [name, model] : models) {
+      const auto compiled = compile_noisy_circuit(qc, model);
+      for (const std::uint64_t seed : {3u, 77u, 2024u}) {
+        const auto outcomes = per_shot_outcomes(compiled, 500, seed);
+        for (const auto& [begin, end] : ranges) {
+          SCOPED_TRACE(::testing::Message() << n << " qubits, " << name << " model, seed "
+                                            << seed << ", shots [" << begin << ", "
+                                            << end << ")");
+          std::size_t completed = 0, leaves = 0;
+          const auto tree = trajectory_counts_streamed(
+              compiled, begin, end, seed, common::Deadline::never(), &completed, &leaves);
+          std::vector<std::uint64_t> oracle(tree.size(), 0);
+          for (std::size_t shot = begin; shot < end; ++shot) ++oracle[outcomes[shot]];
+          ASSERT_EQ(tree, oracle);
+          EXPECT_EQ(completed, end - begin);
+          EXPECT_GE(leaves, 1u);
+          EXPECT_LE(leaves, end - begin);
+          if (leaves > 1) ++split_runs;
+        }
+      }
+    }
+  }
+  // The sweep must exercise real splits, not only single-leaf trees.
+  EXPECT_GT(split_runs, 0u);
+}
+
+TEST(Compiled, NanFaultFailsExactlyTheRangesWithAFaultedShot) {
+  // A fractional NaN rate poisons the leaves of some shots: a range fails
+  // iff a shot in it has a firing stream, and every other range is
+  // bit-identical to a clean run.
+  struct Disarm {
+    ~Disarm() { common::faults::install_spec(""); }
+  } disarm;
+  const auto model = noise::hardware_noise_model(noise::device_by_name("rome"));
+  common::Rng rng(5);
+  const auto compiled = compile_noisy_circuit(random_basis_circuit(3, 18, rng), model);
+  constexpr std::size_t kShots = 64;
+  std::vector<std::vector<std::uint64_t>> clean;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed)
+    clean.push_back(trajectory_counts_streamed(compiled, 0, kShots, seed));
+
+  common::faults::install_spec("nan:0.01,seed=9");
+  std::size_t failed = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    bool faulted = false;
+    for (std::size_t shot = 0; shot < kShots; ++shot)
+      faulted = faulted || common::faults::fires(common::faults::Site::StateNan,
+                                                 common::derive_stream_seed(seed, shot));
+    if (faulted) {
+      ++failed;
+      EXPECT_THROW(trajectory_counts_streamed(compiled, 0, kShots, seed),
+                   common::SimulationError);
+    } else {
+      EXPECT_EQ(trajectory_counts_streamed(compiled, 0, kShots, seed), clean[seed - 1]);
+    }
+  }
+  // 1 - 0.99^64 ~ 0.47 per range: both outcomes must occur among 12 ranges.
+  EXPECT_GT(failed, 0u);
+  EXPECT_LT(failed, 12u);
+}
+
+TEST(Compiled, ExpiredDeadlineSamplesNoShots) {
+  const auto model = noise::hardware_noise_model(noise::device_by_name("rome"));
+  common::Rng rng(8);
+  const auto compiled = compile_noisy_circuit(random_basis_circuit(3, 12, rng), model);
+  std::size_t completed = 1, leaves = 1;
+  const auto counts = trajectory_counts_streamed(compiled, 0, 256, 4,
+                                                 common::Deadline::after_ms(0),
+                                                 &completed, &leaves);
+  EXPECT_EQ(completed, 0u);
+  EXPECT_EQ(leaves, 0u);
+  for (auto c : counts) EXPECT_EQ(c, 0u);
+}
+
+TEST(Compiled, DeadlineMidRangeCountsOnlyCompletedShots) {
+  const auto model = noise::hardware_noise_model(noise::device_by_name("rome"))
+                         .with_cx_error_scale(4);
+  common::Rng rng(12);
+  const auto compiled = compile_noisy_circuit(random_basis_circuit(5, 60, rng), model);
+  constexpr std::size_t kShots = 20000;
+  std::size_t completed = 0;
+  const auto counts = trajectory_counts_streamed(compiled, 0, kShots, 6,
+                                                 common::Deadline::after_ms(2), &completed);
+  std::uint64_t total = 0;
+  for (auto c : counts) total += c;
+  EXPECT_EQ(total, completed);
+  EXPECT_LE(completed, kShots);
 }
 
 }  // namespace
