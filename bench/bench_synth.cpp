@@ -1,5 +1,5 @@
-// Microbenchmarks (google-benchmark) for the synthesis hot path: analytic vs
-// finite-difference gradients, the QSearch frontier (serial vs parallel
+// Microbenchmarks (google-benchmark) for the synthesis hot path: the HS cost
+// value and its analytic gradient, the QSearch frontier (serial vs parallel
 // children), dense vs incremental QFactor sweeps, and the synthesis result
 // cache.
 //
@@ -30,10 +30,11 @@ namespace {
 
 using namespace qc;
 
-// ---- gradients -------------------------------------------------------------
+// ---- cost and gradient ----------------------------------------------------
 //
-// Same cost object, same point, the two gradient modes. The analytic sweep
-// is O(m·dim²) total; finite differences rebuild the unitary 2·P times.
+// One cost object at one random point: the fidelity-gap value (a unitary
+// build plus the trace) and the analytic gradient sweep, O(m·dim²) — about
+// two unitary builds for all P partials.
 
 synth::TemplateCircuit grad_template(int num_qubits, int blocks) {
   synth::TemplateCircuit tpl = synth::TemplateCircuit::u3_layer(num_qubits);
@@ -42,33 +43,42 @@ synth::TemplateCircuit grad_template(int num_qubits, int blocks) {
   return tpl;
 }
 
-void bench_gradient(benchmark::State& state, synth::GradientMode mode) {
-  const int n = static_cast<int>(state.range(0));
-  const int blocks = static_cast<int>(state.range(1));
+struct CostPoint {
+  synth::TemplateCircuit tpl;
+  synth::HsCost cost;
+  std::vector<double> x;
+};
+
+CostPoint cost_point(int n, int blocks) {
   common::Rng rng(11);
-  const synth::TemplateCircuit tpl = grad_template(n, blocks);
+  synth::TemplateCircuit tpl = grad_template(n, blocks);
   synth::HsCost cost(tpl, linalg::random_unitary(std::size_t{1} << n, rng));
-  cost.set_gradient_mode(mode);
   std::vector<double> x(static_cast<std::size_t>(tpl.num_params()));
   for (auto& v : x) v = rng.uniform(-3.0, 3.0);
+  return {tpl, std::move(cost), std::move(x)};
+}
+
+void BM_GradientAnalytic(benchmark::State& state) {
+  const CostPoint p = cost_point(static_cast<int>(state.range(0)),
+                                 static_cast<int>(state.range(1)));
   std::vector<double> grad;
   for (auto _ : state) {
-    cost.gradient(x, grad);
+    p.cost.gradient(p.x, grad);
     benchmark::DoNotOptimize(grad.data());
   }
   state.SetItemsProcessed(state.iterations());
-  state.counters["params"] = static_cast<double>(tpl.num_params());
-}
-
-void BM_GradientFd(benchmark::State& state) {
-  bench_gradient(state, synth::GradientMode::kFiniteDifference);
-}
-BENCHMARK(BM_GradientFd)->Args({3, 4})->Args({4, 6});
-
-void BM_GradientAnalytic(benchmark::State& state) {
-  bench_gradient(state, synth::GradientMode::kAnalytic);
+  state.counters["params"] = static_cast<double>(p.tpl.num_params());
 }
 BENCHMARK(BM_GradientAnalytic)->Args({3, 4})->Args({4, 6});
+
+void BM_HsCostValue(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const CostPoint p = cost_point(n, 2 * n);
+  for (auto _ : state) benchmark::DoNotOptimize(p.cost(p.x));
+  state.SetItemsProcessed(state.iterations());
+  state.counters["params"] = static_cast<double>(p.tpl.num_params());
+}
+BENCHMARK(BM_HsCostValue)->Arg(3)->Arg(4);
 
 // ---- qsearch frontier ------------------------------------------------------
 //

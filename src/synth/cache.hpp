@@ -64,6 +64,8 @@ struct QSearchCacheKey {
   int opt_lbfgs_memory = 0;
   int restarts_per_node = 0;
   std::uint64_t seed = 0;
+  // Always 0 (analytic). Kept in the key and its persisted JSON so entries
+  // stored with the retired finite-difference mode (1) never match.
   int gradient_mode = 0;
   auto operator<=>(const QSearchCacheKey&) const = default;
 };
@@ -81,7 +83,7 @@ struct QFastCacheKey {
   int restarts_per_depth = 0;
   bool emit_coarse_passes = false;
   std::uint64_t seed = 0;
-  int gradient_mode = 0;
+  int gradient_mode = 0;  // always 0, as in QSearchCacheKey
   auto operator<=>(const QFastCacheKey&) const = default;
 };
 

@@ -2,30 +2,14 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 
 #include "common/error.hpp"
-#include "common/strings.hpp"
 #include "obs/metrics.hpp"
 
 namespace qc::synth {
 
 using linalg::cplx;
 using linalg::Matrix;
-
-GradientMode default_gradient_mode() {
-  static const GradientMode mode = [] {
-    const char* raw = std::getenv("QAPPROX_SYNTH_GRAD");
-    if (raw == nullptr) return GradientMode::kAnalytic;
-    const std::string v = common::to_lower(common::trim(raw));
-    if (v == "fd" || v == "finite" || v == "0" || v == "off" || v == "false" ||
-        v == "no") {
-      return GradientMode::kFiniteDifference;
-    }
-    return GradientMode::kAnalytic;
-  }();
-  return mode;
-}
 
 namespace {
 
@@ -67,12 +51,22 @@ HsCost::HsCost(const TemplateCircuit& tpl, Matrix&& target)
 
 double HsCost::operator()(const std::vector<double>& params) const {
   tpl_.unitary(params, scratch_);
-  const cplx* t = target_->data();
-  const cplx* v = scratch_.data();
-  const std::size_t n = target_->rows() * target_->cols();
-  cplx acc{0.0, 0.0};
-  for (std::size_t i = 0; i < n; ++i) acc += std::conj(t[i]) * v[i];
-  const double fid = std::abs(acc) / static_cast<double>(target_->rows());
+  return fidelity_gap(*target_, scratch_);
+}
+
+double fidelity_gap(const Matrix& target, const Matrix& v) {
+  // acc += conj(t) * v, the product written out on the interleaved doubles.
+  const double* t = reinterpret_cast<const double*>(target.data());
+  const double* w = reinterpret_cast<const double*>(v.data());
+  const std::size_t n = 2 * target.rows() * target.cols();
+  double acc_r = 0.0, acc_i = 0.0;
+  for (std::size_t k = 0; k < n; k += 2) {
+    const double tr = t[k], ti = -t[k + 1];
+    const double vr = w[k], vi = w[k + 1];
+    acc_r += tr * vr - ti * vi;
+    acc_i += tr * vi + ti * vr;
+  }
+  const double fid = std::abs(cplx{acc_r, acc_i}) / static_cast<double>(target.rows());
   return 1.0 - std::min(fid, 1.0);
 }
 
@@ -90,11 +84,7 @@ void HsCost::gradient(const std::vector<double>& params,
   const bool timed = obs::timing_enabled();
   const auto t0 = timed ? std::chrono::steady_clock::now()
                         : std::chrono::steady_clock::time_point{};
-  if (mode_ == GradientMode::kAnalytic) {
-    gradient_analytic(params, grad);
-  } else {
-    gradient_finite_difference(params, grad);
-  }
+  sweep(params, grad);
   if (timed) {
     static obs::Histogram& hist = obs::histogram("synth.gradient_ns");
     hist.record(static_cast<std::uint64_t>(
@@ -104,23 +94,8 @@ void HsCost::gradient(const std::vector<double>& params,
   }
 }
 
-void HsCost::gradient_finite_difference(const std::vector<double>& params,
-                                        std::vector<double>& grad) const {
-  constexpr double h = 1e-6;
-  grad.resize(params.size());
-  std::vector<double> x = params;
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    x[i] = params[i] + h;
-    const double fp = (*this)(x);
-    x[i] = params[i] - h;
-    const double fm = (*this)(x);
-    x[i] = params[i];
-    grad[i] = (fp - fm) / (2.0 * h);
-  }
-}
-
-void HsCost::gradient_analytic(const std::vector<double>& params,
-                               std::vector<double>& grad) const {
+void HsCost::sweep(const std::vector<double>& params,
+                   std::vector<double>& grad) const {
   QC_CHECK(params.size() == static_cast<std::size_t>(tpl_.num_params()));
   grad.assign(params.size(), 0.0);
   if (params.empty()) return;
@@ -130,7 +105,11 @@ void HsCost::gradient_analytic(const std::vector<double>& params,
   const std::size_t dim = target_->rows();
 
   // Backward pass: suffix_[k] = O_{m-1}···O_k with suffix_[m] = I, built by
-  // column ops (suffix_[k] = suffix_[k+1] · O_k). O(m·dim²).
+  // column ops (suffix_[k] = suffix_[k+1] · O_k). O(m·dim²). Each U3 slot's
+  // entries and θ-partial are evaluated here, once, for both passes:
+  //   ∂θ = ½ [[-s, -e^{iλ}c], [e^{iφ}c, -e^{i(φ+λ)}s]]
+  // with c, s = cos, sin(θ/2), which may be negative.
+  slots_.resize(params.size() / 3);
   suffix_.resize(m + 1);
   fill_identity(suffix_[m], dim);
   for (std::size_t k = m; k-- > 0;) {
@@ -138,12 +117,17 @@ void HsCost::gradient_analytic(const std::vector<double>& params,
     const auto& op = ops[k];
     if (op.is_cx) {
       rowops::right_cx(suffix_[k], op.a, op.b);
-    } else {
-      rowops::right_u3(suffix_[k], op.a,
-                       u3_entries(params[op.param_offset],
-                                  params[op.param_offset + 1],
-                                  params[op.param_offset + 2]));
+      continue;
     }
+    const U3Trig t(params[op.param_offset], params[op.param_offset + 1],
+                   params[op.param_offset + 2]);
+    SlotEntries& slot = slots_[static_cast<std::size_t>(op.param_offset) / 3];
+    slot.g = u3_entries(t);
+    slot.dt00 = -0.5 * t.sin_half;
+    slot.dt01 = -0.5 * cplx{t.cos_half * t.cos_lambda, t.cos_half * t.sin_lambda};
+    slot.dt10 = 0.5 * cplx{t.cos_half * t.cos_phi, t.cos_half * t.sin_phi};
+    slot.dt11 = -0.5 * cplx{t.sin_half * t.cos_sum, t.sin_half * t.sin_sum};
+    rowops::right_u3(suffix_[k], op.a, slot.g);
   }
 
   // Forward pass: prefix_ = L_k = O_{k-1}···O_0 · T†, advanced by row ops.
@@ -151,51 +135,57 @@ void HsCost::gradient_analytic(const std::vector<double>& params,
   // touches the 2x2 environment of (L_k · S_{k+1}) on the gate's qubit,
   //   E(a,b) = Σ_rest (L_k · S_{k+1})(rest|a·bit, rest|b·bit),
   // extracted directly from L and S in O(dim²) without forming the product.
+  // The products are written out on the interleaved doubles, as in rowops.
   fill_adjoint(*target_, prefix_);
-  std::vector<cplx> dw(params.size(), cplx{0.0, 0.0});
+  dw_.assign(params.size(), cplx{0.0, 0.0});
+  const std::size_t stride = 2 * dim;
   for (std::size_t k = 0; k < m; ++k) {
     const auto& op = ops[k];
     if (op.is_cx) {
       rowops::left_cx(prefix_, op.a, op.b);
       continue;
     }
-    const double theta = params[op.param_offset];
-    const double phi = params[op.param_offset + 1];
-    const double lambda = params[op.param_offset + 2];
-    const U3Entries g = u3_entries(theta, phi, lambda);
+    const SlotEntries& slot = slots_[static_cast<std::size_t>(op.param_offset) / 3];
+    const U3Entries& g = slot.g;
 
-    const Matrix& s = suffix_[k + 1];
+    const double* l = reinterpret_cast<const double*>(prefix_.data());
+    const double* s = reinterpret_cast<const double*>(suffix_[k + 1].data());
     const std::size_t bit = std::size_t{1} << op.a;
-    cplx e00{0.0, 0.0}, e01{0.0, 0.0}, e10{0.0, 0.0}, e11{0.0, 0.0};
+    double e00r = 0.0, e00i = 0.0, e01r = 0.0, e01i = 0.0;
+    double e10r = 0.0, e10i = 0.0, e11r = 0.0, e11i = 0.0;
     for (std::size_t rest = 0; rest < dim; ++rest) {
       if (rest & bit) continue;
-      const cplx* lrow0 = prefix_.data() + rest * dim;
-      const cplx* lrow1 = prefix_.data() + (rest | bit) * dim;
+      const double* lrow0 = l + rest * stride;
+      const double* lrow1 = l + (rest | bit) * stride;
+      const std::size_t c0 = 2 * rest;
+      const std::size_t c1 = 2 * (rest | bit);
       for (std::size_t j = 0; j < dim; ++j) {
-        const cplx s0 = s(j, rest);
-        const cplx s1 = s(j, rest | bit);
-        e00 += lrow0[j] * s0;
-        e01 += lrow0[j] * s1;
-        e10 += lrow1[j] * s0;
-        e11 += lrow1[j] * s1;
+        const double* srow = s + j * stride;
+        const double s0r = srow[c0], s0i = srow[c0 + 1];  // S(j, rest)
+        const double s1r = srow[c1], s1i = srow[c1 + 1];  // S(j, rest | bit)
+        const double l0r = lrow0[2 * j], l0i = lrow0[2 * j + 1];
+        const double l1r = lrow1[2 * j], l1i = lrow1[2 * j + 1];
+        e00r += l0r * s0r - l0i * s0i;
+        e00i += l0r * s0i + l0i * s0r;
+        e01r += l0r * s1r - l0i * s1i;
+        e01i += l0r * s1i + l0i * s1r;
+        e10r += l1r * s0r - l1i * s0i;
+        e10i += l1r * s0i + l1i * s0r;
+        e11r += l1r * s1r - l1i * s1i;
+        e11i += l1r * s1i + l1i * s1r;
       }
     }
+    const cplx e00{e00r, e00i}, e01{e01r, e01i}, e10{e10r, e10i}, e11{e11r, e11i};
 
     // Tr(M · D_emb) = Σ_{a,b} E(a,b) D(b,a) for a one-qubit D = [[d00,d01],
-    // [d10,d11]]; the three partials of u3_entries:
-    //   ∂θ = ½ [[-s, -e^{iλ}c], [e^{iφ}c, -e^{i(φ+λ)}s]]
+    // [d10,d11]]; with ∂θ above and
     //   ∂φ = [[0, 0], [i·g10, i·g11]]
     //   ∂λ = [[0, i·g01], [0, i·g11]]
-    const double c = std::cos(theta / 2.0);
-    const double sn = std::sin(theta / 2.0);
     const cplx i_unit{0.0, 1.0};
-    const cplx dt00{-0.5 * sn, 0.0};
-    const cplx dt01 = -0.5 * std::polar(c, lambda);
-    const cplx dt10 = 0.5 * std::polar(c, phi);
-    const cplx dt11 = -0.5 * std::polar(sn, phi + lambda);
-    dw[op.param_offset] = e00 * dt00 + e01 * dt10 + e10 * dt01 + e11 * dt11;
-    dw[op.param_offset + 1] = (e01 * g.g10 + e11 * g.g11) * i_unit;
-    dw[op.param_offset + 2] = (e10 * g.g01 + e11 * g.g11) * i_unit;
+    const cplx dt00{slot.dt00, 0.0};
+    dw_[op.param_offset] = e00 * dt00 + e01 * slot.dt10 + e10 * slot.dt01 + e11 * slot.dt11;
+    dw_[op.param_offset + 1] = (e01 * g.g10 + e11 * g.g11) * i_unit;
+    dw_[op.param_offset + 2] = (e10 * g.g01 + e11 * g.g11) * i_unit;
 
     rowops::left_u3(prefix_, op.a, g);
   }
@@ -209,7 +199,7 @@ void HsCost::gradient_analytic(const std::vector<double>& params,
   if (abs_w <= 0.0 || abs_w / d >= 1.0) return;
   const cplx factor = std::conj(w) * (-1.0 / (d * abs_w));
   for (std::size_t p = 0; p < grad.size(); ++p)
-    grad[p] = (factor * dw[p]).real();
+    grad[p] = (factor * dw_[p]).real();
 }
 
 }  // namespace qc::synth

@@ -5,14 +5,13 @@
 // whose zero set coincides with hs_distance = 0; hs_distance follows as
 // sqrt(f (1 + |Tr|/d)) = sqrt(1 - (1-f)^2).
 //
-// Gradients come in two flavors. The analytic mode (default) computes all P
-// partials in one forward/backward partial-product sweep — O(m·dim²), about
-// two unitary builds regardless of P — by writing W = Tr(T† V) and, for the
-// U3 at slot k,  ∂W = Tr(L_k · S_{k+1} · ∂O_k)  with the prefix product
+// The gradient computes all P partials in one forward/backward
+// partial-product sweep — O(m·dim²), about two unitary builds regardless of
+// P — by writing W = Tr(T† V) and, for the U3 at slot k,
+// ∂W = Tr(L_k · S_{k+1} · ∂O_k)  with the prefix product
 // L_k = O_{k-1}···O_0 · T† maintained by row ops and the suffix products
-// S_{k+1} = O_{m-1}···O_{k+1} precomputed by column ops. The
-// central-difference mode (2·P unitary builds) is kept as the test oracle
-// and as the QAPPROX_SYNTH_GRAD=fd kill switch.
+// S_{k+1} = O_{m-1}···O_{k+1} precomputed by column ops. The tests keep a
+// central-difference gradient as its oracle.
 #pragma once
 
 #include <memory>
@@ -22,13 +21,6 @@
 #include "synth/template.hpp"
 
 namespace qc::synth {
-
-enum class GradientMode { kAnalytic, kFiniteDifference };
-
-/// Process default: analytic unless QAPPROX_SYNTH_GRAD=fd (also accepts
-/// 0/off/false/no). Read once; tests that need both modes in one process use
-/// HsCost::set_gradient_mode instead.
-GradientMode default_gradient_mode();
 
 class HsCost {
  public:
@@ -48,34 +40,38 @@ class HsCost {
   /// HS distance at x: sqrt(1 - (1 - f)^2).
   double hs_distance(const std::vector<double>& params) const;
 
-  /// Gradient in the active mode (records synth.gradient_ns when timing is
-  /// armed).
+  /// Closed-form gradient via the partial-product sweep (records
+  /// synth.gradient_ns when timing is armed).
   void gradient(const std::vector<double>& params, std::vector<double>& grad) const;
-
-  /// Closed-form gradient via the partial-product sweep.
-  void gradient_analytic(const std::vector<double>& params,
-                         std::vector<double>& grad) const;
-  /// Central-difference gradient (step 1e-6 radians); the oracle.
-  void gradient_finite_difference(const std::vector<double>& params,
-                                  std::vector<double>& grad) const;
-
-  GradientMode gradient_mode() const { return mode_; }
-  void set_gradient_mode(GradientMode mode) { mode_ = mode; }
 
   const TemplateCircuit& circuit_template() const { return tpl_; }
   const linalg::Matrix& target() const { return *target_; }
 
  private:
+  void sweep(const std::vector<double>& params, std::vector<double>& grad) const;
+
   TemplateCircuit tpl_;
   std::shared_ptr<const linalg::Matrix> owned_;  // null when borrowing
   const linalg::Matrix* target_;
-  GradientMode mode_ = default_gradient_mode();
   mutable linalg::Matrix scratch_;
   // Analytic-sweep scratch, reused across calls to keep the hot path
   // allocation-free after warm-up.
   mutable linalg::Matrix prefix_;
   mutable std::vector<linalg::Matrix> suffix_;
+  /// Per U3 slot (indexed by param_offset / 3): the gate's entries and its
+  /// θ-partial, evaluated once per gradient call from one U3Trig.
+  struct SlotEntries {
+    U3Entries g;
+    double dt00;  // real; the imaginary part is zero
+    linalg::cplx dt01, dt10, dt11;
+  };
+  mutable std::vector<SlotEntries> slots_;
+  mutable std::vector<linalg::cplx> dw_;
 };
+
+/// 1 - min(|Tr(T† V)| / d, 1) for square T and V of equal size: the
+/// fidelity gap HsCost minimizes, also used by the reducer's boundary cost.
+double fidelity_gap(const linalg::Matrix& target, const linalg::Matrix& v);
 
 /// Converts a smooth cost value to the HS distance it implies.
 double cost_to_hs_distance(double cost);

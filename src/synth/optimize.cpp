@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <numbers>
 
 #include "common/error.hpp"
@@ -24,11 +23,18 @@ OptimizeResult lbfgs_minimize(const CostFn& f, const GradFn& grad,
   std::vector<double> g(n);
   grad(x, g);
 
-  // History of (s, y, rho) for the two-loop recursion.
-  std::deque<std::vector<double>> s_hist, y_hist;
-  std::deque<double> rho_hist;
+  // History of (s, y, rho) for the two-loop recursion: a ring of `memory`
+  // preallocated slots, entry i (0 = oldest) in slot (head + i) % memory.
+  // The candidate pair is built in s_new/y_new and copied into the ring only
+  // when accepted, so the iterations allocate nothing.
+  const std::size_t memory =
+      static_cast<std::size_t>(std::max(0, options.lbfgs_memory));
+  std::vector<double> s_hist(memory * n), y_hist(memory * n);
+  std::vector<double> rho_hist(memory), alpha(memory);
+  std::size_t head = 0, count = 0;
+  auto slot = [&](std::size_t i) { return (head + i) % memory; };
 
-  std::vector<double> direction(n), x_new(n), g_new(n), q(n);
+  std::vector<double> direction(n), x_new(n), g_new(n), q(n), s_new(n), y_new(n);
 
   common::StopPoller poller(options.deadline, /*stride=*/1);
   for (int iter = 0; iter < options.max_iterations; ++iter) {
@@ -42,18 +48,19 @@ OptimizeResult lbfgs_minimize(const CostFn& f, const GradFn& grad,
 
     // Two-loop recursion: direction = -H g.
     q = g;
-    std::vector<double> alpha(s_hist.size());
-    for (std::size_t i = s_hist.size(); i-- > 0;) {
+    for (std::size_t i = count; i-- > 0;) {
+      const double* s = s_hist.data() + slot(i) * n;
+      const double* y = y_hist.data() + slot(i) * n;
       double dot = 0.0;
-      for (std::size_t k = 0; k < n; ++k) dot += s_hist[i][k] * q[k];
-      alpha[i] = rho_hist[i] * dot;
-      for (std::size_t k = 0; k < n; ++k) q[k] -= alpha[i] * y_hist[i][k];
+      for (std::size_t k = 0; k < n; ++k) dot += s[k] * q[k];
+      alpha[i] = rho_hist[slot(i)] * dot;
+      for (std::size_t k = 0; k < n; ++k) q[k] -= alpha[i] * y[k];
     }
     double gamma = 1.0;
-    if (!s_hist.empty()) {
+    if (count > 0) {
       double sy = 0.0, yy = 0.0;
-      const auto& s = s_hist.back();
-      const auto& y = y_hist.back();
+      const double* s = s_hist.data() + slot(count - 1) * n;
+      const double* y = y_hist.data() + slot(count - 1) * n;
       for (std::size_t k = 0; k < n; ++k) {
         sy += s[k] * y[k];
         yy += y[k] * y[k];
@@ -61,11 +68,13 @@ OptimizeResult lbfgs_minimize(const CostFn& f, const GradFn& grad,
       if (yy > 1e-300) gamma = sy / yy;
     }
     for (std::size_t k = 0; k < n; ++k) q[k] *= gamma;
-    for (std::size_t i = 0; i < s_hist.size(); ++i) {
+    for (std::size_t i = 0; i < count; ++i) {
+      const double* s = s_hist.data() + slot(i) * n;
+      const double* y = y_hist.data() + slot(i) * n;
       double dot = 0.0;
-      for (std::size_t k = 0; k < n; ++k) dot += y_hist[i][k] * q[k];
-      const double beta = rho_hist[i] * dot;
-      for (std::size_t k = 0; k < n; ++k) q[k] += s_hist[i][k] * (alpha[i] - beta);
+      for (std::size_t k = 0; k < n; ++k) dot += y[k] * q[k];
+      const double beta = rho_hist[slot(i)] * dot;
+      for (std::size_t k = 0; k < n; ++k) q[k] += s[k] * (alpha[i] - beta);
     }
     for (std::size_t k = 0; k < n; ++k) direction[k] = -q[k];
 
@@ -97,21 +106,22 @@ OptimizeResult lbfgs_minimize(const CostFn& f, const GradFn& grad,
 
     grad(x_new, g_new);
 
-    std::vector<double> s(n), y(n);
     double sy = 0.0;
     for (std::size_t k = 0; k < n; ++k) {
-      s[k] = x_new[k] - x[k];
-      y[k] = g_new[k] - g[k];
-      sy += s[k] * y[k];
+      s_new[k] = x_new[k] - x[k];
+      y_new[k] = g_new[k] - g[k];
+      sy += s_new[k] * y_new[k];
     }
-    if (sy > 1e-12) {
-      s_hist.push_back(std::move(s));
-      y_hist.push_back(std::move(y));
-      rho_hist.push_back(1.0 / sy);
-      if (static_cast<int>(s_hist.size()) > options.lbfgs_memory) {
-        s_hist.pop_front();
-        y_hist.pop_front();
-        rho_hist.pop_front();
+    if (sy > 1e-12 && memory > 0) {
+      // Append; when full, the new pair replaces the oldest.
+      const std::size_t at = count < memory ? slot(count) : head;
+      std::copy(s_new.begin(), s_new.end(), s_hist.begin() + at * n);
+      std::copy(y_new.begin(), y_new.end(), y_hist.begin() + at * n);
+      rho_hist[at] = 1.0 / sy;
+      if (count < memory) {
+        ++count;
+      } else {
+        head = (head + 1) % memory;
       }
     }
     const double improvement = f0 - result.value;

@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/faults.hpp"
+#include "obs/obs.hpp"
 #include "synth/cache.hpp"
 #include "synth/cost.hpp"
 
@@ -31,7 +32,6 @@ QFastCacheKey make_cache_key(const linalg::Matrix& target, int num_qubits,
   key.emit_coarse_passes = options.emit_coarse_passes &&
                            static_cast<bool>(options.partial_solution_callback);
   key.seed = options.seed;
-  key.gradient_mode = static_cast<int>(default_gradient_mode());
   return key;
 }
 
@@ -41,6 +41,8 @@ QFastResult run_qfast(const linalg::Matrix& target, int num_qubits,
                       std::vector<ApproxCircuit>& stream) {
   common::Rng rng(options.seed);
   QFastResult result;
+  static obs::Histogram& qfast_ns = obs::histogram("synth.qfast_ns");
+  obs::Span span("synth.qfast", &qfast_ns);
 
   std::vector<double> warm;  // parameters carried across depths
   for (int depth = 1; depth <= options.max_blocks; ++depth) {
@@ -100,6 +102,8 @@ QFastResult run_qfast(const linalg::Matrix& target, int num_qubits,
       break;
     }
   }
+  span.arg("depths_tried", result.depths_tried);
+  span.arg("converged", static_cast<int>(result.converged));
   return result;
 }
 

@@ -58,7 +58,6 @@ QSearchCacheKey make_cache_key(const linalg::Matrix& target, int num_qubits,
   key.opt_lbfgs_memory = options.optimizer.lbfgs_memory;
   key.restarts_per_node = options.restarts_per_node;
   key.seed = options.seed;
-  key.gradient_mode = static_cast<int>(default_gradient_mode());
   return key;
 }
 

@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "common/faults.hpp"
 #include "metrics/process.hpp"
+#include "obs/obs.hpp"
 #include "synth/cost.hpp"
 #include "transpile/decompose.hpp"
 
@@ -15,55 +16,9 @@ namespace qc::synth {
 using ir::Gate;
 using ir::GateKind;
 using ir::QuantumCircuit;
-using linalg::cplx;
 using linalg::Matrix;
 
 namespace {
-
-/// Row/column U3 kernels for the boundary cost (V = B * M * A).
-void u3_coeffs(const double* p, cplx& g00, cplx& g01, cplx& g10, cplx& g11) {
-  const double c = std::cos(p[0] / 2.0), s = std::sin(p[0] / 2.0);
-  g00 = cplx{c, 0.0};
-  g01 = -std::polar(s, p[2]);
-  g10 = std::polar(s, p[1]);
-  g11 = std::polar(c, p[1] + p[2]);
-}
-
-void left_u3(Matrix& m, int q, const double* p) {
-  cplx g00, g01, g10, g11;
-  u3_coeffs(p, g00, g01, g10, g11);
-  const std::size_t dim = m.rows();
-  const std::size_t bit = std::size_t{1} << q;
-  cplx* d = m.data();
-  for (std::size_t r = 0; r < dim; ++r) {
-    if (r & bit) continue;
-    cplx* row0 = d + r * dim;
-    cplx* row1 = d + (r | bit) * dim;
-    for (std::size_t col = 0; col < dim; ++col) {
-      const cplx v0 = row0[col], v1 = row1[col];
-      row0[col] = g00 * v0 + g01 * v1;
-      row1[col] = g10 * v0 + g11 * v1;
-    }
-  }
-}
-
-void right_u3(Matrix& m, int q, const double* p) {
-  cplx g00, g01, g10, g11;
-  u3_coeffs(p, g00, g01, g10, g11);
-  const std::size_t dim = m.rows();
-  const std::size_t bit = std::size_t{1} << q;
-  cplx* d = m.data();
-  for (std::size_t r = 0; r < dim; ++r) {
-    cplx* row = d + r * dim;
-    for (std::size_t c = 0; c < dim; ++c) {
-      if (c & bit) continue;
-      // (M G)(r, c) = M(r,c) g(c..) : columns mix with G's columns.
-      const cplx v0 = row[c], v1 = row[c | bit];
-      row[c] = v0 * g00 + v1 * g10;
-      row[c | bit] = v0 * g01 + v1 * g11;
-    }
-  }
-}
 
 /// Cost of 1 - |Tr(T† (B M A))| / d over boundary-layer params
 /// x = [A params (3n), B params (3n)].
@@ -74,14 +29,9 @@ class BoundaryCost {
   double operator()(const std::vector<double>& x) const {
     const int n = num_qubits();
     scratch_ = kept_;
-    for (int q = 0; q < n; ++q) right_u3(scratch_, q, x.data() + 3 * q);
-    for (int q = 0; q < n; ++q) left_u3(scratch_, q, x.data() + 3 * (n + q));
-    const cplx* t = target_.data();
-    const cplx* v = scratch_.data();
-    cplx acc{0.0, 0.0};
-    const std::size_t total = target_.rows() * target_.cols();
-    for (std::size_t i = 0; i < total; ++i) acc += std::conj(t[i]) * v[i];
-    return 1.0 - std::min(1.0, std::abs(acc) / static_cast<double>(target_.rows()));
+    for (int q = 0; q < n; ++q) rowops::right_u3(scratch_, q, entries(x, q));
+    for (int q = 0; q < n; ++q) rowops::left_u3(scratch_, q, entries(x, n + q));
+    return fidelity_gap(target_, scratch_);
   }
 
   void gradient(const std::vector<double>& x, std::vector<double>& grad) const {
@@ -105,6 +55,12 @@ class BoundaryCost {
   }
 
  private:
+  /// U3 entries of boundary gate `i` (params x[3i .. 3i+2]).
+  static U3Entries entries(const std::vector<double>& x, int i) {
+    const double* p = x.data() + 3 * i;
+    return u3_entries(p[0], p[1], p[2]);
+  }
+
   Matrix target_;
   Matrix kept_;
   mutable Matrix scratch_;
@@ -145,6 +101,8 @@ std::vector<ApproxCircuit> reduce_circuit(const QuantumCircuit& reference,
     throw common::SynthesisError("injected synthesis fault (reducer, seed " +
                                  std::to_string(options.seed) + ")");
   }
+  static obs::Histogram& reducer_ns = obs::histogram("synth.reducer_ns");
+  obs::Span span("synth.reducer", &reducer_ns);
   const QuantumCircuit basis = transpile::decompose_to_cx_u3(reference).unitary_part();
   const Matrix target = basis.to_unitary();
   const int n = basis.num_qubits();
@@ -240,6 +198,7 @@ std::vector<ApproxCircuit> reduce_circuit(const QuantumCircuit& reference,
     if (a.cnot_count != b.cnot_count) return a.cnot_count < b.cnot_count;
     return a.hs_distance < b.hs_distance;
   });
+  span.arg("variants", out.size());
   return out;
 }
 

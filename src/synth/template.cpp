@@ -49,29 +49,53 @@ TemplateCircuit TemplateCircuit::u3_layer(int num_qubits) {
   return t;
 }
 
+U3Trig::U3Trig(double theta, double phi, double lambda)
+    : cos_half(std::cos(theta / 2.0)),
+      sin_half(std::sin(theta / 2.0)),
+      cos_phi(std::cos(phi)),
+      sin_phi(std::sin(phi)),
+      cos_lambda(std::cos(lambda)),
+      sin_lambda(std::sin(lambda)),
+      cos_sum(std::cos(phi + lambda)),
+      sin_sum(std::sin(phi + lambda)) {}
+
+// sin/cos(theta/2) may be negative, so the polar entries are built as
+// {r cos a, r sin a} rather than through std::polar (which requires r >= 0).
+U3Entries u3_entries(const U3Trig& t) {
+  const double c = t.cos_half;
+  const double s = t.sin_half;
+  return U3Entries{cplx{c, 0.0}, -cplx{s * t.cos_lambda, s * t.sin_lambda},
+                   cplx{s * t.cos_phi, s * t.sin_phi},
+                   cplx{c * t.cos_sum, c * t.sin_sum}};
+}
+
 U3Entries u3_entries(double theta, double phi, double lambda) {
-  const double c = std::cos(theta / 2.0);
-  const double s = std::sin(theta / 2.0);
-  return U3Entries{cplx{c, 0.0}, -std::polar(s, lambda), std::polar(s, phi),
-                   std::polar(c, phi + lambda)};
+  return u3_entries(U3Trig(theta, phi, lambda));
 }
 
 namespace rowops {
 
 void left_u3(Matrix& m, int q, const U3Entries& g) {
   const std::size_t dim = m.rows();
-  const std::size_t cols = m.cols();
-  cplx* data = m.data();
+  const std::size_t stride = 2 * m.cols();
+  double* data = reinterpret_cast<double*>(m.data());
+  const double g00r = g.g00.real(), g00i = g.g00.imag();
+  const double g01r = g.g01.real(), g01i = g.g01.imag();
+  const double g10r = g.g10.real(), g10i = g.g10.imag();
+  const double g11r = g.g11.real(), g11i = g.g11.imag();
   const std::size_t bit = std::size_t{1} << q;
   for (std::size_t r = 0; r < dim; ++r) {
     if (r & bit) continue;
-    cplx* row0 = data + r * cols;
-    cplx* row1 = data + (r | bit) * cols;
-    for (std::size_t col = 0; col < cols; ++col) {
-      const cplx v0 = row0[col];
-      const cplx v1 = row1[col];
-      row0[col] = g.g00 * v0 + g.g01 * v1;
-      row1[col] = g.g10 * v0 + g.g11 * v1;
+    double* row0 = data + r * stride;
+    double* row1 = data + (r | bit) * stride;
+    for (std::size_t k = 0; k < stride; k += 2) {
+      const double v0r = row0[k], v0i = row0[k + 1];
+      const double v1r = row1[k], v1i = row1[k + 1];
+      // g00 * v0 + g01 * v1 and g10 * v0 + g11 * v1.
+      row0[k] = (g00r * v0r - g00i * v0i) + (g01r * v1r - g01i * v1i);
+      row0[k + 1] = (g00r * v0i + g00i * v0r) + (g01r * v1i + g01i * v1r);
+      row1[k] = (g10r * v0r - g10i * v0i) + (g11r * v1r - g11i * v1i);
+      row1[k + 1] = (g10r * v0i + g10i * v0r) + (g11r * v1i + g11i * v1r);
     }
   }
 }
@@ -93,17 +117,27 @@ void left_cx(Matrix& m, int control, int target) {
 void right_u3(Matrix& m, int q, const U3Entries& g) {
   const std::size_t rows = m.rows();
   const std::size_t cols = m.cols();
-  cplx* data = m.data();
+  double* data = reinterpret_cast<double*>(m.data());
+  const double g00r = g.g00.real(), g00i = g.g00.imag();
+  const double g01r = g.g01.real(), g01i = g.g01.imag();
+  const double g10r = g.g10.real(), g10i = g.g10.imag();
+  const double g11r = g.g11.real(), g11i = g.g11.imag();
   const std::size_t bit = std::size_t{1} << q;
   for (std::size_t r = 0; r < rows; ++r) {
-    cplx* row = data + r * cols;
-    for (std::size_t c = 0; c < cols; ++c) {
-      if (c & bit) continue;
-      const cplx v0 = row[c];
-      const cplx v1 = row[c | bit];
-      // (M G)(r, c0) = M(r, c0) g00 + M(r, c1) g10; columns mix through G's rows.
-      row[c] = v0 * g.g00 + v1 * g.g10;
-      row[c | bit] = v0 * g.g01 + v1 * g.g11;
+    double* row = data + 2 * r * cols;
+    // Column pairs (c, c | bit) in runs of `bit` consecutive columns.
+    for (std::size_t base = 0; base < cols; base += 2 * bit) {
+      double* col0 = row + 2 * base;
+      double* col1 = col0 + 2 * bit;
+      for (std::size_t k = 0; k < 2 * bit; k += 2) {
+        const double v0r = col0[k], v0i = col0[k + 1];
+        const double v1r = col1[k], v1i = col1[k + 1];
+        // (M G)(r, c0) = M(r, c0) g00 + M(r, c1) g10; columns mix through G's rows.
+        col0[k] = (v0r * g00r - v0i * g00i) + (v1r * g10r - v1i * g10i);
+        col0[k + 1] = (v0r * g00i + v0i * g00r) + (v1r * g10i + v1i * g10r);
+        col1[k] = (v0r * g01r - v0i * g01i) + (v1r * g11r - v1i * g11i);
+        col1[k + 1] = (v0r * g01i + v0i * g01r) + (v1r * g11i + v1i * g11r);
+      }
     }
   }
 }

@@ -22,10 +22,29 @@ struct U3Entries {
   linalg::cplx g00, g01, g10, g11;
 };
 
+/// The four sin/cos pairs U3(theta, phi, lambda) and its partials are built
+/// from: theta/2, phi, lambda and phi + lambda.
+struct U3Trig {
+  U3Trig(double theta, double phi, double lambda);
+  double cos_half, sin_half;
+  double cos_phi, sin_phi;
+  double cos_lambda, sin_lambda;
+  double cos_sum, sin_sum;
+};
+
 /// Entries of U3(theta, phi, lambda) — the single source of the gate's
-/// phase convention, shared by the unitary builder and the gradient sweep.
+/// phase convention, shared by the unitary builder, the gradient sweep and
+/// the reducer's boundary cost.
+U3Entries u3_entries(const U3Trig& t);
 U3Entries u3_entries(double theta, double phi, double lambda);
 
+// The U3 kernels write each complex product out on the interleaved doubles
+// (the array view of std::complex<double> that [complex.numbers] guarantees)
+// as (ar*br - ai*bi, ar*bi + ai*br): the expression GCC emits for a
+// std::complex<double> product, minus the NaN-recovery branch that keeps the
+// loops from vectorizing. For finite inputs the results are bit-identical to
+// the complex-typed loops (no FMA contraction: this library is not built
+// with -march=native).
 namespace rowops {
 
 /// m := embed(U3 on q) * m  (row mixing).

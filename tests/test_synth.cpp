@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <deque>
+#include <numbers>
+#include <string>
 
 #include "common/deadline.hpp"
 #include "common/error.hpp"
@@ -356,6 +360,23 @@ TEST(Reducer, BoundaryModeKeepsParameterCountSmall) {
 
 // ---- analytic gradients ----------------------------------------------------
 
+/// Central-difference gradient (step 1e-6 radians): the analytic sweep's
+/// oracle.
+std::vector<double> central_difference(const HsCost& cost, const std::vector<double>& params) {
+  constexpr double h = 1e-6;
+  std::vector<double> grad(params.size());
+  std::vector<double> x = params;
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    x[i] = params[i] + h;
+    const double fp = cost(x);
+    x[i] = params[i] - h;
+    const double fm = cost(x);
+    x[i] = params[i];
+    grad[i] = (fp - fm) / (2.0 * h);
+  }
+  return grad;
+}
+
 TEST(Cost, AnalyticMatchesFiniteDifferenceOnRandomTemplates) {
   common::Rng rng(41);
   for (int n = 2; n <= 4; ++n) {
@@ -370,38 +391,470 @@ TEST(Cost, AnalyticMatchesFiniteDifferenceOnRandomTemplates) {
     std::vector<double> x(static_cast<std::size_t>(tpl.num_params()));
     for (auto& p : x) p = rng.uniform(-3.0, 3.0);
 
-    std::vector<double> analytic, fd;
-    cost.gradient_analytic(x, analytic);
-    cost.gradient_finite_difference(x, fd);
+    std::vector<double> analytic;
+    cost.gradient(x, analytic);
+    const std::vector<double> fd = central_difference(cost, x);
     ASSERT_EQ(analytic.size(), fd.size());
     for (std::size_t i = 0; i < analytic.size(); ++i)
       EXPECT_NEAR(analytic[i], fd[i], 1e-5) << "n=" << n << " param " << i;
   }
 }
 
-TEST(Cost, GradientDispatchFollowsMode) {
-  common::Rng rng(42);
-  TemplateCircuit tpl = TemplateCircuit::u3_layer(2);
-  tpl.add_qsearch_block(0, 1);
-  const Matrix target = linalg::random_unitary(4, rng);
-  HsCost cost(tpl, target);
-  std::vector<double> x(static_cast<std::size_t>(tpl.num_params()));
-  for (auto& p : x) p = rng.uniform(-1.5, 1.5);
+// ---- exactness oracles -----------------------------------------------------
+//
+// The synthesis inner loop (U3 row/column kernels, the HS cost, the gradient
+// sweep, L-BFGS) is written on interleaved doubles with one sin/cos set per U3
+// slot and a preallocated L-BFGS ring. Its contract is bit-identity with the
+// straightforward complex-typed code below, which is kept as the oracle. The
+// only edit to that code is that std::polar(r, a) is spelled out as
+// {r cos a, r sin a}, exactly what libstdc++ computes: r may be negative here,
+// which std::polar does not allow (and asserts under _GLIBCXX_ASSERTIONS).
+//
+// Exact equality holds only without FMA contraction: where the compiler may
+// fuse a*b - c*d into an FMA, the reference and the kernels can be contracted
+// differently and round differently. Such builds (__FP_FAST_FMA) compare to a
+// tight tolerance instead.
 
-  std::vector<double> dispatched, direct;
-  cost.set_gradient_mode(GradientMode::kFiniteDifference);
-  EXPECT_EQ(cost.gradient_mode(), GradientMode::kFiniteDifference);
-  cost.gradient(x, dispatched);
-  cost.gradient_finite_difference(x, direct);
-  ASSERT_EQ(dispatched.size(), direct.size());
-  for (std::size_t i = 0; i < direct.size(); ++i)
-    EXPECT_EQ(dispatched[i], direct[i]);  // same code path, bitwise equal
+namespace ref {
 
-  cost.set_gradient_mode(GradientMode::kAnalytic);
-  cost.gradient(x, dispatched);
-  cost.gradient_analytic(x, direct);
-  for (std::size_t i = 0; i < direct.size(); ++i)
-    EXPECT_EQ(dispatched[i], direct[i]);
+using linalg::cplx;
+
+cplx polar(double r, double a) { return cplx{r * std::cos(a), r * std::sin(a)}; }
+
+U3Entries u3_entries(double theta, double phi, double lambda) {
+  const double c = std::cos(theta / 2.0);
+  const double s = std::sin(theta / 2.0);
+  return U3Entries{cplx{c, 0.0}, -polar(s, lambda), polar(s, phi),
+                   polar(c, phi + lambda)};
+}
+
+void left_u3(Matrix& m, int q, const U3Entries& g) {
+  const std::size_t dim = m.rows();
+  const std::size_t cols = m.cols();
+  cplx* data = m.data();
+  const std::size_t bit = std::size_t{1} << q;
+  for (std::size_t r = 0; r < dim; ++r) {
+    if (r & bit) continue;
+    cplx* row0 = data + r * cols;
+    cplx* row1 = data + (r | bit) * cols;
+    for (std::size_t col = 0; col < cols; ++col) {
+      const cplx v0 = row0[col];
+      const cplx v1 = row1[col];
+      row0[col] = g.g00 * v0 + g.g01 * v1;
+      row1[col] = g.g10 * v0 + g.g11 * v1;
+    }
+  }
+}
+
+void left_cx(Matrix& m, int control, int target) {
+  const std::size_t dim = m.rows();
+  const std::size_t cols = m.cols();
+  cplx* data = m.data();
+  const std::size_t cbit = std::size_t{1} << control;
+  const std::size_t tbit = std::size_t{1} << target;
+  for (std::size_t r = 0; r < dim; ++r) {
+    if (!(r & cbit) || (r & tbit)) continue;
+    cplx* row0 = data + r * cols;
+    cplx* row1 = data + (r | tbit) * cols;
+    for (std::size_t col = 0; col < cols; ++col) std::swap(row0[col], row1[col]);
+  }
+}
+
+void right_u3(Matrix& m, int q, const U3Entries& g) {
+  const std::size_t rows = m.rows();
+  const std::size_t cols = m.cols();
+  cplx* data = m.data();
+  const std::size_t bit = std::size_t{1} << q;
+  for (std::size_t r = 0; r < rows; ++r) {
+    cplx* row = data + r * cols;
+    for (std::size_t c = 0; c < cols; ++c) {
+      if (c & bit) continue;
+      const cplx v0 = row[c];
+      const cplx v1 = row[c | bit];
+      row[c] = v0 * g.g00 + v1 * g.g10;
+      row[c | bit] = v0 * g.g01 + v1 * g.g11;
+    }
+  }
+}
+
+void right_cx(Matrix& m, int control, int target) {
+  const std::size_t rows = m.rows();
+  const std::size_t cols = m.cols();
+  cplx* data = m.data();
+  const std::size_t cbit = std::size_t{1} << control;
+  const std::size_t tbit = std::size_t{1} << target;
+  for (std::size_t r = 0; r < rows; ++r) {
+    cplx* row = data + r * cols;
+    for (std::size_t c = 0; c < cols; ++c) {
+      if (!(c & cbit) || (c & tbit)) continue;
+      std::swap(row[c], row[c | tbit]);
+    }
+  }
+}
+
+/// HsCost::operator(): the template unitary, then 1 - |Tr(T† V)| / d.
+double cost_value(const TemplateCircuit& tpl, const Matrix& target,
+                  const std::vector<double>& params) {
+  const std::size_t dim = std::size_t{1} << tpl.num_qubits();
+  Matrix out(dim, dim);
+  cplx* m = out.data();
+  for (std::size_t i = 0; i < dim * dim; ++i) m[i] = cplx{0.0, 0.0};
+  for (std::size_t i = 0; i < dim; ++i) m[i * dim + i] = cplx{1.0, 0.0};
+  for (const auto& op : tpl.ops()) {
+    if (op.is_cx) {
+      left_cx(out, op.a, op.b);
+    } else {
+      left_u3(out, op.a,
+              u3_entries(params[op.param_offset], params[op.param_offset + 1],
+                         params[op.param_offset + 2]));
+    }
+  }
+  const cplx* t = target.data();
+  const cplx* v = out.data();
+  const std::size_t n = target.rows() * target.cols();
+  cplx acc{0.0, 0.0};
+  for (std::size_t i = 0; i < n; ++i) acc += std::conj(t[i]) * v[i];
+  const double fid = std::abs(acc) / static_cast<double>(target.rows());
+  return 1.0 - std::min(fid, 1.0);
+}
+
+/// HsCost::gradient's sweep, with per-call locals for its scratch.
+void gradient_analytic(const TemplateCircuit& tpl, const Matrix& target,
+                       const std::vector<double>& params, std::vector<double>& grad) {
+  grad.assign(params.size(), 0.0);
+  if (params.empty()) return;
+
+  const auto& ops = tpl.ops();
+  const std::size_t m = ops.size();
+  const std::size_t dim = target.rows();
+
+  std::vector<Matrix> suffix(m + 1);
+  suffix[m] = Matrix::identity(dim);
+  for (std::size_t k = m; k-- > 0;) {
+    suffix[k] = suffix[k + 1];
+    const auto& op = ops[k];
+    if (op.is_cx) {
+      right_cx(suffix[k], op.a, op.b);
+    } else {
+      right_u3(suffix[k], op.a,
+               u3_entries(params[op.param_offset], params[op.param_offset + 1],
+                          params[op.param_offset + 2]));
+    }
+  }
+
+  Matrix prefix(dim, dim);
+  for (std::size_t r = 0; r < dim; ++r)
+    for (std::size_t c = 0; c < dim; ++c) prefix(r, c) = std::conj(target(c, r));
+  std::vector<cplx> dw(params.size(), cplx{0.0, 0.0});
+  for (std::size_t k = 0; k < m; ++k) {
+    const auto& op = ops[k];
+    if (op.is_cx) {
+      left_cx(prefix, op.a, op.b);
+      continue;
+    }
+    const double theta = params[op.param_offset];
+    const double phi = params[op.param_offset + 1];
+    const double lambda = params[op.param_offset + 2];
+    const U3Entries g = u3_entries(theta, phi, lambda);
+
+    const Matrix& s = suffix[k + 1];
+    const std::size_t bit = std::size_t{1} << op.a;
+    cplx e00{0.0, 0.0}, e01{0.0, 0.0}, e10{0.0, 0.0}, e11{0.0, 0.0};
+    for (std::size_t rest = 0; rest < dim; ++rest) {
+      if (rest & bit) continue;
+      const cplx* lrow0 = prefix.data() + rest * dim;
+      const cplx* lrow1 = prefix.data() + (rest | bit) * dim;
+      for (std::size_t j = 0; j < dim; ++j) {
+        const cplx s0 = s(j, rest);
+        const cplx s1 = s(j, rest | bit);
+        e00 += lrow0[j] * s0;
+        e01 += lrow0[j] * s1;
+        e10 += lrow1[j] * s0;
+        e11 += lrow1[j] * s1;
+      }
+    }
+
+    const double c = std::cos(theta / 2.0);
+    const double sn = std::sin(theta / 2.0);
+    const cplx i_unit{0.0, 1.0};
+    const cplx dt00{-0.5 * sn, 0.0};
+    const cplx dt01 = -0.5 * polar(c, lambda);
+    const cplx dt10 = 0.5 * polar(c, phi);
+    const cplx dt11 = -0.5 * polar(sn, phi + lambda);
+    dw[op.param_offset] = e00 * dt00 + e01 * dt10 + e10 * dt01 + e11 * dt11;
+    dw[op.param_offset + 1] = (e01 * g.g10 + e11 * g.g11) * i_unit;
+    dw[op.param_offset + 2] = (e10 * g.g01 + e11 * g.g11) * i_unit;
+
+    left_u3(prefix, op.a, g);
+  }
+
+  const cplx w = prefix.trace();
+  const double abs_w = std::abs(w);
+  const double d = static_cast<double>(dim);
+  if (abs_w <= 0.0 || abs_w / d >= 1.0) return;
+  const cplx factor = std::conj(w) * (-1.0 / (d * abs_w));
+  for (std::size_t p = 0; p < grad.size(); ++p)
+    grad[p] = (factor * dw[p]).real();
+}
+
+/// lbfgs_minimize with deque-held history and per-iteration vectors.
+OptimizeResult lbfgs_minimize(const CostFn& f, const GradFn& grad,
+                              const std::vector<double>& x0,
+                              const OptimizeOptions& options) {
+  const std::size_t n = x0.size();
+
+  OptimizeResult result;
+  result.params = x0;
+  result.value = f(x0);
+  ++result.evaluations;
+
+  std::vector<double> x = x0;
+  std::vector<double> g(n);
+  grad(x, g);
+
+  std::deque<std::vector<double>> s_hist, y_hist;
+  std::deque<double> rho_hist;
+
+  std::vector<double> direction(n), x_new(n), g_new(n), q(n);
+
+  common::StopPoller poller(options.deadline, /*stride=*/1);
+  for (int iter = 0; iter < options.max_iterations; ++iter) {
+    if (poller.should_stop()) break;
+    ++result.iterations;
+
+    double gnorm = 0.0;
+    for (double v : g) gnorm += v * v;
+    gnorm = std::sqrt(gnorm);
+    if (gnorm < options.tolerance) break;
+
+    q = g;
+    std::vector<double> alpha(s_hist.size());
+    for (std::size_t i = s_hist.size(); i-- > 0;) {
+      double dot = 0.0;
+      for (std::size_t k = 0; k < n; ++k) dot += s_hist[i][k] * q[k];
+      alpha[i] = rho_hist[i] * dot;
+      for (std::size_t k = 0; k < n; ++k) q[k] -= alpha[i] * y_hist[i][k];
+    }
+    double gamma = 1.0;
+    if (!s_hist.empty()) {
+      double sy = 0.0, yy = 0.0;
+      const auto& s = s_hist.back();
+      const auto& y = y_hist.back();
+      for (std::size_t k = 0; k < n; ++k) {
+        sy += s[k] * y[k];
+        yy += y[k] * y[k];
+      }
+      if (yy > 1e-300) gamma = sy / yy;
+    }
+    for (std::size_t k = 0; k < n; ++k) q[k] *= gamma;
+    for (std::size_t i = 0; i < s_hist.size(); ++i) {
+      double dot = 0.0;
+      for (std::size_t k = 0; k < n; ++k) dot += y_hist[i][k] * q[k];
+      const double beta = rho_hist[i] * dot;
+      for (std::size_t k = 0; k < n; ++k) q[k] += s_hist[i][k] * (alpha[i] - beta);
+    }
+    for (std::size_t k = 0; k < n; ++k) direction[k] = -q[k];
+
+    double dir_dot_g = 0.0;
+    for (std::size_t k = 0; k < n; ++k) dir_dot_g += direction[k] * g[k];
+    if (dir_dot_g >= 0.0) {
+      for (std::size_t k = 0; k < n; ++k) direction[k] = -g[k];
+      dir_dot_g = -gnorm * gnorm;
+    }
+
+    const double f0 = result.value;
+    double step = 1.0;
+    constexpr double c1 = 1e-4;
+    bool accepted = false;
+    for (int ls = 0; ls < 30; ++ls) {
+      for (std::size_t k = 0; k < n; ++k) x_new[k] = x[k] + step * direction[k];
+      const double f_new = f(x_new);
+      ++result.evaluations;
+      if (f_new <= f0 + c1 * step * dir_dot_g) {
+        accepted = true;
+        result.value = f_new;
+        break;
+      }
+      step *= 0.5;
+    }
+    if (!accepted) break;
+
+    grad(x_new, g_new);
+
+    std::vector<double> s(n), y(n);
+    double sy = 0.0;
+    for (std::size_t k = 0; k < n; ++k) {
+      s[k] = x_new[k] - x[k];
+      y[k] = g_new[k] - g[k];
+      sy += s[k] * y[k];
+    }
+    if (sy > 1e-12) {
+      s_hist.push_back(std::move(s));
+      y_hist.push_back(std::move(y));
+      rho_hist.push_back(1.0 / sy);
+      if (static_cast<int>(s_hist.size()) > options.lbfgs_memory) {
+        s_hist.pop_front();
+        y_hist.pop_front();
+        rho_hist.pop_front();
+      }
+    }
+    const double improvement = f0 - result.value;
+    x.swap(x_new);
+    g.swap(g_new);
+    if (improvement >= 0.0 && improvement < options.tolerance && iter > 4) break;
+  }
+  result.params = x;
+  return result;
+}
+
+}  // namespace ref
+
+/// Asserts `count` doubles equal bit for bit (see the FMA note above).
+void expect_same_doubles(const double* got, const double* want, std::size_t count,
+                         const std::string& what) {
+#ifndef __FP_FAST_FMA
+  EXPECT_EQ(std::memcmp(got, want, count * sizeof(double)), 0) << what;
+#else
+  for (std::size_t i = 0; i < count; ++i)
+    EXPECT_NEAR(got[i], want[i], 1e-12) << what << " [" << i << "]";
+#endif
+}
+
+void expect_same_matrix(const Matrix& got, const Matrix& want, const std::string& what) {
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  expect_same_doubles(reinterpret_cast<const double*>(got.data()),
+                      reinterpret_cast<const double*>(want.data()),
+                      2 * got.rows() * got.cols(), what);
+}
+
+/// Random angle in [-2π, 2π): θ/2 covers all four sign patterns of
+/// (cos, sin)(θ/2).
+double random_angle(common::Rng& rng) {
+  return rng.uniform(-2.0 * std::numbers::pi, 2.0 * std::numbers::pi);
+}
+
+/// A QSearch-shaped template on n qubits (a bare U3 layer plus extra U3s for
+/// n = 1).
+TemplateCircuit random_template(int n, common::Rng& rng) {
+  TemplateCircuit tpl = TemplateCircuit::u3_layer(n);
+  if (n == 1) {
+    tpl.add_u3(0);
+    tpl.add_u3(0);
+    return tpl;
+  }
+  for (int b = 0; b < n + 2; ++b) {
+    const int a = static_cast<int>(rng.uniform_int(static_cast<std::uint64_t>(n - 1)));
+    if (rng.uniform_int(2) == 0) {
+      tpl.add_qsearch_block(a, a + 1);
+    } else {
+      tpl.add_qsearch_block(a + 1, a);
+    }
+  }
+  return tpl;
+}
+
+TEST(Template, RowKernelsMatchComplexReferenceBitwise) {
+  common::Rng rng(51);
+  int negative_cos = 0, negative_sin = 0;
+  for (int n = 1; n <= 5; ++n) {
+    const std::size_t dim = std::size_t{1} << n;
+    for (int trial = 0; trial < 8; ++trial) {
+      const double theta = random_angle(rng);
+      const double phi = random_angle(rng);
+      const double lambda = random_angle(rng);
+      negative_cos += std::cos(theta / 2.0) < 0.0;
+      negative_sin += std::sin(theta / 2.0) < 0.0;
+      const U3Entries g = u3_entries(theta, phi, lambda);
+      const U3Entries want_g = ref::u3_entries(theta, phi, lambda);
+      expect_same_doubles(reinterpret_cast<const double*>(&g),
+                          reinterpret_cast<const double*>(&want_g), 8, "u3_entries");
+
+      Matrix m(dim, dim);
+      for (std::size_t i = 0; i < dim * dim; ++i)
+        m.data()[i] = linalg::cplx{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+      const std::string where = "n=" + std::to_string(n) + " trial " + std::to_string(trial);
+      for (int q = 0; q < n; ++q) {
+        Matrix got = m, want = m;
+        rowops::left_u3(got, q, g);
+        ref::left_u3(want, q, want_g);
+        expect_same_matrix(got, want, "left_u3 q=" + std::to_string(q) + " " + where);
+        got = m;
+        want = m;
+        rowops::right_u3(got, q, g);
+        ref::right_u3(want, q, want_g);
+        expect_same_matrix(got, want, "right_u3 q=" + std::to_string(q) + " " + where);
+      }
+    }
+  }
+  EXPECT_GT(negative_cos, 0);
+  EXPECT_GT(negative_sin, 0);
+}
+
+TEST(Cost, ValueMatchesComplexReferenceBitwise) {
+  common::Rng rng(52);
+  for (int n = 1; n <= 5; ++n) {
+    const TemplateCircuit tpl = random_template(n, rng);
+    const Matrix target = linalg::random_unitary(std::size_t{1} << n, rng);
+    const HsCost cost(tpl, target);
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<double> x(static_cast<std::size_t>(tpl.num_params()));
+      for (auto& p : x) p = random_angle(rng);
+      const double got = cost(x);
+      const double want = ref::cost_value(tpl, target, x);
+      expect_same_doubles(&got, &want, 1, "n=" + std::to_string(n));
+    }
+  }
+}
+
+TEST(Cost, AnalyticGradientMatchesComplexReferenceBitwise) {
+  common::Rng rng(53);
+  for (int n = 1; n <= 5; ++n) {
+    const TemplateCircuit tpl = random_template(n, rng);
+    const Matrix target = linalg::random_unitary(std::size_t{1} << n, rng);
+    const HsCost cost(tpl, target);
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<double> x(static_cast<std::size_t>(tpl.num_params()));
+      for (auto& p : x) p = random_angle(rng);
+      std::vector<double> got, want;
+      cost.gradient(x, got);  // the second trial onward reuses the scratch
+      ref::gradient_analytic(tpl, target, x, want);
+      ASSERT_EQ(got.size(), want.size());
+      expect_same_doubles(got.data(), want.data(), got.size(),
+                          "n=" + std::to_string(n) + " trial " + std::to_string(trial));
+    }
+  }
+}
+
+TEST(Optimize, LbfgsRingMatchesDequeReferenceExactly) {
+#ifdef __FP_FAST_FMA
+  GTEST_SKIP() << "FMA contraction may round the two optimizers differently, "
+                  "and one ulp sends them down different paths";
+#endif
+  common::Rng rng(54);
+  const TemplateCircuit tpl = random_template(3, rng);
+  const HsCost cost(tpl, linalg::random_unitary(8, rng));
+  const CostFn f = [&cost](const std::vector<double>& x) { return cost(x); };
+  const GradFn g = [&cost](const std::vector<double>& x, std::vector<double>& out) {
+    cost.gradient(x, out);
+  };
+  std::vector<double> x0(static_cast<std::size_t>(tpl.num_params()));
+  for (auto& p : x0) p = random_angle(rng);
+
+  // Memory 8 is the default; 0, 1 and 3 make the ring empty or wrap early.
+  for (int memory : {8, 0, 1, 3}) {
+    OptimizeOptions opts;
+    opts.lbfgs_memory = memory;
+    const OptimizeResult got = lbfgs_minimize(f, g, x0, opts);
+    const OptimizeResult want = ref::lbfgs_minimize(f, g, x0, opts);
+    const std::string where = "memory " + std::to_string(memory);
+    EXPECT_GT(got.iterations, memory + 1) << where;  // the history filled up
+    EXPECT_EQ(got.iterations, want.iterations) << where;
+    EXPECT_EQ(got.evaluations, want.evaluations) << where;
+    ASSERT_EQ(got.params.size(), want.params.size());
+    expect_same_doubles(got.params.data(), want.params.data(), got.params.size(), where);
+    expect_same_doubles(&got.value, &want.value, 1, where);
+  }
 }
 
 TEST(Cost, BorrowingConstructorKeepsCallersMatrix) {
