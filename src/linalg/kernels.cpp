@@ -242,75 +242,140 @@ void check_span(std::size_t dim, const std::vector<int>& qubits,
   }
 }
 
-/// Everything a kernel invocation needs, extracted from the operator once so
-/// matrix-apply loops (one kernel run per row) pay classification and
-/// unpacking a single time.
+/// A plan bound to one operator's entries for one kernel call: the plan's
+/// geometry widened to the kernels' index types, plus the entries. Dense
+/// kernels read `m`, which points at the operator's own row-major entries
+/// (or, for a right-hand apply, at a conjugated copy); diagonal entries and
+/// permutation phases are gathered. The anonymous unions leave `d` and
+/// `phase` unconstructed (std::complex would zero-fill them), so binding
+/// writes only what the kind reads.
 struct Prepared {
+  Prepared() {}
   KernelKind kind = KernelKind::GenericK;
   int k = 1;                     // number of gate qubits (1..4)
   int q[4] = {0, 0, 0, 0};       // qubit positions in operator order
-  std::size_t bit[4] = {};       // 1 << q[i]
+  std::size_t bit[4];            // 1 << q[i]
   int spos[4] = {0, 0, 0, 0};    // the same positions, sorted ascending
-  std::size_t offs[16] = {};     // sub-index -> address offset within a coset
+  std::size_t offs[16];          // sub-index -> address offset within a coset
   int lo_pos = 0, hi_pos = 0;    // sorted positions for 2q coset enumeration
-  cplx m[256] = {};              // dense entries, row-major (up to 16x16)
-  cplx d[16] = {};               // diagonal entries
+  const cplx* m = nullptr;       // dense entries, row-major (up to 16x16)
+  union { cplx d[16]; };         // diagonal entries (diagonal kinds)
   int perm[4] = {0, 1, 2, 3};    // source sub-index per output row (2q perm)
-  cplx phase[4] = {};
+  union { cplx phase[4]; };      // the permutation's phases (2q perm)
   bool pure_swap = false;        // one transposition, all phases exactly 1
   int swap_a = 0, swap_b = 0;    // the transposed sub-indices
 };
 
-Prepared prepare(const Matrix& op, const std::vector<int>& qubits,
-                 std::size_t dim) {
+/// Caller stack storage for a right-hand apply's conjugated entries, left
+/// unconstructed like Prepared::d.
+struct ConjEntries {
+  ConjEntries() {}
+  union { cplx v[256]; };
+};
+
+}  // namespace
+
+KernelPlan plan_kernel(const Matrix& op, const std::vector<int>& qubits,
+                       std::size_t dim) {
   check_span(dim, qubits, op.rows());
   QC_CHECK(op.rows() == op.cols());
-  QC_CHECK_MSG(qubits.size() <= 4, "prepared kernels cover k <= 4");
+  KernelPlan plan;
+  plan.kind = classify_kernel(op);
+  plan.log2_dim = static_cast<std::uint8_t>(std::countr_zero(dim));
+  plan.k = static_cast<std::uint8_t>(qubits.size());
+  if (plan.kind == KernelKind::GenericK) return plan;  // k > 4: generic path
+  QC_CHECK_MSG(plan.k <= 4, "prepared kernels cover k <= 4");
+  for (int i = 0; i < plan.k; ++i)
+    plan.q[i] = plan.spos[i] = static_cast<std::uint8_t>(qubits[i]);
+  std::sort(plan.spos, plan.spos + plan.k);
+  if (plan.kind == KernelKind::TwoQPermPhase) {
+    int moved = 0;
+    bool unit_phases = true;
+    for (int r = 0; r < 4; ++r) {
+      for (int c = 0; c < 4; ++c) {
+        if (op(r, c) != cplx{0.0, 0.0}) {
+          plan.perm[r] = static_cast<std::uint8_t>(c);
+          if (op(r, c) != cplx{1.0, 0.0}) unit_phases = false;
+        }
+      }
+      if (plan.perm[r] != r) ++moved;
+    }
+    if (moved == 2 && unit_phases) {
+      plan.pure_swap = true;
+      for (int r = 0; r < 4; ++r)
+        if (plan.perm[r] != r) {
+          plan.swap_a = static_cast<std::uint8_t>(r);
+          plan.swap_b = plan.perm[r];
+          break;
+        }
+    }
+  }
+  return plan;
+}
+
+namespace {
+
+/// Throws unless `plan` was made for a span of `dim` and an operator of op's
+/// shape, so a planned call can neither index past the span nor read past
+/// op's entries.
+void check_plan(const KernelPlan& plan, std::size_t dim, const Matrix& op) {
+  const std::size_t sub = std::size_t{1} << plan.k;
+  QC_CHECK_MSG(dim == (std::size_t{1} << plan.log2_dim) && op.rows() == sub &&
+                   op.cols() == sub,
+               "kernel plan was made for another span or operator shape");
+}
+
+/// Binds `plan` (not GenericK) to op's entries: in place, or conjugated into
+/// `conj` when it is non-null (the right-hand side u·embed(op†)).
+Prepared bind(const KernelPlan& plan, const Matrix& op, ConjEntries* conj) {
   Prepared p;
-  p.kind = classify_kernel(op);
-  p.k = static_cast<int>(qubits.size());
+  p.kind = plan.kind;
+  p.k = plan.k;
   for (int i = 0; i < p.k; ++i) {
-    p.q[i] = qubits[i];
-    p.bit[i] = std::size_t{1} << qubits[i];
-    p.spos[i] = qubits[i];
+    p.q[i] = plan.q[i];
+    p.bit[i] = std::size_t{1} << plan.q[i];
+    p.spos[i] = plan.spos[i];
   }
-  std::sort(p.spos, p.spos + p.k);
-  const std::size_t sub = op.rows();
-  for (std::size_t s = 0; s < sub; ++s) {
-    std::size_t off = 0;
-    for (int i = 0; i < p.k; ++i)
-      if ((s >> i) & 1U) off |= p.bit[i];
-    p.offs[s] = off;
+  const std::size_t sub = std::size_t{1} << p.k;
+  // The 1q/2q diagonal kinds index by qubit position, not by coset offset.
+  if (p.kind != KernelKind::OneQDiag && p.kind != KernelKind::TwoQDiag) {
+    p.offs[0] = 0;
+    for (int i = 0; i < p.k; ++i) {
+      const std::size_t half = std::size_t{1} << i;
+      for (std::size_t s = 0; s < half; ++s) p.offs[half + s] = p.offs[s] | p.bit[i];
+    }
   }
-  for (std::size_t r = 0; r < sub; ++r)
-    for (std::size_t c = 0; c < sub; ++c) p.m[r * sub + c] = op(r, c);
-  for (std::size_t r = 0; r < sub; ++r) p.d[r] = op(r, r);
   if (p.k == 2) {
     p.lo_pos = p.spos[0];
     p.hi_pos = p.spos[1];
-    if (p.kind == KernelKind::TwoQPermPhase) {
-      int moved = 0;
-      bool unit_phases = true;
+  }
+  const cplx* src = op.data();
+  const auto entry = [src, conj](std::size_t i) {
+    return conj != nullptr ? std::conj(src[i]) : src[i];
+  };
+  switch (p.kind) {
+    case KernelKind::OneQDiag:
+    case KernelKind::TwoQDiag:
+    case KernelKind::ThreeQDiag:
+    case KernelKind::FourQDiag:
+      for (std::size_t r = 0; r < sub; ++r) p.d[r] = entry(r * sub + r);
+      break;
+    case KernelKind::TwoQPermPhase:
       for (int r = 0; r < 4; ++r) {
-        for (int c = 0; c < 4; ++c) {
-          if (op(r, c) != cplx{0.0, 0.0}) {
-            p.perm[r] = c;
-            p.phase[r] = op(r, c);
-          }
-        }
-        if (p.perm[r] != r) ++moved;
-        if (p.phase[r] != cplx{1.0, 0.0}) unit_phases = false;
+        p.perm[r] = plan.perm[r];
+        p.phase[r] = entry(4 * static_cast<std::size_t>(r) + plan.perm[r]);
       }
-      if (moved == 2 && unit_phases) {
-        p.pure_swap = true;
-        for (int r = 0; r < 4; ++r)
-          if (p.perm[r] != r) {
-            p.swap_a = r;
-            p.swap_b = p.perm[r];
-            break;
-          }
+      p.pure_swap = plan.pure_swap;
+      p.swap_a = plan.swap_a;
+      p.swap_b = plan.swap_b;
+      break;
+    default:
+      if (conj == nullptr) {
+        p.m = src;
+      } else {
+        for (std::size_t i = 0; i < sub * sub; ++i) conj->v[i] = std::conj(src[i]);
+        p.m = conj->v;
       }
-    }
   }
   return p;
 }
@@ -1065,11 +1130,19 @@ void run_span(const Prepared& p, cplx* data, std::size_t dim,
 void apply_operator(std::vector<cplx>& state, const Matrix& op,
                     const std::vector<int>& qubits,
                     const ApplyOptions& options) {
-  if (classify_kernel(op) == KernelKind::GenericK) {
+  apply_operator(state, op, qubits, plan_kernel(op, qubits, state.size()),
+                 options);
+}
+
+void apply_operator(std::vector<cplx>& state, const Matrix& op,
+                    const std::vector<int>& qubits, const KernelPlan& plan,
+                    const ApplyOptions& options) {
+  check_plan(plan, state.size(), op);
+  if (plan.kind == KernelKind::GenericK) {
     apply_gate_inplace(state, op, qubits);
     return;
   }
-  const Prepared p = prepare(op, qubits, state.size());
+  const Prepared p = bind(plan, op, nullptr);
   run_span(p, state.data(), state.size(), options);
 }
 
@@ -1128,14 +1201,20 @@ void apply_diag1(std::vector<cplx>& state, cplx d0, cplx d1, int qubit,
 
 void left_apply(Matrix& u, const Matrix& op, const std::vector<int>& qubits,
                 const ApplyOptions& options) {
+  left_apply(u, op, qubits, plan_kernel(op, qubits, u.rows()), options);
+}
+
+void left_apply(Matrix& u, const Matrix& op, const std::vector<int>& qubits,
+                const KernelPlan& plan, const ApplyOptions& options) {
   QC_CHECK(u.rows() == u.cols());
-  const KernelKind kind = classify_kernel(op);
+  const std::size_t dim = u.rows();
+  check_plan(plan, dim, op);
+  const KernelKind kind = plan.kind;
   if (kind == KernelKind::GenericK) {
     left_apply_inplace(u, op, qubits);
     return;
   }
-  const std::size_t dim = u.rows();
-  const Prepared p = prepare(op, qubits, dim);
+  const Prepared p = bind(plan, op, nullptr);
   cplx* data = u.data();
   const std::size_t span = dim * dim;
   const RowOps& ops = row_ops(active_simd_isa());
@@ -1222,16 +1301,28 @@ void left_apply(Matrix& u, const Matrix& op, const std::vector<int>& qubits,
 
 void right_apply(Matrix& u, const Matrix& op, const std::vector<int>& qubits,
                  const ApplyOptions& options) {
+  // u * embed(op) = u * embed((op†)†): the adjoint's plan and conjugated
+  // entries are op^T's, so this is the planned right-hand apply of op†.
+  const Matrix adj = op.adjoint();
+  right_apply_adjoint(u, adj, qubits, plan_kernel(adj, qubits, u.rows()),
+                      options);
+}
+
+void right_apply_adjoint(Matrix& u, const Matrix& op,
+                         const std::vector<int>& qubits, const KernelPlan& plan,
+                         const ApplyOptions& options) {
   QC_CHECK(u.rows() == u.cols());
-  if (classify_kernel(op) == KernelKind::GenericK) {
-    right_apply_inplace(u, op, qubits);
+  const std::size_t dim = u.rows();
+  check_plan(plan, dim, op);
+  if (plan.kind == KernelKind::GenericK) {
+    right_apply_inplace(u, op.adjoint(), qubits);
     return;
   }
-  const std::size_t dim = u.rows();
-  // (u * embed(op)) transforms each row's sub-vector by op^T; rows are
-  // contiguous in the row-major layout, so this is the unit-stride kernel.
-  const Matrix op_t = op.transpose();
-  const Prepared p = prepare(op_t, qubits, dim);
+  // (u * embed(op†)) transforms each row's sub-vector by (op†)^T = conj(op);
+  // rows are contiguous in the row-major layout, so this is the unit-stride
+  // kernel.
+  ConjEntries conj;
+  const Prepared p = bind(plan, op, &conj);
   const RangeFn fn = kernel_table(active_simd_isa()).fn[static_cast<int>(p.kind)];
   const std::size_t cnt = loop_count(p.kind, dim);
   cplx* data = u.data();
@@ -1244,18 +1335,30 @@ void right_apply(Matrix& u, const Matrix& op, const std::vector<int>& qubits,
 void right_apply_accumulate(Matrix& accum, const Matrix& term, const Matrix& op,
                             const std::vector<int>& qubits, double weight,
                             const ApplyOptions& options) {
+  const Matrix adj = op.adjoint();
+  right_apply_adjoint_accumulate(accum, term, adj, qubits,
+                                 plan_kernel(adj, qubits, accum.rows()), weight,
+                                 options);
+}
+
+void right_apply_adjoint_accumulate(Matrix& accum, const Matrix& term,
+                                    const Matrix& op,
+                                    const std::vector<int>& qubits,
+                                    const KernelPlan& plan, double weight,
+                                    const ApplyOptions& options) {
   QC_CHECK(accum.rows() == accum.cols());
   QC_CHECK_MSG(term.rows() == accum.rows() && term.cols() == accum.cols(),
                "accum and term must have identical shapes");
   const std::size_t dim = accum.rows();
-  if (classify_kernel(op) == KernelKind::GenericK) {
+  check_plan(plan, dim, op);
+  if (plan.kind == KernelKind::GenericK) {
     Matrix tmp = term;
-    right_apply_inplace(tmp, op, qubits);
+    right_apply_inplace(tmp, op.adjoint(), qubits);
     row_axpy_real(accum.data(), tmp.data(), dim * dim, weight);
     return;
   }
-  const Matrix op_t = op.transpose();
-  const Prepared p = prepare(op_t, qubits, dim);
+  ConjEntries conj;
+  const Prepared p = bind(plan, op, &conj);
   const RangeFn fn = kernel_table(active_simd_isa()).fn[static_cast<int>(p.kind)];
   const std::size_t cnt = loop_count(p.kind, dim);
   const cplx* src = term.data();

@@ -25,6 +25,18 @@
 //   FourQGeneral  gather -> vectorized mat-vec -> scatter
 //   GenericK      anything wider (k > 4) — delegated to the generic path
 //
+// Applying an operator is split in two. plan_kernel runs every argument
+// check and the classification once and returns a KernelPlan: the kind, the
+// span it was checked for and the qubit geometry, but no matrix entries. A
+// planned call binds the plan to the operator's own entries for that call
+// only (by pointer; at most 16 diagonal entries or 4 phases are gathered),
+// so a compiled program plans each step and Kraus operator once and every
+// trajectory shot and density-matrix replay reuses the plan. The right-hand
+// applies u·embed(op†) read conj(op) from op's entries instead of taking a
+// stored adjoint: (op†)ᵀ = conj(op) has op's zero pattern and unit entries, so
+// op's plan serves both sides. The Matrix-only overloads are plan_kernel plus
+// the planned call.
+//
 // On top of the shape dispatch sits a one-time runtime ISA dispatch: every
 // unit-stride kernel has explicitly vectorized AVX2+FMA and AVX-512 variants
 // (x86, selected by CPUID), a NEON variant (aarch64), and the scalar
@@ -46,6 +58,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -54,7 +67,7 @@
 namespace qc::linalg {
 
 /// Which specialized kernel serves an operator of a given shape.
-enum class KernelKind {
+enum class KernelKind : std::uint8_t {
   OneQDiag,
   OneQGeneral,
   TwoQDiag,
@@ -99,6 +112,28 @@ struct KernelCounts {
 /// numerically-dense matrices (fused products, synthesis results) classify
 /// general.
 KernelKind classify_kernel(const Matrix& op);
+
+/// Everything a kernel needs about an operator except its entries. Small
+/// enough to store beside every compiled operator.
+struct KernelPlan {
+  KernelKind kind = KernelKind::GenericK;
+  std::uint8_t log2_dim = 0;     // log2 of the span it was checked for
+  std::uint8_t k = 0;            // operator qubits
+  std::uint8_t q[4] = {};        // qubit positions in operator order (k <= 4)
+  std::uint8_t spos[4] = {};     // the same positions, ascending
+  std::uint8_t perm[4] = {};     // TwoQPermPhase: source sub-index per row
+  bool pure_swap = false;        // TwoQPermPhase: one transposition, unit phases
+  std::uint8_t swap_a = 0;       // the transposed sub-indices
+  std::uint8_t swap_b = 0;
+};
+static_assert(sizeof(KernelPlan) <= 32);
+
+/// Checks `op` on `qubits` against a span of `dim` amplitudes (or a dim x dim
+/// matrix) — power-of-two span, square op of dimension 2^k, qubits in range
+/// and distinct — and classifies it, once. Throws common::Error on a bad
+/// argument. A plan of op also plans conj(op) and op† on the same qubits.
+KernelPlan plan_kernel(const Matrix& op, const std::vector<int>& qubits,
+                       std::size_t dim);
 
 // ---- runtime SIMD dispatch -------------------------------------------------
 
@@ -169,6 +204,13 @@ void apply_operator(std::vector<cplx>& state, const Matrix& op,
                     const std::vector<int>& qubits,
                     const ApplyOptions& options = {});
 
+/// The same with a plan_kernel(op, qubits, state.size()) plan, reusable
+/// across states and calls. Every planned entry point checks the span and
+/// op's shape against the plan and throws common::Error on a mismatch.
+void apply_operator(std::vector<cplx>& state, const Matrix& op,
+                    const std::vector<int>& qubits, const KernelPlan& plan,
+                    const ApplyOptions& options = {});
+
 /// CX with no matrix in sight: swaps the target-flipped amplitude pairs in
 /// the control=1 half-space. Zero complex multiplies.
 void apply_cx(std::vector<cplx>& state, int control, int target,
@@ -192,11 +234,20 @@ void apply_diag1(std::vector<cplx>& state, cplx d0, cplx d1, int qubit,
 /// for left_apply_inplace.
 void left_apply(Matrix& u, const Matrix& op, const std::vector<int>& qubits,
                 const ApplyOptions& options = {});
+void left_apply(Matrix& u, const Matrix& op, const std::vector<int>& qubits,
+                const KernelPlan& plan, const ApplyOptions& options = {});
 
 /// u := u * embed(op); rows transform by op^T with contiguous access.
 /// Drop-in replacement for right_apply_inplace.
 void right_apply(Matrix& u, const Matrix& op, const std::vector<int>& qubits,
                  const ApplyOptions& options = {});
+
+/// u := u * embed(op†) with op's own plan: rows transform by conj(op), read
+/// from op's entries, so no adjoint matrix is built. Bit-identical to
+/// right_apply(u, op.adjoint(), qubits).
+void right_apply_adjoint(Matrix& u, const Matrix& op,
+                         const std::vector<int>& qubits, const KernelPlan& plan,
+                         const ApplyOptions& options = {});
 
 /// accum += weight * (term * embed(op)), transforming each row of `term` by
 /// op^T in scratch and accumulating it into `accum` while the row is still
@@ -207,5 +258,13 @@ void right_apply(Matrix& u, const Matrix& op, const std::vector<int>& qubits,
 void right_apply_accumulate(Matrix& accum, const Matrix& term, const Matrix& op,
                             const std::vector<int>& qubits, double weight,
                             const ApplyOptions& options = {});
+
+/// accum += weight * (term * embed(op†)) with op's own plan; bit-identical to
+/// right_apply_accumulate(accum, term, op.adjoint(), qubits, weight).
+void right_apply_adjoint_accumulate(Matrix& accum, const Matrix& term,
+                                    const Matrix& op,
+                                    const std::vector<int>& qubits,
+                                    const KernelPlan& plan, double weight,
+                                    const ApplyOptions& options = {});
 
 }  // namespace qc::linalg

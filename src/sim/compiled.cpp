@@ -101,18 +101,19 @@ CompiledCircuit compile_noisy_circuit(const ir::QuantumCircuit& circuit,
     }
     compiled.steps.push_back(std::move(step));
   }
-  // Hoist what every replay would otherwise recompute: unitary and Kraus
-  // adjoints for density-matrix evolution, and the kernel class of each step.
+  // Hoist what every replay would otherwise recompute: the kernel plan of
+  // each step unitary and noise operator, for the program's span (the same
+  // plan serves a state vector and a density matrix of this width).
+  const std::size_t dim = std::size_t{1} << compiled.num_qubits;
   for (CompiledStep& step : compiled.steps) {
-    step.unitary_adjoint = step.unitary.adjoint();
-    step.kernel = linalg::classify_kernel(step.unitary);
-    compiled.kernel_counts.add(step.kernel);
+    step.plan = linalg::plan_kernel(step.unitary, step.qubits, dim);
+    compiled.kernel_counts.add(step.plan.kind);
     if (step.source_count > 1 && step.qubits.size() < compiled.fused_blocks_by_k.size())
       ++compiled.fused_blocks_by_k[step.qubits.size()];
     for (CompiledNoiseOp& op : step.noise) {
-      op.adjoints.reserve(op.operators.size());
+      op.plans.reserve(op.operators.size());
       for (const linalg::Matrix& k : op.operators)
-        op.adjoints.push_back(k.adjoint());
+        op.plans.push_back(linalg::plan_kernel(k, op.qubits, dim));
     }
   }
   // Fusion effectiveness across the whole process; the per-run view lives in
@@ -213,7 +214,7 @@ class ShotTree {
     StateVector& state = states_[depth];
     for (; step < compiled_.steps.size(); ++step, op = 0) {
       const CompiledStep& s = compiled_.steps[step];
-      if (op == 0) state.apply_matrix(s.unitary, s.qubits);
+      if (op == 0) state.apply_matrix(s.unitary, s.qubits, s.plan);
       for (; op < s.noise.size(); ++op) {
         const CompiledNoiseOp& nop = s.noise[op];
         const std::vector<double>& weights =
@@ -272,7 +273,7 @@ class ShotTree {
     weights_.resize(op.operators.size());
     for (std::size_t i = 0; i < op.operators.size(); ++i) {
       branch_ = state;
-      branch_.apply_matrix(op.operators[i], op.qubits);
+      branch_.apply_matrix(op.operators[i], op.qubits, op.plans[i]);
       weights_[i] = branch_.norm_squared();
     }
     return weights_;
@@ -280,7 +281,7 @@ class ShotTree {
 
   static void apply_branch(StateVector& state, const CompiledNoiseOp& op,
                            std::size_t pick) {
-    state.apply_matrix(op.operators[pick], op.qubits);
+    state.apply_matrix(op.operators[pick], op.qubits, op.plans[pick]);
     if (!op.mixed_unitary) state.normalize();
   }
 
@@ -366,9 +367,9 @@ std::vector<double> density_matrix_probabilities(const CompiledCircuit& compiled
   common::StopPoller poller(deadline, /*stride=*/1);
   for (const CompiledStep& step : compiled.steps) {
     if (poller.should_stop()) break;
-    rho.apply_unitary(step.unitary, step.unitary_adjoint, step.qubits);
+    rho.apply_unitary(step.unitary, step.plan, step.qubits);
     for (const CompiledNoiseOp& op : step.noise)
-      rho.apply_kraus(op.operators, op.adjoints,
+      rho.apply_kraus(op.operators, op.plans,
                       op.mixed_unitary ? &op.probs : nullptr, op.qubits);
   }
   if (timed_out != nullptr) *timed_out = poller.triggered();
@@ -387,7 +388,7 @@ std::vector<double> statevector_probabilities(const CompiledCircuit& compiled,
     QC_CHECK_MSG(step.noise.empty(),
                  "statevector_probabilities requires a noise-free program");
     if (poller.should_stop()) break;
-    state.apply_matrix(step.unitary, step.qubits);
+    state.apply_matrix(step.unitary, step.qubits, step.plan);
   }
   if (timed_out != nullptr) *timed_out = poller.triggered();
   auto probs = state.probabilities();

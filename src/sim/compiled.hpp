@@ -5,7 +5,11 @@
 //
 //  * compile — per (circuit, noise model): fetch gate matrices, bind the
 //    model's error channels to concrete qubits, precompute mixed-unitary
-//    decompositions. Identical for every shot.
+//    decompositions, and plan every step unitary and noise operator once
+//    (linalg::plan_kernel: checks, kernel class, qubit geometry). Identical
+//    for every shot. No adjoints are stored: the density-matrix engine's right
+//    conjugation reads conj(op) from each operator's own entries under the
+//    same plan.
 //  * evolve  — per shot range: a depth-first shot tree. All shots of the
 //    range start on one shared state and each draws its noise branches from
 //    its own RNG stream; at a noise op the group splits by the branch each
@@ -45,8 +49,7 @@ struct CompiledNoiseOp {
   bool mixed_unitary = false;
   std::vector<double> probs;              // mixed-unitary branch weights
   std::vector<linalg::Matrix> operators;  // unitaries or raw Kraus ops
-  std::vector<linalg::Matrix> adjoints;   // operator adjoints, hoisted here so
-                                          // DM evolution never recomputes them
+  std::vector<linalg::KernelPlan> plans;  // one per operator, for the span
 };
 
 /// One gate application plus the noise that follows it. After fusion a step's
@@ -55,8 +58,7 @@ struct CompiledStep {
   std::vector<int> qubits;
   linalg::Matrix unitary;
   std::vector<CompiledNoiseOp> noise;
-  linalg::Matrix unitary_adjoint;  // precomputed for density-matrix evolution
-  linalg::KernelKind kernel = linalg::KernelKind::GenericK;  // dispatch class
+  linalg::KernelPlan plan = {};    // kernel class and geometry of `unitary`
   std::size_t source_count = 1;    // source gates folded into this step
 };
 
@@ -133,7 +135,7 @@ std::vector<std::uint64_t> trajectory_counts_streamed(
     std::size_t* completed = nullptr, std::size_t* leaves = nullptr);
 
 /// Exact noisy evolution of a compiled program (density matrix + exact
-/// readout confusion), normalized, using its hoisted unitary/Kraus adjoints.
+/// readout confusion), normalized, through the program's kernel plans.
 /// Polls `deadline` between steps; on expiry sets `*timed_out` (if non-null)
 /// and returns the distribution of the partially evolved state (readout error
 /// still applied) as a best-effort answer. Throws SimulationError when the

@@ -32,13 +32,13 @@ DensityMatrix::DensityMatrix(int num_qubits, const std::vector<cplx>& amplitudes
 void DensityMatrix::apply(const ir::Gate& gate) {
   if (gate.kind == ir::GateKind::Barrier || gate.kind == ir::GateKind::Measure) return;
   const Matrix u = gate.matrix();
-  apply_unitary(u, u.adjoint(), gate.qubits);
+  apply_unitary(u, linalg::plan_kernel(u, gate.qubits, rho_.rows()), gate.qubits);
 }
 
-void DensityMatrix::apply_unitary(const Matrix& u, const Matrix& u_adjoint,
+void DensityMatrix::apply_unitary(const Matrix& u, const linalg::KernelPlan& plan,
                                   const std::vector<int>& qubits) {
-  linalg::left_apply(rho_, u, qubits);
-  linalg::right_apply(rho_, u_adjoint, qubits);
+  linalg::left_apply(rho_, u, qubits, plan);
+  linalg::right_apply_adjoint(rho_, u, qubits, plan);
 }
 
 void DensityMatrix::apply(const ir::QuantumCircuit& circuit) {
@@ -50,17 +50,17 @@ void DensityMatrix::apply_channel(const noise::Channel& channel,
                                   const std::vector<int>& qubits) {
   QC_CHECK(static_cast<std::size_t>(channel.num_qubits()) == qubits.size());
   const auto& kraus = channel.kraus();
-  std::vector<Matrix> adjoints;
-  adjoints.reserve(kraus.size());
-  for (const Matrix& k : kraus) adjoints.push_back(k.adjoint());
-  apply_kraus(kraus, adjoints, nullptr, qubits);
+  std::vector<linalg::KernelPlan> plans;
+  plans.reserve(kraus.size());
+  for (const Matrix& k : kraus) plans.push_back(linalg::plan_kernel(k, qubits, rho_.rows()));
+  apply_kraus(kraus, plans, nullptr, qubits);
 }
 
 void DensityMatrix::apply_kraus(const std::vector<Matrix>& ops,
-                                const std::vector<Matrix>& adjoints,
+                                const std::vector<linalg::KernelPlan>& plans,
                                 const std::vector<double>* weights,
                                 const std::vector<int>& qubits) {
-  QC_CHECK(!ops.empty() && ops.size() == adjoints.size());
+  QC_CHECK(!ops.empty() && ops.size() == plans.size());
   QC_CHECK(weights == nullptr || weights->size() == ops.size());
   const std::size_t dim = rho_.rows();
   // The persistent scratch pair is sized on the first channel application and
@@ -73,12 +73,13 @@ void DensityMatrix::apply_kraus(const std::vector<Matrix>& ops,
   }
   for (std::size_t i = 0; i < ops.size(); ++i) {
     scratch_term_ = rho_;
-    linalg::left_apply(scratch_term_, ops[i], qubits);
+    linalg::left_apply(scratch_term_, ops[i], qubits, plans[i]);
     // The right conjugation and the weighted channel sum fuse into one pass:
     // each row of K_i rho is transformed by K_i† and accumulated while still
     // cache-hot, instead of a full right_apply sweep plus a dim^2 axpy.
-    linalg::right_apply_accumulate(scratch_accum_, scratch_term_, adjoints[i],
-                                   qubits, weights ? (*weights)[i] : 1.0);
+    linalg::right_apply_adjoint_accumulate(scratch_accum_, scratch_term_, ops[i],
+                                           qubits, plans[i],
+                                           weights ? (*weights)[i] : 1.0);
   }
   std::swap(rho_, scratch_accum_);
 }

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "ir/circuit.hpp"
+#include "linalg/kernels.hpp"
 #include "linalg/matrix.hpp"
 #include "noise/channel.hpp"
 
@@ -29,18 +30,19 @@ class DensityMatrix {
   /// Applies all unitary gates of a circuit (Measure gates are skipped —
   /// terminal measurement is read via probabilities()).
   void apply(const ir::QuantumCircuit& circuit);
-  /// rho := U rho U† with the adjoint supplied by the caller, so compiled
-  /// programs that precompute adjoints once don't redo them per application.
-  void apply_unitary(const linalg::Matrix& u, const linalg::Matrix& u_adjoint,
+  /// rho := U rho U† with U's kernel plan for this width (linalg::plan_kernel),
+  /// so compiled programs that plan once don't redo it per application. The
+  /// right conjugation reads conj(U) from U's entries; no adjoint is built.
+  void apply_unitary(const linalg::Matrix& u, const linalg::KernelPlan& plan,
                      const std::vector<int>& qubits);
   /// Applies a channel on the given qubits: rho := sum_i K_i rho K_i†.
   void apply_channel(const noise::Channel& channel, const std::vector<int>& qubits);
-  /// rho := sum_i w_i K_i rho K_i† with precomputed adjoints; `weights` may be
-  /// null (all 1, the plain Kraus form) or per-operator branch probabilities
-  /// (the mixed-unitary form). Reuses persistent scratch — no dim x dim
-  /// temporaries are allocated after the first call.
+  /// rho := sum_i w_i K_i rho K_i† with one kernel plan per operator; `weights`
+  /// may be null (all 1, the plain Kraus form) or per-operator branch
+  /// probabilities (the mixed-unitary form). Reuses persistent scratch — no
+  /// dim x dim temporaries are allocated after the first call.
   void apply_kraus(const std::vector<linalg::Matrix>& ops,
-                   const std::vector<linalg::Matrix>& adjoints,
+                   const std::vector<linalg::KernelPlan>& plans,
                    const std::vector<double>* weights,
                    const std::vector<int>& qubits);
 

@@ -71,6 +71,11 @@ void StateVector::apply_matrix(const linalg::Matrix& op, const std::vector<int>&
   linalg::apply_operator(amps_, op, qubits);
 }
 
+void StateVector::apply_matrix(const linalg::Matrix& op, const std::vector<int>& qubits,
+                               const linalg::KernelPlan& plan) {
+  linalg::apply_operator(amps_, op, qubits, plan);
+}
+
 void StateVector::reset() {
   std::fill(amps_.begin(), amps_.end(), cplx{0.0, 0.0});
   amps_[0] = cplx{1.0, 0.0};
@@ -112,13 +117,6 @@ std::uint64_t StateVector::sample(common::Rng& rng) const {
     if (x < 0.0) return i;
   }
   return amps_.size() - 1;
-}
-
-std::vector<std::uint64_t> StateVector::sample_counts(std::size_t shots,
-                                                      common::Rng& rng) const {
-  std::vector<std::uint64_t> counts(amps_.size(), 0);
-  for (std::size_t s = 0; s < shots; ++s) ++counts[sample(rng)];
-  return counts;
 }
 
 }  // namespace qc::sim

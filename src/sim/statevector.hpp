@@ -10,6 +10,7 @@
 
 #include "common/rng.hpp"
 #include "ir/circuit.hpp"
+#include "linalg/kernels.hpp"
 #include "linalg/matrix.hpp"
 
 namespace qc::sim {
@@ -33,6 +34,10 @@ class StateVector {
   /// normalized Kraus operators during trajectory evolution). Dispatches to
   /// the specialized kernels in linalg/kernels.hpp by operator shape.
   void apply_matrix(const linalg::Matrix& op, const std::vector<int>& qubits);
+  /// The same with a plan made for this width (linalg::plan_kernel), so a
+  /// compiled program's replays skip the checks and classification.
+  void apply_matrix(const linalg::Matrix& op, const std::vector<int>& qubits,
+                    const linalg::KernelPlan& plan);
 
   /// Back to |0...0> without reallocating; lets trajectory loops reuse one
   /// amplitude buffer across shots.
@@ -52,8 +57,6 @@ class StateVector {
 
   /// Samples one outcome index from the Born distribution.
   std::uint64_t sample(common::Rng& rng) const;
-  /// Samples `shots` outcomes; returns counts indexed by outcome.
-  std::vector<std::uint64_t> sample_counts(std::size_t shots, common::Rng& rng) const;
 
  private:
   int num_qubits_;

@@ -95,22 +95,22 @@ TEST(Selection, MinimalHsPrefersLowDistanceThenFewerCnots) {
 }
 
 TEST(Selection, BestByHelpers) {
-  std::vector<CircuitScore> scores = {{0, 1, 0.1, 0.4}, {1, 2, 0.2, 0.9},
-                                      {2, 3, 0.3, 0.6}};
+  std::vector<CircuitScore> scores = {{0, 1, 0.1, 0.4, ""}, {1, 2, 0.2, 0.9, ""},
+                                      {2, 3, 0.3, 0.6, ""}};
   EXPECT_EQ(best_by_max(scores), 1u);
   EXPECT_EQ(best_by_min(scores), 0u);
   EXPECT_EQ(best_by_target_value(scores, 0.55), 2u);
 }
 
 TEST(Selection, FractionBeatingReference) {
-  std::vector<CircuitScore> scores = {{0, 1, 0, 0.8}, {1, 1, 0, 0.5}, {2, 1, 0, 0.9}};
+  std::vector<CircuitScore> scores = {{0, 1, 0, 0.8, ""}, {1, 1, 0, 0.5, ""}, {2, 1, 0, 0.9, ""}};
   EXPECT_NEAR(fraction_beating_reference(scores, 0.7, true), 2.0 / 3.0, 1e-12);
   EXPECT_NEAR(fraction_beating_reference(scores, 0.7, false), 1.0 / 3.0, 1e-12);
 }
 
 TEST(Selection, PrecisionGainMatchesHandComputation) {
   // ideal = 1.0; reference = 0.5 (err 0.5); best approx = 0.8 (err 0.2).
-  std::vector<CircuitScore> scores = {{0, 1, 0, 0.8}, {1, 1, 0, 0.3}};
+  std::vector<CircuitScore> scores = {{0, 1, 0, 0.8, ""}, {1, 1, 0, 0.3, ""}};
   EXPECT_NEAR(precision_gain(scores, 0.5, 1.0), 0.6, 1e-12);
 }
 

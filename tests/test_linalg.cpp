@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <complex>
+#include <cstring>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -512,6 +514,177 @@ TEST(Kernels, RightApplyAccumulateMatchesSeparatePasses) {
       }
     }
   }
+}
+
+// ---- planned entry points --------------------------------------------------
+
+namespace plan_test {
+
+/// One operator of every kind the planned entry points serve: diagonal and
+/// dense on 1-4 qubits, the 2q permutation-phase shapes (random phases, unit
+/// phases on a 3-cycle, the pure swap CX) and a 5-qubit generic operator.
+std::vector<Matrix> operators_of_every_kind(common::Rng& rng) {
+  std::vector<Matrix> ops;
+  for (std::size_t sub : {2u, 4u, 8u, 16u}) {
+    ops.push_back(kernel_test::random_diagonal(sub, rng));
+    ops.push_back(random_unitary(sub, rng));
+  }
+  Matrix phased = kernel_test::random_perm_phase(rng);
+  while (classify_kernel(phased) != KernelKind::TwoQPermPhase)
+    phased = kernel_test::random_perm_phase(rng);
+  ops.push_back(phased);
+  Matrix cycle(4, 4);  // |0> -> |1> -> |2> -> |0>, unit phases, not a swap
+  cycle(1, 0) = cycle(2, 1) = cycle(0, 2) = cycle(3, 3) = cplx{1.0, 0.0};
+  ops.push_back(cycle);
+  Matrix cx(4, 4);
+  cx(0, 0) = cx(2, 2) = cx(3, 1) = cx(1, 3) = cplx{1.0, 0.0};
+  ops.push_back(cx);
+  ops.push_back(random_unitary(32, rng));
+  return ops;
+}
+
+int qubits_of(const Matrix& op) {
+  return std::countr_zero(op.rows());
+}
+
+bool same_bytes(const std::vector<cplx>& a, const std::vector<cplx>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)) == 0;
+}
+
+bool same_bytes(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.rows() * a.cols() * sizeof(cplx)) == 0;
+}
+
+}  // namespace plan_test
+
+TEST(Kernels, PlanCoversEveryKindAndPermutationFact) {
+  common::Rng rng(69);
+  const auto ops = plan_test::operators_of_every_kind(rng);
+  for (const Matrix& op : ops) {
+    const int k = plan_test::qubits_of(op);
+    std::vector<int> qs(static_cast<std::size_t>(k));
+    for (int i = 0; i < k; ++i) qs[i] = k - 1 - i;  // descending: sort matters
+    const KernelPlan plan = plan_kernel(op, qs, std::size_t{1} << 6);
+    EXPECT_EQ(plan.kind, classify_kernel(op));
+    EXPECT_EQ(plan.log2_dim, 6);
+    EXPECT_EQ(plan.k, k);
+    // conj(op) and op† share op's zero pattern and unit entries.
+    const KernelPlan adj = plan_kernel(op.adjoint(), qs, std::size_t{1} << 6);
+    EXPECT_EQ(adj.kind, plan.kind);
+    EXPECT_EQ(adj.pure_swap, plan.pure_swap);
+    if (plan.kind == KernelKind::GenericK) continue;
+    for (int i = 0; i < k; ++i) {
+      EXPECT_EQ(plan.q[i], qs[i]);
+      EXPECT_EQ(plan.spos[i], i);
+    }
+  }
+  // The three permutation-phase operators: only CX is a pure swap.
+  const std::size_t perm_first = 8;
+  EXPECT_EQ(plan_kernel(ops[perm_first], {0, 1}, 4).kind, KernelKind::TwoQPermPhase);
+  EXPECT_FALSE(plan_kernel(ops[perm_first + 1], {0, 1}, 4).pure_swap);
+  const KernelPlan cx = plan_kernel(ops[perm_first + 2], {0, 1}, 4);
+  EXPECT_TRUE(cx.pure_swap);
+  EXPECT_EQ(cx.swap_a, 1);
+  EXPECT_EQ(cx.swap_b, 3);
+}
+
+TEST(Kernels, PlannedApplyOperatorIsBitIdenticalToUnplanned) {
+  // One plan per (operator, span), reused across many states; both sides run
+  // the same kernel table, so equality holds at every ISA.
+  common::Rng rng(70);
+  const ApplyOptions serial{};
+  const ApplyOptions threaded{2};
+  for (const Matrix& op : plan_test::operators_of_every_kind(rng)) {
+    const int k = plan_test::qubits_of(op);
+    for (int n = k; n <= 6; ++n) {
+      const auto qs = kernel_test::distinct_qubits(n, k, rng);
+      const KernelPlan plan = plan_kernel(op, qs, std::size_t{1} << n);
+      for (int trial = 0; trial < 3; ++trial) {
+        const auto state = kernel_test::random_state(n, rng);
+        for (const ApplyOptions& opts : {serial, threaded}) {
+          std::vector<cplx> planned = state;
+          apply_operator(planned, op, qs, plan, opts);
+          std::vector<cplx> unplanned = state;
+          apply_operator(unplanned, op, qs, opts);
+          ASSERT_TRUE(plan_test::same_bytes(planned, unplanned))
+              << kernel_kind_name(plan.kind) << " n=" << n;
+        }
+      }
+    }
+  }
+}
+
+TEST(Kernels, PlannedMatrixAppliesAreBitIdenticalToExplicitAdjoints) {
+  // left_apply with a plan vs without; the in-place conjugate right applies
+  // vs the Matrix-only ones handed an explicit op.adjoint().
+  common::Rng rng(71);
+  const ApplyOptions serial{};
+  const ApplyOptions threaded{2};
+  for (const Matrix& op : plan_test::operators_of_every_kind(rng)) {
+    const int k = plan_test::qubits_of(op);
+    const Matrix adj = op.adjoint();
+    for (int n = k; n <= 6; ++n) {
+      const std::size_t dim = std::size_t{1} << n;
+      const auto qs = kernel_test::distinct_qubits(n, k, rng);
+      const KernelPlan plan = plan_kernel(op, qs, dim);
+      const Matrix u = random_unitary(dim, rng);
+      const Matrix term = random_unitary(dim, rng);
+      const double w = 0.25 + rng.uniform();
+      for (const ApplyOptions& opts : {serial, threaded}) {
+        SCOPED_TRACE(::testing::Message() << kernel_kind_name(plan.kind) << " n=" << n);
+        Matrix planned = u;
+        left_apply(planned, op, qs, plan, opts);
+        Matrix unplanned = u;
+        left_apply(unplanned, op, qs, opts);
+        ASSERT_TRUE(plan_test::same_bytes(planned, unplanned));
+
+        planned = u;
+        right_apply_adjoint(planned, op, qs, plan, opts);
+        Matrix explicit_adj = u;
+        right_apply(explicit_adj, adj, qs, opts);
+        ASSERT_TRUE(plan_test::same_bytes(planned, explicit_adj));
+        // And the conjugate read is the adjoint's product, not just
+        // self-consistent: the generic path agrees to rounding.
+        Matrix generic = u;
+        right_apply_inplace(generic, adj, qs);
+        ASSERT_NEAR(planned.max_abs_diff(generic), 0.0, 1e-12);
+
+        planned = u;
+        right_apply_adjoint_accumulate(planned, term, op, qs, plan, w, opts);
+        explicit_adj = u;
+        right_apply_accumulate(explicit_adj, term, adj, qs, w, opts);
+        ASSERT_TRUE(plan_test::same_bytes(planned, explicit_adj));
+      }
+    }
+  }
+}
+
+TEST(Kernels, PlanRejectsAnotherSpan) {
+  common::Rng rng(72);
+  const Matrix op = random_unitary(4, rng);
+  const std::vector<int> qs = {0, 2};
+  const KernelPlan plan = plan_kernel(op, qs, 8);  // a 3-qubit span
+  auto state8 = kernel_test::random_state(3, rng);
+  EXPECT_NO_THROW(apply_operator(state8, op, qs, plan));
+  auto state16 = kernel_test::random_state(4, rng);
+  EXPECT_THROW(apply_operator(state16, op, qs, plan), common::Error);
+  Matrix u16 = random_unitary(16, rng);
+  const Matrix term16 = random_unitary(16, rng);
+  EXPECT_THROW(left_apply(u16, op, qs, plan), common::Error);
+  EXPECT_THROW(right_apply_adjoint(u16, op, qs, plan), common::Error);
+  EXPECT_THROW(right_apply_adjoint_accumulate(u16, term16, op, qs, plan, 1.0),
+               common::Error);
+  // An operator of another shape under the same plan is refused too.
+  EXPECT_THROW(apply_operator(state8, random_unitary(2, rng), {0}, plan),
+               common::Error);
+  // plan_kernel runs the span checks itself.
+  EXPECT_THROW(plan_kernel(op, {0, 0}, 8), common::Error);
+  EXPECT_THROW(plan_kernel(op, {0, 3}, 8), common::Error);
+  EXPECT_THROW(plan_kernel(op, {0, 1}, 12), common::Error);
+  EXPECT_THROW(plan_kernel(op, {0}, 8), common::Error);
+  EXPECT_THROW(plan_kernel(Matrix(4, 2), {0, 1}, 8), common::Error);
 }
 
 // ---- runtime SIMD dispatch -------------------------------------------------

@@ -407,9 +407,9 @@ TEST_F(FaultTest, ScatterStudyAnnotatesPersistentFailures) {
 TEST(SelectionNanTest, SelectorsSkipFailedScores) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   std::vector<approx::CircuitScore> scores(3);
-  scores[0] = approx::CircuitScore{0, 4, 0.1, 0.2};
-  scores[1] = approx::CircuitScore{1, 2, 0.2, nan};
-  scores[2] = approx::CircuitScore{2, 1, 0.3, 0.9};
+  scores[0] = approx::CircuitScore{0, 4, 0.1, 0.2, ""};
+  scores[1] = approx::CircuitScore{1, 2, 0.2, nan, ""};
+  scores[2] = approx::CircuitScore{2, 1, 0.3, 0.9, ""};
 
   EXPECT_EQ(approx::best_by_max(scores), 2u);
   EXPECT_EQ(approx::best_by_min(scores), 0u);
@@ -418,8 +418,8 @@ TEST(SelectionNanTest, SelectorsSkipFailedScores) {
   EXPECT_DOUBLE_EQ(approx::fraction_beating_reference(scores, 0.5, true), 0.5);
 
   std::vector<approx::CircuitScore> all_failed(2);
-  all_failed[0] = approx::CircuitScore{0, 1, 0.1, nan};
-  all_failed[1] = approx::CircuitScore{1, 2, 0.2, nan};
+  all_failed[0] = approx::CircuitScore{0, 1, 0.1, nan, ""};
+  all_failed[1] = approx::CircuitScore{1, 2, 0.2, nan, ""};
   EXPECT_EQ(approx::best_by_max(all_failed), 0u);
   EXPECT_DOUBLE_EQ(approx::fraction_beating_reference(all_failed, 0.5, true), 0.0);
   EXPECT_DOUBLE_EQ(approx::precision_gain(all_failed, 0.5, 1.0), 0.0);

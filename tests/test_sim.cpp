@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -100,7 +101,8 @@ TEST(StateVector, SampleCountsFollowBorn) {
   StateVector sv(1);
   sv.apply(qc);
   common::Rng rng(5);
-  const auto counts = sv.sample_counts(40000, rng);
+  std::vector<std::uint64_t> counts(2, 0);
+  for (int s = 0; s < 40000; ++s) ++counts[sv.sample(rng)];
   EXPECT_NEAR(static_cast<double>(counts[0]) / 40000.0, 0.3, 0.015);
 }
 
@@ -353,6 +355,122 @@ TEST(Compiled, FusionPreservesNoisyEngines) {
   for (std::size_t i = 0; i < cf.size(); ++i)
     moved += cf[i] > cp[i] ? cf[i] - cp[i] : cp[i] - cf[i];
   EXPECT_LE(moved, 8u);  // a rare shot may land on the other side of a cut
+}
+
+// ---- density-matrix reference with explicit adjoints ------------------------
+//
+// DensityMatrix::apply_unitary / apply_kraus as they were while compiled
+// programs stored an adjoint beside every operator: the right conjugation is
+// handed the explicit adjoint. Kept as the oracle the planned engine, which
+// reads conj(op) from each operator's own entries, must match byte for byte.
+
+class AdjointReferenceDensityMatrix {
+ public:
+  explicit AdjointReferenceDensityMatrix(int num_qubits)
+      : rho_(std::size_t{1} << num_qubits, std::size_t{1} << num_qubits) {
+    rho_(0, 0) = cplx{1.0, 0.0};
+  }
+
+  void apply_unitary(const linalg::Matrix& u, const linalg::Matrix& u_adjoint,
+                     const std::vector<int>& qubits) {
+    linalg::left_apply(rho_, u, qubits);
+    linalg::right_apply(rho_, u_adjoint, qubits);
+  }
+
+  void apply_kraus(const std::vector<linalg::Matrix>& ops,
+                   const std::vector<linalg::Matrix>& adjoints,
+                   const std::vector<double>* weights,
+                   const std::vector<int>& qubits) {
+    QC_CHECK(!ops.empty() && ops.size() == adjoints.size());
+    QC_CHECK(weights == nullptr || weights->size() == ops.size());
+    const std::size_t dim = rho_.rows();
+    // The persistent scratch pair is sized on the first channel application and
+    // reused (zeroed / copy-assigned in place) on every later one.
+    if (scratch_accum_.rows() != dim || scratch_accum_.cols() != dim) {
+      scratch_accum_ = linalg::Matrix(dim, dim);
+    } else {
+      std::fill(scratch_accum_.data(), scratch_accum_.data() + dim * dim,
+                cplx{0.0, 0.0});
+    }
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      scratch_term_ = rho_;
+      linalg::left_apply(scratch_term_, ops[i], qubits);
+      // The right conjugation and the weighted channel sum fuse into one pass:
+      // each row of K_i rho is transformed by K_i† and accumulated while still
+      // cache-hot, instead of a full right_apply sweep plus a dim^2 axpy.
+      linalg::right_apply_accumulate(scratch_accum_, scratch_term_, adjoints[i],
+                                     qubits, weights ? (*weights)[i] : 1.0);
+    }
+    std::swap(rho_, scratch_accum_);
+  }
+
+  /// density_matrix_probabilities' read-out: diagonal, readout confusion,
+  /// normalization.
+  std::vector<double> probabilities(const CompiledCircuit& compiled) const {
+    std::vector<double> p(rho_.rows());
+    for (std::size_t i = 0; i < p.size(); ++i) p[i] = std::max(0.0, rho_(i, i).real());
+    return metrics::normalized(noise::apply_readout_error(p, compiled.readout));
+  }
+
+ private:
+  linalg::Matrix rho_;
+  linalg::Matrix scratch_term_;
+  linalg::Matrix scratch_accum_;
+};
+
+std::vector<double> adjoint_reference_probabilities(const CompiledCircuit& compiled) {
+  AdjointReferenceDensityMatrix rho(compiled.num_qubits);
+  for (const CompiledStep& step : compiled.steps) {
+    rho.apply_unitary(step.unitary, step.unitary.adjoint(), step.qubits);
+    for (const CompiledNoiseOp& op : step.noise) {
+      std::vector<linalg::Matrix> adjoints;
+      for (const linalg::Matrix& k : op.operators) adjoints.push_back(k.adjoint());
+      rho.apply_kraus(op.operators, adjoints, op.mixed_unitary ? &op.probs : nullptr,
+                      op.qubits);
+    }
+  }
+  return rho.probabilities(compiled);
+}
+
+TEST(Compiled, DensityMatrixMatchesAdjointReferenceBitwise) {
+  const auto device = noise::device_by_name("rome");
+  const std::vector<std::pair<const char*, noise::NoiseModel>> models = {
+      {"simulator", noise::simulator_noise_model(device)},
+      {"hardware", noise::hardware_noise_model(device)},
+  };
+  common::Rng rng(41);
+  std::array<std::size_t, 5> blocks_by_k{};
+  for (int n = 2; n <= 5; ++n) {
+    for (int rep = 0; rep < 2; ++rep) {
+      // Every gate carries noise under a device model, so nothing fuses there;
+      // splice in the fused blocks of a noise-free program of the same width
+      // (plans are per span, so its steps run unchanged in the noisy one).
+      const auto blocks = compile_noisy_circuit(random_basis_circuit(n, 8 * n, rng),
+                                                noise::NoiseModel::ideal(n));
+      const auto qc = random_basis_circuit(n, 5 * n, rng);
+      for (const auto& [name, model] : models) {
+        SCOPED_TRACE(::testing::Message() << n << " qubits, " << name << " model");
+        auto compiled = compile_noisy_circuit(qc, model);
+        std::vector<CompiledStep> spliced;
+        for (std::size_t i = 0; i < compiled.steps.size(); ++i) {
+          spliced.push_back(compiled.steps[i]);
+          if (i < blocks.steps.size()) spliced.push_back(blocks.steps[i]);
+        }
+        compiled.steps = std::move(spliced);
+        for (const CompiledStep& step : compiled.steps)
+          if (step.source_count > 1) ++blocks_by_k[step.qubits.size()];
+        const auto planned = density_matrix_probabilities(compiled);
+        const auto reference = adjoint_reference_probabilities(compiled);
+        ASSERT_EQ(planned.size(), reference.size());
+        ASSERT_EQ(std::memcmp(planned.data(), reference.data(),
+                              planned.size() * sizeof(double)),
+                  0);
+      }
+    }
+  }
+  // The sweep must reach the fused 3q/4q kernels, not only 1q/2q gates.
+  EXPECT_GT(blocks_by_k[3], 0u);
+  EXPECT_GT(blocks_by_k[4], 0u);
 }
 
 // ---- per-shot reference -----------------------------------------------------
