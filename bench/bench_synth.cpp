@@ -1,7 +1,6 @@
 // Microbenchmarks (google-benchmark) for the synthesis hot path: the HS cost
 // value and its analytic gradient, the QSearch frontier (serial vs parallel
-// children), dense vs incremental QFactor sweeps, and the synthesis result
-// cache.
+// children), the incremental QFactor sweep, and the synthesis result cache.
 //
 // The binary always writes the full results as google-benchmark JSON to
 // BENCH_synth.json in the working directory (override the path with
@@ -123,7 +122,7 @@ ir::QuantumCircuit qfactor_structure(int n, int blocks) {
   return structure;
 }
 
-void bench_qfactor(benchmark::State& state, bool incremental) {
+void BM_QFactorSweepIncremental(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   common::Rng rng(13);
   const linalg::Matrix target =
@@ -132,18 +131,10 @@ void bench_qfactor(benchmark::State& state, bool incremental) {
   synth::QFactorOptions opts;
   opts.max_sweeps = 1;
   opts.use_cache = false;
-  opts.incremental = incremental;
   for (auto _ : state) {
     benchmark::DoNotOptimize(synth::qfactor_optimize(structure, target, opts).sweeps);
   }
   state.SetItemsProcessed(state.iterations());
-}
-
-void BM_QFactorSweepDense(benchmark::State& state) { bench_qfactor(state, false); }
-BENCHMARK(BM_QFactorSweepDense)->Arg(3)->Arg(5);
-
-void BM_QFactorSweepIncremental(benchmark::State& state) {
-  bench_qfactor(state, true);
 }
 BENCHMARK(BM_QFactorSweepIncremental)->Arg(3)->Arg(5);
 

@@ -2,42 +2,14 @@
 
 #include <cctype>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include "common/error.hpp"
+#include "obs/json.hpp"
 
 namespace qc::common::json {
-
-namespace {
-
-std::string escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 bool Value::as_bool() const {
   QC_CHECK_MSG(type_ == Type::Bool, "json: value is not a bool");
@@ -153,19 +125,10 @@ void Value::write(std::string& out) const {
   switch (type_) {
     case Type::Null: out += "null"; break;
     case Type::Bool: out += bool_ ? "true" : "false"; break;
-    case Type::Number: {
-      if (!std::isfinite(number_)) {
-        out += number_ > 0 ? "\"inf\"" : (number_ < 0 ? "\"-inf\"" : "\"nan\"");
-        break;
-      }
-      char buf[40];
-      std::snprintf(buf, sizeof(buf), "%.17g", number_);
-      out += buf;
-      break;
-    }
+    case Type::Number: out += obs::detail::json_number(number_); break;
     case Type::String:
       out += '"';
-      out += escape(string_);
+      out += obs::detail::json_escape(string_);
       out += '"';
       break;
     case Type::Array: {
@@ -186,7 +149,7 @@ void Value::write(std::string& out) const {
         if (!first) out += ',';
         first = false;
         out += '"';
-        out += escape(k);
+        out += obs::detail::json_escape(k);
         out += "\":";
         v.write(out);
       }

@@ -15,11 +15,10 @@
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define QAPPROX_X86_KERNELS 1
 #include <immintrin.h>
-// Function-level target attributes let one TU carry scalar, AVX2+FMA and
-// AVX-512 code without per-file -m flags, so the portable (non-native) build
-// still ships every variant and picks at runtime.
+// A function-level target attribute lets one TU carry scalar and AVX2+FMA
+// code without per-file -m flags, so the portable (non-native) build still
+// ships both variants and picks at runtime.
 #define QAPPROX_TGT_AVX2 __attribute__((target("avx2,fma")))
-#define QAPPROX_TGT_AVX512 __attribute__((target("avx512f,avx2,fma")))
 #endif
 #if defined(__aarch64__)
 #define QAPPROX_NEON_KERNELS 1
@@ -121,7 +120,6 @@ const char* simd_isa_name(SimdIsa isa) {
   switch (isa) {
     case SimdIsa::Scalar: return "scalar";
     case SimdIsa::Avx2: return "avx2";
-    case SimdIsa::Avx512: return "avx512";
     case SimdIsa::Neon: return "neon";
   }
   return "unknown";
@@ -138,14 +136,6 @@ bool simd_isa_supported(SimdIsa isa) {
 #else
       return false;
 #endif
-    case SimdIsa::Avx512:
-#if defined(QAPPROX_X86_KERNELS)
-      __builtin_cpu_init();
-      return __builtin_cpu_supports("avx512f") &&
-             __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-      return false;
-#endif
     case SimdIsa::Neon:
 #if defined(QAPPROX_NEON_KERNELS)
       return true;  // NEON is baseline on aarch64.
@@ -157,7 +147,6 @@ bool simd_isa_supported(SimdIsa isa) {
 }
 
 SimdIsa best_supported_simd_isa() {
-  if (simd_isa_supported(SimdIsa::Avx512)) return SimdIsa::Avx512;
   if (simd_isa_supported(SimdIsa::Avx2)) return SimdIsa::Avx2;
   if (simd_isa_supported(SimdIsa::Neon)) return SimdIsa::Neon;
   return SimdIsa::Scalar;
@@ -167,7 +156,6 @@ SimdIsa parse_simd_isa(const std::string& name, bool* ok) {
   if (ok) *ok = true;
   if (name == "scalar") return SimdIsa::Scalar;
   if (name == "avx2") return SimdIsa::Avx2;
-  if (name == "avx512") return SimdIsa::Avx512;
   if (name == "neon") return SimdIsa::Neon;
   if (ok) *ok = false;
   return SimdIsa::Scalar;
@@ -181,7 +169,7 @@ SimdIsa resolve_simd_isa(const char* env_value) {
   if (!ok) {
     QC_LOG_WARN("linalg",
                 "QAPPROX_SIMD='%s' not recognized "
-                "(want scalar|avx2|avx512|neon); auto-detecting",
+                "(want scalar|avx2|neon); auto-detecting",
                 env_value);
     return best_supported_simd_isa();
   }
@@ -813,155 +801,6 @@ QAPPROX_TGT_AVX2 void a2_row_combine(cplx* dst, const cplx* scratch,
   }
 }
 
-// ---- AVX-512 kernels -------------------------------------------------------
-//
-// Four complex doubles per __m512d; narrow cases (low gate qubits) fall back
-// to the AVX2 variants, which every AVX-512 host also supports.
-
-QAPPROX_TGT_AVX512 inline __m512d cmul4(__m512d a, __m512d b) {
-  const __m512d br = _mm512_movedup_pd(b);
-  const __m512d bi = _mm512_permute_pd(b, 0xFF);
-  return _mm512_fmaddsub_pd(a, br,
-                            _mm512_mul_pd(_mm512_permute_pd(a, 0x55), bi));
-}
-
-QAPPROX_TGT_AVX512 inline __m512d cmul4s(__m512d a, __m512d sr, __m512d si) {
-  return _mm512_fmaddsub_pd(a, sr,
-                            _mm512_mul_pd(_mm512_permute_pd(a, 0x55), si));
-}
-
-QAPPROX_TGT_AVX512 void a5_oneq_general(const Prepared& p, cplx* data,
-                                        std::size_t b, std::size_t e) {
-  if (p.q[0] < 2) {
-    a2_oneq_general(p, data, b, e);
-    return;
-  }
-  const std::size_t bit = p.bit[0];
-  const std::size_t low = bit - 1;
-  const __m512d m00r = _mm512_set1_pd(p.m[0].real());
-  const __m512d m00i = _mm512_set1_pd(p.m[0].imag());
-  const __m512d m01r = _mm512_set1_pd(p.m[1].real());
-  const __m512d m01i = _mm512_set1_pd(p.m[1].imag());
-  const __m512d m10r = _mm512_set1_pd(p.m[2].real());
-  const __m512d m10i = _mm512_set1_pd(p.m[2].imag());
-  const __m512d m11r = _mm512_set1_pd(p.m[3].real());
-  const __m512d m11i = _mm512_set1_pd(p.m[3].imag());
-  std::size_t g = b;
-  while (g < e) {
-    const std::size_t i0 = ((g & ~low) << 1) | (g & low);
-    const std::size_t run = std::min(e - g, bit - (g & low));
-    double* p0 = reinterpret_cast<double*>(data + i0);
-    double* p1 = reinterpret_cast<double*>(data + (i0 | bit));
-    std::size_t j = 0;
-    for (; j + 4 <= run; j += 4) {
-      const __m512d a0 = _mm512_loadu_pd(p0 + 2 * j);
-      const __m512d a1 = _mm512_loadu_pd(p1 + 2 * j);
-      _mm512_storeu_pd(
-          p0 + 2 * j,
-          _mm512_add_pd(cmul4s(a0, m00r, m00i), cmul4s(a1, m01r, m01i)));
-      _mm512_storeu_pd(
-          p1 + 2 * j,
-          _mm512_add_pd(cmul4s(a0, m10r, m10i), cmul4s(a1, m11r, m11i)));
-    }
-    for (; j < run; ++j) {
-      const cplx a0 = data[i0 + j];
-      const cplx a1 = data[(i0 | bit) + j];
-      data[i0 + j] = p.m[0] * a0 + p.m[1] * a1;
-      data[(i0 | bit) + j] = p.m[2] * a0 + p.m[3] * a1;
-    }
-    g += run;
-  }
-}
-
-QAPPROX_TGT_AVX512 void a5_twoq_general(const Prepared& p, cplx* data,
-                                        std::size_t b, std::size_t e) {
-  if (p.lo_pos < 2) {
-    a2_twoq_general(p, data, b, e);
-    return;
-  }
-  const std::size_t L = std::size_t{1} << p.lo_pos;
-  std::size_t g = b;
-  while (g < e) {
-    const std::size_t base = coset_base(g, p.lo_pos, p.hi_pos);
-    const std::size_t run = std::min(e - g, L - (g & (L - 1)));
-    double* s[4];
-    for (int c = 0; c < 4; ++c)
-      s[c] = reinterpret_cast<double*>(data + (base | p.offs[c]));
-    std::size_t j = 0;
-    for (; j + 4 <= run; j += 4) {
-      __m512d t[4];
-      for (int c = 0; c < 4; ++c) t[c] = _mm512_loadu_pd(s[c] + 2 * j);
-      for (int r = 0; r < 4; ++r) {
-        const double* row = reinterpret_cast<const double*>(p.m + 4 * r);
-        __m512d acc =
-            cmul4s(t[0], _mm512_set1_pd(row[0]), _mm512_set1_pd(row[1]));
-        for (int c = 1; c < 4; ++c)
-          acc = _mm512_add_pd(acc, cmul4s(t[c], _mm512_set1_pd(row[2 * c]),
-                                          _mm512_set1_pd(row[2 * c + 1])));
-        _mm512_storeu_pd(s[r] + 2 * j, acc);
-      }
-    }
-    for (; j < run; ++j) {
-      const std::size_t bj = base + j;
-      const cplx t0 = data[bj | p.offs[0]];
-      const cplx t1 = data[bj | p.offs[1]];
-      const cplx t2 = data[bj | p.offs[2]];
-      const cplx t3 = data[bj | p.offs[3]];
-      for (int r = 0; r < 4; ++r) {
-        const cplx* row = p.m + 4 * r;
-        data[bj | p.offs[r]] =
-            row[0] * t0 + row[1] * t1 + row[2] * t2 + row[3] * t3;
-      }
-    }
-    g += run;
-  }
-}
-
-QAPPROX_TGT_AVX512 void a5_kq_general(const Prepared& p, cplx* data,
-                                      std::size_t b, std::size_t e) {
-  const std::size_t sub = std::size_t{1} << p.k;
-  alignas(64) cplx t[16];
-  for (std::size_t g = b; g < e; ++g) {
-    const std::size_t base = coset_base_k(g, p.spos, p.k);
-    for (std::size_t s = 0; s < sub; ++s) t[s] = data[base | p.offs[s]];
-    for (std::size_t r = 0; r < sub; ++r) {
-      const double* row = reinterpret_cast<const double*>(p.m + r * sub);
-      __m512d acc = cmul4(_mm512_load_pd(reinterpret_cast<double*>(t)),
-                          _mm512_loadu_pd(row));
-      for (std::size_t c = 4; c < sub; c += 4)
-        acc = _mm512_add_pd(
-            acc, cmul4(_mm512_load_pd(reinterpret_cast<double*>(t + c)),
-                       _mm512_loadu_pd(row + 2 * c)));
-      const __m256d half = _mm256_add_pd(_mm512_castpd512_pd256(acc),
-                                         _mm512_extractf64x4_pd(acc, 1));
-      const __m128d sum = _mm_add_pd(_mm256_castpd256_pd128(half),
-                                     _mm256_extractf128_pd(half, 1));
-      double out[2];
-      _mm_storeu_pd(out, sum);
-      data[base | p.offs[r]] = cplx{out[0], out[1]};
-    }
-  }
-}
-
-QAPPROX_TGT_AVX512 void a5_row_combine(cplx* dst, const cplx* scratch,
-                                       std::size_t stride, std::size_t sub,
-                                       const cplx* mrow, std::size_t n) {
-  const double* mr = reinterpret_cast<const double*>(mrow);
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    __m512d acc =
-        cmul4s(_mm512_loadu_pd(reinterpret_cast<const double*>(scratch + j)),
-               _mm512_set1_pd(mr[0]), _mm512_set1_pd(mr[1]));
-    for (std::size_t c = 1; c < sub; ++c)
-      acc = _mm512_add_pd(
-          acc, cmul4s(_mm512_loadu_pd(reinterpret_cast<const double*>(
-                          scratch + c * stride + j)),
-                      _mm512_set1_pd(mr[2 * c]), _mm512_set1_pd(mr[2 * c + 1])));
-    _mm512_storeu_pd(reinterpret_cast<double*>(dst + j), acc);
-  }
-  if (j < n) a2_row_combine(dst + j, scratch + j, stride, sub, mrow, n - j);
-}
-
 #endif  // QAPPROX_X86_KERNELS
 
 #if defined(QAPPROX_NEON_KERNELS)
@@ -1060,15 +899,8 @@ constexpr KernelTable kAvx2Table = {{a2_oneq_diag, a2_oneq_general,
                                      a2_twoq_general, s_kq_diag,
                                      a2_kq_general, s_kq_diag, a2_kq_general,
                                      nullptr}};
-constexpr KernelTable kAvx512Table = {{a2_oneq_diag, a5_oneq_general,
-                                       a2_twoq_diag, s_twoq_perm,
-                                       a5_twoq_general, s_kq_diag,
-                                       a5_kq_general, s_kq_diag,
-                                       a5_kq_general, nullptr}};
 constexpr RowOps kAvx2RowOps = {a2_row_scale, a2_row_scale_copy,
                                 a2_row_combine};
-constexpr RowOps kAvx512RowOps = {a2_row_scale, a2_row_scale_copy,
-                                  a5_row_combine};
 #endif
 #if defined(QAPPROX_NEON_KERNELS)
 constexpr KernelTable kNeonTable = {{n_oneq_diag, n_oneq_general, s_twoq_diag,
@@ -1081,7 +913,6 @@ const KernelTable& kernel_table(SimdIsa isa) {
   switch (isa) {
 #if defined(QAPPROX_X86_KERNELS)
     case SimdIsa::Avx2: return kAvx2Table;
-    case SimdIsa::Avx512: return kAvx512Table;
 #endif
 #if defined(QAPPROX_NEON_KERNELS)
     case SimdIsa::Neon: return kNeonTable;
@@ -1094,7 +925,6 @@ const RowOps& row_ops(SimdIsa isa) {
   switch (isa) {
 #if defined(QAPPROX_X86_KERNELS)
     case SimdIsa::Avx2: return kAvx2RowOps;
-    case SimdIsa::Avx512: return kAvx512RowOps;
 #endif
     default: return kScalarRowOps;
   }

@@ -37,17 +37,18 @@
 // op's plan serves both sides. The Matrix-only overloads are plan_kernel plus
 // the planned call.
 //
-// On top of the shape dispatch sits a one-time runtime ISA dispatch: every
-// unit-stride kernel has explicitly vectorized AVX2+FMA and AVX-512 variants
-// (x86, selected by CPUID), a NEON variant (aarch64), and the scalar
-// reference. A single portable binary picks the widest supported ISA at
-// startup; QAPPROX_SIMD=scalar|avx2|avx512|neon overrides the choice (for
+// On top of the shape dispatch sits a one-time runtime ISA dispatch with one
+// vector kernel table per architecture: explicitly vectorized AVX2+FMA
+// kernels on x86 (selected by CPUID), NEON kernels on aarch64, and the scalar
+// reference everywhere. A single portable binary picks the widest supported
+// ISA at startup; QAPPROX_SIMD=scalar|avx2|neon overrides the choice (for
 // sanitizer runs, pinned-ISA CI baselines, and A/B benchmarking), and
-// unsupported requests fall back with a warning. Vector variants reassociate
-// the complex arithmetic (fused multiply-add, lane-wise sums), so they agree
-// with the scalar path to ~1e-12 rather than bit-for-bit; the scalar path
-// itself accumulates in the same order as the generic path (ascending column
-// index) and stays bit-identical to apply_gate_inplace. RNG draw order is never affected — the dispatch only
+// unrecognized or unsupported requests fall back with a warning. Vector
+// variants reassociate the complex arithmetic (fused multiply-add, lane-wise
+// sums), so they agree with the scalar path to ~1e-12 rather than
+// bit-for-bit; the scalar path itself accumulates in the same order as the
+// generic path (ascending column index) and stays bit-identical to
+// apply_gate_inplace. RNG draw order is never affected — the dispatch only
 // changes arithmetic inside a kernel application.
 //
 // Wide states additionally slice the coset loop across the process thread
@@ -141,9 +142,9 @@ KernelPlan plan_kernel(const Matrix& op, const std::vector<int>& qubits,
 /// available and is the bit-identical reference; the vector ISAs are compiled
 /// in behind target guards and selected at runtime, so one binary runs on any
 /// host.
-enum class SimdIsa { Scalar = 0, Avx2, Avx512, Neon };
+enum class SimdIsa { Scalar = 0, Avx2, Neon };
 
-/// Stable lowercase label ("scalar", "avx2", "avx512", "neon").
+/// Stable lowercase label ("scalar", "avx2", "neon").
 const char* simd_isa_name(SimdIsa isa);
 
 /// True when both the binary carries code for `isa` and the running CPU
@@ -153,8 +154,8 @@ bool simd_isa_supported(SimdIsa isa);
 /// Widest ISA supported by this binary on this CPU.
 SimdIsa best_supported_simd_isa();
 
-/// Parses a QAPPROX_SIMD value ("scalar", "avx2", "avx512", "neon",
-/// case-sensitive). Sets *ok=false (returning Scalar) on anything else.
+/// Parses a QAPPROX_SIMD value ("scalar", "avx2", "neon", case-sensitive).
+/// Sets *ok=false (returning Scalar) on anything else.
 SimdIsa parse_simd_isa(const std::string& name, bool* ok);
 
 /// Resolves the ISA the dispatch should use for a given QAPPROX_SIMD value

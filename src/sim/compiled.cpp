@@ -71,7 +71,7 @@ CompiledCircuit compile_noisy_circuit(const ir::QuantumCircuit& circuit,
   compiled.num_qubits = circuit.num_qubits();
   compiled.readout = readout_slice(model, circuit.num_qubits());
   const std::size_t max_fuse = static_cast<std::size_t>(
-      std::clamp(options.max_fuse_qubits, 1, 4));
+      std::clamp(options.max_fuse_qubits, 0, 4));
   for (const ir::Gate& g : circuit.gates()) {
     if (g.kind == ir::GateKind::Measure || g.kind == ir::GateKind::Barrier) continue;
     ++compiled.source_gates;
@@ -92,7 +92,7 @@ CompiledCircuit compile_noisy_circuit(const ir::QuantumCircuit& circuit,
     }
     // Fusion: a preceding step with no noise draws nothing from the RNG, so
     // folding it into this step preserves the shot-replay stream exactly.
-    if (options.fuse_steps && !compiled.steps.empty() &&
+    if (max_fuse > 0 && !compiled.steps.empty() &&
         compiled.steps.back().noise.empty() &&
         fuse_into(compiled.steps.back(), step.unitary, step.qubits, max_fuse)) {
       compiled.steps.back().noise = std::move(step.noise);

@@ -83,19 +83,18 @@ struct CompiledCircuit {
 using GateMatrixFn = std::function<linalg::Matrix(const ir::Gate&)>;
 
 struct CompileOptions {
-  /// Fuse a step into its successor when the step carries no noise, the two
-  /// overlap on at least one qubit, and the union stays within
-  /// `max_fuse_qubits` (so the fused matrix still hits a specialized
-  /// kernel). Noise draws keep their order — only noise-free unitaries merge
-  /// — so trajectory RNG streams are unchanged; amplitudes agree to rounding
-  /// (~1e-15).
-  bool fuse_steps = true;
-  /// Largest qubit union a fused step may grow to, clamped to [1, 4] (the
-  /// widest specialized kernel). Greedy growth keeps folding overlapping
-  /// noise-free gates into the trailing step until the union would exceed
-  /// this, turning noise-free regions into dense 8x8/16x16 blocks
-  /// (qsim/Cirq's gate-fusion recipe, Isakov et al., arXiv:2111.02396).
-  /// 2 reproduces the pre-k<=4 behaviour; 1 allows only same-qubit runs.
+  /// Largest qubit union a fused step may grow to, clamped to [0, 4] (4 is
+  /// the widest specialized kernel); 0 turns fusion off. A step is fused into
+  /// its successor when the step carries no noise, the two overlap on at
+  /// least one qubit, and the union stays within this cap, so greedy growth
+  /// turns noise-free regions into dense 8x8/16x16 blocks (qsim/Cirq's
+  /// gate-fusion recipe, Isakov et al., arXiv:2111.02396). Noise draws keep
+  /// their order — only noise-free unitaries merge — so trajectory RNG
+  /// streams are unchanged; amplitudes agree to rounding (~1e-15).
+  ///
+  /// Production callers keep the default. Other values are the test
+  /// reference for fused-vs-unfused checks: 0 compiles one step per gate,
+  /// 2 reproduces pairwise fusion, 1 allows only same-qubit runs.
   int max_fuse_qubits = 4;
 };
 

@@ -95,8 +95,9 @@ struct QFactorCacheKey {
   std::uint64_t tolerance_bits = 0;
   std::uint64_t success_threshold_bits = 0;
   int max_sweeps = 0;
-  // Incremental and dense sweeps differ in rounding, so they never alias.
-  bool incremental = false;
+  // Always true (the incremental sweep). Kept in the key and its persisted
+  // JSON so entries stored by the retired dense sweep (false) never match.
+  bool incremental = true;
   auto operator<=>(const QFactorCacheKey&) const = default;
 };
 

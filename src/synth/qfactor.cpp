@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/strings.hpp"
 #include "linalg/kernels.hpp"
 #include "metrics/process.hpp"
 #include "obs/obs.hpp"
@@ -19,11 +18,6 @@ using ir::GateKind;
 using ir::QuantumCircuit;
 using linalg::cplx;
 using linalg::Matrix;
-
-bool qfactor_incremental_default() {
-  static const bool enabled = common::env_flag("QAPPROX_SYNTH_INCREMENTAL", true);
-  return enabled;
-}
 
 namespace {
 
@@ -68,7 +62,6 @@ QFactorCacheKey make_cache_key(const QuantumCircuit& structure, const Matrix& ta
   key.tolerance_bits = std::bit_cast<std::uint64_t>(options.tolerance);
   key.success_threshold_bits = std::bit_cast<std::uint64_t>(options.success_threshold);
   key.max_sweeps = options.max_sweeps;
-  key.incremental = options.incremental;
   return key;
 }
 
@@ -123,7 +116,7 @@ QFactorResult run_qfactor(const QuantumCircuit& structure, const Matrix& target,
   double prev_overlap = -1.0;
 
   std::vector<Matrix> suffix(m + 1);  // suffix[k] = O_{m-1} ... O_k (embedded)
-  Matrix lmat;  // incremental path: B_k · T†, advanced by left_apply
+  Matrix lmat;  // B_k · T†, advanced by left_apply
   for (int sweep = 0; sweep < options.max_sweeps; ++sweep) {
     // Sweeps improve monotonically, so stopping after any whole sweep still
     // returns a valid (just less converged) circuit.
@@ -142,78 +135,45 @@ QFactorResult run_qfactor(const QuantumCircuit& structure, const Matrix& target,
       // when read as an operator product).
     }
 
-    double overlap = 0.0;
-    if (options.incremental) {
-      // Forward pass over L = B T† (L_0 = T†); each 1q slot's environment
-      // M = L · suffix[k+1] is only needed on the 2x2 block the gate sees,
-      //   K^T(i, j) = sum_base M(base|i·bit, base|j·bit),
-      // extracted from L and the suffix in O(dim²) without forming M. The
-      // slot update itself is then an O(dim²) row op on L — no dim³ GEMM
-      // anywhere in the sweep.
-      lmat = t_dag;
-      for (std::size_t k = 0; k < m; ++k) {
-        if (gates[k]->qubits.size() == 1) {
-          const Matrix& s = suffix[k + 1];
-          const int qb = gates[k]->qubits[0];
-          const std::size_t bit = std::size_t{1} << qb;
-          Matrix kt(2, 2);
-          for (std::size_t base = 0; base < dim; ++base) {
-            if (base & bit) continue;
-            const cplx* lrow0 = lmat.data() + base * dim;
-            const cplx* lrow1 = lmat.data() + (base | bit) * dim;
-            cplx k00{0.0, 0.0}, k01{0.0, 0.0}, k10{0.0, 0.0}, k11{0.0, 0.0};
-            for (std::size_t j = 0; j < dim; ++j) {
-              const cplx s0 = s(j, base);
-              const cplx s1 = s(j, base | bit);
-              k00 += lrow0[j] * s0;
-              k01 += lrow0[j] * s1;
-              k10 += lrow1[j] * s0;
-              k11 += lrow1[j] * s1;
-            }
-            kt(0, 0) += k00;
-            kt(0, 1) += k01;
-            kt(1, 0) += k10;
-            kt(1, 1) += k11;
+    // Forward pass over L = B T† (L_0 = T†); each 1q slot's environment
+    // M = L · suffix[k+1] is only needed on the 2x2 block the gate sees,
+    //   K^T(i, j) = sum_base M(base|i·bit, base|j·bit),
+    // extracted from L and the suffix in O(dim²) without forming M. The
+    // slot update itself is then an O(dim²) row op on L — no dim³ GEMM
+    // anywhere in the sweep.
+    lmat = t_dag;
+    for (std::size_t k = 0; k < m; ++k) {
+      if (gates[k]->qubits.size() == 1) {
+        const Matrix& s = suffix[k + 1];
+        const int qb = gates[k]->qubits[0];
+        const std::size_t bit = std::size_t{1} << qb;
+        Matrix kt(2, 2);
+        for (std::size_t base = 0; base < dim; ++base) {
+          if (base & bit) continue;
+          const cplx* lrow0 = lmat.data() + base * dim;
+          const cplx* lrow1 = lmat.data() + (base | bit) * dim;
+          cplx k00{0.0, 0.0}, k01{0.0, 0.0}, k10{0.0, 0.0}, k11{0.0, 0.0};
+          for (std::size_t j = 0; j < dim; ++j) {
+            const cplx s0 = s(j, base);
+            const cplx s1 = s(j, base | bit);
+            k00 += lrow0[j] * s0;
+            k01 += lrow0[j] * s1;
+            k10 += lrow1[j] * s0;
+            k11 += lrow1[j] * s1;
           }
-          mats[k] = best_unitary_for_environment(kt);
+          kt(0, 0) += k00;
+          kt(0, 1) += k01;
+          kt(1, 0) += k10;
+          kt(1, 1) += k11;
         }
-        linalg::left_apply(lmat, mats[k], gates[k]->qubits);
+        mats[k] = best_unitary_for_environment(kt);
       }
-      // L_m = V·T†, so the overlap trace costs O(dim).
-      cplx acc{0.0, 0.0};
-      for (std::size_t i = 0; i < dim; ++i) acc += lmat(i, i);
-      overlap = std::abs(acc) / d;
-    } else {
-      // Dense oracle path: two GEMMs per slot, one for the overlap.
-      Matrix b = Matrix::identity(dim);
-      for (std::size_t k = 0; k < m; ++k) {
-        if (gates[k]->qubits.size() == 1) {
-          // M = B T† A with A = suffix[k+1]; Tr(T† A U_k B) = Tr(U_emb M).
-          Matrix mmat = b * t_dag * suffix[k + 1];
-          // Environment K[a][b] = sum_rest M[(b,rest),(a,rest)]; Tr = Tr(U K^T).
-          const int qb = gates[k]->qubits[0];
-          const std::size_t bit = std::size_t{1} << qb;
-          Matrix kt(2, 2);  // K^T directly: kt[b][a] = K[a][b]
-          for (std::size_t base = 0; base < dim; ++base) {
-            if (base & bit) continue;
-            kt(0, 0) += mmat(base, base);
-            kt(0, 1) += mmat(base, base | bit);
-            kt(1, 0) += mmat(base | bit, base);
-            kt(1, 1) += mmat(base | bit, base | bit);
-          }
-          // kt currently holds K[a][b] at (b? ...) — M[(b,rest),(a,rest)] with
-          // row index carrying b: kt(row=b, col=a) = K[a][b] = (K^T)(b, a). OK.
-          mats[k] = best_unitary_for_environment(kt);
-        }
-        linalg::left_apply(b, mats[k], gates[k]->qubits);
-      }
-
-      // b now holds the full circuit unitary; overlap = |Tr(T† V)|.
-      cplx acc{0.0, 0.0};
-      const Matrix full = t_dag * b;
-      for (std::size_t i = 0; i < dim; ++i) acc += full(i, i);
-      overlap = std::abs(acc) / d;
+      linalg::left_apply(lmat, mats[k], gates[k]->qubits);
     }
+    // L_m = V·T†, so the overlap trace costs O(dim).
+    cplx acc{0.0, 0.0};
+    for (std::size_t i = 0; i < dim; ++i) acc += lmat(i, i);
+    const double overlap = std::abs(acc) / d;
 
     const double fid = std::min(1.0, overlap);
     result.hs_distance = std::sqrt(std::max(0.0, 1.0 - fid * fid));

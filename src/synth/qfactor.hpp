@@ -7,6 +7,10 @@
 // globally optimal for that slot, so sweeps decrease the cost monotonically
 // — no step sizes, no line searches. Handles wider circuits than tree
 // search because the per-sweep cost is linear in gate count.
+//
+// The sweep is incremental: it maintains the forward product B·T† with
+// O(dim²) row ops and extracts each slot's environment directly from it,
+// instead of forming the dense O(dim³) environment per slot.
 #pragma once
 
 #include "common/deadline.hpp"
@@ -14,10 +18,6 @@
 #include "linalg/matrix.hpp"
 
 namespace qc::synth {
-
-/// Process default for QFactorOptions::incremental:
-/// QAPPROX_SYNTH_INCREMENTAL (default on).
-bool qfactor_incremental_default();
 
 /// Process default for the `use_cache` option fields: QAPPROX_SYNTH_CACHE
 /// (default on). Defined with the cache in cache.cpp.
@@ -32,12 +32,6 @@ struct QFactorOptions {
   /// Polled once per sweep; on expiry the current (monotonically improved)
   /// angles are returned flagged `timed_out`.
   common::Deadline deadline;
-  /// Maintain the forward product B·T† with O(dim²) row ops and extract each
-  /// slot's environment directly from it, instead of two dense O(dim³) GEMMs
-  /// per slot. Same fixed point; per-entry rounding differs from the dense
-  /// path at the ~1e-12 level, so the dense sweep stays available as the
-  /// oracle (QAPPROX_SYNTH_INCREMENTAL=0).
-  bool incremental = qfactor_incremental_default();
   /// Memoize the whole run on (target, structure, options). Timed-out runs
   /// are never cached.
   bool use_cache = synth_cache_enabled();

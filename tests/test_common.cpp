@@ -221,6 +221,16 @@ TEST(Json, ParseRoundTripsScalarsAndContainers) {
   EXPECT_EQ(v.find("f")->get_string("g", ""), "h");
   // Canonical dump re-parses to an equal document.
   EXPECT_EQ(json::parse(v.dump()), v);
+
+  // The writer's escapes and non-finite numbers, byte for byte: quotes and
+  // control bytes in keys and strings, and +-inf / NaN as strings.
+  json::Value w = json::Value::object();
+  w.set("q\"k", std::string("a\"b\\c\x01\x1f"));
+  json::Value nums = json::Value::array();
+  for (const double x : {0.1, HUGE_VAL, -HUGE_VAL, std::nan("")}) nums.push_back(x);
+  w.set("n", nums);
+  EXPECT_EQ(w.dump(),
+            R"({"q\"k":"a\"b\\c\u0001\u001f","n":[0.10000000000000001,"inf","-inf","nan"]})");
 }
 
 TEST(Json, NumbersRoundTripExactly) {

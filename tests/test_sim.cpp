@@ -263,9 +263,8 @@ TEST(Compiled, FusionMergesNoiseFreeNeighbours) {
   const auto qc = random_basis_circuit(4, 40, rng);
   const auto model = noise::NoiseModel::ideal(4);
   const auto fused = compile_noisy_circuit(qc, model);
-  CompileOptions off;
-  off.fuse_steps = false;
-  const auto plain = compile_noisy_circuit(qc, model, {}, off);
+  const auto plain =
+      compile_noisy_circuit(qc, model, {}, {.max_fuse_qubits = 0});
   EXPECT_EQ(plain.steps.size(), plain.source_gates);
   EXPECT_EQ(plain.fused_gates, 0u);
   EXPECT_GT(fused.fused_gates, 0u);  // a 4-qubit/40-gate circuit must overlap
@@ -299,12 +298,10 @@ TEST(Compiled, FusionEquivalenceAcrossMaxFuseWidths) {
     for (int rep = 0; rep < 4; ++rep) {
       const auto qc = random_basis_circuit(n, 48, rng);
       const auto model = noise::NoiseModel::ideal(n);
-      CompileOptions fuse_opts;
-      fuse_opts.max_fuse_qubits = max_k;
-      const auto fused = compile_noisy_circuit(qc, model, {}, fuse_opts);
-      CompileOptions off;
-      off.fuse_steps = false;
-      const auto plain = compile_noisy_circuit(qc, model, {}, off);
+      const auto fused =
+          compile_noisy_circuit(qc, model, {}, {.max_fuse_qubits = max_k});
+      const auto plain =
+          compile_noisy_circuit(qc, model, {}, {.max_fuse_qubits = 0});
       for (const auto& step : fused.steps) {
         ASSERT_LE(step.qubits.size(), static_cast<std::size_t>(max_k));
         if (step.source_count > 1)
@@ -341,9 +338,8 @@ TEST(Compiled, FusionPreservesNoisyEngines) {
   common::Rng rng(9);
   const auto qc = random_basis_circuit(3, 24, rng);
   const auto fused = compile_noisy_circuit(qc, model);
-  CompileOptions off;
-  off.fuse_steps = false;
-  const auto plain = compile_noisy_circuit(qc, model, {}, off);
+  const auto plain =
+      compile_noisy_circuit(qc, model, {}, {.max_fuse_qubits = 0});
   const auto pf = density_matrix_probabilities(fused);
   const auto pp = density_matrix_probabilities(plain);
   for (std::size_t i = 0; i < pf.size(); ++i) ASSERT_NEAR(pf[i], pp[i], 1e-10);

@@ -13,6 +13,7 @@
 #include "common/faults.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "linalg/kernels.hpp"
 #include "linalg/factories.hpp"
 #include "metrics/process.hpp"
 #include "synth/cache.hpp"
@@ -24,6 +25,8 @@
 #include "synth/qsearch.hpp"
 #include "synth/reducer.hpp"
 #include "synth/template.hpp"
+#include "transpile/decompose.hpp"
+#include "transpile/euler.hpp"
 
 namespace qc::synth {
 namespace {
@@ -1015,6 +1018,92 @@ TEST(QSearch, ParallelMatchesSerialWithFaultsArmed) {
 }
 
 // ---- incremental qfactor ---------------------------------------------------
+//
+// The dense QFactor sweep, kept as the oracle for the incremental one that
+// qfactor_optimize runs: the same sweep loop, but each slot's environment
+// comes from two dense GEMMs and the overlap from a third. Same fixed point;
+// per-entry rounding differs at the ~1e-12 level.
+
+QFactorResult dense_qfactor_reference(const ir::QuantumCircuit& structure,
+                                      const Matrix& target,
+                                      const QFactorOptions& options) {
+  using linalg::cplx;
+  using ir::Gate;
+  const ir::QuantumCircuit basis =
+      transpile::decompose_to_cx_u3(structure).unitary_part();
+  const int n = basis.num_qubits();
+  const std::size_t dim = std::size_t{1} << n;
+  const double d = static_cast<double>(dim);
+  std::vector<Matrix> mats;
+  std::vector<const Gate*> gates;
+  for (const Gate& g : basis.gates()) {
+    mats.push_back(g.matrix());
+    gates.push_back(&g);
+  }
+  const std::size_t m = mats.size();
+
+  QFactorResult result;
+  const Matrix t_dag = target.adjoint();
+  double prev_overlap = -1.0;
+  std::vector<Matrix> suffix(m + 1);
+  for (int sweep = 0; sweep < options.max_sweeps; ++sweep) {
+    ++result.sweeps;
+    suffix[m] = Matrix::identity(dim);
+    for (std::size_t k = m; k-- > 0;) {
+      suffix[k] = suffix[k + 1];
+      linalg::right_apply(suffix[k], mats[k], gates[k]->qubits);
+    }
+
+    // Dense oracle path: two GEMMs per slot, one for the overlap.
+    Matrix b = Matrix::identity(dim);
+    for (std::size_t k = 0; k < m; ++k) {
+      if (gates[k]->qubits.size() == 1) {
+        // M = B T† A with A = suffix[k+1]; Tr(T† A U_k B) = Tr(U_emb M).
+        Matrix mmat = b * t_dag * suffix[k + 1];
+        // Environment K[a][b] = sum_rest M[(b,rest),(a,rest)]; Tr = Tr(U K^T).
+        const int qb = gates[k]->qubits[0];
+        const std::size_t bit = std::size_t{1} << qb;
+        Matrix kt(2, 2);  // K^T directly: kt[b][a] = K[a][b]
+        for (std::size_t base = 0; base < dim; ++base) {
+          if (base & bit) continue;
+          kt(0, 0) += mmat(base, base);
+          kt(0, 1) += mmat(base, base | bit);
+          kt(1, 0) += mmat(base | bit, base);
+          kt(1, 1) += mmat(base | bit, base | bit);
+        }
+        // kt currently holds K[a][b] at (b? ...) — M[(b,rest),(a,rest)] with
+        // row index carrying b: kt(row=b, col=a) = K[a][b] = (K^T)(b, a). OK.
+        mats[k] = best_unitary_for_environment(kt);
+      }
+      linalg::left_apply(b, mats[k], gates[k]->qubits);
+    }
+
+    // b now holds the full circuit unitary; overlap = |Tr(T† V)|.
+    cplx acc{0.0, 0.0};
+    const Matrix full = t_dag * b;
+    for (std::size_t i = 0; i < dim; ++i) acc += full(i, i);
+    const double overlap = std::abs(acc) / d;
+
+    const double fid = std::min(1.0, overlap);
+    result.hs_distance = std::sqrt(std::max(0.0, 1.0 - fid * fid));
+    if (result.hs_distance < options.success_threshold) break;
+    if (overlap - prev_overlap < options.tolerance && sweep > 0) break;
+    prev_overlap = overlap;
+  }
+
+  ir::QuantumCircuit out(n, structure.name());
+  for (std::size_t k = 0; k < m; ++k) {
+    if (gates[k]->qubits.size() == 1) {
+      out.append(transpile::u3_from_matrix(mats[k], gates[k]->qubits[0]));
+    } else {
+      out.append(*gates[k]);
+    }
+  }
+  result.circuit = std::move(out);
+  result.hs_distance = metrics::hs_distance(target, result.circuit.to_unitary());
+  result.converged = result.hs_distance < options.success_threshold;
+  return result;
+}
 
 TEST(QFactor, IncrementalMatchesDenseSweep) {
   common::Rng rng(47);
@@ -1027,12 +1116,10 @@ TEST(QFactor, IncrementalMatchesDenseSweep) {
   }
   QFactorOptions opts;
   opts.max_sweeps = 4;
-  opts.tolerance = 0.0;  // run all sweeps in both modes
+  opts.tolerance = 0.0;  // run all sweeps in both sweeps
   opts.use_cache = false;
 
-  opts.incremental = false;
-  const QFactorResult dense = qfactor_optimize(structure, target, opts);
-  opts.incremental = true;
+  const QFactorResult dense = dense_qfactor_reference(structure, target, opts);
   const QFactorResult inc = qfactor_optimize(structure, target, opts);
 
   EXPECT_EQ(dense.sweeps, inc.sweeps);
