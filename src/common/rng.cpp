@@ -84,7 +84,7 @@ double Rng::normal(double mean, double stddev) { return mean + stddev * normal()
 
 bool Rng::bernoulli(double p) { return uniform() < p; }
 
-std::size_t Rng::discrete(const std::vector<double>& weights) {
+double Rng::discrete_total(const std::vector<double>& weights) {
   QC_CHECK(!weights.empty());
   double total = 0.0;
   for (double w : weights) {
@@ -92,6 +92,14 @@ std::size_t Rng::discrete(const std::vector<double>& weights) {
     total += w;
   }
   QC_CHECK_MSG(total > 0.0, "discrete() needs at least one positive weight");
+  return total;
+}
+
+std::size_t Rng::discrete(const std::vector<double>& weights) {
+  return discrete(weights, discrete_total(weights));
+}
+
+std::size_t Rng::discrete(const std::vector<double>& weights, double total) {
   double x = uniform() * total;
   for (std::size_t i = 0; i < weights.size(); ++i) {
     x -= weights[i];

@@ -53,8 +53,15 @@ class Rng {
   double normal(double mean, double stddev);
   /// Bernoulli trial.
   bool bernoulli(double p);
-  /// Samples an index from an unnormalized non-negative weight vector.
+  /// Samples an index from an unnormalized non-negative weight vector:
+  /// discrete(weights, discrete_total(weights)).
   std::size_t discrete(const std::vector<double>& weights);
+  /// The same draw with the weights' sum precomputed by discrete_total, so a
+  /// caller drawing many times from one weight vector checks and sums it once.
+  std::size_t discrete(const std::vector<double>& weights, double total);
+  /// Sum of a non-empty weight vector in index order. Throws common::Error
+  /// on a negative (or NaN) weight or a non-positive sum.
+  static double discrete_total(const std::vector<double>& weights);
 
   /// Derives an independent child stream; deterministic in (parent seed, salt).
   Rng split(std::uint64_t salt) const;

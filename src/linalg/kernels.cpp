@@ -230,32 +230,8 @@ void check_span(std::size_t dim, const std::vector<int>& qubits,
   }
 }
 
-/// A plan bound to one operator's entries for one kernel call: the plan's
-/// geometry widened to the kernels' index types, plus the entries. Dense
-/// kernels read `m`, which points at the operator's own row-major entries
-/// (or, for a right-hand apply, at a conjugated copy); diagonal entries and
-/// permutation phases are gathered. The anonymous unions leave `d` and
-/// `phase` unconstructed (std::complex would zero-fill them), so binding
-/// writes only what the kind reads.
-struct Prepared {
-  Prepared() {}
-  KernelKind kind = KernelKind::GenericK;
-  int k = 1;                     // number of gate qubits (1..4)
-  int q[4] = {0, 0, 0, 0};       // qubit positions in operator order
-  std::size_t bit[4];            // 1 << q[i]
-  int spos[4] = {0, 0, 0, 0};    // the same positions, sorted ascending
-  std::size_t offs[16];          // sub-index -> address offset within a coset
-  int lo_pos = 0, hi_pos = 0;    // sorted positions for 2q coset enumeration
-  const cplx* m = nullptr;       // dense entries, row-major (up to 16x16)
-  union { cplx d[16]; };         // diagonal entries (diagonal kinds)
-  int perm[4] = {0, 1, 2, 3};    // source sub-index per output row (2q perm)
-  union { cplx phase[4]; };      // the permutation's phases (2q perm)
-  bool pure_swap = false;        // one transposition, all phases exactly 1
-  int swap_a = 0, swap_b = 0;    // the transposed sub-indices
-};
-
 /// Caller stack storage for a right-hand apply's conjugated entries, left
-/// unconstructed like Prepared::d.
+/// unconstructed like BoundKernel::d.
 struct ConjEntries {
   ConjEntries() {}
   union { cplx v[256]; };
@@ -315,9 +291,10 @@ void check_plan(const KernelPlan& plan, std::size_t dim, const Matrix& op) {
 
 /// Binds `plan` (not GenericK) to op's entries: in place, or conjugated into
 /// `conj` when it is non-null (the right-hand side u·embed(op†)).
-Prepared bind(const KernelPlan& plan, const Matrix& op, ConjEntries* conj) {
-  Prepared p;
+BoundKernel bind(const KernelPlan& plan, const Matrix& op, ConjEntries* conj) {
+  BoundKernel p;
   p.kind = plan.kind;
+  p.log2_dim = plan.log2_dim;
   p.k = plan.k;
   for (int i = 0; i < p.k; ++i) {
     p.q[i] = plan.q[i];
@@ -422,16 +399,16 @@ inline std::size_t coset_base_k(std::size_t g, const int* spos, int k) {
 // variants slot into a uniform dispatch table. The scalar bodies accumulate
 // in ascending column order, matching apply_gate_inplace term for term.
 
-using RangeFn = void (*)(const Prepared&, cplx*, std::size_t, std::size_t);
+using RangeFn = void (*)(const BoundKernel&, cplx*, std::size_t, std::size_t);
 
-void s_oneq_diag(const Prepared& p, cplx* data, std::size_t b, std::size_t e) {
+void s_oneq_diag(const BoundKernel& p, cplx* data, std::size_t b, std::size_t e) {
   const int q = p.q[0];
   const cplx d0 = p.d[0], d1 = p.d[1];
   for (std::size_t i = b; i < e; ++i)
     data[i] *= ((i >> q) & 1U) ? d1 : d0;
 }
 
-void s_oneq_general(const Prepared& p, cplx* data, std::size_t b,
+void s_oneq_general(const BoundKernel& p, cplx* data, std::size_t b,
                     std::size_t e) {
   const std::size_t bit = p.bit[0];
   const std::size_t low = bit - 1;
@@ -446,7 +423,7 @@ void s_oneq_general(const Prepared& p, cplx* data, std::size_t b,
   }
 }
 
-void s_twoq_diag(const Prepared& p, cplx* data, std::size_t b, std::size_t e) {
+void s_twoq_diag(const BoundKernel& p, cplx* data, std::size_t b, std::size_t e) {
   const int qa = p.q[0], qb = p.q[1];
   for (std::size_t i = b; i < e; ++i) {
     const std::size_t sub = ((i >> qa) & 1U) | (((i >> qb) & 1U) << 1);
@@ -454,7 +431,7 @@ void s_twoq_diag(const Prepared& p, cplx* data, std::size_t b, std::size_t e) {
   }
 }
 
-void s_twoq_perm(const Prepared& p, cplx* data, std::size_t b, std::size_t e) {
+void s_twoq_perm(const BoundKernel& p, cplx* data, std::size_t b, std::size_t e) {
   if (p.pure_swap) {
     // CX / SWAP shape: amplitudes move, none are scaled — zero multiplies.
     const std::size_t oa = p.offs[p.swap_a], ob = p.offs[p.swap_b];
@@ -473,7 +450,7 @@ void s_twoq_perm(const Prepared& p, cplx* data, std::size_t b, std::size_t e) {
   }
 }
 
-void s_twoq_general(const Prepared& p, cplx* data, std::size_t b,
+void s_twoq_general(const BoundKernel& p, cplx* data, std::size_t b,
                     std::size_t e) {
   for (std::size_t g = b; g < e; ++g) {
     const std::size_t base = coset_base(g, p.lo_pos, p.hi_pos);
@@ -489,7 +466,7 @@ void s_twoq_general(const Prepared& p, cplx* data, std::size_t b,
   }
 }
 
-void s_kq_diag(const Prepared& p, cplx* data, std::size_t b, std::size_t e) {
+void s_kq_diag(const BoundKernel& p, cplx* data, std::size_t b, std::size_t e) {
   const std::size_t sub = std::size_t{1} << p.k;
   for (std::size_t g = b; g < e; ++g) {
     const std::size_t base = coset_base_k(g, p.spos, p.k);
@@ -497,7 +474,7 @@ void s_kq_diag(const Prepared& p, cplx* data, std::size_t b, std::size_t e) {
   }
 }
 
-void s_kq_general(const Prepared& p, cplx* data, std::size_t b,
+void s_kq_general(const BoundKernel& p, cplx* data, std::size_t b,
                   std::size_t e) {
   const std::size_t sub = std::size_t{1} << p.k;
   cplx t[16];
@@ -576,7 +553,7 @@ QAPPROX_TGT_AVX2 inline __m256d bim2(const cplx* m, std::size_t i) {
   return _mm256_set1_pd(reinterpret_cast<const double*>(m + i)[1]);
 }
 
-QAPPROX_TGT_AVX2 void a2_oneq_diag(const Prepared& p, cplx* data,
+QAPPROX_TGT_AVX2 void a2_oneq_diag(const BoundKernel& p, cplx* data,
                                    std::size_t b, std::size_t e) {
   const int q = p.q[0];
   const std::size_t bit = p.bit[0];
@@ -609,7 +586,7 @@ QAPPROX_TGT_AVX2 void a2_oneq_diag(const Prepared& p, cplx* data,
   }
 }
 
-QAPPROX_TGT_AVX2 void a2_oneq_general(const Prepared& p, cplx* data,
+QAPPROX_TGT_AVX2 void a2_oneq_general(const BoundKernel& p, cplx* data,
                                       std::size_t b, std::size_t e) {
   const std::size_t bit = p.bit[0];
   const std::size_t low = bit - 1;
@@ -660,7 +637,7 @@ QAPPROX_TGT_AVX2 void a2_oneq_general(const Prepared& p, cplx* data,
   }
 }
 
-QAPPROX_TGT_AVX2 void a2_twoq_diag(const Prepared& p, cplx* data,
+QAPPROX_TGT_AVX2 void a2_twoq_diag(const BoundKernel& p, cplx* data,
                                    std::size_t b, std::size_t e) {
   if (p.lo_pos == 0) {
     s_twoq_diag(p, data, b, e);
@@ -685,7 +662,7 @@ QAPPROX_TGT_AVX2 void a2_twoq_diag(const Prepared& p, cplx* data,
   }
 }
 
-QAPPROX_TGT_AVX2 void a2_twoq_general(const Prepared& p, cplx* data,
+QAPPROX_TGT_AVX2 void a2_twoq_general(const BoundKernel& p, cplx* data,
                                       std::size_t b, std::size_t e) {
   if (p.lo_pos == 0) {
     s_twoq_general(p, data, b, e);
@@ -727,7 +704,7 @@ QAPPROX_TGT_AVX2 void a2_twoq_general(const Prepared& p, cplx* data,
   }
 }
 
-QAPPROX_TGT_AVX2 void a2_kq_general(const Prepared& p, cplx* data,
+QAPPROX_TGT_AVX2 void a2_kq_general(const BoundKernel& p, cplx* data,
                                     std::size_t b, std::size_t e) {
   // Per coset: gather the 2^k amplitudes, then one row-major mat-vec with
   // two-lane complex FMAs and a horizontal lane add per output row.
@@ -819,7 +796,7 @@ inline float64x2_t ncmul(float64x2_t a, float64x2_t b) {
   return vfmaq_f64(vmulq_f64(t, sgn), a, br);
 }
 
-void n_oneq_diag(const Prepared& p, cplx* data, std::size_t b, std::size_t e) {
+void n_oneq_diag(const BoundKernel& p, cplx* data, std::size_t b, std::size_t e) {
   const int q = p.q[0];
   const float64x2_t d0 =
       vld1q_f64(reinterpret_cast<const double*>(&p.d[0]));
@@ -831,7 +808,7 @@ void n_oneq_diag(const Prepared& p, cplx* data, std::size_t b, std::size_t e) {
   }
 }
 
-void n_oneq_general(const Prepared& p, cplx* data, std::size_t b,
+void n_oneq_general(const BoundKernel& p, cplx* data, std::size_t b,
                     std::size_t e) {
   const std::size_t bit = p.bit[0];
   const std::size_t low = bit - 1;
@@ -850,7 +827,7 @@ void n_oneq_general(const Prepared& p, cplx* data, std::size_t b,
   }
 }
 
-void n_twoq_general(const Prepared& p, cplx* data, std::size_t b,
+void n_twoq_general(const BoundKernel& p, cplx* data, std::size_t b,
                     std::size_t e) {
   const double* m = reinterpret_cast<const double*>(p.m);
   for (std::size_t g = b; g < e; ++g) {
@@ -948,7 +925,7 @@ std::size_t loop_count(KernelKind kind, std::size_t dim) {
   return 0;
 }
 
-void run_span(const Prepared& p, cplx* data, std::size_t dim,
+void run_span(const BoundKernel& p, cplx* data, std::size_t dim,
               const ApplyOptions& options) {
   const RangeFn fn = kernel_table(active_simd_isa()).fn[static_cast<int>(p.kind)];
   sliced(loop_count(p.kind, dim), dim, options,
@@ -967,13 +944,32 @@ void apply_operator(std::vector<cplx>& state, const Matrix& op,
 void apply_operator(std::vector<cplx>& state, const Matrix& op,
                     const std::vector<int>& qubits, const KernelPlan& plan,
                     const ApplyOptions& options) {
-  check_plan(plan, state.size(), op);
-  if (plan.kind == KernelKind::GenericK) {
-    apply_gate_inplace(state, op, qubits);
+  apply_bound(state, bind_kernel(plan, op, qubits), options);
+}
+
+BoundKernel bind_kernel(const KernelPlan& plan, const Matrix& op,
+                        const std::vector<int>& qubits) {
+  const std::size_t sub = std::size_t{1} << plan.k;
+  QC_CHECK_MSG(op.rows() == sub && op.cols() == sub,
+               "kernel plan was made for another operator shape");
+  if (plan.kind != KernelKind::GenericK) return bind(plan, op, nullptr);
+  BoundKernel bound;
+  bound.log2_dim = plan.log2_dim;
+  bound.k = plan.k;
+  bound.generic_op = &op;
+  bound.generic_qubits = &qubits;
+  return bound;
+}
+
+void apply_bound(std::vector<cplx>& state, const BoundKernel& bound,
+                 const ApplyOptions& options) {
+  QC_CHECK_MSG(state.size() == (std::size_t{1} << bound.log2_dim),
+               "kernel was bound for another span");
+  if (bound.kind == KernelKind::GenericK) {
+    apply_gate_inplace(state, *bound.generic_op, *bound.generic_qubits);
     return;
   }
-  const Prepared p = bind(plan, op, nullptr);
-  run_span(p, state.data(), state.size(), options);
+  run_span(bound, state.data(), state.size(), options);
 }
 
 void apply_cx(std::vector<cplx>& state, int control, int target,
@@ -1018,7 +1014,7 @@ void apply_diag1(std::vector<cplx>& state, cplx d0, cplx d1, int qubit,
   const std::size_t dim = state.size();
   QC_CHECK_MSG(std::has_single_bit(dim), "state size must be a power of two");
   QC_CHECK(qubit >= 0 && (std::size_t{1} << qubit) < dim);
-  Prepared p;
+  BoundKernel p;
   p.kind = KernelKind::OneQDiag;
   p.k = 1;
   p.q[0] = qubit;
@@ -1044,7 +1040,7 @@ void left_apply(Matrix& u, const Matrix& op, const std::vector<int>& qubits,
     left_apply_inplace(u, op, qubits);
     return;
   }
-  const Prepared p = bind(plan, op, nullptr);
+  const BoundKernel p = bind(plan, op, nullptr);
   cplx* data = u.data();
   const std::size_t span = dim * dim;
   const RowOps& ops = row_ops(active_simd_isa());
@@ -1152,7 +1148,7 @@ void right_apply_adjoint(Matrix& u, const Matrix& op,
   // rows are contiguous in the row-major layout, so this is the unit-stride
   // kernel.
   ConjEntries conj;
-  const Prepared p = bind(plan, op, &conj);
+  const BoundKernel p = bind(plan, op, &conj);
   const RangeFn fn = kernel_table(active_simd_isa()).fn[static_cast<int>(p.kind)];
   const std::size_t cnt = loop_count(p.kind, dim);
   cplx* data = u.data();
@@ -1188,7 +1184,7 @@ void right_apply_adjoint_accumulate(Matrix& accum, const Matrix& term,
     return;
   }
   ConjEntries conj;
-  const Prepared p = bind(plan, op, &conj);
+  const BoundKernel p = bind(plan, op, &conj);
   const RangeFn fn = kernel_table(active_simd_isa()).fn[static_cast<int>(p.kind)];
   const std::size_t cnt = loop_count(p.kind, dim);
   const cplx* src = term.data();

@@ -25,13 +25,18 @@
 //   FourQGeneral  gather -> vectorized mat-vec -> scatter
 //   GenericK      anything wider (k > 4) — delegated to the generic path
 //
-// Applying an operator is split in two. plan_kernel runs every argument
+// Applying an operator is split in three. plan_kernel runs every argument
 // check and the classification once and returns a KernelPlan: the kind, the
-// span it was checked for and the qubit geometry, but no matrix entries. A
-// planned call binds the plan to the operator's own entries for that call
-// only (by pointer; at most 16 diagonal entries or 4 phases are gathered),
-// so a compiled program plans each step and Kraus operator once and every
-// trajectory shot and density-matrix replay reuses the plan. The right-hand
+// span it was checked for and the qubit geometry, but no matrix entries.
+// bind_kernel binds a plan to the operator's own entries (by pointer; at most
+// 16 diagonal entries or 4 phases are gathered) and returns a BoundKernel;
+// apply_bound runs it on a state. A planned apply_operator is exactly
+// apply_bound(state, bind_kernel(plan, op, qubits)), binding for that call
+// only, so a compiled program plans each step and Kraus operator once and
+// every density-matrix replay reuses the plan; the trajectory shot tree also
+// binds each noise operator once and applies the binding for every branch it
+// takes. A binding lives no longer than its operator and is never cached
+// beside it: at 584 bytes it is too large to store per operator. The right-hand
 // applies u·embed(op†) read conj(op) from op's entries instead of taking a
 // stored adjoint: (op†)ᵀ = conj(op) has op's zero pattern and unit entries, so
 // op's plan serves both sides. The Matrix-only overloads are plan_kernel plus
@@ -211,6 +216,45 @@ void apply_operator(std::vector<cplx>& state, const Matrix& op,
 void apply_operator(std::vector<cplx>& state, const Matrix& op,
                     const std::vector<int>& qubits, const KernelPlan& plan,
                     const ApplyOptions& options = {});
+
+/// A plan bound to one operator's entries (bind_kernel): the plan's geometry
+/// widened to the kernels' index types, plus the entries. Dense kernels read
+/// `m`, which points at the operator's own row-major entries (or, for a
+/// right-hand apply, at a conjugated copy); diagonal entries and permutation
+/// phases are gathered. The operator, and for GenericK its qubit list, must
+/// outlive the binding. The anonymous unions leave `d` and `phase`
+/// unconstructed (std::complex would zero-fill them), so binding writes only
+/// what the kind reads. The fields belong to the kernels; callers only bind
+/// and apply.
+struct BoundKernel {
+  BoundKernel() {}
+  KernelKind kind = KernelKind::GenericK;
+  std::uint8_t log2_dim = 0;     // log2 of the span the plan was checked for
+  int k = 1;                     // number of gate qubits (1..4)
+  int q[4] = {0, 0, 0, 0};       // qubit positions in operator order
+  std::size_t bit[4];            // 1 << q[i]
+  int spos[4] = {0, 0, 0, 0};    // the same positions, sorted ascending
+  std::size_t offs[16];          // sub-index -> address offset within a coset
+  int lo_pos = 0, hi_pos = 0;    // sorted positions for 2q coset enumeration
+  const cplx* m = nullptr;       // dense entries, row-major (up to 16x16)
+  union { cplx d[16]; };         // diagonal entries (diagonal kinds)
+  int perm[4] = {0, 1, 2, 3};    // source sub-index per output row (2q perm)
+  union { cplx phase[4]; };      // the permutation's phases (2q perm)
+  bool pure_swap = false;        // one transposition, all phases exactly 1
+  int swap_a = 0, swap_b = 0;    // the transposed sub-indices
+  const Matrix* generic_op = nullptr;                // GenericK: the operator
+  const std::vector<int>* generic_qubits = nullptr;  // and its qubits
+};
+
+/// Binds a plan_kernel plan of `op` on `qubits` to op's entries. Throws
+/// common::Error when op's shape is not the plan's.
+BoundKernel bind_kernel(const KernelPlan& plan, const Matrix& op,
+                        const std::vector<int>& qubits);
+
+/// state := (bound operator) * state. Throws common::Error when the state is
+/// not the span the plan was made for; wide spans thread as apply_operator.
+void apply_bound(std::vector<cplx>& state, const BoundKernel& bound,
+                 const ApplyOptions& options = {});
 
 /// CX with no matrix in sight: swaps the target-flipped amplitude pairs in
 /// the control=1 half-space. Zero complex multiplies.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <deque>
 #include <limits>
+#include <map>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -72,10 +73,14 @@ CompiledCircuit compile_noisy_circuit(const ir::QuantumCircuit& circuit,
   compiled.readout = readout_slice(model, circuit.num_qubits());
   const std::size_t max_fuse = static_cast<std::size_t>(
       std::clamp(options.max_fuse_qubits, 0, 4));
-  for (const ir::Gate& g : circuit.gates()) {
-    if (g.kind == ir::GateKind::Measure || g.kind == ir::GateKind::Barrier) continue;
-    ++compiled.source_gates;
-    CompiledStep step{g.qubits, matrix_fn ? matrix_fn(g) : g.matrix(), {}};
+  const std::size_t dim = std::size_t{1} << compiled.num_qubits;
+  // The model's noise for a gate depends only on its qubits: ask once per
+  // distinct tuple, on first sight, and convert and plan each list once.
+  std::map<std::vector<int>, std::size_t> list_of;  // gate qubits -> list index
+  const auto noise_list = [&](const ir::Gate& g) {
+    const auto [it, fresh] = list_of.try_emplace(g.qubits, kNoNoise);
+    if (!fresh) return it->second;
+    std::vector<CompiledNoiseOp> list;
     for (noise::NoiseOp& op : model.ops_for_gate(g)) {
       // Crosstalk ops can touch spectator qubits outside the circuit's
       // register (device qubits the circuit never uses); those spectators
@@ -88,33 +93,41 @@ CompiledCircuit compile_noisy_circuit(const ir::QuantumCircuit& circuit,
       cop.qubits = op.qubits;
       cop.mixed_unitary = op.channel.mixed_unitary_form(cop.probs, cop.operators);
       if (!cop.mixed_unitary) cop.operators = op.channel.kraus();
-      step.noise.push_back(std::move(cop));
+      // Plans are per span: the same plan serves a state vector and a
+      // density matrix of this width.
+      cop.plans.reserve(cop.operators.size());
+      for (const linalg::Matrix& k : cop.operators)
+        cop.plans.push_back(linalg::plan_kernel(k, cop.qubits, dim));
+      list.push_back(std::move(cop));
     }
+    if (!list.empty()) {
+      it->second = compiled.noise_lists.size();
+      compiled.noise_lists.push_back(std::move(list));
+    }
+    return it->second;
+  };
+  for (const ir::Gate& g : circuit.gates()) {
+    if (g.kind == ir::GateKind::Measure || g.kind == ir::GateKind::Barrier) continue;
+    ++compiled.source_gates;
+    CompiledStep step{g.qubits, matrix_fn ? matrix_fn(g) : g.matrix(), noise_list(g)};
     // Fusion: a preceding step with no noise draws nothing from the RNG, so
     // folding it into this step preserves the shot-replay stream exactly.
     if (max_fuse > 0 && !compiled.steps.empty() &&
-        compiled.steps.back().noise.empty() &&
+        compiled.steps.back().noise == kNoNoise &&
         fuse_into(compiled.steps.back(), step.unitary, step.qubits, max_fuse)) {
-      compiled.steps.back().noise = std::move(step.noise);
+      compiled.steps.back().noise = step.noise;
       ++compiled.fused_gates;
       continue;
     }
     compiled.steps.push_back(std::move(step));
   }
   // Hoist what every replay would otherwise recompute: the kernel plan of
-  // each step unitary and noise operator, for the program's span (the same
-  // plan serves a state vector and a density matrix of this width).
-  const std::size_t dim = std::size_t{1} << compiled.num_qubits;
+  // each step unitary, for the program's span.
   for (CompiledStep& step : compiled.steps) {
     step.plan = linalg::plan_kernel(step.unitary, step.qubits, dim);
     compiled.kernel_counts.add(step.plan.kind);
     if (step.source_count > 1 && step.qubits.size() < compiled.fused_blocks_by_k.size())
       ++compiled.fused_blocks_by_k[step.qubits.size()];
-    for (CompiledNoiseOp& op : step.noise) {
-      op.plans.reserve(op.operators.size());
-      for (const linalg::Matrix& k : op.operators)
-        op.plans.push_back(linalg::plan_kernel(k, op.qubits, dim));
-    }
   }
   // Fusion effectiveness across the whole process; the per-run view lives in
   // RunRecord::{fused_gates, kernel_counts}.
@@ -123,6 +136,7 @@ CompiledCircuit compile_noisy_circuit(const ir::QuantumCircuit& circuit,
     obs::Counter& source{obs::counter("sim.compile.source_gates")};
     obs::Counter& fused{obs::counter("sim.compile.fused_gates")};
     obs::Counter& steps{obs::counter("sim.compile.steps")};
+    obs::Counter& noise_lists{obs::counter("sim.compile.noise_lists")};
     obs::Counter& blocks_k1{obs::counter("sim.compile.fused_blocks.k1")};
     obs::Counter& blocks_k2{obs::counter("sim.compile.fused_blocks.k2")};
     obs::Counter& blocks_k3{obs::counter("sim.compile.fused_blocks.k3")};
@@ -133,6 +147,7 @@ CompiledCircuit compile_noisy_circuit(const ir::QuantumCircuit& circuit,
   c.source.add(compiled.source_gates);
   c.fused.add(compiled.fused_gates);
   c.steps.add(compiled.steps.size());
+  c.noise_lists.add(compiled.noise_lists.size());
   c.blocks_k1.add(compiled.fused_blocks_by_k[1]);
   c.blocks_k2.add(compiled.fused_blocks_by_k[2]);
   c.blocks_k3.add(compiled.fused_blocks_by_k[3]);
@@ -142,6 +157,7 @@ CompiledCircuit compile_noisy_circuit(const ir::QuantumCircuit& circuit,
     span.arg("source_gates", compiled.source_gates);
     span.arg("fused_gates", compiled.fused_gates);
     span.arg("steps", compiled.steps.size());
+    span.arg("noise_lists", compiled.noise_lists.size());
   }
   return compiled;
 }
@@ -193,6 +209,21 @@ class ShotTree {
       rngs_.emplace_back(common::derive_stream_seed(seed, shot_begin + i));
       ids_.push_back(i);
     }
+    // Bind every noise operator and sum every mixed-unitary weight vector
+    // once for the whole tree; branch draws and applications reuse them.
+    std::size_t operators = 0;
+    for (const std::vector<CompiledNoiseOp>& list : compiled.noise_lists)
+      for (const CompiledNoiseOp& op : list) operators += op.operators.size();
+    bound_.reserve(operators);
+    for (const std::vector<CompiledNoiseOp>& list : compiled.noise_lists) {
+      std::vector<BoundOp>& ops = bound_ops_.emplace_back();
+      for (const CompiledNoiseOp& op : list) {
+        ops.push_back({bound_.size(),
+                       op.mixed_unitary ? common::Rng::discrete_total(op.probs) : 0.0});
+        for (std::size_t i = 0; i < op.operators.size(); ++i)
+          bound_.push_back(linalg::bind_kernel(op.plans[i], op.operators[i], op.qubits));
+      }
+    }
   }
 
   void run() {
@@ -206,6 +237,12 @@ class ShotTree {
   std::size_t leaves() const { return leaves_; }
 
  private:
+  /// One noise op of the program as this tree applies it.
+  struct BoundOp {
+    std::size_t first;  // its operators' bindings: bound_[first, first + count)
+    double total;       // mixed unitary: the checked sum of its weights
+  };
+
   /// Evolves the group ids_[lo, hi) on states_[depth] from noise op `op` of
   /// step `step` (op 0: the step's unitary first) to the end of the program,
   /// then samples its shots.
@@ -215,13 +252,17 @@ class ShotTree {
     for (; step < compiled_.steps.size(); ++step, op = 0) {
       const CompiledStep& s = compiled_.steps[step];
       if (op == 0) state.apply_matrix(s.unitary, s.qubits, s.plan);
-      for (; op < s.noise.size(); ++op) {
-        const CompiledNoiseOp& nop = s.noise[op];
+      if (s.noise == kNoNoise) continue;
+      const std::vector<CompiledNoiseOp>& list = compiled_.noise_lists[s.noise];
+      for (; op < list.size(); ++op) {
+        const CompiledNoiseOp& nop = list[op];
+        const BoundOp& bop = bound_ops_[s.noise][op];
+        double total = bop.total;
         const std::vector<double>& weights =
-            nop.mixed_unitary ? nop.probs : born_weights(state, nop);
+            nop.mixed_unitary ? nop.probs : born_weights(state, nop, bop, total);
         bool split = false;
         for (std::size_t i = lo; i < hi; ++i) {
-          picks_[ids_[i]] = rngs_[ids_[i]].discrete(weights);
+          picks_[ids_[i]] = rngs_[ids_[i]].discrete(weights, total);
           split = split || picks_[ids_[i]] != picks_[ids_[lo]];
         }
         if (split) {
@@ -246,14 +287,14 @@ class ShotTree {
             if (a == keep_lo) continue;
             StateVector& child = states_[depth + 1];
             child = state;
-            apply_branch(child, nop, picks_[ids_[a]]);
+            apply_branch(child, nop, bop, picks_[ids_[a]]);
             evolve(a, b, depth + 1, step, op + 1);
             if (stopped_) return;
           }
           lo = keep_lo;
           hi = keep_hi;
         }
-        apply_branch(state, nop, picks_[ids_[lo]]);
+        apply_branch(state, nop, bop, picks_[ids_[lo]]);
       }
     }
     sample_leaf(state, lo, hi);
@@ -267,21 +308,24 @@ class ShotTree {
   }
 
   /// Born weights p_i = ||K_i psi||^2, evaluated on the single branch scratch
-  /// instead of materializing every branch.
+  /// instead of materializing every branch, and their checked sum (once for
+  /// the whole group) in `total`.
   const std::vector<double>& born_weights(const StateVector& state,
-                                          const CompiledNoiseOp& op) {
+                                          const CompiledNoiseOp& op,
+                                          const BoundOp& bop, double& total) {
     weights_.resize(op.operators.size());
     for (std::size_t i = 0; i < op.operators.size(); ++i) {
       branch_ = state;
-      branch_.apply_matrix(op.operators[i], op.qubits, op.plans[i]);
+      branch_.apply_bound(bound_[bop.first + i]);
       weights_[i] = branch_.norm_squared();
     }
+    total = common::Rng::discrete_total(weights_);
     return weights_;
   }
 
-  static void apply_branch(StateVector& state, const CompiledNoiseOp& op,
-                           std::size_t pick) {
-    state.apply_matrix(op.operators[pick], op.qubits, op.plans[pick]);
+  void apply_branch(StateVector& state, const CompiledNoiseOp& op,
+                    const BoundOp& bop, std::size_t pick) const {
+    state.apply_bound(bound_[bop.first + pick]);
     if (!op.mixed_unitary) state.normalize();
   }
 
@@ -313,6 +357,8 @@ class ShotTree {
   }
 
   const CompiledCircuit& compiled_;
+  std::vector<linalg::BoundKernel> bound_;         // every noise operator, bound once
+  std::vector<std::vector<BoundOp>> bound_ops_;    // per noise list, per op
   std::size_t shot_begin_;
   std::uint64_t seed_;
   std::vector<common::Rng> rngs_;    // per shot, indexed by shot - shot_begin
@@ -368,7 +414,7 @@ std::vector<double> density_matrix_probabilities(const CompiledCircuit& compiled
   for (const CompiledStep& step : compiled.steps) {
     if (poller.should_stop()) break;
     rho.apply_unitary(step.unitary, step.plan, step.qubits);
-    for (const CompiledNoiseOp& op : step.noise)
+    for (const CompiledNoiseOp& op : compiled.noise(step))
       rho.apply_kraus(op.operators, op.plans,
                       op.mixed_unitary ? &op.probs : nullptr, op.qubits);
   }
@@ -385,7 +431,7 @@ std::vector<double> statevector_probabilities(const CompiledCircuit& compiled,
   StateVector state(compiled.num_qubits);
   common::StopPoller poller(deadline, /*stride=*/1);
   for (const CompiledStep& step : compiled.steps) {
-    QC_CHECK_MSG(step.noise.empty(),
+    QC_CHECK_MSG(step.noise == kNoNoise,
                  "statevector_probabilities requires a noise-free program");
     if (poller.should_stop()) break;
     state.apply_matrix(step.unitary, step.qubits, step.plan);

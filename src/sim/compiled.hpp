@@ -7,15 +7,21 @@
 //    model's error channels to concrete qubits, precompute mixed-unitary
 //    decompositions, and plan every step unitary and noise operator once
 //    (linalg::plan_kernel: checks, kernel class, qubit geometry). Identical
-//    for every shot. No adjoints are stored: the density-matrix engine's right
-//    conjugation reads conj(op) from each operator's own entries under the
-//    same plan.
-//  * evolve  — per shot range: a depth-first shot tree. All shots of the
-//    range start on one shared state and each draws its noise branches from
-//    its own RNG stream; at a noise op the group splits by the branch each
-//    shot picked. Every distinct branch history is therefore evolved once and
-//    sampled by all of its shots, and each shot draws exactly what a lone
-//    replay of it would, on a bit-identical state.
+//    for every shot. A gate's noise depends only on its qubits, so the
+//    program holds one noise list per distinct gate-qubit tuple (a 3-qubit
+//    program has at most 9) and each step indexes its list: the model is
+//    asked once per tuple, not once per gate. No adjoints are stored: the
+//    density-matrix engine's right conjugation reads conj(op) from each
+//    operator's own entries under the same plan.
+//  * evolve  — per shot range: a depth-first shot tree. The tree first binds
+//    every operator of the program's noise lists to its plan
+//    (linalg::bind_kernel) and sums each mixed-unitary weight vector, once,
+//    in its own scratch. All shots of the range start on one shared state
+//    and each draws its noise branches from its own RNG stream; at a noise op
+//    the group splits by the branch each shot picked. Every distinct branch
+//    history is therefore evolved once and sampled by all of its shots, and
+//    each shot draws exactly what a lone replay of it would, on a
+//    bit-identical state.
 //
 // The execution engine (src/exec) caches CompiledCircuit programs per
 // (transpiled circuit, noise model) and fans evolve out across threads with
@@ -30,6 +36,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "common/deadline.hpp"
@@ -52,12 +59,15 @@ struct CompiledNoiseOp {
   std::vector<linalg::KernelPlan> plans;  // one per operator, for the span
 };
 
+/// CompiledStep::noise of a step that no noise follows.
+inline constexpr std::size_t kNoNoise = static_cast<std::size_t>(-1);
+
 /// One gate application plus the noise that follows it. After fusion a step's
 /// unitary may be the product of several adjacent source gates.
 struct CompiledStep {
   std::vector<int> qubits;
   linalg::Matrix unitary;
-  std::vector<CompiledNoiseOp> noise;
+  std::size_t noise = kNoNoise;    // index into CompiledCircuit::noise_lists
   linalg::KernelPlan plan = {};    // kernel class and geometry of `unitary`
   std::size_t source_count = 1;    // source gates folded into this step
 };
@@ -71,11 +81,20 @@ using FusedBlocksByK = std::array<std::size_t, 5>;
 struct CompiledCircuit {
   int num_qubits = 0;
   std::vector<CompiledStep> steps;
+  /// The distinct non-empty noise lists of the program, one per gate-qubit
+  /// tuple, in order of first occurrence; steps refer to them by index.
+  std::vector<std::vector<CompiledNoiseOp>> noise_lists;
   std::vector<noise::ReadoutError> readout;  // sliced to the circuit's width
   std::size_t source_gates = 0;  // unitary gates before fusion
   std::size_t fused_gates = 0;   // gates merged into a neighbouring step
   FusedBlocksByK fused_blocks_by_k{};  // fused steps by final arity
   linalg::KernelCounts kernel_counts;  // dispatch classes of the final steps
+
+  /// The noise that follows `step` (empty for kNoNoise).
+  std::span<const CompiledNoiseOp> noise(const CompiledStep& step) const {
+    if (step.noise == kNoNoise) return {};
+    return noise_lists[step.noise];
+  }
 };
 
 /// Gate-matrix provider hook: lets the execution engine serve matrices from

@@ -76,6 +76,10 @@ void StateVector::apply_matrix(const linalg::Matrix& op, const std::vector<int>&
   linalg::apply_operator(amps_, op, qubits, plan);
 }
 
+void StateVector::apply_bound(const linalg::BoundKernel& bound) {
+  linalg::apply_bound(amps_, bound);
+}
+
 void StateVector::reset() {
   std::fill(amps_.begin(), amps_.end(), cplx{0.0, 0.0});
   amps_[0] = cplx{1.0, 0.0};

@@ -38,6 +38,9 @@ class StateVector {
   /// compiled program's replays skip the checks and classification.
   void apply_matrix(const linalg::Matrix& op, const std::vector<int>& qubits,
                     const linalg::KernelPlan& plan);
+  /// The same with the plan already bound to op (linalg::bind_kernel), so a
+  /// trajectory shot tree binds each noise operator once per run.
+  void apply_bound(const linalg::BoundKernel& bound);
 
   /// Back to |0...0> without reallocating; lets trajectory loops reuse one
   /// amplitude buffer across shots.

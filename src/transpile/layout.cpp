@@ -11,15 +11,56 @@ namespace qc::transpile {
 
 namespace {
 
-/// Interaction weights: how many two-qubit gates each virtual pair has.
-std::map<std::pair<int, int>, int> interaction_graph(const ir::QuantumCircuit& circuit) {
+/// What the layout cost reads of a circuit and a device, apart from the
+/// layout itself, built once so noise_aware_layout does not rebuild it for
+/// every candidate.
+struct CostInputs {
+  /// Interaction weights: how many two-qubit gates each virtual pair has,
+  /// in ascending pair order.
+  std::vector<std::pair<std::pair<int, int>, int>> interactions;
+  /// Device-average CX error, charged per hop of an uncoupled pair (unused,
+  /// and 0, on a device without edges: no pair is coupled there, and the
+  /// disconnected-placement check throws first).
+  double average_cx_error = 0.0;
+  int num_qubits = 0;
+};
+
+CostInputs cost_inputs(const ir::QuantumCircuit& circuit,
+                       const noise::DeviceProperties& device) {
   std::map<std::pair<int, int>, int> w;
   for (const ir::Gate& g : circuit.gates()) {
     if (!ir::gate_is_unitary(g.kind) || g.qubits.size() != 2) continue;
     auto key = std::minmax(g.qubits[0], g.qubits[1]);
     ++w[{key.first, key.second}];
   }
-  return w;
+  CostInputs in;
+  in.interactions.assign(w.begin(), w.end());
+  if (!device.cx_error.empty()) in.average_cx_error = device.average_cx_error();
+  in.num_qubits = circuit.num_qubits();
+  return in;
+}
+
+double cost_of(const CostInputs& in, const noise::DeviceProperties& device,
+               const Layout& layout) {
+  QC_CHECK(layout.size() == static_cast<std::size_t>(in.num_qubits));
+  const auto& coupling = device.coupling;
+  double cost = 0.0;
+  for (const auto& [pair, count] : in.interactions) {
+    const int pa = layout[pair.first];
+    const int pb = layout[pair.second];
+    if (coupling.are_coupled(pa, pb)) {
+      cost += count * device.cx_error_for(pa, pb);
+    } else {
+      // Each missing hop costs a SWAP (3 CX) on the cheapest path; charge a
+      // pessimistic estimate using the device-average error.
+      const int dist = coupling.distance(pa, pb);
+      QC_CHECK_MSG(dist > 0, "layout places interacting qubits in disconnected parts");
+      cost += count * (3.0 * (dist - 1) + 1.0) * in.average_cx_error;
+    }
+  }
+  // Readout error on every measured (i.e. every) virtual qubit.
+  for (int v = 0; v < in.num_qubits; ++v) cost += device.readout[layout[v]].average();
+  return cost;
 }
 
 }  // namespace
@@ -35,28 +76,7 @@ Layout trivial_layout(const ir::QuantumCircuit& circuit,
 
 double layout_cost(const ir::QuantumCircuit& circuit,
                    const noise::DeviceProperties& device, const Layout& layout) {
-  QC_CHECK(layout.size() == static_cast<std::size_t>(circuit.num_qubits()));
-  const auto interactions = interaction_graph(circuit);
-  const auto& coupling = device.coupling;
-
-  double cost = 0.0;
-  for (const auto& [pair, count] : interactions) {
-    const int pa = layout[pair.first];
-    const int pb = layout[pair.second];
-    if (coupling.are_coupled(pa, pb)) {
-      cost += count * device.cx_error_for(pa, pb);
-    } else {
-      // Each missing hop costs a SWAP (3 CX) on the cheapest path; charge a
-      // pessimistic estimate using the device-average error.
-      const int dist = coupling.distance(pa, pb);
-      QC_CHECK_MSG(dist > 0, "layout places interacting qubits in disconnected parts");
-      cost += count * (3.0 * (dist - 1) + 1.0) * device.average_cx_error();
-    }
-  }
-  // Readout error on every measured (i.e. every) virtual qubit.
-  for (int v = 0; v < circuit.num_qubits(); ++v)
-    cost += device.readout[layout[v]].average();
-  return cost;
+  return cost_of(cost_inputs(circuit, device), device, layout);
 }
 
 Layout noise_aware_layout(const ir::QuantumCircuit& circuit,
@@ -69,6 +89,7 @@ Layout noise_aware_layout(const ir::QuantumCircuit& circuit,
   const auto subsets = device.coupling.connected_subsets(n);
   QC_CHECK_MSG(!subsets.empty(), "device has no connected subset of the needed size");
 
+  const CostInputs inputs = cost_inputs(circuit, device);
   Layout best;
   double best_cost = 0.0;
   std::size_t tried = 0;
@@ -78,7 +99,7 @@ Layout noise_aware_layout(const ir::QuantumCircuit& circuit,
     std::sort(perm.begin(), perm.end());
     do {
       if (tried++ >= max_candidates) break;
-      const double cost = layout_cost(circuit, device, perm);
+      const double cost = cost_of(inputs, device, perm);
       if (best.empty() || cost < best_cost) {
         best = perm;
         best_cost = cost;

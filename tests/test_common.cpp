@@ -93,6 +93,26 @@ TEST(Rng, DiscreteRejectsBadWeights) {
   EXPECT_THROW(rng.discrete({1.0, -0.5}), Error);
 }
 
+TEST(Rng, PresummedDiscreteDrawsTheSameIndices) {
+  // Callers that draw many times from one weight vector sum it once; the
+  // draws must not change.
+  const std::vector<std::vector<double>> weights = {
+      {1.0},
+      {0.25, 0.75},
+      {1.0, 3.0, 0.0, 6.0},
+      {0.0, 0.0, 1e-300, 2.5},
+      {0.97, 0.01, 0.01, 0.01, 1e-17, 0.1 / 3.0, 0.2 / 7.0},
+  };
+  for (const auto& w : weights) {
+    const double total = Rng::discrete_total(w);
+    Rng a(99), b(99);
+    for (int i = 0; i < 5000; ++i) ASSERT_EQ(a.discrete(w), b.discrete(w, total));
+  }
+  EXPECT_THROW(Rng::discrete_total({}), Error);
+  EXPECT_THROW(Rng::discrete_total({0.0, 0.0}), Error);
+  EXPECT_THROW(Rng::discrete_total({1.0, -0.5}), Error);
+}
+
 TEST(Rng, SplitStreamsAreIndependentAndDeterministic) {
   Rng parent(123);
   Rng c1 = parent.split(1);

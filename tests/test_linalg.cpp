@@ -617,6 +617,40 @@ TEST(Kernels, PlannedApplyOperatorIsBitIdenticalToUnplanned) {
   }
 }
 
+TEST(Kernels, OneBindingServesManyStates) {
+  // A trajectory shot tree binds each noise operator once and applies the
+  // binding to every branch state; that must equal a planned call per state.
+  common::Rng rng(73);
+  const ApplyOptions serial{};
+  const ApplyOptions threaded{2};
+  for (const Matrix& op : plan_test::operators_of_every_kind(rng)) {
+    const int k = plan_test::qubits_of(op);
+    for (int n = k; n <= 6; ++n) {
+      const auto qs = kernel_test::distinct_qubits(n, k, rng);
+      const KernelPlan plan = plan_kernel(op, qs, std::size_t{1} << n);
+      const BoundKernel bound = bind_kernel(plan, op, qs);
+      for (int trial = 0; trial < 3; ++trial) {
+        const auto state = kernel_test::random_state(n, rng);
+        for (const ApplyOptions& opts : {serial, threaded}) {
+          std::vector<cplx> reused = state;
+          apply_bound(reused, bound, opts);
+          std::vector<cplx> planned = state;
+          apply_operator(planned, op, qs, plan, opts);
+          ASSERT_TRUE(plan_test::same_bytes(reused, planned))
+              << kernel_kind_name(plan.kind) << " n=" << n;
+        }
+      }
+      // The binding keeps the plan's span check.
+      auto wider = kernel_test::random_state(n + 1, rng);
+      EXPECT_THROW(apply_bound(wider, bound), common::Error);
+    }
+  }
+  // Binding checks the operator's shape against the plan.
+  const Matrix op = random_unitary(4, rng);
+  const KernelPlan plan = plan_kernel(op, {0, 2}, 8);
+  EXPECT_THROW(bind_kernel(plan, random_unitary(2, rng), {0}), common::Error);
+}
+
 TEST(Kernels, PlannedMatrixAppliesAreBitIdenticalToExplicitAdjoints) {
   // left_apply with a plan vs without; the in-place conjugate right applies
   // vs the Matrix-only ones handed an explicit op.adjoint().

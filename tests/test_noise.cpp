@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "linalg/factories.hpp"
@@ -272,6 +275,51 @@ TEST(NoiseModel, UniformCxErrorOverride) {
   EXPECT_NEAR(m.cx_error(3, 4), 0.12, 1e-12);
   const NoiseModel scaled = simulator_noise_model(d).with_cx_error_scale(2.0);
   EXPECT_NEAR(scaled.cx_error(0, 1), 2.0 * d.cx_error_for(0, 1), 1e-12);
+}
+
+TEST(NoiseModel, OpsDependOnlyOnGateQubits) {
+  // Compiled programs ask the model once per distinct qubit tuple and share
+  // the answer across gates, so the ops may not depend on kind or params.
+  const auto same_ops = [](const std::vector<NoiseOp>& a, const std::vector<NoiseOp>& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      if (a[i].qubits != b[i].qubits) return false;
+      const auto& ka = a[i].channel.kraus();
+      const auto& kb = b[i].channel.kraus();
+      if (ka.size() != kb.size()) return false;
+      for (std::size_t k = 0; k < ka.size(); ++k)
+        if (ka[k].rows() != kb[k].rows() ||
+            std::memcmp(ka[k].data(), kb[k].data(),
+                        ka[k].rows() * ka[k].cols() * sizeof(cplx)) != 0)
+          return false;
+    }
+    return true;
+  };
+  using ir::Gate;
+  using ir::GateKind;
+  for (const char* name : {"ourense", "manhattan"}) {
+    const DeviceProperties d = device_by_name(name);
+    for (const NoiseModel& m : {simulator_noise_model(d), hardware_noise_model(d)}) {
+      for (int q : {0, 1, 3}) {
+        SCOPED_TRACE(::testing::Message() << name << " qubit " << q);
+        const auto ref = m.ops_for_gate(Gate(GateKind::U3, {q}, {0.1, 0.2, 0.3}));
+        EXPECT_FALSE(ref.empty());
+        EXPECT_TRUE(same_ops(ref, m.ops_for_gate(Gate(GateKind::U3, {q}, {2.0, -1.0, 0.5}))));
+        EXPECT_TRUE(same_ops(ref, m.ops_for_gate(Gate(GateKind::X, {q}))));
+        EXPECT_TRUE(same_ops(ref, m.ops_for_gate(Gate(GateKind::RZ, {q}, {0.7}))));
+        EXPECT_TRUE(same_ops(ref, m.ops_for_gate(Gate(GateKind::H, {q}))));
+      }
+      for (const auto& [a, b] : std::vector<std::pair<int, int>>{{0, 1}, {1, 0}, {1, 2}}) {
+        SCOPED_TRACE(::testing::Message() << name << " pair " << a << "," << b);
+        const auto ref = m.ops_for_gate(Gate(GateKind::CX, {a, b}));
+        EXPECT_FALSE(ref.empty());
+        EXPECT_TRUE(same_ops(ref, m.ops_for_gate(Gate(GateKind::CZ, {a, b}))));
+        EXPECT_TRUE(same_ops(ref, m.ops_for_gate(Gate(GateKind::SWAP, {a, b}))));
+        EXPECT_TRUE(same_ops(ref, m.ops_for_gate(Gate(GateKind::RZZ, {a, b}, {0.4}))));
+        EXPECT_TRUE(same_ops(ref, m.ops_for_gate(Gate(GateKind::CP, {a, b}, {1.3}))));
+      }
+    }
+  }
 }
 
 TEST(NoiseModel, RejectsWideGates) {

@@ -15,6 +15,7 @@
 #include "common/faults.hpp"
 #include "common/rng.hpp"
 #include "ir/circuit.hpp"
+#include "linalg/embed.hpp"
 #include "linalg/factories.hpp"
 #include "linalg/kernels.hpp"
 #include "metrics/distribution.hpp"
@@ -209,7 +210,7 @@ TEST(Compiled, TrajectoryConvergesToDensityMatrix) {
     // gate's step.
     bool kraus = false, crosstalk = false;
     for (const auto& step : compiled.steps) {
-      for (const auto& op : step.noise) {
+      for (const auto& op : compiled.noise(step)) {
         kraus = kraus || !op.mixed_unitary;
         for (int q : op.qubits)
           if (std::find(step.qubits.begin(), step.qubits.end(), q) == step.qubits.end())
@@ -418,7 +419,7 @@ std::vector<double> adjoint_reference_probabilities(const CompiledCircuit& compi
   AdjointReferenceDensityMatrix rho(compiled.num_qubits);
   for (const CompiledStep& step : compiled.steps) {
     rho.apply_unitary(step.unitary, step.unitary.adjoint(), step.qubits);
-    for (const CompiledNoiseOp& op : step.noise) {
+    for (const CompiledNoiseOp& op : compiled.noise(step)) {
       std::vector<linalg::Matrix> adjoints;
       for (const linalg::Matrix& k : op.operators) adjoints.push_back(k.adjoint());
       rho.apply_kraus(op.operators, adjoints, op.mixed_unitary ? &op.probs : nullptr,
@@ -515,7 +516,7 @@ std::uint64_t run_trajectory_shot(const CompiledCircuit& compiled, common::Rng& 
   state.reset();
   for (const CompiledStep& step : compiled.steps) {
     state.apply_matrix(step.unitary, step.qubits);
-    for (const CompiledNoiseOp& op : step.noise) {
+    for (const CompiledNoiseOp& op : compiled.noise(step)) {
       if (op.mixed_unitary) {
         // Branch weights are state independent: sample, apply one unitary.
         const std::size_t pick = rng.discrete(op.probs);
@@ -598,6 +599,181 @@ TEST(Compiled, ShotTreeMatchesPerShotOracle) {
   }
   // The sweep must exercise real splits, not only single-leaf trees.
   EXPECT_GT(split_runs, 0u);
+}
+
+// ---- per-gate compile reference ---------------------------------------------
+//
+// compile_noisy_circuit as it was before noise lists were interned: the model
+// is asked for the noise of every gate, and every step owns a converted,
+// planned copy of it. Kept as the oracle the interned program must match bit
+// for bit.
+
+struct ReferenceProgram {
+  std::vector<CompiledStep> steps;                   // `noise` unused
+  std::vector<std::vector<CompiledNoiseOp>> noise;  // per step
+  std::size_t fused_gates = 0;
+};
+
+/// Folds `u` on `qubits` into `prev` (prev runs first) when they share a qubit
+/// and their union stays within `max_qubits`.
+bool reference_fuse_into(CompiledStep& prev, const linalg::Matrix& u,
+                         const std::vector<int>& qubits, std::size_t max_qubits) {
+  std::vector<int> merged = prev.qubits;
+  bool overlap = false;
+  for (int q : qubits) {
+    if (std::find(merged.begin(), merged.end(), q) != merged.end())
+      overlap = true;
+    else
+      merged.push_back(q);
+  }
+  if (!overlap || merged.size() > max_qubits) return false;
+  std::sort(merged.begin(), merged.end());
+  const auto positions = [&merged](const std::vector<int>& qs) {
+    std::vector<int> out;
+    for (int q : qs)
+      out.push_back(static_cast<int>(
+          std::find(merged.begin(), merged.end(), q) - merged.begin()));
+    return out;
+  };
+  const int k = static_cast<int>(merged.size());
+  prev.unitary = linalg::embed(u, positions(qubits), k) *
+                 linalg::embed(prev.unitary, positions(prev.qubits), k);
+  prev.qubits = std::move(merged);
+  ++prev.source_count;
+  return true;
+}
+
+ReferenceProgram per_gate_reference(const ir::QuantumCircuit& circuit,
+                                    const noise::NoiseModel& model,
+                                    int max_fuse_qubits) {
+  ReferenceProgram ref;
+  const std::size_t max_fuse =
+      static_cast<std::size_t>(std::clamp(max_fuse_qubits, 0, 4));
+  for (const ir::Gate& g : circuit.gates()) {
+    if (g.kind == ir::GateKind::Measure || g.kind == ir::GateKind::Barrier) continue;
+    CompiledStep step{g.qubits, g.matrix()};
+    std::vector<CompiledNoiseOp> noise;
+    for (noise::NoiseOp& op : model.ops_for_gate(g)) {
+      bool in_range = true;
+      for (int q : op.qubits)
+        if (q >= circuit.num_qubits()) in_range = false;
+      if (!in_range) continue;
+      CompiledNoiseOp cop;
+      cop.qubits = op.qubits;
+      cop.mixed_unitary = op.channel.mixed_unitary_form(cop.probs, cop.operators);
+      if (!cop.mixed_unitary) cop.operators = op.channel.kraus();
+      noise.push_back(std::move(cop));
+    }
+    if (max_fuse > 0 && !ref.steps.empty() && ref.noise.back().empty() &&
+        reference_fuse_into(ref.steps.back(), step.unitary, step.qubits, max_fuse)) {
+      ref.noise.back() = std::move(noise);
+      ++ref.fused_gates;
+      continue;
+    }
+    ref.steps.push_back(std::move(step));
+    ref.noise.push_back(std::move(noise));
+  }
+  const std::size_t dim = std::size_t{1} << circuit.num_qubits();
+  for (std::size_t i = 0; i < ref.steps.size(); ++i) {
+    CompiledStep& step = ref.steps[i];
+    step.plan = linalg::plan_kernel(step.unitary, step.qubits, dim);
+    for (CompiledNoiseOp& op : ref.noise[i])
+      for (const linalg::Matrix& k : op.operators)
+        op.plans.push_back(linalg::plan_kernel(k, op.qubits, dim));
+  }
+  return ref;
+}
+
+template <typename T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+bool same_bits(const linalg::Matrix& a, const linalg::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.rows() * a.cols() * sizeof(cplx)) == 0;
+}
+
+/// Asserts that `compiled` is `ref` with its noise interned: the same steps,
+/// and every step's noise list bit-identical to the step's own copy.
+void expect_matches_reference(const CompiledCircuit& compiled,
+                              const ReferenceProgram& ref) {
+  ASSERT_EQ(compiled.steps.size(), ref.steps.size());
+  EXPECT_EQ(compiled.fused_gates, ref.fused_gates);
+  for (std::size_t i = 0; i < ref.steps.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "step " << i);
+    const CompiledStep& step = compiled.steps[i];
+    EXPECT_EQ(step.qubits, ref.steps[i].qubits);
+    EXPECT_EQ(step.source_count, ref.steps[i].source_count);
+    EXPECT_TRUE(same_bits(step.unitary, ref.steps[i].unitary));
+    EXPECT_EQ(std::memcmp(&step.plan, &ref.steps[i].plan, sizeof step.plan), 0);
+    const auto noise = compiled.noise(step);
+    EXPECT_EQ(step.noise == kNoNoise, ref.noise[i].empty());
+    ASSERT_EQ(noise.size(), ref.noise[i].size());
+    for (std::size_t j = 0; j < noise.size(); ++j) {
+      const CompiledNoiseOp& got = noise[j];
+      const CompiledNoiseOp& want = ref.noise[i][j];
+      EXPECT_EQ(got.qubits, want.qubits);
+      EXPECT_EQ(got.mixed_unitary, want.mixed_unitary);
+      EXPECT_TRUE(same_bits(got.probs, want.probs));
+      ASSERT_EQ(got.operators.size(), want.operators.size());
+      for (std::size_t k = 0; k < want.operators.size(); ++k)
+        EXPECT_TRUE(same_bits(got.operators[k], want.operators[k]));
+      EXPECT_TRUE(same_bits(got.plans, want.plans));
+    }
+  }
+}
+
+TEST(Compiled, InternedNoiseMatchesPerGateReference) {
+  const auto rome = noise::device_by_name("rome");
+  const std::vector<std::pair<const char*, noise::NoiseModel>> models = {
+      {"rome simulator", noise::simulator_noise_model(rome)},
+      {"rome hardware", noise::hardware_noise_model(rome)},
+      {"ideal", noise::NoiseModel::ideal(5)},
+  };
+  common::Rng rng(53);
+  for (int n = 1; n <= 5; ++n) {
+    const auto qc = random_basis_circuit(n, 8 * n, rng);
+    for (const auto& [name, model] : models) {
+      for (const int max_fuse : {0, 4}) {
+        SCOPED_TRACE(::testing::Message() << n << " qubits, " << name
+                                          << " model, max_fuse_qubits " << max_fuse);
+        const auto compiled = compile_noisy_circuit(qc, model, {}, {max_fuse});
+        expect_matches_reference(compiled, per_gate_reference(qc, model, max_fuse));
+        // One list per distinct gate-qubit tuple that carries noise, each used.
+        std::vector<std::vector<int>> tuples;
+        for (const ir::Gate& g : qc.gates())
+          if (std::find(tuples.begin(), tuples.end(), g.qubits) == tuples.end())
+            tuples.push_back(g.qubits);
+        EXPECT_LE(compiled.noise_lists.size(), tuples.size());
+        std::vector<bool> used(compiled.noise_lists.size(), false);
+        for (const CompiledStep& step : compiled.steps)
+          if (step.noise != kNoNoise) used.at(step.noise) = true;
+        EXPECT_EQ(std::count(used.begin(), used.end(), false), 0);
+      }
+    }
+  }
+}
+
+TEST(Compiled, InternedNoiseDropsSpectatorsBeyondTheRegister) {
+  // Manhattan's hardware model puts ZZ crosstalk on every idle neighbour of a
+  // CX; a 3-qubit register leaves some neighbours outside it.
+  const auto model = noise::hardware_noise_model(noise::device_by_name("manhattan"));
+  ir::QuantumCircuit qc(3);
+  qc.cx(0, 1).u3(0.3, 0.2, 0.1, 2).cx(1, 2).cx(0, 1).u3(0.5, 0.4, 0.3, 0).cx(2, 1);
+  bool spectator_beyond = false;
+  for (const ir::Gate& g : qc.gates())
+    for (const noise::NoiseOp& op : model.ops_for_gate(g))
+      for (int q : op.qubits) spectator_beyond = spectator_beyond || q >= qc.num_qubits();
+  ASSERT_TRUE(spectator_beyond);
+  for (const int max_fuse : {0, 4}) {
+    SCOPED_TRACE(::testing::Message() << "max_fuse_qubits " << max_fuse);
+    const auto compiled = compile_noisy_circuit(qc, model, {}, {max_fuse});
+    expect_matches_reference(compiled, per_gate_reference(qc, model, max_fuse));
+    // Six gates on five distinct qubit tuples: (1, 2) and (2, 1) differ.
+    EXPECT_EQ(compiled.noise_lists.size(), 5u);
+  }
 }
 
 TEST(Compiled, NanFaultFailsExactlyTheRangesWithAFaultedShot) {

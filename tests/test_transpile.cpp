@@ -2,6 +2,7 @@
 // routing, peephole, pipelines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -226,6 +227,47 @@ TEST(Layout, CostChargesRoutingForUncoupledPairs) {
   const double near_cost = layout_cost(qc, device, {0, 1});
   const double far_cost = layout_cost(qc, device, {0, 4});
   EXPECT_GT(far_cost, near_cost);
+}
+
+TEST(Layout, NoiseAwareIsTheFirstArgminOfLayoutCost) {
+  // The reference search: every permutation of every connected subset, in
+  // enumeration order, scored by the public layout_cost; first strict minimum.
+  const auto reference = [](const QuantumCircuit& qc, const noise::DeviceProperties& device,
+                            std::size_t max_candidates) {
+    Layout best;
+    double best_cost = 0.0;
+    std::size_t tried = 0;
+    for (const auto& subset : device.coupling.connected_subsets(qc.num_qubits())) {
+      std::vector<int> perm = subset;
+      std::sort(perm.begin(), perm.end());
+      do {
+        if (tried++ >= max_candidates) break;
+        const double cost = layout_cost(qc, device, perm);
+        if (best.empty() || cost < best_cost) {
+          best = perm;
+          best_cost = cost;
+        }
+      } while (std::next_permutation(perm.begin(), perm.end()));
+      if (tried >= max_candidates) break;
+    }
+    return best;
+  };
+  common::Rng rng(7);
+  for (const char* name : {"ourense", "toronto", "manhattan"}) {
+    const auto device = noise::device_by_name(name);
+    for (int n = 2; n <= 4; ++n) {
+      QuantumCircuit qc(n);
+      for (int i = 0; i < 4 * n; ++i) {
+        const int a = static_cast<int>(rng.uniform_int(n));
+        const int b = (a + 1 + static_cast<int>(rng.uniform_int(n - 1))) % n;
+        qc.cx(a, b).u3(0.1 * i, 0.2, 0.3, a);
+      }
+      for (const std::size_t cap : {std::size_t{20000}, std::size_t{50}}) {
+        SCOPED_TRACE(::testing::Message() << name << ", " << n << " qubits, cap " << cap);
+        EXPECT_EQ(noise_aware_layout(qc, device, cap), reference(qc, device, cap));
+      }
+    }
+  }
 }
 
 TEST(Routing, InsertsSwapsOnlyWhenNeeded) {
