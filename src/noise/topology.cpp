@@ -78,27 +78,27 @@ std::size_t CouplingMap::edge_index(int a, int b) const {
 
 std::vector<std::vector<int>> CouplingMap::connected_subsets(int k) const {
   QC_CHECK_MSG(k >= 1 && k <= 6, "connected_subsets supports k in [1, 6]");
-  std::set<std::vector<int>> result;
-  // Grow connected sets from each seed qubit; sets are kept sorted for dedup.
+  // Grow connected sets from each seed qubit, one neighbour per level. Sets
+  // are kept sorted, and each level is sorted and deduplicated, so the result
+  // comes out in lexicographic order.
   std::vector<std::vector<int>> frontier;
   for (int q = 0; q < num_qubits_; ++q) frontier.push_back({q});
   for (int size = 1; size < k; ++size) {
-    std::set<std::vector<int>> next;
+    std::vector<std::vector<int>> next;
     for (const auto& s : frontier) {
       for (int q : s) {
         for (int nb : adjacency_[q]) {
           if (std::find(s.begin(), s.end(), nb) != s.end()) continue;
-          std::vector<int> grown = s;
-          grown.push_back(nb);
-          std::sort(grown.begin(), grown.end());
-          next.insert(std::move(grown));
+          std::vector<int>& grown = next.emplace_back(s);
+          grown.insert(std::upper_bound(grown.begin(), grown.end(), nb), nb);
         }
       }
     }
-    frontier.assign(next.begin(), next.end());
+    std::sort(next.begin(), next.end());
+    next.erase(std::unique(next.begin(), next.end()), next.end());
+    frontier = std::move(next);
   }
-  for (auto& s : frontier) result.insert(s);
-  return {result.begin(), result.end()};
+  return frontier;
 }
 
 CouplingMap CouplingMap::line(int num_qubits) {

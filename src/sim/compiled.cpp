@@ -205,6 +205,7 @@ class ShotTree {
     const std::size_t n = shot_end - shot_begin;
     rngs_.reserve(n);
     ids_.reserve(n);
+    grouped_.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       rngs_.emplace_back(common::derive_stream_seed(seed, shot_begin + i));
       ids_.push_back(i);
@@ -271,8 +272,7 @@ class ShotTree {
           // in place. A non-largest run holds at most half its group, so the
           // split depth, hence the number of live states (one per depth plus
           // the Born-weight scratch), is at most floor(log2(range)) + 2.
-          std::sort(ids_.begin() + lo, ids_.begin() + hi,
-                    [this](std::size_t a, std::size_t b) { return picks_[a] < picks_[b]; });
+          group_by_pick(lo, hi, weights.size());
           std::size_t keep_lo = lo, keep_hi = lo;
           for (std::size_t a = lo, b; a < hi; a = b) {
             b = run_end(a, hi);
@@ -298,6 +298,17 @@ class ShotTree {
       }
     }
     sample_leaf(state, lo, hi);
+  }
+
+  /// Reorders ids_[lo, hi) into runs of equal picks, in ascending pick order,
+  /// by a stable counting pass over the `branches` possible picks.
+  void group_by_pick(std::size_t lo, std::size_t hi, std::size_t branches) {
+    run_starts_.assign(branches + 1, 0);
+    for (std::size_t i = lo; i < hi; ++i) ++run_starts_[picks_[ids_[i]] + 1];
+    for (std::size_t p = 0; p < branches; ++p) run_starts_[p + 1] += run_starts_[p];
+    grouped_.resize(hi - lo);
+    for (std::size_t i = lo; i < hi; ++i) grouped_[run_starts_[picks_[ids_[i]]]++] = ids_[i];
+    std::copy(grouped_.begin(), grouped_.end(), ids_.begin() + static_cast<std::ptrdiff_t>(lo));
   }
 
   /// End of the run of equal picks starting at ids_[a].
@@ -364,6 +375,8 @@ class ShotTree {
   std::vector<common::Rng> rngs_;    // per shot, indexed by shot - shot_begin
   std::vector<std::size_t> ids_;     // shot indices, grouped by branch history
   std::vector<std::size_t> picks_;   // per shot: branch drawn at the current op
+  std::vector<std::size_t> grouped_;  // group_by_pick scratch: one group's ids
+  std::vector<std::size_t> run_starts_;  // group_by_pick scratch: per pick
   std::deque<StateVector> states_;   // states_[d]: group state at split depth d
   StateVector branch_;
   std::vector<double> weights_;

@@ -48,7 +48,10 @@ class HsCost {
   const linalg::Matrix& target() const { return *target_; }
 
  private:
-  void sweep(const std::vector<double>& params, std::vector<double>& grad) const;
+  /// The gradient sweep's one source body: inline and defined in cost.cpp,
+  /// where gradient() runs it through synth/kernels.hpp's dispatch.
+  static inline void sweep(const HsCost& cost, const std::vector<double>& params,
+                           std::vector<double>& grad);
 
   TemplateCircuit tpl_;
   std::shared_ptr<const linalg::Matrix> owned_;  // null when borrowing
@@ -72,6 +75,12 @@ class HsCost {
 /// 1 - min(|Tr(T† V)| / d, 1) for square T and V of equal size: the
 /// fidelity gap HsCost minimizes, also used by the reducer's boundary cost.
 double fidelity_gap(const linalg::Matrix& target, const linalg::Matrix& v);
+
+/// The reducer's boundary cost: fidelity_gap(target, B · kept · A), where A
+/// and B are U3 layers on every qubit with angles x = [A (3n), B (3n)] and A
+/// acts first. `scratch` receives B · kept · A (resized if needed).
+double boundary_gap(const linalg::Matrix& target, const linalg::Matrix& kept,
+                    const std::vector<double>& x, linalg::Matrix& scratch);
 
 /// Converts a smooth cost value to the HS distance it implies.
 double cost_to_hs_distance(double cost);

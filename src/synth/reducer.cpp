@@ -27,11 +27,7 @@ class BoundaryCost {
   BoundaryCost(Matrix target, Matrix kept) : target_(std::move(target)), kept_(std::move(kept)) {}
 
   double operator()(const std::vector<double>& x) const {
-    const int n = num_qubits();
-    scratch_ = kept_;
-    for (int q = 0; q < n; ++q) rowops::right_u3(scratch_, q, entries(x, q));
-    for (int q = 0; q < n; ++q) rowops::left_u3(scratch_, q, entries(x, n + q));
-    return fidelity_gap(target_, scratch_);
+    return boundary_gap(target_, kept_, x, scratch_);
   }
 
   void gradient(const std::vector<double>& x, std::vector<double>& grad) const {
@@ -48,19 +44,7 @@ class BoundaryCost {
     }
   }
 
-  int num_qubits() const {
-    int n = 0;
-    while ((std::size_t{1} << n) < target_.rows()) ++n;
-    return n;
-  }
-
  private:
-  /// U3 entries of boundary gate `i` (params x[3i .. 3i+2]).
-  static U3Entries entries(const std::vector<double>& x, int i) {
-    const double* p = x.data() + 3 * i;
-    return u3_entries(p[0], p[1], p[2]);
-  }
-
   Matrix target_;
   Matrix kept_;
   mutable Matrix scratch_;

@@ -5,8 +5,11 @@
 // search space QSearch/QFast explore. The unitary builder here is the hot
 // loop of synthesis (called hundreds of thousands of times per search), so
 // it uses dedicated row-operation kernels with no per-gate heap allocation.
-// The same row/column kernels are exported (rowops) for the analytic
-// gradient sweep in cost.cpp, which walks the op list directly via ops().
+// The same row/column kernels serve the analytic gradient sweep in cost.cpp,
+// which walks the op list directly via ops(), and are exported as rowops.
+// Their bodies live in synth/kernels.hpp: each of unitary() and the rowops
+// runs one source body at the baseline ISA or, when linalg::active_simd_isa()
+// is AVX2, at AVX2 width without FMA — the same bits either way.
 #pragma once
 
 #include <vector>
@@ -38,13 +41,9 @@ struct U3Trig {
 U3Entries u3_entries(const U3Trig& t);
 U3Entries u3_entries(double theta, double phi, double lambda);
 
-// The U3 kernels write each complex product out on the interleaved doubles
-// (the array view of std::complex<double> that [complex.numbers] guarantees)
-// as (ar*br - ai*bi, ar*bi + ai*br): the expression GCC emits for a
-// std::complex<double> product, minus the NaN-recovery branch that keeps the
-// loops from vectorizing. For finite inputs the results are bit-identical to
-// the complex-typed loops (no FMA contraction: this library is not built
-// with -march=native).
+// The U3 kernels write each complex product out on the interleaved doubles,
+// bit-identical to the complex-typed loops for finite inputs (see
+// synth/kernels.hpp). Each call dispatches on linalg::active_simd_isa().
 namespace rowops {
 
 /// m := embed(U3 on q) * m  (row mixing).

@@ -2,8 +2,10 @@
 // device catalog, noise models.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -193,6 +195,40 @@ TEST(Topology, ConnectedSubsets) {
   const auto t_triples = CouplingMap::ourense_t().connected_subsets(3);
   EXPECT_NE(std::find(t_triples.begin(), t_triples.end(), std::vector<int>{0, 1, 3}),
             t_triples.end());
+}
+
+/// connected_subsets as it was written with std::set: every level collected
+/// in a set of sorted vectors. The oracle for the sort + unique version.
+std::vector<std::vector<int>> set_connected_subsets(const CouplingMap& map, int k) {
+  std::vector<std::vector<int>> frontier;
+  for (int q = 0; q < map.num_qubits(); ++q) frontier.push_back({q});
+  for (int size = 1; size < k; ++size) {
+    std::set<std::vector<int>> next;
+    for (const auto& s : frontier) {
+      for (int q : s) {
+        for (int nb : map.neighbors(q)) {
+          if (std::find(s.begin(), s.end(), nb) != s.end()) continue;
+          std::vector<int> grown = s;
+          grown.push_back(nb);
+          std::sort(grown.begin(), grown.end());
+          next.insert(std::move(grown));
+        }
+      }
+    }
+    frontier.assign(next.begin(), next.end());
+  }
+  return frontier;
+}
+
+TEST(Topology, ConnectedSubsetsMatchSetBasedReference) {
+  for (const CouplingMap& map : {CouplingMap::falcon_27(), CouplingMap::hummingbird_65()}) {
+    for (int k = 1; k <= 5; ++k) {
+      const auto got = map.connected_subsets(k);
+      EXPECT_EQ(got, set_connected_subsets(map, k))
+          << map.num_qubits() << " qubits, k=" << k;
+      EXPECT_FALSE(got.empty());
+    }
+  }
 }
 
 TEST(Catalog, Table1AveragesMatchExactly) {

@@ -7,6 +7,8 @@
 #include <deque>
 #include <numbers>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/deadline.hpp"
 #include "common/error.hpp"
@@ -826,6 +828,96 @@ TEST(Cost, AnalyticGradientMatchesComplexReferenceBitwise) {
       expect_same_doubles(got.data(), want.data(), got.size(),
                           "n=" + std::to_string(n) + " trial " + std::to_string(trial));
     }
+  }
+}
+
+/// Everything the dispatched synthesis entry points compute from one fixed
+/// seed, one labelled block of doubles per call.
+std::vector<std::pair<std::string, std::vector<double>>> synthesis_outputs() {
+  std::vector<std::pair<std::string, std::vector<double>>> out;
+  const auto add_matrix = [&out](std::string label, const Matrix& m) {
+    const double* d = reinterpret_cast<const double*>(m.data());
+    out.emplace_back(std::move(label), std::vector<double>(d, d + 2 * m.rows() * m.cols()));
+  };
+  const auto random_matrix = [](std::size_t rows, std::size_t cols, common::Rng& rng) {
+    Matrix m(rows, cols);
+    for (std::size_t i = 0; i < rows * cols; ++i)
+      m.data()[i] = linalg::cplx{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+    return m;
+  };
+  common::Rng rng(54);
+  for (int n = 1; n <= 6; ++n) {
+    const std::size_t dim = std::size_t{1} << n;
+    // The row ops on square operands and on a width of 3, which no vector
+    // width divides: left ops on dim x 3, right ops on 3 x dim.
+    for (const std::size_t width : {dim, std::size_t{3}}) {
+      const std::string where = " n=" + std::to_string(n) + " width=" + std::to_string(width);
+      const Matrix rows = random_matrix(dim, width, rng);
+      const Matrix cols = random_matrix(width, dim, rng);
+      for (int q = 0; q < n; ++q) {
+        const U3Entries g = u3_entries(random_angle(rng), random_angle(rng), random_angle(rng));
+        const std::string at = " q=" + std::to_string(q) + where;
+        Matrix m = rows;
+        rowops::left_u3(m, q, g);
+        add_matrix("left_u3" + at, m);
+        m = cols;
+        rowops::right_u3(m, q, g);
+        add_matrix("right_u3" + at, m);
+        if (n == 1) continue;
+        const int target = (q + 1) % n;
+        m = rows;
+        rowops::left_cx(m, q, target);
+        add_matrix("left_cx" + at, m);
+        m = cols;
+        rowops::right_cx(m, q, target);
+        add_matrix("right_cx" + at, m);
+      }
+    }
+    const std::string where = " n=" + std::to_string(n);
+    const TemplateCircuit tpl = random_template(n, rng);
+    const Matrix target = linalg::random_unitary(dim, rng);
+    const HsCost cost(tpl, target);
+    std::vector<double> x(static_cast<std::size_t>(tpl.num_params()));
+    for (auto& p : x) p = random_angle(rng);
+    Matrix u;
+    tpl.unitary(x, u);
+    add_matrix("unitary" + where, u);
+    out.push_back({"HsCost value" + where, {cost(x)}});
+    std::vector<double> grad;
+    cost.gradient(x, grad);
+    out.emplace_back("HsCost gradient" + where, grad);
+    out.push_back({"fidelity_gap" + where, {fidelity_gap(target, u)}});
+    std::vector<double> boundary(static_cast<std::size_t>(6 * n));
+    for (auto& p : boundary) p = random_angle(rng);
+    Matrix scratch;
+    out.push_back({"boundary_gap" + where,
+                   {boundary_gap(target, linalg::random_unitary(dim, rng), boundary, scratch)}});
+    add_matrix("boundary_gap product" + where, scratch);
+  }
+  return out;
+}
+
+/// Restores the SIMD ISA that was active when it was made.
+struct SimdIsaRestorer {
+  linalg::SimdIsa saved = linalg::active_simd_isa();
+  ~SimdIsaRestorer() { linalg::force_simd_isa(saved); }
+};
+
+TEST(Cost, AvxAndBaselineCopiesAgreeBitwise) {
+  if (!linalg::simd_isa_supported(linalg::SimdIsa::Avx2))
+    GTEST_SKIP() << "the host does not run the AVX2 copies";
+  const SimdIsaRestorer restore;
+  ASSERT_EQ(linalg::force_simd_isa(linalg::SimdIsa::Scalar), linalg::SimdIsa::Scalar);
+  const auto baseline = synthesis_outputs();
+  ASSERT_EQ(linalg::force_simd_isa(linalg::SimdIsa::Avx2), linalg::SimdIsa::Avx2);
+  const auto avx2 = synthesis_outputs();
+  ASSERT_EQ(baseline.size(), avx2.size());
+  for (std::size_t i = 0; i < baseline.size(); ++i) {
+    const auto& [label, want] = baseline[i];
+    const std::vector<double>& got = avx2[i].second;
+    ASSERT_EQ(avx2[i].first, label);
+    ASSERT_EQ(got.size(), want.size()) << label;
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)), 0) << label;
   }
 }
 
