@@ -54,15 +54,15 @@ void print_engine_cache_stats(const std::string& id) {
   if (s.transpile_hits + s.transpile_misses == 0) return;  // engine unused
   std::printf("[%s] engine caches: transpile %zu/%zu hits (%.0f%%), "
               "noise model %zu/%zu (%.0f%%), compiled %zu/%zu (%.0f%%), "
-              "%zu entries resident\n",
+              "%zu entries resident, %zu evicted\n",
               id.c_str(), s.transpile_hits, s.transpile_hits + s.transpile_misses,
               100.0 * exec::CacheStats::rate(s.transpile_hits, s.transpile_misses),
               s.model_hits, s.model_hits + s.model_misses,
               100.0 * exec::CacheStats::rate(s.model_hits, s.model_misses),
               s.compiled_hits, s.compiled_hits + s.compiled_misses,
               100.0 * exec::CacheStats::rate(s.compiled_hits, s.compiled_misses),
-              snap.transpile_entries + snap.model_entries +
-                  snap.compiled_entries + snap.matrix_entries);
+              snap.transpile_entries + snap.model_entries + snap.compiled_entries,
+              s.transpile_evictions + s.model_evictions + s.compiled_evictions);
 }
 
 void shape_check(const std::string& what, bool ok, double lhs, double rhs) {

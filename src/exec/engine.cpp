@@ -1,6 +1,5 @@
 #include "exec/engine.hpp"
 
-#include <bit>
 #include <utility>
 
 #include "common/error.hpp"
@@ -100,61 +99,18 @@ transpile::TranspileOptions ExecutionConfig::transpile_options() const {
 
 // ---- cache plumbing --------------------------------------------------------
 
-void ExecutionEngine::count_cache_event(CacheId id, bool hit) {
-  // Process-wide counters (all engines); the per-engine CacheStats feeds
-  // cache_stats() and the run-record hit flags.
-  struct Pair {
-    obs::Counter& hits;
-    obs::Counter& misses;
-  };
-  static Pair global[] = {
-      {obs::counter("exec.cache.transpile.hits"),
-       obs::counter("exec.cache.transpile.misses")},
-      {obs::counter("exec.cache.model.hits"),
-       obs::counter("exec.cache.model.misses")},
-      {obs::counter("exec.cache.compiled.hits"),
-       obs::counter("exec.cache.compiled.misses")},
-      {obs::counter("exec.cache.matrix.hits"),
-       obs::counter("exec.cache.matrix.misses")},
-  };
-  Pair& pair = global[static_cast<int>(id)];
-  (hit ? pair.hits : pair.misses).add(1);
-  switch (id) {
-    case CacheId::Transpile:
-      ++(hit ? stats_.transpile_hits : stats_.transpile_misses);
-      break;
-    case CacheId::Model:
-      ++(hit ? stats_.model_hits : stats_.model_misses);
-      break;
-    case CacheId::Compiled:
-      ++(hit ? stats_.compiled_hits : stats_.compiled_misses);
-      break;
-    case CacheId::Matrix:
-      ++(hit ? stats_.matrix_hits : stats_.matrix_misses);
-      break;
-  }
-}
-
 template <typename K, typename V, typename Make>
-std::shared_ptr<const V> ExecutionEngine::get_or_compute(OnceCache<K, V>& cache,
-                                                         CacheId id, const K& key,
-                                                         bool* was_hit,
+std::shared_ptr<const V> ExecutionEngine::get_or_compute(SlotCache<K, V>& cache,
+                                                         const K& key, bool* was_hit,
                                                          Make&& make) {
-  std::shared_ptr<Slot<V>> slot;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto [it, inserted] = cache.entries.try_emplace(key);
-    if (inserted) it->second = std::make_shared<Slot<V>>();
-    count_cache_event(id, !inserted);
-    if (was_hit) *was_hit = !inserted;
-    slot = it->second;
-  }
-  // Compute outside the map lock: expensive work (transpilation, noise-model
+  const auto found = cache.find_or_insert(key, [] { return std::make_shared<Slot<V>>(); });
+  if (was_hit) *was_hit = found.second;
+  // Compute outside the cache lock: expensive work (transpilation, noise-model
   // construction) must not serialize unrelated cache lookups. call_once makes
   // concurrent requesters of the same key wait for one computation.
-  std::call_once(slot->once,
-                 [&] { slot->value = std::make_shared<const V>(make()); });
-  return slot->value;
+  Slot<V>& slot = *found.first;
+  std::call_once(slot.once, [&] { slot.value = std::make_shared<const V>(make()); });
+  return slot.value;
 }
 
 common::ThreadPool& ExecutionEngine::pool() {
@@ -191,51 +147,50 @@ ExecutionEngine& ExecutionEngine::global() {
   return engine;
 }
 
-CacheStats ExecutionEngine::cache_stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+CacheSnapshot ExecutionEngine::read_caches() const {
+  const common::LruStats t = transpile_cache_.stats();
+  const common::LruStats m = model_cache_.stats();
+  const common::LruStats c = compiled_cache_.stats();
+  CacheSnapshot snap;
+  snap.stats = {t.hits, t.misses, t.evictions, m.hits, m.misses,
+                m.evictions, c.hits, c.misses, c.evictions};
+  snap.transpile_entries = t.entries;
+  snap.model_entries = m.entries;
+  snap.compiled_entries = c.entries;
+  snap.cap = kEngineCacheCap;
+  return snap;
 }
 
+CacheStats ExecutionEngine::cache_stats() const { return read_caches().stats; }
+
 CacheSnapshot ExecutionEngine::cache_stats_snapshot() const {
-  CacheSnapshot snap;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    snap.stats = stats_;
-    snap.transpile_entries = transpile_cache_.entries.size();
-    snap.model_entries = model_cache_.entries.size();
-    snap.compiled_entries = compiled_cache_.entries.size();
-    snap.matrix_entries = matrix_cache_.entries.size();
-  }
+  const CacheSnapshot snap = read_caches();
   struct Row {
     const char* name;
-    std::size_t hits, misses, entries;
+    std::size_t hits, misses, evictions, entries;
   };
   const Row rows[] = {
       {"transpile", snap.stats.transpile_hits, snap.stats.transpile_misses,
-       snap.transpile_entries},
+       snap.stats.transpile_evictions, snap.transpile_entries},
       {"model", snap.stats.model_hits, snap.stats.model_misses,
-       snap.model_entries},
+       snap.stats.model_evictions, snap.model_entries},
       {"compiled", snap.stats.compiled_hits, snap.stats.compiled_misses,
-       snap.compiled_entries},
-      {"matrix", snap.stats.matrix_hits, snap.stats.matrix_misses,
-       snap.matrix_entries},
+       snap.stats.compiled_evictions, snap.compiled_entries},
   };
   for (const Row& row : rows) {
     const std::string prefix = std::string("exec.engine.cache.") + row.name;
     obs::gauge(prefix + ".hits").set(static_cast<std::int64_t>(row.hits));
     obs::gauge(prefix + ".misses").set(static_cast<std::int64_t>(row.misses));
+    obs::gauge(prefix + ".evictions").set(static_cast<std::int64_t>(row.evictions));
     obs::gauge(prefix + ".entries").set(static_cast<std::int64_t>(row.entries));
   }
   return snap;
 }
 
 void ExecutionEngine::clear_caches() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  transpile_cache_ = {};
-  model_cache_ = {};
-  compiled_cache_ = {};
-  matrix_cache_ = {};
-  stats_ = {};
+  transpile_cache_.reset();
+  model_cache_.reset();
+  compiled_cache_.reset();
 }
 
 // ---- cache keys ------------------------------------------------------------
@@ -280,7 +235,7 @@ ExecutionEngine::ModelKey ExecutionEngine::make_model_key(
 std::shared_ptr<const transpile::TranspileResult> ExecutionEngine::transpile_cached(
     const RunRequest& request, bool* hit) {
   const TranspileKey key = make_transpile_key(request);
-  return get_or_compute(transpile_cache_, CacheId::Transpile, key, hit, [&] {
+  return get_or_compute(transpile_cache_, key, hit, [&] {
     return transpile::transpile(request.circuit, request.config.device,
                                 request.config.transpile_options());
   });
@@ -289,20 +244,10 @@ std::shared_ptr<const transpile::TranspileResult> ExecutionEngine::transpile_cac
 std::shared_ptr<const noise::NoiseModel> ExecutionEngine::model_cached(
     const RunRequest& request, const transpile::TranspileResult& tr, bool* hit) {
   const ModelKey key = make_model_key(request, tr);
-  return get_or_compute(model_cache_, CacheId::Model, key, hit, [&] {
+  return get_or_compute(model_cache_, key, hit, [&] {
     const noise::DeviceProperties sub = tr.restricted_device(request.config.device);
     return noise::NoiseModel::from_device(sub, request.config.noise_options);
   });
-}
-
-linalg::Matrix ExecutionEngine::gate_matrix(const ir::Gate& gate) {
-  MatrixKey key;
-  key.kind = static_cast<int>(gate.kind);
-  key.params.reserve(gate.params.size());
-  for (double p : gate.params) key.params.push_back(std::bit_cast<std::uint64_t>(p));
-  const auto m = get_or_compute(matrix_cache_, CacheId::Matrix, key, nullptr,
-                                [&] { return gate.matrix(); });
-  return *m;
 }
 
 std::shared_ptr<const sim::CompiledCircuit> ExecutionEngine::compiled_cached(
@@ -310,19 +255,16 @@ std::shared_ptr<const sim::CompiledCircuit> ExecutionEngine::compiled_cached(
     const transpile::TranspileResult& tr, const noise::NoiseModel& model,
     bool* hit) {
   const CompiledKey key{tkey, mkey};
-  return get_or_compute(compiled_cache_, CacheId::Compiled, key, hit, [&] {
-    return sim::compile_noisy_circuit(
-        tr.circuit, model, [this](const ir::Gate& g) { return gate_matrix(g); });
-  });
+  return get_or_compute(compiled_cache_, key, hit,
+                        [&] { return sim::compile_noisy_circuit(tr.circuit, model); });
 }
 
 std::shared_ptr<const sim::CompiledCircuit> ExecutionEngine::compiled_ideal_cached(
     const TranspileKey& tkey, const transpile::TranspileResult& tr, bool* hit) {
   const CompiledKey key{tkey, ModelKey{}, /*ideal=*/1};
-  return get_or_compute(compiled_cache_, CacheId::Compiled, key, hit, [&] {
-    const noise::NoiseModel model = noise::NoiseModel::ideal(tr.circuit.num_qubits());
-    return sim::compile_noisy_circuit(
-        tr.circuit, model, [this](const ir::Gate& g) { return gate_matrix(g); });
+  return get_or_compute(compiled_cache_, key, hit, [&] {
+    return sim::compile_noisy_circuit(tr.circuit,
+                                      noise::NoiseModel::ideal(tr.circuit.num_qubits()));
   });
 }
 

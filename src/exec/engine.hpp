@@ -16,7 +16,10 @@
 //                       sim::CompiledCircuit, the precompiled (and step-fused)
 //                       program shared by every engine: state-vector, density
 //                       matrix, and trajectories
-//  * gate-matrix cache — (gate kind, params) -> linalg::Matrix
+//
+// Each is a common::LruCache of kEngineCacheCap entries, so a long-lived
+// server that sees an open-ended stream of distinct circuits holds bounded
+// memory; an evicted entry is recomputed, bit for bit, on its next use.
 //
 // run_batch schedules requests over a ThreadPool; the trajectory engine
 // additionally fans shots out in fixed-size blocks with counter-based
@@ -25,21 +28,20 @@
 //
 // The engine is fully instrumented through src/obs: every phase (transpile /
 // noise model / compile / evolve) runs under a Span with a duration
-// histogram, cache hits and misses feed the process-wide metrics registry
-// (exec.cache.*) as well as the per-engine CacheStats, and each run's kernel
-// dispatch counts are mirrored into sim.kernel.* counters. All of it is
-// zero-overhead unless QAPPROX_TRACE / QAPPROX_METRICS are set.
+// histogram, cache hits, misses and evictions feed the process-wide metrics
+// registry (exec.cache.*) as well as the per-engine CacheStats, and each
+// run's kernel dispatch counts are mirrored into sim.kernel.* counters. All
+// of it is zero-overhead unless QAPPROX_TRACE / QAPPROX_METRICS are set.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <vector>
 
+#include "common/lru_cache.hpp"
 #include "common/thread_pool.hpp"
 #include "exec/request.hpp"
-#include "linalg/matrix.hpp"
 #include "noise/noise_model.hpp"
 #include "sim/compiled.hpp"
 #include "transpile/pipeline.hpp"
@@ -63,6 +65,11 @@ struct EngineOptions {
 /// shot budget defeats parallelism without changing results, so it is a
 /// config mistake, not a tuning choice.
 inline constexpr std::size_t kMaxTrajectoryBlock = 1u << 20;
+
+/// Entry cap of each engine cache: twice the largest per-figure working set
+/// measured (about 500 distinct transpiled and compiled programs on the TFIM
+/// figures), so a figure's own reuse is never evicted.
+inline constexpr std::size_t kEngineCacheCap = 1024;
 
 class ExecutionEngine {
  public:
@@ -90,12 +97,13 @@ class ExecutionEngine {
   /// engines) live in the obs metrics registry under exec.cache.*.
   CacheStats cache_stats() const;
 
-  /// Thread-safe point-in-time view of this engine's caches: the hit/miss
-  /// counters plus the current entry count of each cache. Also publishes the
-  /// numbers as process-wide gauges (exec.engine.cache.<cache>.{hits,misses,
-  /// entries}) so they reach the QAPPROX_METRICS export and the serve
-  /// `stats` reply; with several engines alive the gauges reflect the last
-  /// snapshotted one (per-engine exactness stays in the returned struct).
+  /// Thread-safe point-in-time view of this engine's caches: the hit, miss
+  /// and eviction counters plus the current entry count of each cache. Also
+  /// publishes the numbers as process-wide gauges (exec.engine.cache.<cache>.
+  /// {hits,misses,evictions,entries}) so they reach the QAPPROX_METRICS
+  /// export and the serve `stats` reply; with several engines alive the
+  /// gauges reflect the last snapshotted one (per-engine exactness stays in
+  /// the returned struct).
   CacheSnapshot cache_stats_snapshot() const;
 
   /// Drops every cached entry and zeroes this engine's counters (the global
@@ -137,11 +145,6 @@ class ExecutionEngine {
     int ideal = 0;  // 1: compiled against NoiseModel::ideal (model is blank)
     auto operator<=>(const CompiledKey&) const = default;
   };
-  struct MatrixKey {
-    int kind = 0;
-    std::vector<std::uint64_t> params;  // bit patterns
-    auto operator<=>(const MatrixKey&) const = default;
-  };
 
   /// A cache slot computed exactly once via std::call_once; concurrent
   /// requesters of the same key block on the first computation instead of
@@ -153,23 +156,17 @@ class ExecutionEngine {
   };
 
   template <typename K, typename V>
-  struct OnceCache {
-    std::map<K, std::shared_ptr<Slot<V>>> entries;
-  };
+  using SlotCache = common::LruCache<K, std::shared_ptr<Slot<V>>>;
 
-  /// Which session cache an event belongs to, for counter routing.
-  enum class CacheId { Transpile, Model, Compiled, Matrix };
-
-  /// Finds-or-creates the slot for `key` (counting a hit or a miss against
-  /// both this engine's CacheStats and the process-wide metrics registry),
-  /// then computes the value exactly once with `make`.
+  /// Finds-or-inserts the slot for `key` in one atomic step (the cache
+  /// tallies the hit or miss), then computes the value exactly once with
+  /// `make`, outside the cache lock.
   template <typename K, typename V, typename Make>
-  std::shared_ptr<const V> get_or_compute(OnceCache<K, V>& cache, CacheId id,
-                                          const K& key, bool* was_hit,
-                                          Make&& make);
+  static std::shared_ptr<const V> get_or_compute(SlotCache<K, V>& cache, const K& key,
+                                                 bool* was_hit, Make&& make);
 
-  /// Tallies one lookup. Requires mutex_ to be held.
-  void count_cache_event(CacheId id, bool hit);
+  /// This engine's cache tallies, without publishing gauges.
+  CacheSnapshot read_caches() const;
 
   common::ThreadPool& pool();
 
@@ -183,7 +180,6 @@ class ExecutionEngine {
       bool* hit);
   std::shared_ptr<const sim::CompiledCircuit> compiled_ideal_cached(
       const TranspileKey& tkey, const transpile::TranspileResult& tr, bool* hit);
-  linalg::Matrix gate_matrix(const ir::Gate& gate);
 
   TranspileKey make_transpile_key(const RunRequest& request) const;
   ModelKey make_model_key(const RunRequest& request,
@@ -199,12 +195,11 @@ class ExecutionEngine {
   EngineOptions options_;
   std::unique_ptr<common::ThreadPool> owned_pool_;
 
-  mutable std::mutex mutex_;  // guards the four caches and stats_
-  CacheStats stats_;
-  OnceCache<TranspileKey, transpile::TranspileResult> transpile_cache_;
-  OnceCache<ModelKey, noise::NoiseModel> model_cache_;
-  OnceCache<CompiledKey, sim::CompiledCircuit> compiled_cache_;
-  OnceCache<MatrixKey, linalg::Matrix> matrix_cache_;
+  SlotCache<TranspileKey, transpile::TranspileResult> transpile_cache_{
+      kEngineCacheCap, "exec.cache.transpile"};
+  SlotCache<ModelKey, noise::NoiseModel> model_cache_{kEngineCacheCap, "exec.cache.model"};
+  SlotCache<CompiledKey, sim::CompiledCircuit> compiled_cache_{kEngineCacheCap,
+                                                               "exec.cache.compiled"};
 };
 
 }  // namespace qc::exec

@@ -142,12 +142,11 @@ struct RunResult {
 /// which the serve stats endpoint and capacity planning need).
 struct CacheSnapshot;
 
-/// Aggregate hit/miss counters across an engine's session caches.
+/// Aggregate hit/miss/eviction counters across an engine's session caches.
 struct CacheStats {
-  std::size_t transpile_hits = 0, transpile_misses = 0;
-  std::size_t model_hits = 0, model_misses = 0;
-  std::size_t compiled_hits = 0, compiled_misses = 0;
-  std::size_t matrix_hits = 0, matrix_misses = 0;
+  std::size_t transpile_hits = 0, transpile_misses = 0, transpile_evictions = 0;
+  std::size_t model_hits = 0, model_misses = 0, model_evictions = 0;
+  std::size_t compiled_hits = 0, compiled_misses = 0, compiled_evictions = 0;
 
   static double rate(std::size_t hits, std::size_t misses) {
     const std::size_t total = hits + misses;
@@ -160,7 +159,8 @@ struct CacheSnapshot {
   std::size_t transpile_entries = 0;
   std::size_t model_entries = 0;
   std::size_t compiled_entries = 0;
-  std::size_t matrix_entries = 0;
+  std::size_t matrix_entries = 0;  // always 0; kept for callers that still sum it
+  std::size_t cap = 0;             // entry cap of each cache
 };
 
 }  // namespace qc::exec

@@ -41,62 +41,6 @@ std::string record_json(const char* type, const std::string& key,
 
 }  // namespace
 
-// ---------------------------------------------------------------- ReplayCache
-
-std::optional<json::Value> ReplayCache::get(const std::string& key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it == index_.end()) {
-    ++misses_;
-    return std::nullopt;
-  }
-  lru_.splice(lru_.begin(), lru_, it->second);
-  ++hits_;
-  return it->second->second;
-}
-
-void ReplayCache::put(const std::string& key, json::Value reply) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    it->second->second = std::move(reply);
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  lru_.emplace_front(key, std::move(reply));
-  index_[key] = lru_.begin();
-  if (lru_.size() > cap_) {
-    index_.erase(lru_.back().first);
-    lru_.pop_back();
-    ++evictions_;
-  }
-}
-
-bool ReplayCache::contains(const std::string& key) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return index_.count(key) != 0;
-}
-
-std::size_t ReplayCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return lru_.size();
-}
-
-std::uint64_t ReplayCache::hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return hits_;
-}
-
-std::uint64_t ReplayCache::misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return misses_;
-}
-
-std::uint64_t ReplayCache::evictions() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return evictions_;
-}
-
 // ----------------------------------------------------------------- JobJournal
 
 JobJournal::JobJournal(const std::string& dir, ReplayCache* replay)

@@ -28,56 +28,27 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/json.hpp"
+#include "common/lru_cache.hpp"
 #include "common/wal.hpp"
 
 namespace qc::serve {
 
-/// Bounded LRU map from idempotency key to the reply that key produced.
-/// Lives next to the journal because recovery rebuilds it from DONE records;
-/// it also runs journal-less (in-memory only) when QAPPROX_JOURNAL_DIR is
-/// unset. Eviction is capacity-only: an evicted key's retry re-executes, so
-/// the cap trades memory against the retry horizon (default 4096 — size
-/// chaos loads under it).
-class ReplayCache {
- public:
-  explicit ReplayCache(std::size_t cap) : cap_(cap == 0 ? 1 : cap) {}
-
-  /// The cached reply for `key`, bumping its recency; nullopt on miss.
-  std::optional<common::json::Value> get(const std::string& key);
-
-  /// Inserts/overwrites `key`, evicting the least-recently-used entry over
-  /// capacity.
-  void put(const std::string& key, common::json::Value reply);
-
-  bool contains(const std::string& key) const;
-
-  std::size_t size() const;
-  std::size_t cap() const { return cap_; }
-  std::uint64_t hits() const;
-  std::uint64_t misses() const;
-  std::uint64_t evictions() const;
-
- private:
-  using Entry = std::pair<std::string, common::json::Value>;
-
-  std::size_t cap_;
-  mutable std::mutex mu_;
-  std::list<Entry> lru_;  // front = most recent
-  std::unordered_map<std::string, std::list<Entry>::iterator> index_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
-};
+/// Bounded LRU map from idempotency key to the reply that key produced:
+/// get() bumps recency and counts a hit or miss, put() inserts or overwrites,
+/// contains() neither counts nor bumps. Lives next to the journal because
+/// recovery rebuilds it from DONE records; it also runs journal-less
+/// (in-memory only) when QAPPROX_JOURNAL_DIR is unset. Eviction is
+/// capacity-only: an evicted key's retry re-executes, so the cap trades
+/// memory against the retry horizon (QAPPROX_REPLAY_CACHE, default 4096 —
+/// size chaos loads under it).
+using ReplayCache = common::LruCache<std::string, common::json::Value>;
 
 /// An ACCEPTED-without-DONE job found at recovery: the server re-enqueues it.
 struct RecoveredJob {

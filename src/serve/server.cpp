@@ -177,7 +177,7 @@ QapproxServer::QapproxServer(ServerOptions options)
     : options_(std::move(options)),
       scheduler_(options_.scheduler),
       tail_(tail_options(options_)),
-      replay_(options_.replay_cache_cap) {
+      replay_(options_.replay_cache_cap, "serve.replay") {
   // Exec ids are "<boot>-<seq>": unique per actual execution across
   // restarts, which is what lets the chaos harness prove a request id never
   // executed twice.
@@ -442,20 +442,6 @@ void QapproxServer::dispatch_job(const std::shared_ptr<ConnState>& conn,
   const std::string key =
       env.idem.empty() ? std::string() : tenant + '\x1f' + env.idem;
 
-  // Replay fast path: a completed key's retry gets the cached reply —
-  // re-stamped with this request's id — never a second execution.
-  if (!key.empty()) {
-    if (std::optional<json::Value> cached = replay_.get(key)) {
-      counters_.replayed.fetch_add(1, std::memory_order_relaxed);
-      obs::counter("serve.replay.hits").add(1);
-      json::Value reply = std::move(*cached);
-      reply.set("id", env.id);
-      reply.set("replayed", true);
-      send_reply(conn, reply);
-      return;
-    }
-  }
-
   auto ticket = std::make_shared<JobTicket>();
   ticket->id = ticket_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
   ticket->kind = kind;
@@ -474,31 +460,32 @@ void QapproxServer::dispatch_job(const std::shared_ptr<ConnState>& conn,
 
   // Register the waiter. For keyed jobs this is also the dedup point: a
   // retry of an in-flight key attaches to the one execution instead of
-  // re-executing, and the replay cache is re-checked under inflight_mu_ to
-  // close the race with a concurrent completion (record_done puts the reply
-  // into the cache *before* deliver_keyed_reply pops the waiter list under
-  // this same mutex, so "not in flight" implies "visible in the cache").
+  // re-executing, and a completed key's retry gets the cached reply —
+  // re-stamped with this request's id — never a second execution. The one
+  // replay-cache lookup runs under inflight_mu_ to close the race with a
+  // concurrent completion (record_done puts the reply into the cache
+  // *before* deliver_keyed_reply pops the waiter list under this same mutex,
+  // so "not in flight" implies "visible in the cache").
   ConnState::job_begin(conn);
   bool primary = true;
-  std::optional<json::Value> completed_racing;
+  std::optional<json::Value> completed;
   {
     std::lock_guard<std::mutex> lock(inflight_mu_);
     auto it = inflight_.find(ticket->wait_key);
     if (it != inflight_.end()) {
       it->second.push_back(Waiter{conn, env.id});
       primary = false;
-    } else if (!key.empty() && (completed_racing = replay_.get(key))) {
+    } else if (!key.empty() && (completed = replay_.get(key))) {
       primary = false;
     } else {
       inflight_.emplace(ticket->wait_key,
                         std::vector<Waiter>{Waiter{conn, env.id}});
     }
   }
-  if (completed_racing) {
+  if (completed) {
     ConnState::job_end(conn);
     counters_.replayed.fetch_add(1, std::memory_order_relaxed);
-    obs::counter("serve.replay.hits").add(1);
-    json::Value reply = std::move(*completed_racing);
+    json::Value reply = std::move(*completed);
     reply.set("id", env.id);
     reply.set("replayed", true);
     send_reply(conn, reply);
@@ -1014,12 +1001,13 @@ json::Value QapproxServer::build_stats() const {
   journal.set("recovery_ms", js.recovery_ms);
   stats.set("journal", std::move(journal));
 
+  const common::LruStats rs = replay_.stats();
   json::Value replay = json::Value::object();
-  replay.set("entries", replay_.size());
-  replay.set("cap", replay_.cap());
-  replay.set("hits", replay_.hits());
-  replay.set("misses", replay_.misses());
-  replay.set("evictions", replay_.evictions());
+  replay.set("entries", rs.entries);
+  replay.set("cap", rs.cap);
+  replay.set("hits", rs.hits);
+  replay.set("misses", rs.misses);
+  replay.set("evictions", rs.evictions);
   stats.set("replay_cache", std::move(replay));
 
   const WatchdogStats ws = watchdog_stats();
@@ -1033,34 +1021,38 @@ json::Value QapproxServer::build_stats() const {
 
   const exec::CacheSnapshot engine = driver::engine().cache_stats_snapshot();
   json::Value engine_cache = json::Value::object();
-  auto cache_entry = [](std::size_t hits, std::size_t misses,
-                        std::size_t entries) {
+  auto cache_entry = [&engine](std::size_t hits, std::size_t misses,
+                               std::size_t evictions, std::size_t entries) {
     json::Value v = json::Value::object();
     v.set("hits", hits);
     v.set("misses", misses);
+    v.set("evictions", evictions);
     v.set("entries", entries);
+    v.set("cap", engine.cap);
     return v;
   };
   engine_cache.set("transpile",
                    cache_entry(engine.stats.transpile_hits,
                                engine.stats.transpile_misses,
+                               engine.stats.transpile_evictions,
                                engine.transpile_entries));
   engine_cache.set("model", cache_entry(engine.stats.model_hits,
                                         engine.stats.model_misses,
+                                        engine.stats.model_evictions,
                                         engine.model_entries));
   engine_cache.set("compiled", cache_entry(engine.stats.compiled_hits,
                                            engine.stats.compiled_misses,
+                                           engine.stats.compiled_evictions,
                                            engine.compiled_entries));
-  engine_cache.set("matrix", cache_entry(engine.stats.matrix_hits,
-                                         engine.stats.matrix_misses,
-                                         engine.matrix_entries));
   stats.set("engine_cache", std::move(engine_cache));
 
   const synth::SynthCacheStats synth_stats = synth::synth_cache_stats();
   json::Value synth_cache = json::Value::object();
   synth_cache.set("hits", synth_stats.hits);
   synth_cache.set("misses", synth_stats.misses);
+  synth_cache.set("evictions", synth_stats.evictions);
   synth_cache.set("entries", synth_stats.entries);
+  synth_cache.set("cap", synth_stats.cap);
   synth_cache.set("dir", options_.synth_cache_dir);
   synth_cache.set("warm_loaded", warm_loaded_);
   stats.set("synth_cache", std::move(synth_cache));

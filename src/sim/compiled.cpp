@@ -62,7 +62,6 @@ bool fuse_into(CompiledStep& prev, const linalg::Matrix& u,
 
 CompiledCircuit compile_noisy_circuit(const ir::QuantumCircuit& circuit,
                                       const noise::NoiseModel& model,
-                                      const GateMatrixFn& matrix_fn,
                                       const CompileOptions& options) {
   QC_CHECK_MSG(circuit.num_qubits() <= model.num_qubits(),
                "circuit wider than the noise model's device");
@@ -109,7 +108,7 @@ CompiledCircuit compile_noisy_circuit(const ir::QuantumCircuit& circuit,
   for (const ir::Gate& g : circuit.gates()) {
     if (g.kind == ir::GateKind::Measure || g.kind == ir::GateKind::Barrier) continue;
     ++compiled.source_gates;
-    CompiledStep step{g.qubits, matrix_fn ? matrix_fn(g) : g.matrix(), noise_list(g)};
+    CompiledStep step{g.qubits, g.matrix(), noise_list(g)};
     // Fusion: a preceding step with no noise draws nothing from the RNG, so
     // folding it into this step preserves the shot-replay stream exactly.
     if (max_fuse > 0 && !compiled.steps.empty() &&

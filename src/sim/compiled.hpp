@@ -3,8 +3,9 @@
 //
 // A noisy circuit run has two phases with very different costs:
 //
-//  * compile — per (circuit, noise model): fetch gate matrices, bind the
-//    model's error channels to concrete qubits, precompute mixed-unitary
+//  * compile — per (circuit, noise model): build each gate's matrix
+//    (Gate::matrix, no cache: a lookup would cost more than the 2x2 or 4x4
+//    it saves), bind the model's error channels to concrete qubits, precompute mixed-unitary
 //    decompositions, and plan every step unitary and noise operator once
 //    (linalg::plan_kernel: checks, kernel class, qubit geometry). Identical
 //    for every shot. A gate's noise depends only on its qubits, so the
@@ -35,7 +36,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -97,10 +97,6 @@ struct CompiledCircuit {
   }
 };
 
-/// Gate-matrix provider hook: lets the execution engine serve matrices from
-/// its session-level cache. Empty function -> Gate::matrix() directly.
-using GateMatrixFn = std::function<linalg::Matrix(const ir::Gate&)>;
-
 struct CompileOptions {
   /// Largest qubit union a fused step may grow to, clamped to [0, 4] (4 is
   /// the widest specialized kernel); 0 turns fusion off. A step is fused into
@@ -123,7 +119,6 @@ struct CompileOptions {
 /// the circuit is wider than the model's device.
 CompiledCircuit compile_noisy_circuit(const ir::QuantumCircuit& circuit,
                                       const noise::NoiseModel& model,
-                                      const GateMatrixFn& matrix_fn = {},
                                       const CompileOptions& options = {});
 
 /// Relative tolerance on |norm² - 1| of a trajectory leaf state. Unitary and

@@ -1,167 +1,86 @@
 #include "synth/cache.hpp"
 
-#include <deque>
-#include <map>
-#include <mutex>
-
-#include "common/strings.hpp"
-#include "obs/metrics.hpp"
+#include "common/lru_cache.hpp"
 
 namespace qc::synth {
 
-bool synth_cache_enabled() {
-  static const bool enabled = common::env_flag("QAPPROX_SYNTH_CACHE", true);
-  return enabled;
-}
-
 namespace {
 
-// One FIFO-bounded map per result type; a shared mutex keeps the whole cache
-// consistent (lookups copy entries out, so the lock is never held while a
-// search runs). FIFO rather than LRU: study access patterns are "same key
-// re-requested soon after first compute", where recency tracking buys
-// nothing over insertion order.
+// One LRU map per result type, each capped by entry count; lookups copy
+// entries out, so no lock is held while a search runs. All three bump the
+// shared synth.cache.{hits,misses,evictions} counters.
 constexpr std::size_t kMaxEntriesPerKind = 128;
 
-template <typename Key, typename Value>
-class FifoMap {
- public:
-  std::optional<Value> lookup(const Key& key) {
-    const auto it = map_.find(key);
-    if (it == map_.end()) return std::nullopt;
-    return it->second;
-  }
-
-  void store(const Key& key, Value value) {
-    if (map_.contains(key)) return;  // first result wins; identical anyway
-    if (map_.size() >= kMaxEntriesPerKind) {
-      map_.erase(order_.front());
-      order_.pop_front();
-    }
-    map_.emplace(key, std::move(value));
-    order_.push_back(key);
-  }
-
-  std::size_t size() const { return map_.size(); }
-  void clear() {
-    map_.clear();
-    order_.clear();
-  }
-
-  /// Entries in insertion (FIFO) order; used by the disk snapshot.
-  std::vector<std::pair<Key, Value>> dump() const {
-    std::vector<std::pair<Key, Value>> out;
-    out.reserve(map_.size());
-    for (const Key& key : order_) {
-      const auto it = map_.find(key);
-      if (it != map_.end()) out.emplace_back(it->first, it->second);
-    }
-    return out;
-  }
-
- private:
-  std::map<Key, Value> map_;
-  std::deque<Key> order_;
-};
-
-struct CacheState {
-  std::mutex mu;
-  FifoMap<QSearchCacheKey, CachedQSearch> qsearch;
-  FifoMap<QFastCacheKey, CachedQFast> qfast;
-  FifoMap<QFactorCacheKey, QFactorResult> qfactor;
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-};
-
-CacheState& state() {
-  static CacheState s;
-  return s;
+common::LruCache<QSearchCacheKey, CachedQSearch>& qsearch_cache() {
+  static common::LruCache<QSearchCacheKey, CachedQSearch> c(kMaxEntriesPerKind, "synth.cache");
+  return c;
 }
 
-void count_hit(CacheState& s, bool hit) {
-  static obs::Counter& hits = obs::counter("synth.cache.hits");
-  static obs::Counter& misses = obs::counter("synth.cache.misses");
-  if (hit) {
-    ++s.hits;
-    hits.add();
-  } else {
-    ++s.misses;
-    misses.add();
-  }
+common::LruCache<QFastCacheKey, CachedQFast>& qfast_cache() {
+  static common::LruCache<QFastCacheKey, CachedQFast> c(kMaxEntriesPerKind, "synth.cache");
+  return c;
 }
 
-template <typename Map, typename Key>
-auto locked_lookup(Map& map, const Key& key) {
-  CacheState& s = state();
-  std::lock_guard<std::mutex> lock(s.mu);
-  auto found = map.lookup(key);
-  count_hit(s, found.has_value());
-  return found;
+common::LruCache<QFactorCacheKey, QFactorResult>& qfactor_cache() {
+  static common::LruCache<QFactorCacheKey, QFactorResult> c(kMaxEntriesPerKind, "synth.cache");
+  return c;
 }
 
 }  // namespace
 
 SynthCacheStats synth_cache_stats() {
-  CacheState& s = state();
-  std::lock_guard<std::mutex> lock(s.mu);
-  return SynthCacheStats{s.hits, s.misses,
-                         s.qsearch.size() + s.qfast.size() + s.qfactor.size()};
+  SynthCacheStats out;
+  for (const common::LruStats& s :
+       {qsearch_cache().stats(), qfast_cache().stats(), qfactor_cache().stats()}) {
+    out.hits += s.hits;
+    out.misses += s.misses;
+    out.evictions += s.evictions;
+    out.entries += s.entries;
+    out.cap += s.cap;
+  }
+  return out;
 }
 
 void clear_synth_cache() {
-  CacheState& s = state();
-  std::lock_guard<std::mutex> lock(s.mu);
-  s.qsearch.clear();
-  s.qfast.clear();
-  s.qfactor.clear();
+  qsearch_cache().clear();
+  qfast_cache().clear();
+  qfactor_cache().clear();
 }
 
 std::optional<CachedQSearch> synth_cache_lookup(const QSearchCacheKey& key) {
-  return locked_lookup(state().qsearch, key);
+  return qsearch_cache().get(key);
 }
 
 std::optional<CachedQFast> synth_cache_lookup(const QFastCacheKey& key) {
-  return locked_lookup(state().qfast, key);
+  return qfast_cache().get(key);
 }
 
 std::optional<QFactorResult> synth_cache_lookup(const QFactorCacheKey& key) {
-  return locked_lookup(state().qfactor, key);
+  return qfactor_cache().get(key);
 }
 
 void synth_cache_store(const QSearchCacheKey& key, CachedQSearch entry) {
-  CacheState& s = state();
-  std::lock_guard<std::mutex> lock(s.mu);
-  s.qsearch.store(key, std::move(entry));
+  qsearch_cache().put(key, std::move(entry));
 }
 
 void synth_cache_store(const QFastCacheKey& key, CachedQFast entry) {
-  CacheState& s = state();
-  std::lock_guard<std::mutex> lock(s.mu);
-  s.qfast.store(key, std::move(entry));
+  qfast_cache().put(key, std::move(entry));
 }
 
 void synth_cache_store(const QFactorCacheKey& key, QFactorResult entry) {
-  CacheState& s = state();
-  std::lock_guard<std::mutex> lock(s.mu);
-  s.qfactor.store(key, std::move(entry));
+  qfactor_cache().put(key, std::move(entry));
 }
 
 std::vector<std::pair<QSearchCacheKey, CachedQSearch>> synth_cache_dump_qsearch() {
-  CacheState& s = state();
-  std::lock_guard<std::mutex> lock(s.mu);
-  return s.qsearch.dump();
+  return qsearch_cache().dump();
 }
 
 std::vector<std::pair<QFastCacheKey, CachedQFast>> synth_cache_dump_qfast() {
-  CacheState& s = state();
-  std::lock_guard<std::mutex> lock(s.mu);
-  return s.qfast.dump();
+  return qfast_cache().dump();
 }
 
 std::vector<std::pair<QFactorCacheKey, QFactorResult>> synth_cache_dump_qfactor() {
-  CacheState& s = state();
-  std::lock_guard<std::mutex> lock(s.mu);
-  return s.qfactor.dump();
+  return qfactor_cache().dump();
 }
 
 }  // namespace qc::synth

@@ -14,8 +14,8 @@
 // stored), and callbacks are observers — the full intermediate stream is
 // recorded with each entry and replayed into the caller's callback on a hit.
 //
-// QAPPROX_SYNTH_CACHE=0 disables caching process-wide (the per-call
-// `use_cache` options default from it).
+// Each result kind is a common::LruCache of 128 entries; the per-call
+// `use_cache` options (default on) bypass it for reference runs.
 #pragma once
 
 #include <cstdint>
@@ -29,18 +29,17 @@
 
 namespace qc::synth {
 
-/// Process default for the `use_cache` option fields: QAPPROX_SYNTH_CACHE
-/// (default on).
-bool synth_cache_enabled();
-
 struct SynthCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
+  std::uint64_t evictions = 0;
   std::size_t entries = 0;
+  std::size_t cap = 0;
 };
 
-/// Lifetime totals (also exported as synth.cache.{hits,misses} counters)
-/// plus the current entry count across all three result maps.
+/// Lifetime totals (also exported as synth.cache.{hits,misses,evictions}
+/// counters) plus the current entries and the entry cap, each summed over
+/// the three result kinds.
 SynthCacheStats synth_cache_stats();
 
 /// Drops every cached entry (tests, benchmarks). Stats counters are kept.
@@ -120,9 +119,9 @@ void synth_cache_store(const QSearchCacheKey& key, CachedQSearch entry);
 void synth_cache_store(const QFastCacheKey& key, CachedQFast entry);
 void synth_cache_store(const QFactorCacheKey& key, QFactorResult entry);
 
-// Full-cache enumeration in FIFO (insertion) order, for the disk snapshots
-// in synth/persist.hpp: re-storing a dump in order reproduces the same
-// eviction state. Each call copies the entries out under the cache lock.
+// Full-cache enumeration, coldest first, for the disk snapshots in
+// synth/persist.hpp: re-storing a dump in order reproduces the same recency.
+// Each call copies the entries out under the cache lock.
 std::vector<std::pair<QSearchCacheKey, CachedQSearch>> synth_cache_dump_qsearch();
 std::vector<std::pair<QFastCacheKey, CachedQFast>> synth_cache_dump_qfast();
 std::vector<std::pair<QFactorCacheKey, QFactorResult>> synth_cache_dump_qfactor();

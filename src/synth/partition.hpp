@@ -100,7 +100,7 @@ struct PartitionedSynthesisOptions {
   bool dedupe = true;
   /// Fan unique synthesis problems out over the thread pool. Bit-identical
   /// to the serial schedule at any thread count.
-  bool parallel_blocks = synth_parallel_default();
+  bool parallel_blocks = true;
   /// Pool for parallel_blocks; null means ThreadPool::global().
   common::ThreadPool* pool = nullptr;
   /// Polled before every block synthesis (StopPoller) and inside each

@@ -19,10 +19,6 @@
 
 namespace qc::synth {
 
-/// Process default for the `use_cache` option fields: QAPPROX_SYNTH_CACHE
-/// (default on). Defined with the cache in cache.cpp.
-bool synth_cache_enabled();
-
 struct QFactorOptions {
   int max_sweeps = 60;
   /// Stop when a full sweep improves the cost by less than this.
@@ -34,7 +30,7 @@ struct QFactorOptions {
   common::Deadline deadline;
   /// Memoize the whole run on (target, structure, options). Timed-out runs
   /// are never cached.
-  bool use_cache = synth_cache_enabled();
+  bool use_cache = true;
 };
 
 struct QFactorResult {

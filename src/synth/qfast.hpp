@@ -34,7 +34,7 @@ struct QFastOptions {
   /// Memoize the whole run on (target, edges, options, seed); repeated calls
   /// replay the recorded partial-solution stream. Timed-out runs are never
   /// cached.
-  bool use_cache = synth_cache_enabled();
+  bool use_cache = true;
 };
 
 struct QFastResult {

@@ -6,17 +6,11 @@
 
 #include "common/error.hpp"
 #include "common/faults.hpp"
-#include "common/strings.hpp"
 #include "obs/obs.hpp"
 #include "synth/cache.hpp"
 #include "synth/cost.hpp"
 
 namespace qc::synth {
-
-bool synth_parallel_default() {
-  static const bool enabled = common::env_flag("QAPPROX_SYNTH_PARALLEL", true);
-  return enabled;
-}
 
 namespace {
 

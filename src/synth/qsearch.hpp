@@ -26,14 +26,6 @@
 
 namespace qc::synth {
 
-/// Process default for QSearchOptions::parallel_children:
-/// QAPPROX_SYNTH_PARALLEL (default on).
-bool synth_parallel_default();
-
-/// Process default for the `use_cache` option fields: QAPPROX_SYNTH_CACHE
-/// (default on). Defined with the cache in cache.cpp.
-bool synth_cache_enabled();
-
 /// One synthesized (possibly approximate) circuit.
 struct ApproxCircuit {
   ir::QuantumCircuit circuit;
@@ -69,11 +61,11 @@ struct QSearchOptions {
   /// Optimize all children of a popped node concurrently on the thread pool.
   /// Results are bit-identical to the serial schedule (children are merged
   /// sequentially in edge order; see DESIGN.md §10).
-  bool parallel_children = synth_parallel_default();
+  bool parallel_children = true;
   /// Memoize the whole search on (target, edges, options, seed); repeated
   /// calls replay the recorded intermediate stream and return the first
   /// run's result. Timed-out runs are never cached.
-  bool use_cache = synth_cache_enabled();
+  bool use_cache = true;
   /// Pool for parallel_children; null means ThreadPool::global(). Tests pin
   /// explicit sizes here (QAPPROX_THREADS is read once per process).
   common::ThreadPool* pool = nullptr;

@@ -1,18 +1,25 @@
-// Unit tests for qc::common — RNG, thread pool, tables, CLI, strings.
+// Unit tests for qc::common — RNG, thread pool, tables, CLI, strings, the
+// bounded LRU cache.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "common/cli.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
+#include "common/lru_cache.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
+#include "obs/metrics.hpp"
 
 namespace qc::common {
 namespace {
@@ -312,6 +319,109 @@ TEST(RunMain, TimeoutWithNoResultsExitsNonzero) {
   char arg0[] = "test";
   char* argv[] = {arg0, nullptr};
   EXPECT_EQ(run_main(1, argv, body_timeout_cold), 1);
+}
+
+// ---- LruCache ----------------------------------------------------------------
+
+TEST(LruCache, EvictsTheColdestEntry) {
+  LruCache<int, std::string> cache(2);
+  cache.put(1, "one");
+  cache.put(2, "two");
+  EXPECT_EQ(cache.get(1), "one");  // 2 is now the coldest
+  cache.put(3, "three");
+  EXPECT_TRUE(cache.contains(1));
+  EXPECT_FALSE(cache.contains(2));
+  EXPECT_TRUE(cache.contains(3));
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.evictions(), 1u);
+}
+
+TEST(LruCache, OverwriteRefreshesRecency) {
+  LruCache<int, std::string> cache(2);
+  cache.put(1, "one");
+  cache.put(2, "two");
+  cache.put(1, "uno");  // overwrite: 1 becomes the hottest, 2 the coldest
+  EXPECT_EQ(cache.size(), 2u);
+  cache.put(3, "three");
+  EXPECT_EQ(cache.get(1), "uno");
+  EXPECT_FALSE(cache.contains(2));
+}
+
+TEST(LruCache, TalliesHitsMissesAndEvictions) {
+  LruCache<int, int> cache(1);
+  EXPECT_FALSE(cache.get(7).has_value());             // miss
+  EXPECT_EQ(cache.find_or_insert(7, [] { return 70; }),
+            std::make_pair(70, false));                // miss, insert
+  EXPECT_EQ(cache.find_or_insert(7, [] { return 71; }),
+            std::make_pair(70, true));                 // hit, make not used
+  EXPECT_EQ(cache.get(7), 70);                         // hit
+  cache.put(8, 80);                                    // evicts 7, no tally
+  EXPECT_TRUE(cache.contains(8));                      // no tally either
+  const LruStats s = cache.stats();
+  EXPECT_EQ(s.hits, 2u);
+  EXPECT_EQ(s.misses, 2u);
+  EXPECT_EQ(s.evictions, 1u);
+  EXPECT_EQ(s.entries, 1u);
+  EXPECT_EQ(s.cap, 1u);
+
+  cache.clear();  // entries go, tallies stay
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.hits(), 2u);
+  cache.put(9, 90);
+  cache.reset();  // both go
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.hits() + cache.misses() + cache.evictions(), 0u);
+}
+
+TEST(LruCache, MetricPrefixBumpsProcessCounters) {
+  obs::Counter& hits = obs::counter("test.lru.hits");
+  obs::Counter& misses = obs::counter("test.lru.misses");
+  obs::Counter& evictions = obs::counter("test.lru.evictions");
+  const std::uint64_t h0 = hits.value(), m0 = misses.value(), e0 = evictions.value();
+  LruCache<int, int> cache(1, "test.lru");
+  cache.get(1);
+  cache.put(1, 10);
+  cache.get(1);
+  cache.put(2, 20);
+  EXPECT_EQ(hits.value() - h0, 1u);
+  EXPECT_EQ(misses.value() - m0, 1u);
+  EXPECT_EQ(evictions.value() - e0, 1u);
+}
+
+TEST(LruCache, DumpIsColdestFirstAndRestoresRecency) {
+  LruCache<int, int> cache(3);
+  cache.put(1, 10);
+  cache.put(2, 20);
+  cache.put(3, 30);
+  cache.get(1);  // recency, coldest first: 2, 3, 1
+  const std::vector<std::pair<int, int>> dump = cache.dump();
+  EXPECT_EQ(dump, (std::vector<std::pair<int, int>>{{2, 20}, {3, 30}, {1, 10}}));
+
+  LruCache<int, int> restored(3);
+  for (const auto& [k, v] : dump) restored.put(k, v);
+  EXPECT_EQ(restored.dump(), dump);
+  restored.put(4, 40);  // evicts 2, the coldest in both caches
+  EXPECT_FALSE(restored.contains(2));
+  EXPECT_TRUE(restored.contains(1));
+}
+
+TEST(LruCache, RacingFindOrInsertOnOneKeyYieldsOneValue) {
+  LruCache<int, std::shared_ptr<int>> cache(4);
+  std::atomic<int> made{0};
+  std::vector<std::shared_ptr<int>> got(8);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < got.size(); ++t)
+    threads.emplace_back([&, t] {
+      got[t] = cache.find_or_insert(42, [&] {
+                      made.fetch_add(1);
+                      return std::make_shared<int>(static_cast<int>(t));
+                    }).first;
+    });
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(made.load(), 1);
+  for (const auto& p : got) EXPECT_EQ(p, got[0]);
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.hits(), 7u);
 }
 
 }  // namespace

@@ -218,5 +218,35 @@ TEST(ExecutionEngineTest, ClearCachesResetsCounters) {
   EXPECT_FALSE(result.record.transpile_cache_hit);
 }
 
+TEST(ExecutionEngineTest, CachesStayAtTheirCapAndRecomputeTheEvictedEntryBitForBit) {
+  // cap + 1 distinct one-gate circuits through one serial engine: each run
+  // adds one transpile and one compiled entry, so the last run evicts the
+  // first circuit's entries (the coldest) and nothing else.
+  exec::ExecutionEngine engine(exec::EngineOptions{1});
+  const auto request = [](std::size_t i) {
+    exec::RunRequest req;
+    req.circuit = ir::QuantumCircuit(1);
+    req.circuit.rx(1e-3 * static_cast<double>(i + 1), 0);
+    req.config = simulator_config();
+    return req;
+  };
+  const std::vector<double> first = engine.run(request(0)).probabilities;
+  for (std::size_t i = 1; i <= exec::kEngineCacheCap; ++i) engine.run(request(i));
+
+  const exec::CacheSnapshot snap = engine.cache_stats_snapshot();
+  EXPECT_EQ(snap.cap, exec::kEngineCacheCap);
+  EXPECT_EQ(snap.transpile_entries, exec::kEngineCacheCap);
+  EXPECT_EQ(snap.compiled_entries, exec::kEngineCacheCap);
+  EXPECT_EQ(snap.model_entries, 1u);
+  EXPECT_EQ(snap.stats.transpile_evictions, 1u);
+  EXPECT_EQ(snap.stats.compiled_evictions, 1u);
+  EXPECT_EQ(snap.stats.model_evictions, 0u);
+
+  const exec::RunResult again = engine.run(request(0));
+  EXPECT_FALSE(again.record.transpile_cache_hit);
+  EXPECT_FALSE(again.record.compiled_cache_hit);
+  EXPECT_EQ(again.probabilities, first);
+}
+
 }  // namespace
 }  // namespace qc

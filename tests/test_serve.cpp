@@ -27,6 +27,7 @@
 #include "common/deadline.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
+#include "exec/engine.hpp"
 #include "serve/client.hpp"
 #include "serve/jobs.hpp"
 #include "serve/protocol.hpp"
@@ -985,6 +986,43 @@ TEST(Server, IdempotentRetryReplaysTheCachedReplyWithoutReExecuting) {
   const QapproxServer::DurabilityStats dur = server.durability_stats();
   EXPECT_EQ(dur.replayed, 1u);
   EXPECT_EQ(dur.duplicate_exec, 0u);
+  server.stop();
+}
+
+TEST(Server, KeyedJobAndItsRetryCountOneReplayMissAndOneHit) {
+  QapproxServer server(test_options("replay-count"));
+  server.start();
+  Client client = Client::connect(server.options().socket_path);
+  ASSERT_EQ(client.call(keyed_simulate(1, "once")).get_string("status", ""), "ok");
+  EXPECT_TRUE(client.call(keyed_simulate(2, "once")).get_bool("replayed", false));
+
+  Value stats_req = Value::object();
+  stats_req.set("id", 3);
+  stats_req.set("type", "stats");
+  const Value stats = client.call(stats_req);
+  const Value* result = stats.find("result");
+  ASSERT_NE(result, nullptr);
+  const Value* replay = result->find("replay_cache");
+  ASSERT_NE(replay, nullptr);
+  EXPECT_EQ(replay->get_int("misses", -1), 1);
+  EXPECT_EQ(replay->get_int("hits", -1), 1);
+  EXPECT_EQ(replay->get_int("entries", -1), 1);
+
+  // Every bounded cache reports its cap and evictions next to its entries.
+  const Value* engine_cache = result->find("engine_cache");
+  ASSERT_NE(engine_cache, nullptr);
+  EXPECT_EQ(engine_cache->find("matrix"), nullptr);
+  for (const char* name : {"transpile", "model", "compiled"}) {
+    const Value* c = engine_cache->find(name);
+    ASSERT_NE(c, nullptr) << name;
+    EXPECT_EQ(c->get_int("cap", 0), static_cast<std::int64_t>(exec::kEngineCacheCap));
+    EXPECT_EQ(c->get_int("evictions", -1), 0) << name;
+    EXPECT_NE(c->find("entries"), nullptr) << name;
+  }
+  const Value* synth_cache = result->find("synth_cache");
+  ASSERT_NE(synth_cache, nullptr);
+  EXPECT_GT(synth_cache->get_int("cap", 0), 0);
+  EXPECT_NE(synth_cache->find("evictions"), nullptr);
   server.stop();
 }
 

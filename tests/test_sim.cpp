@@ -265,7 +265,7 @@ TEST(Compiled, FusionMergesNoiseFreeNeighbours) {
   const auto model = noise::NoiseModel::ideal(4);
   const auto fused = compile_noisy_circuit(qc, model);
   const auto plain =
-      compile_noisy_circuit(qc, model, {}, {.max_fuse_qubits = 0});
+      compile_noisy_circuit(qc, model, {.max_fuse_qubits = 0});
   EXPECT_EQ(plain.steps.size(), plain.source_gates);
   EXPECT_EQ(plain.fused_gates, 0u);
   EXPECT_GT(fused.fused_gates, 0u);  // a 4-qubit/40-gate circuit must overlap
@@ -300,9 +300,9 @@ TEST(Compiled, FusionEquivalenceAcrossMaxFuseWidths) {
       const auto qc = random_basis_circuit(n, 48, rng);
       const auto model = noise::NoiseModel::ideal(n);
       const auto fused =
-          compile_noisy_circuit(qc, model, {}, {.max_fuse_qubits = max_k});
+          compile_noisy_circuit(qc, model, {.max_fuse_qubits = max_k});
       const auto plain =
-          compile_noisy_circuit(qc, model, {}, {.max_fuse_qubits = 0});
+          compile_noisy_circuit(qc, model, {.max_fuse_qubits = 0});
       for (const auto& step : fused.steps) {
         ASSERT_LE(step.qubits.size(), static_cast<std::size_t>(max_k));
         if (step.source_count > 1)
@@ -340,7 +340,7 @@ TEST(Compiled, FusionPreservesNoisyEngines) {
   const auto qc = random_basis_circuit(3, 24, rng);
   const auto fused = compile_noisy_circuit(qc, model);
   const auto plain =
-      compile_noisy_circuit(qc, model, {}, {.max_fuse_qubits = 0});
+      compile_noisy_circuit(qc, model, {.max_fuse_qubits = 0});
   const auto pf = density_matrix_probabilities(fused);
   const auto pp = density_matrix_probabilities(plain);
   for (std::size_t i = 0; i < pf.size(); ++i) ASSERT_NEAR(pf[i], pp[i], 1e-10);
@@ -739,7 +739,7 @@ TEST(Compiled, InternedNoiseMatchesPerGateReference) {
       for (const int max_fuse : {0, 4}) {
         SCOPED_TRACE(::testing::Message() << n << " qubits, " << name
                                           << " model, max_fuse_qubits " << max_fuse);
-        const auto compiled = compile_noisy_circuit(qc, model, {}, {max_fuse});
+        const auto compiled = compile_noisy_circuit(qc, model, {max_fuse});
         expect_matches_reference(compiled, per_gate_reference(qc, model, max_fuse));
         // One list per distinct gate-qubit tuple that carries noise, each used.
         std::vector<std::vector<int>> tuples;
@@ -769,7 +769,7 @@ TEST(Compiled, InternedNoiseDropsSpectatorsBeyondTheRegister) {
   ASSERT_TRUE(spectator_beyond);
   for (const int max_fuse : {0, 4}) {
     SCOPED_TRACE(::testing::Message() << "max_fuse_qubits " << max_fuse);
-    const auto compiled = compile_noisy_circuit(qc, model, {}, {max_fuse});
+    const auto compiled = compile_noisy_circuit(qc, model, {max_fuse});
     expect_matches_reference(compiled, per_gate_reference(qc, model, max_fuse));
     // Six gates on five distinct qubit tuples: (1, 2) and (2, 1) differ.
     EXPECT_EQ(compiled.noise_lists.size(), 5u);
