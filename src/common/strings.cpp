@@ -4,8 +4,10 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #include "common/error.hpp"
+#include "obs/log.hpp"
 
 namespace qc::common {
 
@@ -61,12 +63,30 @@ std::string to_bitstring(std::uint64_t value, int bits) {
   return s;
 }
 
-bool env_flag(const char* name, bool default_on) {
+std::size_t env_size(const char* name, std::size_t fallback) {
   const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return default_on;
-  const std::string v = to_lower(trim(raw));
-  if (v.empty()) return default_on;
-  return !(v == "0" || v == "off" || v == "false" || v == "no");
+  if (raw == nullptr || *raw == '\0') return fallback;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(raw, &end, 10);
+  // strtoull negates a leading '-' into a huge value: refuse it outright.
+  if (end == raw || *end != '\0' || v == 0 ||
+      std::strchr(raw, '-') != nullptr) {
+    QC_LOG_WARN("env", "ignoring malformed %s='%s'", name, raw);
+    return fallback;
+  }
+  return static_cast<std::size_t>(v);
+}
+
+double env_double(const char* name, double fallback) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr || *raw == '\0') return fallback;
+  char* end = nullptr;
+  const double v = std::strtod(raw, &end);
+  if (end == raw || *end != '\0' || v < 0.0) {
+    QC_LOG_WARN("env", "ignoring malformed %s='%s'", name, raw);
+    return fallback;
+  }
+  return v;
 }
 
 }  // namespace qc::common

@@ -1,6 +1,8 @@
 // Small string utilities shared across modules.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -25,9 +27,14 @@ std::string format_double(double v, int max_precision = 6);
 /// Zero-padded binary rendering of `value` over `bits` bits, MSB first.
 std::string to_bitstring(std::uint64_t value, int bits);
 
-/// Boolean environment flag: unset/empty -> `default_on`; "0", "off",
-/// "false", "no" (case-insensitive) -> false; anything else -> true. Used by
-/// the synthesis fast-path kill switches (QAPPROX_SYNTH_*).
-bool env_flag(const char* name, bool default_on);
+/// Positive integer environment setting: unset/empty -> `fallback`; a value
+/// that does not parse, in full, as a positive decimal integer warns and
+/// keeps `fallback`.
+std::size_t env_size(const char* name, std::size_t fallback);
+
+/// Non-negative real environment setting: unset/empty -> `fallback`; a value
+/// that does not parse, in full, as a non-negative number warns and keeps
+/// `fallback`.
+double env_double(const char* name, double fallback);
 
 }  // namespace qc::common

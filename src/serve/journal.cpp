@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <sys/stat.h>
 #include <sys/types.h>
 
@@ -39,6 +40,58 @@ std::string record_json(const char* type, const std::string& key,
   return rec.dump();
 }
 
+/// One pass over a journal log. DONE replies keep the order of each key's
+/// first completion with its newest reply; ACCEPTED requests keep acceptance
+/// order, and a rejection closes its key until a later re-accept.
+struct LogScan {
+  std::vector<std::string> done_order;  // keys, oldest first
+  std::unordered_map<std::string, json::Value> done_replies;
+  std::vector<std::string> accept_order;
+  std::unordered_map<std::string, json::Value> accept_requests;
+
+  /// The newest `cap` DONE records, oldest first, re-encoded for a rewrite.
+  std::vector<std::string> newest_done(std::size_t cap) const {
+    std::vector<std::string> out;
+    const std::size_t first =
+        done_order.size() > cap ? done_order.size() - cap : 0;
+    for (std::size_t i = first; i < done_order.size(); ++i)
+      out.push_back(record_json("done", done_order[i], "reply",
+                                done_replies.at(done_order[i])));
+    return out;
+  }
+};
+
+LogScan scan_log(const std::vector<std::string>& records) {
+  LogScan scan;
+  for (const std::string& payload : records) {
+    json::Value rec;
+    std::string parse_error;
+    if (!json::try_parse(payload, &rec, &parse_error) || !rec.is_object())
+      continue;  // CRC-valid but unparseable: skip, never fail recovery
+    const std::string type = rec.get_string("t", "");
+    const std::string key = rec.get_string("key", "");
+    if (key.empty()) continue;
+    if (type == "accepted") {
+      const json::Value* request = rec.find("request");
+      if (request == nullptr) continue;
+      if (scan.accept_requests.count(key) == 0)
+        scan.accept_order.push_back(key);
+      scan.accept_requests[key] = *request;
+    } else if (type == "done") {
+      const json::Value* reply = rec.find("reply");
+      if (reply == nullptr) continue;
+      if (scan.done_replies.count(key) == 0) scan.done_order.push_back(key);
+      scan.done_replies[key] = *reply;
+    } else if (type == "rejected") {
+      // The scheduler bounced this key after it was accepted: nothing ran,
+      // nothing to re-enqueue. A later re-accept re-opens it.
+      scan.accept_requests.erase(key);
+    }
+    // "started" records are forensic only; recovery has no use for them.
+  }
+  return scan;
+}
+
 }  // namespace
 
 // ----------------------------------------------------------------- JobJournal
@@ -56,48 +109,20 @@ JobJournal::JobJournal(const std::string& dir, ReplayCache* replay)
   // Replay to a key -> last-state map. Order matters twice: DONE replies go
   // to the replay cache oldest-first so LRU keeps the newest, and incomplete
   // jobs re-enqueue in acceptance order.
-  std::vector<std::string> done_order;           // keys, oldest first
-  std::unordered_map<std::string, json::Value> done_replies;
-  std::vector<std::string> accept_order;
-  std::unordered_map<std::string, json::Value> accept_requests;
-  for (const std::string& payload : log.records) {
-    json::Value rec;
-    std::string parse_error;
-    if (!json::try_parse(payload, &rec, &parse_error) || !rec.is_object())
-      continue;  // CRC-valid but unparseable: skip, never fail recovery
-    const std::string type = rec.get_string("t", "");
-    const std::string key = rec.get_string("key", "");
-    if (key.empty()) continue;
-    if (type == "accepted") {
-      const json::Value* request = rec.find("request");
-      if (request == nullptr) continue;
-      if (accept_requests.count(key) == 0) accept_order.push_back(key);
-      accept_requests[key] = *request;
-    } else if (type == "done") {
-      const json::Value* reply = rec.find("reply");
-      if (reply == nullptr) continue;
-      if (done_replies.count(key) == 0) done_order.push_back(key);
-      done_replies[key] = *reply;
-    } else if (type == "rejected") {
-      // The scheduler bounced this key after it was accepted: nothing ran,
-      // nothing to re-enqueue. A later re-accept re-opens it.
-      accept_requests.erase(key);
-    }
-    // "started" records are forensic only; recovery has no use for them.
-  }
-
-  for (const std::string& key : done_order) {
-    if (replay_ != nullptr) replay_->put(key, done_replies[key]);
+  LogScan scan = scan_log(log.records);
+  for (const std::string& key : scan.done_order) {
+    if (replay_ != nullptr) replay_->put(key, scan.done_replies[key]);
     ++stats_.recovered_replies;
   }
-  for (const std::string& key : accept_order) {
-    if (done_replies.count(key) != 0) continue;  // finished before the crash
-    if (accept_requests.count(key) == 0) continue;  // rejected, never re-opened
+  for (const std::string& key : scan.accept_order) {
+    if (scan.done_replies.count(key) != 0) continue;  // finished pre-crash
+    const auto request = scan.accept_requests.find(key);
+    if (request == scan.accept_requests.end()) continue;  // rejected, closed
     if (incomplete_.count(key) != 0) continue;  // reject->re-accept: one entry
     RecoveredJob job;
     job.key = key;
-    job.request = accept_requests[key];
-    incomplete_[key] = job.request.dump();
+    job.request = request->second;
+    incomplete_[key] = record_json("accepted", key, "request", job.request);
     recovered_.push_back(std::move(job));
     ++stats_.recovered_incomplete;
   }
@@ -105,15 +130,10 @@ JobJournal::JobJournal(const std::string& dir, ReplayCache* replay)
   // Compact before the writer opens: recovery is the one moment the log has
   // no concurrent appenders, and rewriting here bounds growth across crash
   // loops (the chaos soak restarts this path five-plus times).
-  std::vector<std::string> keep;
-  const std::size_t done_cap = replay_ != nullptr ? replay_->cap() : 4096;
-  const std::size_t first_done =
-      done_order.size() > done_cap ? done_order.size() - done_cap : 0;
-  for (std::size_t i = first_done; i < done_order.size(); ++i)
-    keep.push_back(record_json("done", done_order[i], "reply",
-                               done_replies[done_order[i]]));
+  std::vector<std::string> keep =
+      scan.newest_done(replay_ != nullptr ? replay_->cap() : 4096);
   for (const RecoveredJob& job : recovered_)
-    keep.push_back(record_json("accepted", job.key, "request", job.request));
+    keep.push_back(incomplete_[job.key]);
   if (log.existed) {
     common::rewrite_wal(path_, keep);
     ++stats_.compactions;
@@ -208,31 +228,13 @@ void JobJournal::compact() {
   // Appends are quiesced (scheduler drained) by contract, so closing the
   // writer, rewriting, and reopening cannot lose records.
   writer_.reset();
+  // Everything worth replaying after a restart is the newest DONE records
+  // up to the replay cache's cap: the log compacted at open plus this boot's
+  // appends.
   std::vector<std::string> keep;
-  if (replay_ != nullptr) {
-    // Everything worth replaying after a restart is exactly the cache's
-    // current contents; walk it via the journal's own bookkeeping instead of
-    // exposing iteration: re-read the compacted-at-open log plus this boot's
-    // DONE records. Simpler and equivalent: re-scan the file we just wrote.
-    const common::WalReadResult log = common::read_wal(path_);
-    std::vector<std::string> order;
-    std::unordered_map<std::string, std::string> latest;
-    for (const std::string& payload : log.records) {
-      json::Value rec;
-      std::string parse_error;
-      if (!json::try_parse(payload, &rec, &parse_error) || !rec.is_object())
-        continue;
-      if (rec.get_string("t", "") != "done") continue;
-      const std::string key = rec.get_string("key", "");
-      if (key.empty()) continue;
-      if (latest.count(key) == 0) order.push_back(key);
-      latest[key] = payload;
-    }
-    const std::size_t cap = replay_->cap();
-    const std::size_t first = order.size() > cap ? order.size() - cap : 0;
-    for (std::size_t i = first; i < order.size(); ++i)
-      keep.push_back(latest[order[i]]);
-  }
+  if (replay_ != nullptr)
+    keep = scan_log(common::read_wal(path_).records)
+               .newest_done(replay_->cap());
   for (const auto& [key, payload] : incomplete_) keep.push_back(payload);
   common::rewrite_wal(path_, keep);
   ++stats_.compactions;
@@ -247,6 +249,69 @@ JournalStats JobJournal::stats() const {
     s.sync_calls = writer_->sync_calls();
   }
   return s;
+}
+
+// ------------------------------------------------------------------ JobLedger
+
+JobLedger::JobLedger(const std::string& journal_dir, std::size_t replay_cap)
+    : replay_(replay_cap, "serve.replay"), journal_(journal_dir, &replay_) {}
+
+JobLedger::Admission JobLedger::admit(const std::string& key,
+                                      ReplyWaiter waiter) {
+  std::optional<json::Value> cached;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = inflight_.find(key);
+    if (it != inflight_.end()) {
+      it->second.push_back(std::move(waiter));
+      attached_.fetch_add(1, std::memory_order_relaxed);
+      obs::counter("serve.replay.attached").add(1);
+      return Admission::kAttached;
+    }
+    cached = replay_.get(key);
+    if (!cached) {
+      inflight_[key].push_back(std::move(waiter));
+      return Admission::kPrimary;
+    }
+  }
+  replayed_.fetch_add(1, std::memory_order_relaxed);
+  cached->set("id", waiter.request_id);
+  cached->set("replayed", true);
+  if (waiter.sink) waiter.sink(*cached);
+  return Admission::kReplayed;
+}
+
+void JobLedger::complete(const std::string& key, const json::Value& reply) {
+  if (replay_.contains(key))
+    duplicate_exec_.fetch_add(1, std::memory_order_relaxed);
+  journal_.record_done(key, reply);  // durable BEFORE any send
+  replay_.put(key, reply);
+  // Pop only after the put: admit() treats "not in flight" as "in the cache".
+  deliver(key, reply, /*mark_retries=*/true);
+}
+
+void JobLedger::reject(const std::string& key, const json::Value& reply) {
+  journal_.record_rejected(key);
+  deliver(key, reply, /*mark_retries=*/false);
+}
+
+void JobLedger::deliver(const std::string& key, const json::Value& reply,
+                        bool mark_retries) {
+  std::vector<ReplyWaiter> waiters;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = inflight_.find(key);
+    if (it == inflight_.end()) return;
+    waiters = std::move(it->second);
+    inflight_.erase(it);
+  }
+  for (std::size_t i = 0; i < waiters.size(); ++i) {
+    if (!waiters[i].sink) continue;
+    json::Value copy = reply;
+    copy.set("id", waiters[i].request_id);
+    if (mark_retries && i > 0) copy.set("replayed", true);
+    waiters[i].sink(copy);
+  }
 }
 
 }  // namespace qc::serve

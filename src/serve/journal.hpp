@@ -25,9 +25,16 @@
 // Only idempotency-keyed jobs are journaled: a keyless job cannot be matched
 // to a retry, so replaying it after a crash would execute work nobody can
 // claim. Keys are tenant-scoped by the server before they reach this layer.
+//
+// JobLedger (bottom of this file) is the one owner of that bookkeeping for
+// the server: it holds the journal, the replay cache and the table of
+// requests waiting on each in-flight key, and exposes admission, completion
+// and rejection as three operations.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -130,6 +137,73 @@ class JobJournal {
   std::unordered_map<std::string, std::string> incomplete_;
   std::vector<RecoveredJob> recovered_;
   JournalStats stats_;
+};
+
+/// One request waiting on a keyed job's reply: the id to stamp into its copy
+/// and an opaque sink that takes the copy. An empty sink drops it (a
+/// journal-recovered job has no client; its reply lives in the replay cache).
+struct ReplyWaiter {
+  common::json::Value request_id;
+  std::function<void(const common::json::Value& reply)> sink;
+};
+
+/// Exactly-once replies for idempotency-keyed jobs. Owns the journal, the
+/// replay cache and the in-flight waiter table, so no caller coordinates
+/// them. Thread-safe; one instance per server.
+class JobLedger {
+ public:
+  enum class Admission {
+    kPrimary,   // first request for the key: the caller must execute it
+    kAttached,  // the key is in flight: the waiter gets that execution's reply
+    kReplayed,  // the key completed: the waiter already got the cached reply
+  };
+
+  /// Opens (and recovers) the journal in `journal_dir` ("" = journaling off,
+  /// replay cache in memory only). Throws common::Error like JobJournal.
+  JobLedger(const std::string& journal_dir, std::size_t replay_cap);
+
+  /// Registers `waiter` on `key`. A completed key's cached reply goes to the
+  /// waiter at once, re-stamped with its request id and marked replayed; an
+  /// in-flight key queues the waiter behind the one execution. The replay
+  /// lookup and the table update share one lock with complete()'s pop, so a
+  /// key is always either in flight or visible in the cache.
+  Admission admit(const std::string& key, ReplyWaiter waiter);
+
+  /// A primary's execution finished: counts a duplicate execution if the key
+  /// had already completed, makes the DONE record durable, caches the reply,
+  /// and only then hands every waiter its copy — the first (the primary) as
+  /// is, the attached retries marked replayed.
+  void complete(const std::string& key, const common::json::Value& reply);
+
+  /// The primary was never executed (the scheduler refused it): records the
+  /// rejection so recovery does not re-enqueue the key, and hands `reply` to
+  /// every waiter, each re-stamped with its own request id.
+  void reject(const std::string& key, const common::json::Value& reply);
+
+  JobJournal& journal() { return journal_; }
+  const ReplayCache& replay() const { return replay_; }
+
+  std::uint64_t replayed() const { return replayed_.load(); }
+  std::uint64_t attached() const { return attached_.load(); }
+  /// Keys that completed twice. The invariant the journal exists to uphold:
+  /// the chaos gate requires 0.
+  std::uint64_t duplicate_exec() const { return duplicate_exec_.load(); }
+
+ private:
+  /// Pops `key`'s waiters and hands each its re-stamped copy of `reply`.
+  void deliver(const std::string& key, const common::json::Value& reply,
+               bool mark_retries);
+
+  ReplayCache replay_;
+  JobJournal journal_;  // after replay_: recovery refills the cache
+
+  std::mutex mu_;
+  // In-flight keys -> every request waiting on the result, primary first.
+  std::unordered_map<std::string, std::vector<ReplyWaiter>> inflight_;
+
+  std::atomic<std::uint64_t> replayed_{0};
+  std::atomic<std::uint64_t> attached_{0};
+  std::atomic<std::uint64_t> duplicate_exec_{0};
 };
 
 }  // namespace qc::serve

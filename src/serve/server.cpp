@@ -9,53 +9,30 @@
 #include <cstring>
 #include <deque>
 #include <set>
+#include <system_error>
+#include <utility>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include "common/deadline.hpp"
-
 #include "common/driver.hpp"
 #include "common/error.hpp"
-#include "common/faults.hpp"
 #include "common/io.hpp"
-#include "linalg/kernels.hpp"
+#include "common/strings.hpp"
 #include "obs/obs.hpp"
 #include "obs/rolling.hpp"
 #include "serve/jobs.hpp"
-#include "synth/cache.hpp"
 #include "synth/persist.hpp"
 
 namespace qc::serve {
 
 namespace json = common::json;
 namespace driver = common::driver;
+using common::env_double;
+using common::env_size;
 
 namespace {
-
-std::size_t env_size(const char* name, std::size_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(raw, &end, 10);
-  if (end == raw || *end != '\0' || v == 0) {
-    QC_LOG_WARN("serve", "ignoring malformed %s='%s'", name, raw);
-    return fallback;
-  }
-  return static_cast<std::size_t>(v);
-}
-
-double env_double(const char* name, double fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(raw, &end);
-  if (end == raw || *end != '\0' || v < 0.0) {
-    QC_LOG_WARN("serve", "ignoring malformed %s='%s'", name, raw);
-    return fallback;
-  }
-  return v;
-}
 
 TailSamplerOptions tail_options(const ServerOptions& opts) {
   TailSamplerOptions t;
@@ -131,13 +108,14 @@ ServerOptions ServerOptions::from_env() {
   return opts;
 }
 
-/// Per-connection shared state. Reader thread, writer thread, and every
-/// queued job hold a shared_ptr; the last owner's destructor closes the fd,
-/// so replies for a disconnected client degrade to counted write failures,
-/// never a write to a reused descriptor. Replies are staged in a bounded
-/// byte-budget queue drained by the connection's writer thread; a client
-/// slower than its replies accumulate is disconnected at the budget (slow-
-/// loris back-pressure) instead of wedging a worker or growing the queue.
+/// Per-connection shared state. The reader thread, the writer thread, and
+/// the sink of every dispatched job hold a shared_ptr; the last owner's
+/// destructor closes the fd, so replies for a disconnected client degrade to
+/// counted write failures, never a write to a reused descriptor. Replies are
+/// staged in a bounded byte-budget queue drained by the connection's writer
+/// thread; a client slower than its replies accumulate is disconnected at
+/// the budget (slow-loris back-pressure) instead of wedging a worker or
+/// growing the queue.
 struct QapproxServer::ConnState {
   int fd = -1;
   std::atomic<bool> write_ok{true};
@@ -147,37 +125,17 @@ struct QapproxServer::ConnState {
   std::deque<std::string> queue;  // encoded frames, FIFO
   std::size_t queued_bytes = 0;
   std::size_t pending_jobs = 0;   // dispatched jobs not yet replied
-  bool reader_done = false;       // reader thread exited
-  bool stop = false;              // server stopping: flush queue and exit
+  bool reader_done = false;       // read loop ended
 
   ~ConnState() {
     if (fd >= 0) ::close(fd);
-  }
-
-  /// Pending-job accounting: a connection's writer thread stays alive until
-  /// the reader is gone AND every dispatched job has enqueued its reply.
-  /// Null-safe (journal-recovered jobs have no connection).
-  static void job_begin(const std::shared_ptr<ConnState>& conn) {
-    if (conn == nullptr) return;
-    std::lock_guard<std::mutex> lock(conn->q_mu);
-    ++conn->pending_jobs;
-  }
-
-  static void job_end(const std::shared_ptr<ConnState>& conn) {
-    if (conn == nullptr) return;
-    {
-      std::lock_guard<std::mutex> lock(conn->q_mu);
-      if (conn->pending_jobs > 0) --conn->pending_jobs;
-    }
-    conn->q_cv.notify_all();
   }
 };
 
 QapproxServer::QapproxServer(ServerOptions options)
     : options_(std::move(options)),
       scheduler_(options_.scheduler),
-      tail_(tail_options(options_)),
-      replay_(options_.replay_cache_cap, "serve.replay") {
+      tail_(tail_options(options_)) {
   // Exec ids are "<boot>-<seq>": unique per actual execution across
   // restarts, which is what lets the chaos harness prove a request id never
   // executed twice.
@@ -222,9 +180,10 @@ void QapproxServer::start() {
   // arm the watchdog, and re-enqueue accepted-but-unfinished jobs — all
   // before the listener exists, so no connection observes a half-recovered
   // server and no job runs unwatched.
-  journal_ = std::make_unique<JobJournal>(options_.journal_dir, &replay_);
-  if (journal_->enabled()) {
-    const JournalStats js = journal_->stats();
+  ledger_ = std::make_unique<JobLedger>(options_.journal_dir,
+                                        options_.replay_cache_cap);
+  if (ledger_->journal().enabled()) {
+    const JournalStats js = ledger_->journal().stats();
     QC_LOG_INFO("serve",
                 "journal %s: %llu replies replayed, %llu jobs to re-enqueue, "
                 "%llu torn bytes discarded (%.1f ms)",
@@ -245,26 +204,19 @@ void QapproxServer::start() {
   std::strncpy(addr.sun_path, options_.socket_path.c_str(),
                sizeof(addr.sun_path) - 1);
 
+  const auto fail = [this](const std::string& call) {
+    const int err = errno;
+    if (listen_fd_ >= 0) ::close(listen_fd_);
+    listen_fd_ = -1;
+    throw common::Error("serve: " + call + " failed: " + std::strerror(err));
+  };
   listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (listen_fd_ < 0)
-    throw common::Error(std::string("serve: socket() failed: ") +
-                        std::strerror(errno));
+  if (listen_fd_ < 0) fail("socket()");
   ::unlink(options_.socket_path.c_str());  // stale socket from a dead server
   if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    const int err = errno;
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw common::Error("serve: bind(" + options_.socket_path +
-                        ") failed: " + std::strerror(err));
-  }
-  if (::listen(listen_fd_, 64) != 0) {
-    const int err = errno;
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw common::Error(std::string("serve: listen() failed: ") +
-                        std::strerror(err));
-  }
+             sizeof(addr)) != 0)
+    fail("bind(" + options_.socket_path + ")");
+  if (::listen(listen_fd_, 64) != 0) fail("listen()");
 
   running_.store(true);
   accept_thread_ = std::thread([this] { accept_loop(); });
@@ -320,11 +272,11 @@ void QapproxServer::write_metric_snapshots() const {
 }
 
 void QapproxServer::accept_loop() {
-  while (!stopping_.load()) {
+  while (true) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      return;  // listener closed (stop()) or fatal: accept loop ends
+      return;  // listener shut down (stop()) or fatal: accept loop ends
     }
     counters_.connections.fetch_add(1, std::memory_order_relaxed);
     // Bound every blocking send: a peer that stops reading mid-frame stalls
@@ -337,18 +289,54 @@ void QapproxServer::accept_loop() {
     auto conn = std::make_shared<ConnState>();
     conn->fd = fd;
     std::lock_guard<std::mutex> lock(conns_mu_);
-    if (stopping_.load()) return;  // raced with stop(): conn closes via dtor
-    conns_.push_back(conn);
-    readers_.emplace_back([this, conn]() mutable {
-      handle_connection(std::move(conn));
-    });
-    writers_.emplace_back([this, conn = std::move(conn)]() mutable {
-      writer_loop(std::move(conn));
-    });
+    const std::uint64_t id = ++conn_seq_;
+    LiveConn& live = live_[id];
+    live.conn = conn;
+    try {
+      live.thread = std::thread([this, id, conn = std::move(conn)]() mutable {
+        serve_connection(id, std::move(conn));
+      });
+    } catch (const std::system_error& e) {
+      // Out of threads: refuse this one connection (its fd closes with the
+      // last reference), keep serving the rest.
+      QC_LOG_WARN("serve", "dropping a connection: %s", e.what());
+      live_.erase(id);
+    }
   }
 }
 
-void QapproxServer::handle_connection(std::shared_ptr<ConnState> conn) {
+void QapproxServer::serve_connection(std::uint64_t id,
+                                     std::shared_ptr<ConnState> conn) {
+  std::thread writer;
+  try {
+    writer = std::thread([this, conn] { writer_loop(conn); });
+    read_loop(conn);
+  } catch (const std::system_error& e) {  // out of threads: drop this one
+    QC_LOG_WARN("serve", "dropping a connection: %s", e.what());
+  }
+  {
+    std::lock_guard<std::mutex> lock(conn->q_mu);
+    conn->reader_done = true;
+  }
+  conn->q_cv.notify_all();  // the writer exits once the pending jobs reply
+  if (writer.joinable()) writer.join();
+  conn.reset();
+
+  // Leave the live set; the fd closes with the last reference. A thread
+  // cannot join itself: it parks its handle and joins the one parked before
+  // it, so at most one ended connection thread is ever left unjoined.
+  std::thread previous;
+  {
+    std::lock_guard<std::mutex> lock(conns_mu_);
+    auto it = live_.find(id);
+    previous = std::exchange(ended_, std::move(it->second.thread));
+    live_.erase(it);
+    conns_cv_.notify_all();
+  }
+  if (previous.joinable()) previous.join();
+}
+
+void QapproxServer::read_loop(const std::shared_ptr<ConnState>& conn) {
   FrameDecoder decoder(options_.max_frame_bytes);
   while (!decoder.poisoned()) {
     while (auto frame = decoder.next()) {
@@ -367,11 +355,6 @@ void QapproxServer::handle_connection(std::shared_ptr<ConnState> conn) {
     if (decoder.poisoned()) break;
     if (!read_into_decoder(conn->fd, decoder)) break;  // EOF / error / stop()
   }
-  {
-    std::lock_guard<std::mutex> lock(conn->q_mu);
-    conn->reader_done = true;
-  }
-  conn->q_cv.notify_all();  // writer may now exit once pending jobs drain
 }
 
 void QapproxServer::handle_frame(const std::shared_ptr<ConnState>& conn,
@@ -448,9 +431,6 @@ void QapproxServer::dispatch_job(const std::shared_ptr<ConnState>& conn,
   ticket->tenant = tenant;
   ticket->key = key;
   ticket->request_id = env.id;
-  ticket->wait_key = key.empty() ? std::string(1, '\0') + "#" +
-                                       std::to_string(ticket->id)
-                                 : key;
   if (env.deadline_ms > 0) {
     ticket->budget_ms = env.deadline_ms;
   } else {
@@ -458,59 +438,33 @@ void QapproxServer::dispatch_job(const std::shared_ptr<ConnState>& conn,
     if (std::isfinite(rem)) ticket->budget_ms = rem;
   }
 
-  // Register the waiter. For keyed jobs this is also the dedup point: a
-  // retry of an in-flight key attaches to the one execution instead of
-  // re-executing, and a completed key's retry gets the cached reply —
-  // re-stamped with this request's id — never a second execution. The one
-  // replay-cache lookup runs under inflight_mu_ to close the race with a
-  // concurrent completion (record_done puts the reply into the cache
-  // *before* deliver_keyed_reply pops the waiter list under this same mutex,
-  // so "not in flight" implies "visible in the cache").
-  ConnState::job_begin(conn);
-  bool primary = true;
-  std::optional<json::Value> completed;
-  {
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    auto it = inflight_.find(ticket->wait_key);
-    if (it != inflight_.end()) {
-      it->second.push_back(Waiter{conn, env.id});
-      primary = false;
-    } else if (!key.empty() && (completed = replay_.get(key))) {
-      primary = false;
-    } else {
-      inflight_.emplace(ticket->wait_key,
-                        std::vector<Waiter>{Waiter{conn, env.id}});
+  // Register where the reply goes. A keyless job's one reply rides on its
+  // ticket. A keyed job registers with the ledger, which is also the dedup
+  // point: a retry of an in-flight key attaches to the one execution, and a
+  // completed key's retry gets the cached reply — re-stamped with this
+  // request's id — never a second execution.
+  ReplySink sink = job_sink(conn);
+  if (key.empty()) {
+    ticket->reply_to = std::move(sink);
+  } else {
+    if (ledger_->admit(key, ReplyWaiter{env.id, std::move(sink)}) !=
+        JobLedger::Admission::kPrimary)
+      return;
+    // Journal ACCEPTED before submitting — durable, so a crash from here on
+    // re-enqueues the job. The order matters: an ACCEPTED appended after the
+    // job's own DONE would resurrect a completed job at recovery and execute
+    // it a second time. Recovered jobs are already in the journal's
+    // incomplete set and must not be re-accepted.
+    if (!recovered) {
+      json::Value request = json::Value::object();
+      request.set("type", kind);
+      request.set("id", env.id);
+      request.set("tenant", env.tenant);
+      request.set("idem", env.idem);
+      if (env.deadline_ms > 0) request.set("deadline_ms", env.deadline_ms);
+      request.set("params", env.params);
+      ledger_->journal().record_accepted(key, request);
     }
-  }
-  if (completed) {
-    ConnState::job_end(conn);
-    counters_.replayed.fetch_add(1, std::memory_order_relaxed);
-    json::Value reply = std::move(*completed);
-    reply.set("id", env.id);
-    reply.set("replayed", true);
-    send_reply(conn, reply);
-    return;
-  }
-  if (!primary) {
-    counters_.attached.fetch_add(1, std::memory_order_relaxed);
-    obs::counter("serve.replay.attached").add(1);
-    return;  // reply arrives via deliver_keyed_reply
-  }
-
-  // Journal ACCEPTED before submitting — durable, so a crash from here on
-  // re-enqueues the job. The order matters: an ACCEPTED appended after the
-  // job's own DONE would resurrect a completed job at recovery and execute
-  // it a second time. Recovered jobs are already in the journal's
-  // incomplete set and must not be re-accepted.
-  if (!key.empty() && !recovered) {
-    json::Value request = json::Value::object();
-    request.set("type", kind);
-    request.set("id", env.id);
-    request.set("tenant", env.tenant);
-    request.set("idem", env.idem);
-    if (env.deadline_ms > 0) request.set("deadline_ms", env.deadline_ms);
-    request.set("params", env.params);
-    journal_->record_accepted(key, request);
   }
 
   // Admission: mint the job's trace root and stamp the clock here, on the
@@ -524,8 +478,8 @@ void QapproxServer::dispatch_job(const std::shared_ptr<ConnState>& conn,
   const obs::TraceContext exec_ctx = obs::mint_child(root);
   const std::uint64_t admitted_ns = obs::now_ns();
 
-  // The job owns the envelope; the reply goes out from the worker thread via
-  // the waiter table (deliver_keyed_reply), streaming in completion order.
+  // The job owns the envelope; the reply goes out from the worker thread
+  // through finish(), streaming in completion order.
   auto body = [this, env = std::move(env), is_simulate, kind, tenant, key,
                ticket, root, queued_ctx, exec_ctx,
                admitted_ns](const common::CancelToken& cancel) {
@@ -536,7 +490,7 @@ void QapproxServer::dispatch_job(const std::shared_ptr<ConnState>& conn,
     const std::string exec_id =
         boot_id_ + "-" +
         std::to_string(exec_seq_.fetch_add(1, std::memory_order_relaxed) + 1);
-    if (!key.empty()) journal_->record_started(key, exec_id);
+    if (!key.empty()) ledger_->journal().record_started(key, exec_id);
 
     // Arm the watchdog: a per-job token linked to the scheduler's stop token
     // (strike 1 cancels this job alone), a progress beacon bumped by every
@@ -561,21 +515,14 @@ void QapproxServer::dispatch_job(const std::shared_ptr<ConnState>& conn,
       reply = outcome.degraded
                   ? make_degraded_reply(env.id, outcome.result, outcome.why)
                   : make_ok_reply(env.id, outcome.result);
-    } catch (const common::TimeoutError& e) {
-      status = "error";
-      reply = make_error_reply(env.id, "timeout", e.what());
-    } catch (const common::ContractError& e) {
-      status = "error";
-      reply = make_error_reply(env.id, "contract", e.what());
-    } catch (const common::SynthesisError& e) {
-      status = "error";
-      reply = make_error_reply(env.id, "synthesis", e.what());
-    } catch (const common::SimulationError& e) {
-      status = "error";
-      reply = make_error_reply(env.id, "simulation", e.what());
     } catch (const std::exception& e) {
+      // The library's error taxonomy names the kind (timeout, contract,
+      // synthesis, simulation); anything else, a bare Error too, is internal.
+      const auto* error = dynamic_cast<const common::Error*>(&e);
+      const std::string tag = error != nullptr ? error->kind() : "error";
       status = "error";
-      reply = make_error_reply(env.id, "internal", e.what());
+      reply = make_error_reply(env.id, tag == "error" ? "internal" : tag,
+                               e.what());
     }
     const std::uint64_t exec_end_ns = obs::now_ns();
     watchdog_->release(ticket);
@@ -594,26 +541,15 @@ void QapproxServer::dispatch_job(const std::shared_ptr<ConnState>& conn,
     reply.set("timeline", std::move(timeline));
     reply.set("exec", exec_id);
 
-    // Exactly-one-reply arbitration with the reaper: whoever flips the flag
-    // first owns the reply. Losing means the watchdog already answered (and
+    // Losing the arbitration means the watchdog already answered (and
     // journaled) for this job while this thread was wedged — suppress
     // everything and hand the slot accounting back to the scheduler.
-    if (ticket->replied->exchange(true)) {
+    if (!finish(*ticket, reply)) {
       scheduler_.note_wedged_worker_returned();
       return;
     }
-
     if (reply.find("error") != nullptr)
       counters_.job_errors.fetch_add(1, std::memory_order_relaxed);
-    if (!key.empty()) {
-      // A key completing twice is the invariant the whole journal exists to
-      // uphold; the counter is the chaos gate (must stay 0).
-      if (replay_.contains(key))
-        counters_.duplicate_exec.fetch_add(1, std::memory_order_relaxed);
-      journal_->record_done(key, reply);  // durable BEFORE any send
-      replay_.put(key, reply);
-    }
-    deliver_keyed_reply(ticket->wait_key, reply);
     const std::uint64_t end_ns = obs::now_ns();
 
     // Commit the phase spans now that every interval is known: one connected
@@ -645,23 +581,15 @@ void QapproxServer::dispatch_job(const std::shared_ptr<ConnState>& conn,
   std::string reject_reason;
   if (!scheduler_.submit(tenant, std::move(body), &reject_reason)) {
     counters_.overloaded.fetch_add(1, std::memory_order_relaxed);
-    // Close the key in the journal (nothing ran; recovery must not
-    // re-enqueue it) and bounce every waiter — retries may have attached
-    // between registration and this rejection.
-    if (!key.empty()) journal_->record_rejected(key);
-    std::vector<Waiter> waiters;
-    {
-      std::lock_guard<std::mutex> lock(inflight_mu_);
-      auto it = inflight_.find(ticket->wait_key);
-      if (it != inflight_.end()) {
-        waiters = std::move(it->second);
-        inflight_.erase(it);
-      }
-    }
-    for (const Waiter& w : waiters) {
-      send_reply(w.conn,
-                 make_error_reply(w.request_id, "overloaded", reject_reason));
-      ConnState::job_end(w.conn);
+    // Nothing ran. For a keyed job the ledger also closes the key in the
+    // journal (recovery must not re-enqueue it) and bounces the retries that
+    // attached between admission and this rejection.
+    const json::Value bounce =
+        make_error_reply(ticket->request_id, "overloaded", reject_reason);
+    if (key.empty()) {
+      if (ticket->reply_to) ticket->reply_to(bounce);
+    } else {
+      ledger_->reject(key, bounce);
     }
   }
 }
@@ -676,24 +604,19 @@ void QapproxServer::record_job_metrics(const char* kind,
   const auto rec = [&](const std::string& name, std::uint64_t v) {
     obs::rolling_histogram(name, window_ns).record(v);
   };
-  rec("serve.job.latency_ns", latency_ns);
-  rec("serve.job.queue_wait_ns", queue_wait_ns);
-  rec("serve.job.exec_ns", exec_ns);
-  const std::string by_kind = std::string(".kind.") + kind;
-  rec("serve.job.latency_ns" + by_kind, latency_ns);
-  rec("serve.job.queue_wait_ns" + by_kind, queue_wait_ns);
-  rec("serve.job.exec_ns" + by_kind, exec_ns);
-  const std::string by_tenant = ".tenant." + tenant_label(tenant);
-  rec("serve.job.latency_ns" + by_tenant, latency_ns);
-  rec("serve.job.queue_wait_ns" + by_tenant, queue_wait_ns);
-  rec("serve.job.exec_ns" + by_tenant, exec_ns);
+  // Per kind, per tenant, then the aggregates, latency last: a reader that
+  // sees the aggregate latency sample sees every other sample of the job.
+  for (const std::string& by : {std::string(".kind.") + kind,
+                                ".tenant." + tenant_label(tenant),
+                                std::string()}) {
+    rec("serve.job.queue_wait_ns" + by, queue_wait_ns);
+    rec("serve.job.exec_ns" + by, exec_ns);
+    rec("serve.job.latency_ns" + by, latency_ns);
+  }
 }
 
 void QapproxServer::send_reply(const std::shared_ptr<ConnState>& conn,
                                const json::Value& reply) {
-  // Journal-recovered jobs have no connection: their reply lives in the
-  // replay cache, waiting for the client's retry.
-  if (conn == nullptr) return;
   if (!conn->write_ok.load(std::memory_order_relaxed)) return;
   std::string payload = reply.dump();
   bool overflow = false;
@@ -720,67 +643,70 @@ void QapproxServer::send_reply(const std::shared_ptr<ConnState>& conn,
   conn->q_cv.notify_all();
 }
 
-void QapproxServer::writer_loop(std::shared_ptr<ConnState> conn) {
+void QapproxServer::writer_loop(const std::shared_ptr<ConnState>& conn) {
   std::unique_lock<std::mutex> lock(conn->q_mu);
   while (true) {
     conn->q_cv.wait(lock, [&] {
-      return !conn->queue.empty() || conn->stop ||
+      return !conn->queue.empty() ||
              !conn->write_ok.load(std::memory_order_relaxed) ||
              (conn->reader_done && conn->pending_jobs == 0);
     });
     if (!conn->write_ok.load(std::memory_order_relaxed)) return;
-    if (!conn->queue.empty()) {
-      std::string payload = std::move(conn->queue.front());
-      conn->queue.pop_front();
-      conn->queued_bytes -= payload.size();
-      lock.unlock();
-      try {
-        write_frame_fd(conn->fd, payload);
-        counters_.replies.fetch_add(1, std::memory_order_relaxed);
-      } catch (const common::Error&) {
-        // Client went away (or SO_SNDTIMEO fired on a wedged peer);
-        // remaining replies for this connection are dropped and counted,
-        // never retried against a dead socket.
-        conn->write_ok.store(false, std::memory_order_relaxed);
-        counters_.write_failures.fetch_add(1, std::memory_order_relaxed);
-      }
-      lock.lock();
-      continue;
+    // Queue drained with the reader gone and every job replied: no reply can
+    // arrive any more.
+    if (conn->queue.empty()) return;
+    std::string payload = std::move(conn->queue.front());
+    conn->queue.pop_front();
+    conn->queued_bytes -= payload.size();
+    lock.unlock();
+    try {
+      write_frame_fd(conn->fd, payload);
+      counters_.replies.fetch_add(1, std::memory_order_relaxed);
+    } catch (const common::Error&) {
+      // Client went away (or SO_SNDTIMEO fired on a wedged peer); remaining
+      // replies for this connection are dropped and counted, never retried
+      // against a dead socket.
+      conn->write_ok.store(false, std::memory_order_relaxed);
+      counters_.write_failures.fetch_add(1, std::memory_order_relaxed);
     }
-    // Queue drained: exit once no more replies can arrive (stop() drains the
-    // scheduler before flagging, so pending replies are already queued) or
-    // once this connection's reader is gone and its last job has replied.
-    if (conn->stop || (conn->reader_done && conn->pending_jobs == 0)) return;
+    lock.lock();
   }
 }
 
-void QapproxServer::deliver_keyed_reply(const std::string& key,
-                                        const json::Value& reply) {
-  std::vector<Waiter> waiters;
+QapproxServer::ReplySink QapproxServer::job_sink(
+    const std::shared_ptr<ConnState>& conn) {
+  // Journal-recovered jobs have no connection: their reply lives in the
+  // replay cache, waiting for the client's retry.
+  if (conn == nullptr) return {};
+  // Pending-job accounting: the writer stays alive until the reader is done
+  // AND every dispatched job has queued its reply.
   {
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    auto it = inflight_.find(key);
-    if (it != inflight_.end()) {
-      waiters = std::move(it->second);
-      inflight_.erase(it);
+    std::lock_guard<std::mutex> lock(conn->q_mu);
+    ++conn->pending_jobs;
+  }
+  return [this, conn](const json::Value& reply) {
+    send_reply(conn, reply);
+    {
+      std::lock_guard<std::mutex> lock(conn->q_mu);
+      --conn->pending_jobs;
     }
+    conn->q_cv.notify_all();
+  };
+}
+
+bool QapproxServer::finish(const JobTicket& ticket, const json::Value& reply) {
+  // Exactly-one-reply arbitration between the worker and the reaper:
+  // whoever flips the flag first owns the reply.
+  if (ticket.replied->exchange(true)) return false;
+  if (ticket.key.empty()) {
+    if (ticket.reply_to) ticket.reply_to(reply);
+  } else {
+    ledger_->complete(ticket.key, reply);
   }
-  // The first waiter started the execution; the rest are retries that
-  // attached mid-flight and get the same reply marked as replayed.
-  for (std::size_t i = 0; i < waiters.size(); ++i) {
-    json::Value copy = reply;
-    copy.set("id", waiters[i].request_id);
-    if (i > 0) copy.set("replayed", true);
-    send_reply(waiters[i].conn, copy);
-    ConnState::job_end(waiters[i].conn);
-  }
+  return true;
 }
 
 void QapproxServer::reap_job(const std::shared_ptr<JobTicket>& ticket) {
-  // Arbitrate with the worker: if it replied between the scan and this
-  // callback, there is nothing to reap.
-  if (ticket->replied->exchange(true)) return;
-  counters_.reaped.fetch_add(1, std::memory_order_relaxed);
   const double elapsed_ms = std::chrono::duration<double, std::milli>(
                                 std::chrono::steady_clock::now() -
                                 ticket->started_at)
@@ -792,22 +718,19 @@ void QapproxServer::reap_job(const std::shared_ptr<JobTicket>& ticket) {
                 ticket->kind.c_str(), elapsed_ms, ticket->budget_ms);
   json::Value reply = make_error_reply(ticket->request_id, "reaped", msg);
   reply.set("timed_out", true);
-  if (!ticket->key.empty()) {
-    // The key is burnt: the wedged thread may yet complete its side effects,
-    // so a retry must replay this error, never re-execute. A fresh attempt
-    // needs a fresh idempotency key.
-    journal_->record_done(ticket->key, reply);
-    replay_.put(ticket->key, reply);
-  }
-  deliver_keyed_reply(ticket->wait_key, reply);
+  // For a keyed job the reply burns the key: the wedged thread may yet
+  // complete its side effects, so a retry must replay this error, never
+  // re-execute. A fresh attempt needs a fresh idempotency key. Losing the
+  // arbitration means the worker replied between the scan and this call.
+  if (!finish(*ticket, reply)) return;
+  counters_.reaped.fetch_add(1, std::memory_order_relaxed);
   // Replace the wedged slot so throughput survives the loss; the surplus
   // worker retires once the stuck thread finally returns.
   scheduler_.spawn_surplus_worker();
 }
 
 void QapproxServer::replay_recovered_jobs() {
-  if (journal_ == nullptr || !journal_->enabled()) return;
-  std::vector<RecoveredJob> jobs = std::move(journal_->recovered());
+  std::vector<RecoveredJob> jobs = std::move(ledger_->journal().recovered());
   for (RecoveredJob& job : jobs) {
     std::string error;
     json::Value salvage_id;
@@ -845,16 +768,15 @@ void QapproxServer::stop() {
     request_shutdown();
     return;
   }
-  stopping_.store(true);
   request_shutdown();
 
-  // 1. Stop accepting: closing the listener unblocks accept().
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  // 1. Stop accepting: shutting the listener down unblocks accept(). The fd
+  // is closed only once the accept thread is joined, so accept() never sees
+  // it change, let alone a reused descriptor number.
+  ::shutdown(listen_fd_, SHUT_RDWR);
   if (accept_thread_.joinable()) accept_thread_.join();
+  ::close(listen_fd_);
+  listen_fd_ = -1;
 
   // 2. Stop the watchdog before draining: a reap callback racing teardown
   // would touch the journal and scheduler mid-destruction.
@@ -864,37 +786,20 @@ void QapproxServer::stop() {
   // and queues its reply while the connections are still alive.
   scheduler_.stop();
 
-  // 4. Flush and join the writers (before the readers: every drained job's
-  // reply is queued by now, and the writers must send them before the fd
-  // shutdown below can race the last frames onto a closing socket).
+  // 4. Shut down the read side of every live connection and wait for the
+  // live set to drain: each reader answers the frames it had buffered (a
+  // job submitted now is refused "overloaded"), its writer flushes every
+  // queued reply, and the connection leaves the set.
+  std::thread last;
   {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (auto& weak : conns_)
-      if (auto conn = weak.lock()) {
-        {
-          std::lock_guard<std::mutex> ql(conn->q_mu);
-          conn->stop = true;
-        }
-        conn->q_cv.notify_all();
-      }
+    std::unique_lock<std::mutex> lock(conns_mu_);
+    for (const auto& [id, live] : live_) ::shutdown(live.conn->fd, SHUT_RD);
+    conns_cv_.wait(lock, [this] { return live_.empty(); });
+    last = std::move(ended_);
   }
-  for (std::thread& t : writers_)
-    if (t.joinable()) t.join();
-  writers_.clear();
+  if (last.joinable()) last.join();  // each ended thread joined its previous
 
-  // 5. Unblock readers (shutdown, not close — ConnState owns the fd) and
-  // join them.
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (auto& weak : conns_)
-      if (auto conn = weak.lock()) ::shutdown(conn->fd, SHUT_RDWR);
-  }
-  for (std::thread& t : readers_)
-    if (t.joinable()) t.join();
-  readers_.clear();
-  conns_.clear();
-
-  // 6. Stop the metrics exporter and leave final observability artifacts:
+  // 5. Stop the metrics exporter and leave final observability artifacts:
   // the pending tail-sample window, one last metrics snapshot, and the
   // armed QAPPROX_TRACE / QAPPROX_METRICS exports — a SIGTERM'd daemon must
   // not rely on atexit ordering to preserve its soak evidence.
@@ -908,18 +813,16 @@ void QapproxServer::stop() {
   if (options_.metrics_period_ms > 0.0) write_metric_snapshots();
   obs::flush_exports();
 
-  // 7. Compact the journal: appends are quiesced, so a clean drain leaves a
+  // 6. Compact the journal: appends are quiesced, so a clean drain leaves a
   // DONE-only log (the CI chaos gate walks the frames and asserts exactly
   // that).
-  if (journal_) {
-    try {
-      journal_->compact();
-    } catch (const common::Error& e) {
-      QC_LOG_WARN("serve", "journal compaction failed: %s", e.what());
-    }
+  try {
+    ledger_->journal().compact();
+  } catch (const common::Error& e) {
+    QC_LOG_WARN("serve", "journal compaction failed: %s", e.what());
   }
 
-  // 8. Snapshot the synthesis cache for the next warm start.
+  // 7. Snapshot the synthesis cache for the next warm start.
   if (!options_.synth_cache_dir.empty()) {
     try {
       const std::size_t n = synth::synth_cache_save(options_.synth_cache_dir);
@@ -930,242 +833,6 @@ void QapproxServer::stop() {
     }
   }
   ::unlink(options_.socket_path.c_str());
-}
-
-json::Value QapproxServer::build_stats() const {
-  json::Value stats = json::Value::object();
-  const double uptime_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - started_at_)
-          .count();
-  stats.set("uptime_ms", uptime_ms);
-  stats.set("build", obs::build_info_summary());
-  stats.set("socket", options_.socket_path);
-
-  json::Value requests = json::Value::object();
-  requests.set("connections", counters_.connections.load());
-  requests.set("total", counters_.requests.load());
-  requests.set("ping", counters_.ping.load());
-  requests.set("simulate", counters_.simulate.load());
-  requests.set("synthesize", counters_.synthesize.load());
-  requests.set("stats", counters_.stats.load());
-  requests.set("metrics", counters_.metrics.load());
-  requests.set("shutdown", counters_.shutdown.load());
-  requests.set("bad_requests", counters_.bad_requests.load());
-  requests.set("oversized_frames", counters_.oversized_frames.load());
-  requests.set("overloaded", counters_.overloaded.load());
-  requests.set("replies", counters_.replies.load());
-  requests.set("write_failures", counters_.write_failures.load());
-  requests.set("job_errors", counters_.job_errors.load());
-  stats.set("requests", std::move(requests));
-
-  const SchedulerStats sched = scheduler_.stats();
-  json::Value scheduler = json::Value::object();
-  scheduler.set("workers", options_.scheduler.workers);
-  scheduler.set("queue_cap", options_.scheduler.queue_cap);
-  scheduler.set("per_tenant_cap", options_.scheduler.per_tenant_cap);
-  scheduler.set("queued", sched.queued);
-  scheduler.set("running", sched.running);
-  scheduler.set("tenants", sched.tenants);
-  scheduler.set("submitted", sched.submitted);
-  scheduler.set("rejected", sched.rejected);
-  scheduler.set("completed", sched.completed);
-  scheduler.set("peak_queued", sched.peak_queued);
-  scheduler.set("live_workers", sched.live_workers);
-  scheduler.set("surplus_spawned", sched.surplus_spawned);
-  stats.set("scheduler", std::move(scheduler));
-
-  const DurabilityStats dur = durability_stats();
-  json::Value durability = json::Value::object();
-  durability.set("replayed", dur.replayed);
-  durability.set("attached", dur.attached);
-  durability.set("recovered_jobs", dur.recovered_jobs);
-  durability.set("reaped", dur.reaped);
-  durability.set("duplicate_exec", dur.duplicate_exec);  // chaos gate: == 0
-  durability.set("slow_disconnects", dur.slow_disconnects);
-  stats.set("durability", std::move(durability));
-
-  const JournalStats js = journal_stats();
-  json::Value journal = json::Value::object();
-  journal.set("enabled", js.enabled);
-  journal.set("path", js.path);
-  journal.set("accepted", js.accepted);
-  journal.set("started", js.started);
-  journal.set("done", js.done);
-  journal.set("appended_bytes", js.appended_bytes);
-  journal.set("sync_calls", js.sync_calls);
-  journal.set("recovered_replies", js.recovered_replies);
-  journal.set("recovered_incomplete", js.recovered_incomplete);
-  journal.set("torn_bytes", js.torn_bytes);
-  journal.set("compactions", js.compactions);
-  journal.set("recovery_ms", js.recovery_ms);
-  stats.set("journal", std::move(journal));
-
-  const common::LruStats rs = replay_.stats();
-  json::Value replay = json::Value::object();
-  replay.set("entries", rs.entries);
-  replay.set("cap", rs.cap);
-  replay.set("hits", rs.hits);
-  replay.set("misses", rs.misses);
-  replay.set("evictions", rs.evictions);
-  stats.set("replay_cache", std::move(replay));
-
-  const WatchdogStats ws = watchdog_stats();
-  json::Value watchdog = json::Value::object();
-  watchdog.set("enabled", ws.enabled);
-  watchdog.set("scans", ws.scans);
-  watchdog.set("strikes", ws.strikes);
-  watchdog.set("reaped", ws.reaped);
-  watchdog.set("watched", ws.watched);
-  stats.set("watchdog", std::move(watchdog));
-
-  const exec::CacheSnapshot engine = driver::engine().cache_stats_snapshot();
-  json::Value engine_cache = json::Value::object();
-  auto cache_entry = [&engine](std::size_t hits, std::size_t misses,
-                               std::size_t evictions, std::size_t entries) {
-    json::Value v = json::Value::object();
-    v.set("hits", hits);
-    v.set("misses", misses);
-    v.set("evictions", evictions);
-    v.set("entries", entries);
-    v.set("cap", engine.cap);
-    return v;
-  };
-  engine_cache.set("transpile",
-                   cache_entry(engine.stats.transpile_hits,
-                               engine.stats.transpile_misses,
-                               engine.stats.transpile_evictions,
-                               engine.transpile_entries));
-  engine_cache.set("model", cache_entry(engine.stats.model_hits,
-                                        engine.stats.model_misses,
-                                        engine.stats.model_evictions,
-                                        engine.model_entries));
-  engine_cache.set("compiled", cache_entry(engine.stats.compiled_hits,
-                                           engine.stats.compiled_misses,
-                                           engine.stats.compiled_evictions,
-                                           engine.compiled_entries));
-  stats.set("engine_cache", std::move(engine_cache));
-
-  const synth::SynthCacheStats synth_stats = synth::synth_cache_stats();
-  json::Value synth_cache = json::Value::object();
-  synth_cache.set("hits", synth_stats.hits);
-  synth_cache.set("misses", synth_stats.misses);
-  synth_cache.set("evictions", synth_stats.evictions);
-  synth_cache.set("entries", synth_stats.entries);
-  synth_cache.set("cap", synth_stats.cap);
-  synth_cache.set("dir", options_.synth_cache_dir);
-  synth_cache.set("warm_loaded", warm_loaded_);
-  stats.set("synth_cache", std::move(synth_cache));
-
-  // Partitioned-resynthesis traffic across every partition-preset job this
-  // process has served (the same synth.partition.* counters QAPPROX_METRICS
-  // exports): how well intra-call dedupe + the synthesis cache collapse
-  // recurring blocks, and whether any per-block searches failed.
-  json::Value partition = json::Value::object();
-  partition.set("calls", obs::counter("synth.partition.calls").value());
-  partition.set("blocks_total",
-                obs::counter("synth.partition.blocks_total").value());
-  partition.set("blocks_resynthesized",
-                obs::counter("synth.partition.blocks_resynthesized").value());
-  partition.set("unique_blocks",
-                obs::counter("synth.partition.unique_blocks").value());
-  partition.set("dedupe_hits",
-                obs::counter("synth.partition.dedupe_hits").value());
-  partition.set("cache_hits",
-                obs::counter("synth.partition.cache_hits").value());
-  partition.set("cache_misses",
-                obs::counter("synth.partition.cache_misses").value());
-  partition.set("block_failures",
-                obs::counter("synth.partition.block_failures").value());
-  stats.set("partition", std::move(partition));
-
-  // Gate-fusion effectiveness across every compile this process has run
-  // (the same sim.compile.* counters QAPPROX_METRICS exports), so operators
-  // can see how much the k<=4 fusion pass is collapsing job circuits.
-  json::Value compile = json::Value::object();
-  compile.set("circuits", obs::counter("sim.compile.circuits").value());
-  compile.set("source_gates", obs::counter("sim.compile.source_gates").value());
-  compile.set("fused_gates", obs::counter("sim.compile.fused_gates").value());
-  compile.set("steps", obs::counter("sim.compile.steps").value());
-  json::Value fused_blocks = json::Value::object();
-  fused_blocks.set("k1", obs::counter("sim.compile.fused_blocks.k1").value());
-  fused_blocks.set("k2", obs::counter("sim.compile.fused_blocks.k2").value());
-  fused_blocks.set("k3", obs::counter("sim.compile.fused_blocks.k3").value());
-  fused_blocks.set("k4", obs::counter("sim.compile.fused_blocks.k4").value());
-  compile.set("fused_blocks", std::move(fused_blocks));
-  compile.set("simd_isa",
-              linalg::simd_isa_name(linalg::active_simd_isa()));
-  stats.set("compile", std::move(compile));
-
-  const TailSamplerStats tail = tail_.stats();
-  json::Value tail_json = json::Value::object();
-  tail_json.set("dir", options_.trace_dir);
-  tail_json.set("observed", tail.observed);
-  tail_json.set("captured", tail.captured);
-  tail_json.set("evicted", tail.evicted);
-  tail_json.set("write_failures", tail.write_failures);
-  stats.set("tail_sampler", std::move(tail_json));
-
-  stats.set("faults", common::faults::enabled() ? common::faults::active_spec()
-                                                : std::string());
-
-  // The whole PR3 metrics registry rides along, parsed back into the tree
-  // (obs emits valid JSON; if that ever regresses, ship it as a string).
-  json::Value metrics;
-  std::string parse_error;
-  if (json::try_parse(obs::metrics_json(), &metrics, &parse_error)) {
-    stats.set("metrics", std::move(metrics));
-  } else {
-    stats.set("metrics", obs::metrics_json());
-  }
-  return stats;
-}
-
-QapproxServer::DurabilityStats QapproxServer::durability_stats() const {
-  DurabilityStats d;
-  d.replayed = counters_.replayed.load();
-  d.attached = counters_.attached.load();
-  d.recovered_jobs = counters_.recovered_jobs.load();
-  d.reaped = counters_.reaped.load();
-  d.duplicate_exec = counters_.duplicate_exec.load();
-  d.slow_disconnects = counters_.slow_disconnects.load();
-  return d;
-}
-
-WatchdogStats QapproxServer::watchdog_stats() const {
-  return watchdog_ ? watchdog_->stats() : WatchdogStats{};
-}
-
-JournalStats QapproxServer::journal_stats() const {
-  return journal_ ? journal_->stats() : JournalStats{};
-}
-
-json::Value QapproxServer::build_metrics(const std::string& format) const {
-  json::Value result = json::Value::object();
-  const double uptime_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - started_at_)
-          .count();
-  result.set("uptime_ms", uptime_ms);
-  if (format == "prometheus") {
-    result.set("content_type", "text/plain; version=0.0.4");
-    result.set("body", obs::metrics_prometheus());
-    return result;
-  }
-  // Live scheduler depths ride along so one poll paints the whole dashboard.
-  const SchedulerStats sched = scheduler_.stats();
-  json::Value queue = json::Value::object();
-  queue.set("queued", sched.queued);
-  queue.set("running", sched.running);
-  queue.set("tenants", sched.tenants);
-  result.set("queue", std::move(queue));
-  json::Value metrics;
-  std::string parse_error;
-  if (json::try_parse(obs::metrics_json(), &metrics, &parse_error))
-    result.set("metrics", std::move(metrics));
-  else
-    result.set("metrics", obs::metrics_json());
-  return result;
 }
 
 }  // namespace qc::serve

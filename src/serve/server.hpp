@@ -6,13 +6,16 @@
 // (scheduler.hpp), so every client amortizes one warm ExecutionEngine and
 // one warm synthesis cache instead of cold-starting a process per figure.
 //
-// Structure: an accept thread spawns one reader and one writer thread per
-// connection; readers decode frames and either answer inline (ping/stats/
-// shutdown — cheap, never queued behind synthesis) or submit a job. Replies
-// stream back in completion order through a bounded per-connection write
-// queue (QAPPROX_WRITE_BUDGET; a reader slower than its replies is
-// disconnected rather than buffered without limit); a connection object
-// stays alive (via shared_ptr) until its last queued job has replied.
+// Structure: an accept thread starts one thread per connection, which
+// starts that connection's writer; readers decode frames and either answer
+// inline (ping/stats/metrics/shutdown — cheap, never queued behind
+// synthesis) or submit a job. Replies stream back in completion order
+// through a bounded per-connection write queue (QAPPROX_WRITE_BUDGET; a
+// reader slower than its replies is disconnected rather than buffered
+// without limit). A connection cleans up after itself: when its read loop
+// ends it waits for its writer, which exits once every job the connection
+// dispatched has replied (or a write failed), and then leaves the server's
+// live set; threads are held for live connections plus at most one ended.
 //
 // Crash durability (DESIGN.md §14): with QAPPROX_JOURNAL_DIR set,
 // idempotency-keyed jobs are journaled ACCEPTED/STARTED/DONE over a
@@ -20,25 +23,29 @@
 // mid-load loses no acked work: restart replays the journal, rebuilds the
 // reply-replay cache, and re-enqueues incomplete jobs. Retries carrying the
 // same "idem" key replay the cached reply or attach to the in-flight
-// execution instead of re-executing. A watchdog (QAPPROX_WATCHDOG_MS)
-// cancels overdue jobs and, when a job stops polling entirely, reaps its
-// slot with a structured "reaped" reply and a replacement worker.
+// execution instead of re-executing; the JobLedger (journal.hpp) owns all of
+// that bookkeeping. A watchdog (QAPPROX_WATCHDOG_MS) cancels overdue jobs
+// and, when a job stops polling entirely, reaps its slot with a structured
+// "reaped" reply and a replacement worker. Worker and reaper complete a job
+// through one function, and whichever gets there first owns the reply.
 //
 // Lifecycle: start() recovers the journal, warm-starts the synthesis cache
 // from QAPPROX_SYNTH_CACHE_DIR (when set), re-enqueues recovered jobs,
 // binds, and returns; wait() blocks until a shutdown request (wire or
-// signal handler calling request_shutdown()); stop() closes the listener,
-// stops the watchdog, drains the scheduler (every accepted job runs, under
-// a cancelled token — exactly one reply per request, never a leak), flushes
-// and joins the writers, unblocks and joins the readers, compacts the
-// journal, and snapshots the synthesis cache back to disk.
+// signal handler calling request_shutdown()); stop() shuts the listener
+// down and joins the accept thread (only then closing its fd), stops the
+// watchdog, drains the scheduler (every accepted job runs, under a
+// cancelled token — exactly one reply per request, never a leak), shuts
+// down the read side of every live connection and waits for the live set to
+// drain (each reader answers what it had buffered, each writer flushes),
+// compacts the journal, and snapshots the synthesis cache back to disk.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <list>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -128,8 +135,9 @@ class QapproxServer {
   const ServerOptions& options() const { return options_; }
 
   /// The stats-request payload (exposed for tests and the daemon's exit
-  /// summary): request counters, scheduler depths, engine cache snapshot,
-  /// synthesis cache totals, metrics registry, build info, fault spec.
+  /// summary): request counters, scheduler depths, durability, engine and
+  /// synthesis cache totals, the active SIMD ISA, metrics registry, build
+  /// info, fault spec. Rendered in server_stats.cpp, with build_metrics().
   common::json::Value build_stats() const;
 
   /// The metrics-request payload: the live registry as a JSON tree
@@ -156,24 +164,31 @@ class QapproxServer {
 
  private:
   struct ConnState;
-  struct Waiter {
-    std::shared_ptr<ConnState> conn;  // null for journal-recovered jobs
-    common::json::Value request_id;
+  struct LiveConn {
+    std::shared_ptr<ConnState> conn;
+    std::thread thread;  // the connection's reader; it joins its own writer
   };
+  using ReplySink = std::function<void(const common::json::Value&)>;
 
   void accept_loop();
-  void handle_connection(std::shared_ptr<ConnState> conn);
+  /// A connection's whole life on its reader thread: start the writer, read
+  /// frames until EOF, join the writer, leave the live set.
+  void serve_connection(std::uint64_t id, std::shared_ptr<ConnState> conn);
+  void read_loop(const std::shared_ptr<ConnState>& conn);
   void handle_frame(const std::shared_ptr<ConnState>& conn,
                     const std::string& payload);
   void dispatch_job(const std::shared_ptr<ConnState>& conn,
                     RequestEnvelope env, bool recovered = false);
   void send_reply(const std::shared_ptr<ConnState>& conn,
                   const common::json::Value& reply);
-  void writer_loop(std::shared_ptr<ConnState> conn);
-  /// Pops `key`'s waiter list and sends each its (id-patched) copy of
-  /// `reply`, closing the per-connection pending-job accounting.
-  void deliver_keyed_reply(const std::string& key,
-                           const common::json::Value& reply);
+  void writer_loop(const std::shared_ptr<ConnState>& conn);
+  /// Counts one pending job on `conn` and returns the sink its reply goes
+  /// to (queue the frame, close the pending job). Empty for no connection.
+  ReplySink job_sink(const std::shared_ptr<ConnState>& conn);
+  /// The one completion path, for the worker and the reaper alike: the
+  /// first caller for a ticket delivers `reply` (through the ledger for
+  /// keyed jobs) and returns true; a later caller does nothing, false.
+  bool finish(const JobTicket& ticket, const common::json::Value& reply);
   void reap_job(const std::shared_ptr<JobTicket>& ticket);
   void replay_recovered_jobs();
   void exporter_loop();
@@ -187,23 +202,15 @@ class QapproxServer {
   ServerOptions options_;
   JobScheduler scheduler_;
   TailSampler tail_;
-  ReplayCache replay_;
-  std::unique_ptr<JobJournal> journal_;    // created (and recovered) at start()
-  std::unique_ptr<Watchdog> watchdog_;     // created at start()
-  std::string boot_id_;                    // exec-id prefix, unique per boot
+  std::unique_ptr<JobLedger> ledger_;   // created (and recovered) at start()
+  std::unique_ptr<Watchdog> watchdog_;  // created at start()
+  std::string boot_id_;                 // exec-id prefix, unique per boot
   std::atomic<std::uint64_t> exec_seq_{0};
   std::atomic<std::uint64_t> ticket_seq_{0};
-  int listen_fd_ = -1;
+  int listen_fd_ = -1;  // written only while no accept thread runs
   std::thread accept_thread_;
   std::thread exporter_thread_;
   std::atomic<bool> running_{false};
-  std::atomic<bool> stopping_{false};
-
-  // In-flight idempotency keys -> every connection waiting on the result.
-  // The first waiter is the request that started the execution; later ones
-  // are retries that attached instead of re-executing.
-  std::mutex inflight_mu_;
-  std::unordered_map<std::string, std::vector<Waiter>> inflight_;
 
   std::mutex shutdown_mu_;
   std::condition_variable shutdown_cv_;
@@ -214,9 +221,12 @@ class QapproxServer {
   bool exporter_stop_ = false;
 
   std::mutex conns_mu_;
-  std::vector<std::thread> readers_;
-  std::vector<std::thread> writers_;  // joined before readers at stop()
-  std::list<std::weak_ptr<ConnState>> conns_;
+  std::condition_variable conns_cv_;  // signalled as connections end
+  std::uint64_t conn_seq_ = 0;
+  std::unordered_map<std::uint64_t, LiveConn> live_;
+  // The last connection thread to end, joined by the next one to end (or by
+  // stop()).
+  std::thread ended_;
 
   std::chrono::steady_clock::time_point started_at_;
 
@@ -236,11 +246,8 @@ class QapproxServer {
     std::atomic<std::uint64_t> replies{0};
     std::atomic<std::uint64_t> write_failures{0};
     std::atomic<std::uint64_t> job_errors{0};
-    std::atomic<std::uint64_t> replayed{0};
-    std::atomic<std::uint64_t> attached{0};
     std::atomic<std::uint64_t> recovered_jobs{0};
     std::atomic<std::uint64_t> reaped{0};
-    std::atomic<std::uint64_t> duplicate_exec{0};
     std::atomic<std::uint64_t> slow_disconnects{0};
   };
   mutable Counters counters_;

@@ -1,32 +1,17 @@
 #include "serve/watchdog.hpp"
 
-#include <cstdlib>
 #include <vector>
 
+#include "common/strings.hpp"
 #include "obs/obs.hpp"
 
 namespace qc::serve {
 
-namespace {
-
-double env_double_or(const char* name, double fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(raw, &end);
-  if (end == raw || *end != '\0' || v < 0.0) {
-    QC_LOG_WARN("serve", "ignoring malformed %s='%s'", name, raw);
-    return fallback;
-  }
-  return v;
-}
-
-}  // namespace
-
 WatchdogOptions Watchdog::options_from_env() {
   WatchdogOptions opts;
-  opts.scan_period_ms = env_double_or("QAPPROX_WATCHDOG_MS", opts.scan_period_ms);
-  opts.grace = env_double_or("QAPPROX_WATCHDOG_GRACE", opts.grace);
+  opts.scan_period_ms =
+      common::env_double("QAPPROX_WATCHDOG_MS", opts.scan_period_ms);
+  opts.grace = common::env_double("QAPPROX_WATCHDOG_GRACE", opts.grace);
   if (opts.grace < 1.0) opts.grace = 1.0;  // reaping before the budget is up
                                            // would race healthy jobs
   return opts;

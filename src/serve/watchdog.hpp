@@ -57,11 +57,10 @@ struct JobTicket {
   std::string kind;    // "simulate" | "synthesize"
   std::string tenant;
   std::string key;     // journal key ("" = not journaled)
-  /// Reply-delivery key into the server's in-flight waiter table. Equals
-  /// `key` for idempotent jobs; keyless jobs get a synthetic per-ticket key
-  /// so the reaper can still find their waiter.
-  std::string wait_key;
   common::json::Value request_id;  // echoed in the reaped reply
+  /// Keyless jobs only: where their one reply goes. Keyed jobs reply through
+  /// the JobLedger's waiter table, which also serves attached retries.
+  std::function<void(const common::json::Value&)> reply_to;
   /// Deadline budget in ms; 0 = unbounded (never reaped).
   double budget_ms = 0.0;
   std::chrono::steady_clock::time_point started_at;

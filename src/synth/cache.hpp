@@ -63,9 +63,6 @@ struct QSearchCacheKey {
   int opt_lbfgs_memory = 0;
   int restarts_per_node = 0;
   std::uint64_t seed = 0;
-  // Always 0 (analytic). Kept in the key and its persisted JSON so entries
-  // stored with the retired finite-difference mode (1) never match.
-  int gradient_mode = 0;
   auto operator<=>(const QSearchCacheKey&) const = default;
 };
 
@@ -82,7 +79,6 @@ struct QFastCacheKey {
   int restarts_per_depth = 0;
   bool emit_coarse_passes = false;
   std::uint64_t seed = 0;
-  int gradient_mode = 0;  // always 0, as in QSearchCacheKey
   auto operator<=>(const QFastCacheKey&) const = default;
 };
 
@@ -94,9 +90,6 @@ struct QFactorCacheKey {
   std::uint64_t tolerance_bits = 0;
   std::uint64_t success_threshold_bits = 0;
   int max_sweeps = 0;
-  // Always true (the incremental sweep). Kept in the key and its persisted
-  // JSON so entries stored by the retired dense sweep (false) never match.
-  bool incremental = true;
   auto operator<=>(const QFactorCacheKey&) const = default;
 };
 

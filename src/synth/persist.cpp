@@ -22,7 +22,10 @@ namespace {
 
 using common::json::Value;
 
-constexpr int kSnapshotVersion = 1;
+// Version 2 dropped the key fields that only ever held one value (the
+// gradient mode and the QFactor sweep kind); the version check refuses a
+// version-1 snapshot, and the server cold-starts.
+constexpr int kSnapshotVersion = 2;
 
 std::string u64_hex(std::uint64_t v) {
   char buf[20];
@@ -151,7 +154,6 @@ Value qsearch_key_to_json(const QSearchCacheKey& k) {
   out.set("opt_lbfgs", k.opt_lbfgs_memory);
   out.set("restarts", k.restarts_per_node);
   out.set("seed", u64_hex(k.seed));
-  out.set("gradient_mode", k.gradient_mode);
   return out;
 }
 
@@ -170,7 +172,6 @@ QSearchCacheKey qsearch_key_from_json(const Value& v) {
   k.opt_lbfgs_memory = static_cast<int>(v.get_int("opt_lbfgs", 0));
   k.restarts_per_node = static_cast<int>(v.get_int("restarts", 0));
   k.seed = u64_from_hex(*v.find("seed"));
-  k.gradient_mode = static_cast<int>(v.get_int("gradient_mode", 0));
   return k;
 }
 
@@ -188,7 +189,6 @@ Value qfast_key_to_json(const QFastCacheKey& k) {
   out.set("restarts", k.restarts_per_depth);
   out.set("coarse", k.emit_coarse_passes);
   out.set("seed", u64_hex(k.seed));
-  out.set("gradient_mode", k.gradient_mode);
   return out;
 }
 
@@ -206,7 +206,6 @@ QFastCacheKey qfast_key_from_json(const Value& v) {
   k.restarts_per_depth = static_cast<int>(v.get_int("restarts", 0));
   k.emit_coarse_passes = v.get_bool("coarse", false);
   k.seed = u64_from_hex(*v.find("seed"));
-  k.gradient_mode = static_cast<int>(v.get_int("gradient_mode", 0));
   return k;
 }
 
@@ -219,7 +218,6 @@ Value qfactor_key_to_json(const QFactorCacheKey& k) {
   out.set("tol_bits", u64_hex(k.tolerance_bits));
   out.set("success_bits", u64_hex(k.success_threshold_bits));
   out.set("max_sweeps", k.max_sweeps);
-  out.set("incremental", k.incremental);
   return out;
 }
 
@@ -232,7 +230,6 @@ QFactorCacheKey qfactor_key_from_json(const Value& v) {
   k.tolerance_bits = u64_from_hex(*v.find("tol_bits"));
   k.success_threshold_bits = u64_from_hex(*v.find("success_bits"));
   k.max_sweeps = static_cast<int>(v.get_int("max_sweeps", 0));
-  k.incremental = v.get_bool("incremental", false);
   return k;
 }
 

@@ -4,7 +4,7 @@
 // reuse across process lifetimes — exactly what a restarted qapprox server
 // needs to avoid cold-starting its most expensive cache. A snapshot is one
 // JSON document (<dir>/synth_cache.json) holding every in-memory entry of
-// all three result kinds in FIFO order:
+// all three result kinds, coldest first, so a reload restores the recency:
 //
 //   * 64-bit key fields (fingerprints, double bit patterns, seeds) are hex
 //     strings — JSON numbers are doubles and silently lose bits past 2^53.
@@ -37,10 +37,10 @@ const std::string& synth_cache_dir_env();
 std::size_t synth_cache_save(const std::string& dir);
 
 /// Loads a snapshot into the in-memory cache (entries merge through
-/// synth_cache_store: first result wins, FIFO capacity applies). Returns the
-/// number of entries loaded; a missing file returns 0, and a corrupt or
-/// version-mismatched file warns and returns 0 instead of throwing. Counted
-/// on synth.cache.disk_loaded.
+/// synth_cache_store: a loaded entry overwrites a live one, and the LRU cap
+/// applies). Returns the number of entries loaded; a missing file returns 0,
+/// and a corrupt or version-mismatched file warns and returns 0 instead of
+/// throwing. Counted on synth.cache.disk_loaded.
 std::size_t synth_cache_load(const std::string& dir);
 
 /// Serialize/deserialize without touching the filesystem (tests, wire).

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <set>
@@ -222,6 +223,28 @@ TEST(Strings, BitstringMsbFirst) {
   EXPECT_EQ(to_bitstring(0b101, 3), "101");
   EXPECT_EQ(to_bitstring(1, 4), "0001");
   EXPECT_EQ(to_bitstring(0, 2), "00");
+}
+
+TEST(Strings, EnvSettingsParseOrWarnAndKeepTheFallback) {
+  const char* name = "QAPPROX_TEST_ENV_SETTING";
+  ::unsetenv(name);
+  EXPECT_EQ(env_size(name, 7), 7u);
+  EXPECT_EQ(env_double(name, 2.5), 2.5);
+  ::setenv(name, "12", 1);
+  EXPECT_EQ(env_size(name, 7), 12u);
+  EXPECT_EQ(env_double(name, 2.5), 12.0);
+  ::setenv(name, "0.25", 1);
+  EXPECT_EQ(env_size(name, 7), 7u);  // not a whole integer
+  EXPECT_EQ(env_double(name, 2.5), 0.25);
+  for (const char* bad : {"0", "-3", " -3", "12abc", "x"}) {
+    ::setenv(name, bad, 1);
+    EXPECT_EQ(env_size(name, 7), 7u) << bad;
+  }
+  for (const char* bad : {"-1", "1.5ms", "fast"}) {
+    ::setenv(name, bad, 1);
+    EXPECT_EQ(env_double(name, 2.5), 2.5) << bad;
+  }
+  ::unsetenv(name);
 }
 
 TEST(Error, CheckMacroThrowsWithLocation) {

@@ -334,7 +334,6 @@ synth::QSearchCacheKey sample_qsearch_key() {
   key.opt_lbfgs_memory = 6;
   key.restarts_per_node = 2;
   key.seed = 0xFFFFFFFFFFFFFFF7ull;  // beyond 2^53: must survive as hex
-  key.gradient_mode = 1;
   return key;
 }
 
@@ -368,7 +367,6 @@ TEST(SynthPersist, SerializeDeserializeRoundTripsBitExactly) {
   fkey.dim = 4;
   fkey.num_qubits = 2;
   fkey.max_sweeps = 12;
-  fkey.incremental = true;
   synth::QFactorResult fres;
   fres.circuit = entry.result.best.circuit;
   fres.hs_distance = 0.25;
@@ -426,6 +424,28 @@ TEST(SynthPersist, DiskRoundTripAndHostileFilesAreSafe) {
   synth::clear_synth_cache();
 }
 
+TEST(SynthPersist, VersionOneSnapshotLoadsNothingWithoutThrowing) {
+  // Version 1 keys carried fields that only ever held one value; version 2
+  // dropped them, so a v1 snapshot is refused whole: a cold start.
+  const std::string dir = make_temp_dir();
+  synth::clear_synth_cache();
+  synth::synth_cache_store(sample_qsearch_key(), sample_qsearch_entry());
+  Value doc = json::parse(synth::synth_cache_serialize());
+  doc.set("version", 1);
+  {
+    std::ofstream out(dir + "/" + synth::kSynthCacheSnapshotFile,
+                      std::ios::trunc);
+    out << doc.dump();
+  }
+  synth::clear_synth_cache();
+  EXPECT_THROW(synth::synth_cache_deserialize(doc.dump()), common::Error);
+  std::size_t loaded = 1;
+  EXPECT_NO_THROW(loaded = synth::synth_cache_load(dir));
+  EXPECT_EQ(loaded, 0u);
+  EXPECT_FALSE(synth::synth_cache_lookup(sample_qsearch_key()).has_value());
+  synth::clear_synth_cache();
+}
+
 // ---- server over a real socket ---------------------------------------------
 
 ServerOptions test_options(const char* tag) {
@@ -471,6 +491,40 @@ TEST(Server, PingStatsAndIdEcho) {
   ASSERT_NE(result->find("scheduler"), nullptr);
   ASSERT_NE(result->find("engine_cache"), nullptr);
   ASSERT_NE(result->find("synth_cache"), nullptr);
+  server.stop();
+}
+
+std::size_t mapped_regions() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+TEST(Server, ClosedConnectionsGiveTheirThreadsBackBeforeStop) {
+  QapproxServer server(test_options("conn-reap"));
+  server.start();
+  // Warm-up: one-time mappings (cached thread stacks, malloc arenas, a
+  // sanitizer runtime's per-thread state) settle before the baseline.
+  for (std::uint64_t i = 0; i < 16; ++i) {
+    Client client = Client::connect(server.options().socket_path);
+    ASSERT_EQ(client.call(ping_request(i)).get_string("status", ""), "ok");
+  }
+  const std::size_t before = mapped_regions();
+  // Every closed connection must release its reader and writer threads (two
+  // stacks, four mappings) while the server runs, not only at stop().
+  for (std::uint64_t i = 16; i < 216; ++i) {
+    Client client = Client::connect(server.options().socket_path);
+    ASSERT_EQ(client.call(ping_request(i)).get_string("status", ""), "ok");
+  }
+  // The last connections may still be winding down on a loaded host; give
+  // them a moment, but not until stop().
+  std::size_t after = mapped_regions();
+  for (int attempt = 0; attempt < 500 && after > before + 64; ++attempt) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    after = mapped_regions();
+  }
+  EXPECT_LE(after, before + 64) << "from " << before;
   server.stop();
 }
 

@@ -1,5 +1,6 @@
 // Crash-durability substrate tests: CRC-framed WAL torn-tail recovery, the
-// job journal's exactly-once bookkeeping, the reply-replay LRU, and the
+// job journal's exactly-once bookkeeping, the reply-replay LRU, the job
+// ledger that owns both (admit / complete / reject, no sockets), and the
 // small pieces the chaos path leans on (jittered backoff, linked cancel
 // tokens, progress beacons).
 #include <gtest/gtest.h>
@@ -401,6 +402,112 @@ TEST(JobJournal, CompactionPreservesIncompleteJobs) {
   serve::JobJournal reopened(dir, &cache2);
   ASSERT_EQ(reopened.recovered().size(), 1u);
   EXPECT_EQ(reopened.recovered()[0].key, "live");
+}
+
+// ---- job ledger ---------------------------------------------------------------
+
+/// Stands in for a connection: collects what its ReplyWaiter sinks receive.
+struct Inbox {
+  std::vector<Value> replies;
+  serve::ReplyWaiter waiter(std::uint64_t request_id) {
+    return serve::ReplyWaiter{
+        Value(request_id), [this](const Value& reply) { replies.push_back(reply); }};
+  }
+};
+
+Value reply_for(std::uint64_t request_id, int gen) {
+  Value reply = sample_reply(gen);
+  reply.set("id", request_id);
+  return reply;
+}
+
+using Admission = serve::JobLedger::Admission;
+
+TEST(JobLedger, AttachedRetryGetsThePrimarysReply) {
+  serve::JobLedger ledger("", 8);
+  Inbox primary;
+  Inbox retry;
+  EXPECT_EQ(ledger.admit("k", primary.waiter(1)), Admission::kPrimary);
+  EXPECT_EQ(ledger.admit("k", retry.waiter(2)), Admission::kAttached);
+  EXPECT_TRUE(primary.replies.empty());
+  EXPECT_TRUE(retry.replies.empty()) << "an attached retry waits for the run";
+
+  ledger.complete("k", reply_for(1, 5));
+  ASSERT_EQ(primary.replies.size(), 1u);
+  EXPECT_EQ(primary.replies[0].find("id")->as_uint64(), 1u);
+  EXPECT_FALSE(primary.replies[0].get_bool("replayed", false));
+  ASSERT_EQ(retry.replies.size(), 1u);
+  EXPECT_EQ(retry.replies[0].find("id")->as_uint64(), 2u);
+  EXPECT_TRUE(retry.replies[0].get_bool("replayed", false));
+  EXPECT_EQ(retry.replies[0].get_int("gen", 0), 5);
+  EXPECT_EQ(ledger.attached(), 1u);
+  EXPECT_EQ(ledger.duplicate_exec(), 0u);
+}
+
+TEST(JobLedger, CompletedKeyReplaysAcrossReopenAndASecondRunCounts) {
+  const std::string dir = make_temp_dir();
+  {
+    serve::JobLedger ledger(dir, 8);
+    Inbox first;
+    ASSERT_EQ(ledger.admit("k", first.waiter(1)), Admission::kPrimary);
+    ledger.journal().record_accepted("k", sample_request("k"));
+    ledger.complete("k", reply_for(1, 7));
+
+    // The cached reply goes straight to the retry's sink, re-stamped.
+    Inbox retry;
+    EXPECT_EQ(ledger.admit("k", retry.waiter(2)), Admission::kReplayed);
+    ASSERT_EQ(retry.replies.size(), 1u);
+    EXPECT_EQ(retry.replies[0].find("id")->as_uint64(), 2u);
+    EXPECT_TRUE(retry.replies[0].get_bool("replayed", false));
+    EXPECT_EQ(retry.replies[0].get_int("gen", 0), 7);
+    EXPECT_EQ(ledger.replayed(), 1u);
+
+    // Completing a key that already completed is the duplicate execution
+    // the chaos gate watches for.
+    ledger.complete("k", reply_for(1, 8));
+    EXPECT_EQ(ledger.duplicate_exec(), 1u);
+  }
+  // The DONE record was durable: a restarted ledger replays, runs nothing.
+  serve::JobLedger reopened(dir, 8);
+  EXPECT_TRUE(reopened.journal().recovered().empty());
+  Inbox later;
+  EXPECT_EQ(reopened.admit("k", later.waiter(3)), Admission::kReplayed);
+  ASSERT_EQ(later.replies.size(), 1u);
+  EXPECT_EQ(later.replies[0].find("id")->as_uint64(), 3u);
+}
+
+TEST(JobLedger, RejectionBouncesEveryWaiterAndClosesTheKey) {
+  const std::string dir = make_temp_dir();
+  {
+    serve::JobLedger ledger(dir, 8);
+    Inbox primary;
+    Inbox retry_a;
+    Inbox retry_b;
+    ASSERT_EQ(ledger.admit("k", primary.waiter(1)), Admission::kPrimary);
+    ledger.journal().record_accepted("k", sample_request("k"));
+    ASSERT_EQ(ledger.admit("k", retry_a.waiter(2)), Admission::kAttached);
+    ASSERT_EQ(ledger.admit("k", retry_b.waiter(3)), Admission::kAttached);
+
+    Value bounce = Value::object();
+    bounce.set("id", 1);
+    bounce.set("status", "error");
+    ledger.reject("k", bounce);
+    std::uint64_t want_id = 1;
+    for (const Inbox* inbox : {&primary, &retry_a, &retry_b}) {
+      ASSERT_EQ(inbox->replies.size(), 1u);
+      EXPECT_EQ(inbox->replies[0].find("id")->as_uint64(), want_id++);
+      EXPECT_EQ(inbox->replies[0].get_string("status", ""), "error");
+      EXPECT_FALSE(inbox->replies[0].get_bool("replayed", false));
+    }
+
+    // Nothing was cached and nothing is in flight: the next try is primary.
+    Inbox again;
+    EXPECT_EQ(ledger.admit("k", again.waiter(4)), Admission::kPrimary);
+    EXPECT_TRUE(again.replies.empty());
+  }
+  serve::JobLedger reopened(dir, 8);
+  EXPECT_TRUE(reopened.journal().recovered().empty())
+      << "a rejected key must not re-enqueue at recovery";
 }
 
 // ---- backoff ----------------------------------------------------------------
