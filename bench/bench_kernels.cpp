@@ -18,7 +18,9 @@
 #include "common/driver.hpp"
 #include "gbench_main.hpp"
 
+#include "algos/tfim.hpp"
 #include "common/rng.hpp"
+#include "exec/engine.hpp"
 #include "obs/obs.hpp"
 #include "ir/circuit.hpp"
 #include "linalg/embed.hpp"
@@ -154,6 +156,27 @@ void BM_TrajectoryShots(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_TrajectoryShots);
+
+// One hardware-mode trajectory run of a tfim_hw-shaped program (3-qubit TFIM
+// at timestep 10, Manhattan, level-3 routing) at range(0) shots, through the
+// engine. Iterations after the first hit the engine caches, so this times
+// the shot trees of a run. The engine owns one worker: the figure is the
+// run's work, which a busy pool pays whatever its size.
+void BM_TrajectoryRun(benchmark::State& state) {
+  algos::TfimModel model;
+  exec::RunRequest request;
+  request.circuit = model.circuit_up_to(10);
+  request.config = exec::ExecutionConfig::hardware(noise::device_by_name("manhattan"));
+  request.config.shots = static_cast<std::size_t>(state.range(0));
+  request.config.seed = 3;
+  exec::ExecutionEngine engine(exec::EngineOptions{1});
+  for (auto _ : state) {
+    const exec::RunResult result = engine.run(request);
+    benchmark::DoNotOptimize(result.probabilities.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_TrajectoryRun)->Arg(128)->Arg(1024)->Arg(8192);
 
 // ---- generic path vs specialized kernels -----------------------------------
 //

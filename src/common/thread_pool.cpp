@@ -145,6 +145,7 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   // captured by reference — every call to it happens before the decrement the
   // caller waits on.
   struct Latch {
+    std::atomic<std::size_t> next;  // the next unclaimed index
     std::atomic<std::size_t> remaining;
     std::mutex done_mutex;
     std::condition_variable done_cv;
@@ -152,17 +153,23 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
     std::exception_ptr first_error;
   };
   auto latch = std::make_shared<Latch>();
+  latch->next.store(begin, std::memory_order_relaxed);
   latch->remaining.store(num_chunks, std::memory_order_relaxed);
 
-  const std::size_t chunk = (n + num_chunks - 1) / num_chunks;
+  // Each task claims indices one at a time until the range is exhausted, so
+  // a worker that drew cheap iterations takes more of them instead of idling
+  // behind a static share (later timesteps and deeper circuits cost more). A
+  // task that throws stops claiming; the others finish the range.
   {
     std::lock_guard<std::mutex> lock(mutex_);
     for (std::size_t c = 0; c < num_chunks; ++c) {
-      const std::size_t lo = begin + c * chunk;
-      const std::size_t hi = std::min(end, lo + chunk);
-      tasks_.push([latch, &fn, lo, hi] {
+      tasks_.push([latch, &fn, end] {
         try {
-          for (std::size_t i = lo; i < hi; ++i) fn(i);
+          for (;;) {
+            const std::size_t i = latch->next.fetch_add(1);
+            if (i >= end) break;
+            fn(i);
+          }
         } catch (...) {
           std::lock_guard<std::mutex> elock(latch->error_mutex);
           if (!latch->first_error) latch->first_error = std::current_exception();

@@ -1,8 +1,9 @@
 // Fixed-size thread pool with a deterministic parallel_for.
 //
 // Experiment drivers fan per-circuit / per-timestep work across the pool.
-// Work is partitioned statically by index, and each task writes only its own
-// output slot, so results are identical for any thread count (including 1).
+// Workers claim indices dynamically, one at a time, and each index writes
+// only its own output slot, so results are identical for any thread count
+// (including 1) and any claiming order.
 #pragma once
 
 #include <condition_variable>
@@ -27,9 +28,10 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
-  /// Runs fn(i) for i in [begin, end), partitioned across workers; blocks
-  /// until all iterations finish. Exceptions from fn are rethrown (first one
-  /// wins) after all workers drain.
+  /// Runs fn(i) for i in [begin, end) on up to size() tasks that claim
+  /// indices from a shared counter; blocks until all iterations finish.
+  /// Exceptions from fn are rethrown (first one wins) after all workers
+  /// drain; the task that threw claims no further index.
   ///
   /// Re-entrant: while waiting, the calling thread executes queued tasks
   /// itself, so nested parallel_for calls (experiment loop -> scatter study

@@ -119,16 +119,6 @@ common::ThreadPool& ExecutionEngine::pool() {
 
 ExecutionEngine::ExecutionEngine(EngineOptions options) : options_(options) {
   obs::init_from_env();
-  QC_CHECK_MSG(options_.trajectory_block > 0,
-               "EngineOptions::trajectory_block must be positive (it is the "
-               "shots-per-work-block partition; use the default 128 if unsure)");
-  if (options_.trajectory_block > kMaxTrajectoryBlock) {
-    QC_LOG_WARN("exec",
-                "EngineOptions::trajectory_block=%zu exceeds the ceiling %zu; "
-                "clamping",
-                options_.trajectory_block, kMaxTrajectoryBlock);
-    options_.trajectory_block = kMaxTrajectoryBlock;
-  }
   if (options_.num_threads > common::kMaxThreadPoolSize) {
     QC_LOG_WARN("exec",
                 "EngineOptions::num_threads=%zu exceeds the ceiling %zu; "
@@ -275,12 +265,11 @@ std::vector<double> ExecutionEngine::trajectory_probabilities(
     const common::Deadline& deadline, const obs::TraceContext& parent,
     RunRecord& rec) {
   QC_CHECK(shots > 0);
-  const std::size_t block = options_.trajectory_block;
-  const std::size_t num_blocks = (shots + block - 1) / block;
+  const std::size_t num_trees = (shots + kMaxShotsPerTree - 1) / kMaxShotsPerTree;
   obs::Span span("exec.trajectories", parent);
   if (span.active()) {
     span.arg("shots", shots);
-    span.arg("blocks", num_blocks);
+    span.arg("trees", num_trees);
   }
   static obs::Counter& shot_counter = obs::counter("sim.trajectory_shots");
   // Leaf states of the shot trees: unique evolutions per shot is their ratio
@@ -290,22 +279,25 @@ std::vector<double> ExecutionEngine::trajectory_probabilities(
   std::mutex merge_mutex;
   std::size_t completed_total = 0;
   std::size_t leaves_total = 0;
-  // The block partition depends only on `trajectory_block`, and each shot
-  // draws from its own counter-derived stream, so the merged integer counts
-  // are bit-identical for every pool size and merge order. (A timed-out run
-  // is the exception: which shots finish before expiry depends on thread
-  // scheduling, so partial results are flagged, not reproducible.)
+  // One shot tree shares every common branch prefix of the run; only a run
+  // above kMaxShotsPerTree splits, into consecutive ranges on the pool. A
+  // shot's outcome depends only on its own counter-derived stream and pick
+  // history, not on the range it shares a tree with, so the merged integer
+  // counts are bit-identical for every split, pool size and merge order. (A
+  // timed-out run is the exception: which shots finish before expiry
+  // depends on thread scheduling, so partial results are flagged, not
+  // reproducible.)
   const obs::TraceContext traj_ctx = span.context();  // pool threads parent here
-  pool().parallel_for(0, num_blocks, [&](std::size_t b) {
-    obs::Span block_span("exec.traj_block", traj_ctx);
-    const std::size_t begin = b * block;
-    const std::size_t end = std::min(shots, begin + block);
-    if (block_span.active()) block_span.arg("shots", end - begin);
+  pool().parallel_for(0, num_trees, [&](std::size_t t) {
+    obs::Span tree_span("exec.traj_block", traj_ctx);
+    const std::size_t begin = t * kMaxShotsPerTree;
+    const std::size_t end = std::min(shots, begin + kMaxShotsPerTree);
+    if (tree_span.active()) tree_span.arg("shots", end - begin);
     std::size_t completed = 0;
     std::size_t leaves = 0;
     const auto local = sim::trajectory_counts_streamed(compiled, begin, end, seed,
                                                        deadline, &completed, &leaves);
-    if (block_span.active()) block_span.arg("leaves", leaves);
+    if (tree_span.active()) tree_span.arg("leaves", leaves);
     std::lock_guard<std::mutex> lock(merge_mutex);
     completed_total += completed;
     leaves_total += leaves;

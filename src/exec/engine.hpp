@@ -21,10 +21,11 @@
 // server that sees an open-ended stream of distinct circuits holds bounded
 // memory; an evicted entry is recomputed, bit for bit, on its next use.
 //
-// run_batch schedules requests over a ThreadPool; the trajectory engine
-// additionally fans shots out in fixed-size blocks with counter-based
-// per-shot RNG streams (common::derive_stream_seed), so results are
-// bit-identical for every thread count, including QAPPROX_THREADS=1.
+// run_batch schedules requests over a ThreadPool. A trajectory run evolves
+// all its shots as one shot tree (up to kMaxShotsPerTree shots per tree),
+// each shot on its own counter-based RNG stream (common::derive_stream_seed),
+// so results are bit-identical for every thread count, including
+// QAPPROX_THREADS=1.
 //
 // The engine is fully instrumented through src/obs: every phase (transpile /
 // noise model / compile / evolve) runs under a Span with a duration
@@ -54,17 +55,14 @@ struct EngineOptions {
   /// without environment variables). Values above kMaxThreadPoolSize are
   /// clamped with a warning.
   std::size_t num_threads = 0;
-  /// Shots per trajectory work block. The partition is fixed by this value,
-  /// not by the thread count, so per-block counts merge to identical totals
-  /// on any pool size. Must be positive (ContractError otherwise); values
-  /// above kMaxTrajectoryBlock are clamped with a warning.
-  std::size_t trajectory_block = 128;
 };
 
-/// Ceiling on EngineOptions::trajectory_block: a block far beyond any real
-/// shot budget defeats parallelism without changing results, so it is a
-/// config mistake, not a tuning choice.
-inline constexpr std::size_t kMaxTrajectoryBlock = 1u << 20;
+/// Shots per trajectory shot tree. A run evolves all its shots as one tree,
+/// so every shared branch prefix is evolved once; only a run above this cap
+/// splits, into ceil(shots / cap) trees over consecutive shot ranges run on
+/// the pool. The cap bounds a tree's per-shot state (a 48-byte Rng plus 24
+/// bytes of ids, picks and grouping scratch: about 4.7 MB at 2^16 shots).
+inline constexpr std::size_t kMaxShotsPerTree = std::size_t{1} << 16;
 
 /// Entry cap of each engine cache: twice the largest per-figure working set
 /// measured (about 500 distinct transpiled and compiled programs on the TFIM

@@ -963,13 +963,34 @@ BoundKernel bind_kernel(const KernelPlan& plan, const Matrix& op,
 
 void apply_bound(std::vector<cplx>& state, const BoundKernel& bound,
                  const ApplyOptions& options) {
-  QC_CHECK_MSG(state.size() == (std::size_t{1} << bound.log2_dim),
+  const std::size_t dim = state.size();
+  QC_CHECK_MSG(dim == (std::size_t{1} << bound.log2_dim),
                "kernel was bound for another span");
   if (bound.kind == KernelKind::GenericK) {
     apply_gate_inplace(state, *bound.generic_op, *bound.generic_qubits);
     return;
   }
-  run_span(bound, state.data(), state.size(), options);
+  if (dim < options.parallel_threshold) {
+    // The branch sliced() would take, without the slicing lambda: trajectory
+    // states are a few amplitudes, so the call overhead is the cost.
+    kernel_table(active_simd_isa()).fn[static_cast<int>(bound.kind)](
+        bound, state.data(), 0, loop_count(bound.kind, dim));
+    return;
+  }
+  run_span(bound, state.data(), dim, options);
+}
+
+double norm_squared(const std::vector<cplx>& state) {
+  double s = 0.0;
+  for (const cplx& a : state) s += std::norm(a);
+  return s;
+}
+
+double applied_norm_squared(const std::vector<cplx>& state, const BoundKernel& bound,
+                            std::vector<cplx>& scratch, const ApplyOptions& options) {
+  scratch.assign(state.begin(), state.end());
+  apply_bound(scratch, bound, options);
+  return norm_squared(scratch);
 }
 
 void apply_cx(std::vector<cplx>& state, int control, int target,

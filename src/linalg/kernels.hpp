@@ -34,9 +34,10 @@
 // apply_bound(state, bind_kernel(plan, op, qubits)), binding for that call
 // only, so a compiled program plans each step and Kraus operator once and
 // every density-matrix replay reuses the plan; the trajectory shot tree also
-// binds each noise operator once and applies the binding for every branch it
-// takes. A binding lives no longer than its operator and is never cached
-// beside it: at 584 bytes it is too large to store per operator. The right-hand
+// binds each step unitary and noise operator once and applies the binding
+// for every group and branch it takes. A binding lives no longer than its
+// operator and is never cached beside it: at 584 bytes it is too large to
+// store per operator. The right-hand
 // applies u·embed(op†) read conj(op) from op's entries instead of taking a
 // stored adjoint: (op†)ᵀ = conj(op) has op's zero pattern and unit entries, so
 // op's plan serves both sides. The Matrix-only overloads are plan_kernel plus
@@ -252,9 +253,22 @@ BoundKernel bind_kernel(const KernelPlan& plan, const Matrix& op,
                         const std::vector<int>& qubits);
 
 /// state := (bound operator) * state. Throws common::Error when the state is
-/// not the span the plan was made for; wide spans thread as apply_operator.
+/// not the span the plan was made for; wide spans thread as apply_operator,
+/// narrower ones call the kernel directly.
 void apply_bound(std::vector<cplx>& state, const BoundKernel& bound,
                  const ApplyOptions& options = {});
+
+/// Sum of |state[i]|^2 in ascending i with one accumulator. The one squared
+/// norm of the state-vector code: StateVector::norm_squared and
+/// applied_norm_squared both return it, so their results compare bit for bit.
+double norm_squared(const std::vector<cplx>& state);
+
+/// ||(bound operator) * state||^2 without touching `state`: applies the
+/// binding to a copy in the caller's `scratch` (resized to the state) and
+/// returns norm_squared of it. A trajectory's Born weight ||K_i psi||^2.
+double applied_norm_squared(const std::vector<cplx>& state, const BoundKernel& bound,
+                            std::vector<cplx>& scratch,
+                            const ApplyOptions& options = {});
 
 /// CX with no matrix in sight: swaps the target-flipped amplitude pairs in
 /// the control=1 half-space. Zero complex multiplies.

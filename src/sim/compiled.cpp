@@ -198,7 +198,6 @@ class ShotTree {
         shot_begin_(shot_begin),
         seed_(seed),
         picks_(shot_end - shot_begin),
-        branch_(compiled.num_qubits),
         poller_(deadline, /*stride=*/1),
         counts_(std::size_t{1} << compiled.num_qubits, 0) {
     const std::size_t n = shot_end - shot_begin;
@@ -209,8 +208,12 @@ class ShotTree {
       rngs_.emplace_back(common::derive_stream_seed(seed, shot_begin + i));
       ids_.push_back(i);
     }
-    // Bind every noise operator and sum every mixed-unitary weight vector
-    // once for the whole tree; branch draws and applications reuse them.
+    // Bind every step unitary and noise operator and sum every mixed-unitary
+    // weight vector once for the whole tree; every group's applications and
+    // branch draws reuse them.
+    steps_bound_.reserve(compiled.steps.size());
+    for (const CompiledStep& step : compiled.steps)
+      steps_bound_.push_back(linalg::bind_kernel(step.plan, step.unitary, step.qubits));
     std::size_t operators = 0;
     for (const std::vector<CompiledNoiseOp>& list : compiled.noise_lists)
       for (const CompiledNoiseOp& op : list) operators += op.operators.size();
@@ -228,7 +231,7 @@ class ShotTree {
 
   void run() {
     if (ids_.empty()) return;
-    states_.emplace_back(compiled_.num_qubits);
+    levels_.emplace_back(compiled_.num_qubits);
     evolve(0, ids_.size(), /*depth=*/0, /*step=*/0, /*op=*/0);
   }
 
@@ -243,15 +246,25 @@ class ShotTree {
     double total;       // mixed unitary: the checked sum of its weights
   };
 
-  /// Evolves the group ids_[lo, hi) on states_[depth] from noise op `op` of
+  /// What a group at one split depth owns: its state and the Born weights of
+  /// its current Kraus op. Children evolve one level deeper, so the weights
+  /// still hold this op's values when each child returns.
+  struct Level {
+    explicit Level(int num_qubits) : state(num_qubits) {}
+    StateVector state;
+    std::vector<double> weights;
+  };
+
+  /// Evolves the group ids_[lo, hi) on levels_[depth] from noise op `op` of
   /// step `step` (op 0: the step's unitary first) to the end of the program,
   /// then samples its shots.
   void evolve(std::size_t lo, std::size_t hi, std::size_t depth, std::size_t step,
               std::size_t op) {
-    StateVector& state = states_[depth];
+    Level& level = levels_[depth];
+    StateVector& state = level.state;
     for (; step < compiled_.steps.size(); ++step, op = 0) {
       const CompiledStep& s = compiled_.steps[step];
-      if (op == 0) state.apply_matrix(s.unitary, s.qubits, s.plan);
+      if (op == 0) state.apply_bound(steps_bound_[step]);
       if (s.noise == kNoNoise) continue;
       const std::vector<CompiledNoiseOp>& list = compiled_.noise_lists[s.noise];
       for (; op < list.size(); ++op) {
@@ -259,7 +272,7 @@ class ShotTree {
         const BoundOp& bop = bound_ops_[s.noise][op];
         double total = bop.total;
         const std::vector<double>& weights =
-            nop.mixed_unitary ? nop.probs : born_weights(state, nop, bop, total);
+            nop.mixed_unitary ? nop.probs : born_weights(level, nop, bop, total);
         bool split = false;
         for (std::size_t i = lo; i < hi; ++i) {
           picks_[ids_[i]] = rngs_[ids_[i]].discrete(weights, total);
@@ -269,8 +282,8 @@ class ShotTree {
           // Group the ids by pick. Every run but the largest gets a copy of
           // the state and is finished first; the largest then continues here
           // in place. A non-largest run holds at most half its group, so the
-          // split depth, hence the number of live states (one per depth plus
-          // the Born-weight scratch), is at most floor(log2(range)) + 2.
+          // split depth, hence the number of live states (one per depth), is
+          // at most floor(log2(range)) + 1, plus the Born-weight scratch.
           group_by_pick(lo, hi, weights.size());
           std::size_t keep_lo = lo, keep_hi = lo;
           for (std::size_t a = lo, b; a < hi; a = b) {
@@ -280,20 +293,20 @@ class ShotTree {
               keep_hi = b;
             }
           }
-          if (states_.size() == depth + 1) states_.emplace_back(compiled_.num_qubits);
+          if (levels_.size() == depth + 1) levels_.emplace_back(compiled_.num_qubits);
           for (std::size_t a = lo, b; a < hi; a = b) {
             b = run_end(a, hi);
             if (a == keep_lo) continue;
-            StateVector& child = states_[depth + 1];
+            StateVector& child = levels_[depth + 1].state;
             child = state;
-            apply_branch(child, nop, bop, picks_[ids_[a]]);
+            apply_branch(child, nop, bop, weights, picks_[ids_[a]]);
             evolve(a, b, depth + 1, step, op + 1);
             if (stopped_) return;
           }
           lo = keep_lo;
           hi = keep_hi;
         }
-        apply_branch(state, nop, bop, picks_[ids_[lo]]);
+        apply_branch(state, nop, bop, weights, picks_[ids_[lo]]);
       }
     }
     sample_leaf(state, lo, hi);
@@ -317,26 +330,27 @@ class ShotTree {
     return b;
   }
 
-  /// Born weights p_i = ||K_i psi||^2, evaluated on the single branch scratch
-  /// instead of materializing every branch, and their checked sum (once for
-  /// the whole group) in `total`.
-  const std::vector<double>& born_weights(const StateVector& state,
-                                          const CompiledNoiseOp& op,
+  /// Born weights p_i = ||K_i psi||^2 of the level's state, evaluated on the
+  /// single branch scratch instead of materializing every branch, into the
+  /// level's weights, and their checked sum (once for the whole group) in
+  /// `total`.
+  const std::vector<double>& born_weights(Level& level, const CompiledNoiseOp& op,
                                           const BoundOp& bop, double& total) {
-    weights_.resize(op.operators.size());
-    for (std::size_t i = 0; i < op.operators.size(); ++i) {
-      branch_ = state;
-      branch_.apply_bound(bound_[bop.first + i]);
-      weights_[i] = branch_.norm_squared();
-    }
-    total = common::Rng::discrete_total(weights_);
-    return weights_;
+    level.weights.resize(op.operators.size());
+    for (std::size_t i = 0; i < op.operators.size(); ++i)
+      level.weights[i] = linalg::applied_norm_squared(
+          level.state.amplitudes(), bound_[bop.first + i], branch_);
+    total = common::Rng::discrete_total(level.weights);
+    return level.weights;
   }
 
-  void apply_branch(StateVector& state, const CompiledNoiseOp& op,
-                    const BoundOp& bop, std::size_t pick) const {
+  /// Applies branch `pick` of `op` to `state`. A Kraus branch is renormalized
+  /// by its Born weight, which is the applied state's norm_squared() bit for
+  /// bit: the same kernel on the same amplitudes, summed the same way.
+  void apply_branch(StateVector& state, const CompiledNoiseOp& op, const BoundOp& bop,
+                    const std::vector<double>& weights, std::size_t pick) const {
     state.apply_bound(bound_[bop.first + pick]);
-    if (!op.mixed_unitary) state.normalize();
+    if (!op.mixed_unitary) state.normalize(weights[pick]);
   }
 
   void sample_leaf(StateVector& state, std::size_t lo, std::size_t hi) {
@@ -346,7 +360,7 @@ class ShotTree {
     }
     check_state_norm(state.norm_squared());
     // The per-shot stream seed doubles as the NaN-fault stream id: stable
-    // across thread counts and block partitions. Fault firing never touches
+    // across thread counts and shot-range partitions. Fault firing never touches
     // an RNG, so non-faulted shots draw the same stream with or without
     // injection armed.
     if (common::faults::enabled()) {
@@ -367,6 +381,7 @@ class ShotTree {
   }
 
   const CompiledCircuit& compiled_;
+  std::vector<linalg::BoundKernel> steps_bound_;   // every step unitary, bound once
   std::vector<linalg::BoundKernel> bound_;         // every noise operator, bound once
   std::vector<std::vector<BoundOp>> bound_ops_;    // per noise list, per op
   std::size_t shot_begin_;
@@ -376,9 +391,8 @@ class ShotTree {
   std::vector<std::size_t> picks_;   // per shot: branch drawn at the current op
   std::vector<std::size_t> grouped_;  // group_by_pick scratch: one group's ids
   std::vector<std::size_t> run_starts_;  // group_by_pick scratch: per pick
-  std::deque<StateVector> states_;   // states_[d]: group state at split depth d
-  StateVector branch_;
-  std::vector<double> weights_;
+  std::deque<Level> levels_;         // levels_[d]: the group at split depth d
+  std::vector<linalg::cplx> branch_;  // Born-weight scratch
   common::StopPoller poller_;
   std::vector<std::uint64_t> counts_;
   std::size_t completed_ = 0;

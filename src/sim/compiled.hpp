@@ -15,9 +15,9 @@
 //    density-matrix engine's right conjugation reads conj(op) from each
 //    operator's own entries under the same plan.
 //  * evolve  — per shot range: a depth-first shot tree. The tree first binds
-//    every operator of the program's noise lists to its plan
-//    (linalg::bind_kernel) and sums each mixed-unitary weight vector, once,
-//    in its own scratch. All shots of the range start on one shared state
+//    every step unitary and every operator of the program's noise lists to
+//    its plan (linalg::bind_kernel) and sums each mixed-unitary weight
+//    vector, once, in its own scratch. All shots of the range start on one shared state
 //    and each draws its noise branches from its own RNG stream; at a noise op
 //    the group splits by the branch each shot picked. Every distinct branch
 //    history is therefore evolved once and sampled by all of its shots, and
@@ -25,9 +25,9 @@
 //    bit-identical state.
 //
 // The execution engine (src/exec) caches CompiledCircuit programs per
-// (transpiled circuit, noise model) and fans evolve out across threads with
-// counter-based per-shot RNG streams (qsim/Cirq amortize noisy trajectory
-// repetitions the same way, Isakov et al., arXiv:2111.02396).
+// (transpiled circuit, noise model) and evolves each run's shots as one tree
+// (qsim/Cirq amortize noisy trajectory repetitions across shots too, Isakov
+// et al., arXiv:2111.02396).
 //
 // Three simulate entry points: trajectory_counts_streamed (a shot range),
 // density_matrix_probabilities (exact noisy) and statevector_probabilities

@@ -102,14 +102,12 @@ double StateVector::probability_one(int q) const {
 
 double StateVector::expectation_z(int q) const { return 1.0 - 2.0 * probability_one(q); }
 
-double StateVector::norm_squared() const {
-  double s = 0.0;
-  for (const auto& a : amps_) s += std::norm(a);
-  return s;
-}
+double StateVector::norm_squared() const { return linalg::norm_squared(amps_); }
 
-void StateVector::normalize() {
-  const double n = std::sqrt(norm_squared());
+void StateVector::normalize() { normalize(norm_squared()); }
+
+void StateVector::normalize(double squared_norm) {
+  const double n = std::sqrt(squared_norm);
   QC_CHECK_MSG(n > 1e-150, "cannot normalize a zero state");
   for (auto& a : amps_) a /= n;
 }

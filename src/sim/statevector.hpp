@@ -57,6 +57,9 @@ class StateVector {
   /// renormalizes after Kraus jumps).
   double norm_squared() const;
   void normalize();
+  /// normalize() given this state's norm_squared(), already known to the
+  /// caller (a trajectory's Born weight of the branch it applied).
+  void normalize(double squared_norm);
 
   /// Samples one outcome index from the Born distribution.
   std::uint64_t sample(common::Rng& rng) const;

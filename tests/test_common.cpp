@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -151,6 +152,45 @@ TEST(ThreadPool, PropagatesExceptions) {
                                    if (i == 37) throw Error("boom");
                                  }),
                Error);
+}
+
+TEST(ThreadPool, UnevenLoadRunsEveryIndexOnceAndPropagatesTheError) {
+  ThreadPool pool(4);
+  constexpr std::size_t kN = 200;
+  // Index 0 holds its worker until every other index has run. A static
+  // share would strand the rest of index 0's share behind it; claiming lets
+  // the other workers take them.
+  std::vector<std::atomic<int>> hits(kN);
+  std::atomic<std::size_t> others{0};
+  bool drained = false;
+  pool.parallel_for(0, kN, [&](std::size_t i) {
+    hits[i].fetch_add(1);
+    if (i != 0) {
+      others.fetch_add(1);
+      return;
+    }
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (others.load() < kN - 1 && std::chrono::steady_clock::now() < give_up)
+      std::this_thread::yield();
+    drained = others.load() == kN - 1;
+  });
+  EXPECT_TRUE(drained);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+
+  // The task that throws claims nothing more; the others finish the range,
+  // and the exception reaches the caller.
+  std::vector<std::atomic<int>> ran(kN);
+  bool thrown = false;
+  try {
+    pool.parallel_for(0, kN, [&](std::size_t i) {
+      ran[i].fetch_add(1);
+      if (i == 37) throw Error("index 37");
+    });
+  } catch (const Error& e) {
+    thrown = std::string(e.what()).find("index 37") != std::string::npos;
+  }
+  EXPECT_TRUE(thrown);
+  for (const auto& r : ran) EXPECT_EQ(r.load(), 1);
 }
 
 TEST(ThreadPool, SingleThreadFallbackWorks) {

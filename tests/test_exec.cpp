@@ -5,10 +5,12 @@
 #include "algos/grover.hpp"
 #include "algos/tfim.hpp"
 #include "exec/engine.hpp"
+#include "metrics/distribution.hpp"
 #include "noise/catalog.hpp"
 #include "synth/qsearch.hpp"
 #include "approx/experiment.hpp"
 #include "transpile/pipeline.hpp"
+#include "transpile/routing.hpp"
 
 namespace qc {
 namespace {
@@ -28,9 +30,9 @@ exec::ExecutionConfig trajectory_config() {
 ir::QuantumCircuit small_circuit() { return algos::grover_circuit(3, 0b101); }
 
 TEST(ExecutionEngineTest, RunBatchIsIdenticalForOneAndEightThreads) {
-  // The acceptance bar for the shot-parallel trajectory path: bit-identical
+  // The acceptance bar for the parallel trajectory path: bit-identical
   // distributions regardless of thread count, because every shot draws from
-  // its own counter-derived stream and blocks are fixed-size.
+  // its own counter-derived stream, whatever tree it is evolved in.
   const auto circuit = small_circuit();
   const auto cfg = trajectory_config();
   std::vector<exec::RunRequest> requests;
@@ -52,6 +54,38 @@ TEST(ExecutionEngineTest, RunBatchIsIdenticalForOneAndEightThreads) {
       EXPECT_EQ(a[i].probabilities[k], b[i].probabilities[k])
           << "request " << i << " outcome " << k;
   }
+}
+
+TEST(ExecutionEngineTest, RunAboveTheTreeCapSumsItsShotRanges) {
+  // One shot more than a tree holds: the run splits into [0, cap) and
+  // [cap, cap + 1), and its counts are those two ranges' counts summed, on
+  // any pool size.
+  ir::QuantumCircuit bell(2);
+  bell.h(0).cx(0, 1);
+  exec::ExecutionConfig cfg = exec::ExecutionConfig::hardware(noise::device_by_name("rome"));
+  cfg.shots = exec::kMaxShotsPerTree + 1;
+  cfg.seed = 5;
+
+  const auto tr = transpile::transpile(bell, cfg.device, cfg.transpile_options());
+  const auto model = noise::NoiseModel::from_device(tr.restricted_device(cfg.device),
+                                                    cfg.noise_options);
+  const auto compiled = sim::compile_noisy_circuit(tr.circuit, model);
+  ASSERT_EQ(compiled.num_qubits, 2);
+  auto counts =
+      sim::trajectory_counts_streamed(compiled, 0, exec::kMaxShotsPerTree, cfg.seed);
+  const auto tail = sim::trajectory_counts_streamed(compiled, exec::kMaxShotsPerTree,
+                                                    cfg.shots, cfg.seed);
+  for (std::size_t i = 0; i < counts.size(); ++i) counts[i] += tail[i];
+  const auto expected = transpile::unpermute_distribution(
+      metrics::counts_to_distribution(counts), tr.wire_of_virtual);
+
+  exec::ExecutionEngine one(exec::EngineOptions{1});
+  exec::ExecutionEngine four(exec::EngineOptions{4});
+  const auto a = one.run({bell, cfg});
+  const auto b = four.run({bell, cfg});
+  EXPECT_EQ(a.record.completed_shots, cfg.shots);
+  EXPECT_EQ(a.probabilities, expected);
+  EXPECT_EQ(b.probabilities, expected);
 }
 
 TEST(ExecutionEngineTest, CachedSecondRunMatchesFreshEngine) {

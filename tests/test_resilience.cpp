@@ -165,15 +165,8 @@ TEST_F(FaultTest, FiringIsDeterministicPerStream) {
 
 // ---- engine options validation ---------------------------------------------
 
-TEST(EngineOptionsTest, ZeroTrajectoryBlockIsAContractError) {
-  exec::EngineOptions options;
-  options.trajectory_block = 0;
-  EXPECT_THROW(exec::ExecutionEngine engine(options), common::ContractError);
-}
-
 TEST(EngineOptionsTest, AbsurdValuesAreClampedNotFatal) {
   exec::EngineOptions options;
-  options.trajectory_block = exec::kMaxTrajectoryBlock * 4;
   options.num_threads = common::kMaxThreadPoolSize;  // at the cap: no clamp
   exec::ExecutionEngine engine(options);              // must construct
   const auto result = engine.run({small_circuit(), trajectory_config(64)});
