@@ -200,6 +200,13 @@ linalg::Matrix cx_matrix() {
   return m;
 }
 
+linalg::Matrix s_matrix() {
+  linalg::Matrix m(2, 2);  // diag(1, i)
+  m(0, 0) = linalg::cplx{1.0, 0.0};
+  m(1, 1) = linalg::cplx{0.0, 1.0};
+  return m;
+}
+
 void set_amp_rate(benchmark::State& state, int n) {
   const double amps = static_cast<double>(state.iterations()) *
                       static_cast<double>(std::size_t{1} << n);
@@ -222,8 +229,12 @@ BENCHMARK(BM_GenericCx)->Arg(12)->Arg(14)->Arg(16);
 void BM_KernelCx(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   auto amps = bench_state(n, 71);
+  const linalg::Matrix cx = cx_matrix();
+  const std::vector<int> qubits = {0, n - 1};
+  const linalg::BoundKernel bound = linalg::bind_kernel(
+      linalg::plan_kernel(cx, qubits, amps.size()), cx, qubits);
   for (auto _ : state) {
-    linalg::apply_cx(amps, 0, n - 1);
+    linalg::apply_bound(amps, bound);
     benchmark::DoNotOptimize(amps.data());
   }
   set_amp_rate(state, n);
@@ -259,9 +270,7 @@ BENCHMARK(BM_Kernel1q)->Arg(12)->Arg(14)->Arg(16);
 void BM_GenericDiag1(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   auto amps = bench_state(n, 74);
-  linalg::Matrix z(2, 2);
-  z(0, 0) = linalg::cplx{1.0, 0.0};
-  z(1, 1) = linalg::cplx{0.0, 1.0};
+  const linalg::Matrix z = s_matrix();
   for (auto _ : state) {
     linalg::apply_gate_inplace(amps, z, {n / 2});
     benchmark::DoNotOptimize(amps.data());
@@ -273,8 +282,12 @@ BENCHMARK(BM_GenericDiag1)->Arg(12)->Arg(14);
 void BM_KernelDiag1(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   auto amps = bench_state(n, 74);
+  const linalg::Matrix z = s_matrix();
+  const std::vector<int> qubits = {n / 2};
+  const linalg::BoundKernel bound = linalg::bind_kernel(
+      linalg::plan_kernel(z, qubits, amps.size()), z, qubits);
   for (auto _ : state) {
-    linalg::apply_diag1(amps, {1.0, 0.0}, {0.0, 1.0}, n / 2);
+    linalg::apply_bound(amps, bound);
     benchmark::DoNotOptimize(amps.data());
   }
   set_amp_rate(state, n);

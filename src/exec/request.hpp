@@ -113,7 +113,7 @@ struct RunRecord {
   bool compiled_cache_hit = false;      // compiled-program cache (all engines)
   double wall_ms = 0.0;
   /// Which binary produced this record (obs::build_info_summary(): git SHA,
-  /// compiler, build type, native/flags) — lets archived results name the
+  /// compiler, build type, flags) — lets archived results name the
   /// exact build they came from.
   std::string build_stamp;
   /// True when the run's deadline expired and `probabilities` is a flagged

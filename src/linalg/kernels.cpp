@@ -16,13 +16,9 @@
 #define QAPPROX_X86_KERNELS 1
 #include <immintrin.h>
 // A function-level target attribute lets one TU carry scalar and AVX2+FMA
-// code without per-file -m flags, so the portable (non-native) build still
-// ships both variants and picks at runtime.
+// code without per-file -m flags, so one portable build ships both variants
+// and picks at runtime.
 #define QAPPROX_TGT_AVX2 __attribute__((target("avx2,fma")))
-#endif
-#if defined(__aarch64__)
-#define QAPPROX_NEON_KERNELS 1
-#include <arm_neon.h>
 #endif
 
 namespace qc::linalg {
@@ -120,7 +116,6 @@ const char* simd_isa_name(SimdIsa isa) {
   switch (isa) {
     case SimdIsa::Scalar: return "scalar";
     case SimdIsa::Avx2: return "avx2";
-    case SimdIsa::Neon: return "neon";
   }
   return "unknown";
 }
@@ -136,27 +131,18 @@ bool simd_isa_supported(SimdIsa isa) {
 #else
       return false;
 #endif
-    case SimdIsa::Neon:
-#if defined(QAPPROX_NEON_KERNELS)
-      return true;  // NEON is baseline on aarch64.
-#else
-      return false;
-#endif
   }
   return false;
 }
 
 SimdIsa best_supported_simd_isa() {
-  if (simd_isa_supported(SimdIsa::Avx2)) return SimdIsa::Avx2;
-  if (simd_isa_supported(SimdIsa::Neon)) return SimdIsa::Neon;
-  return SimdIsa::Scalar;
+  return simd_isa_supported(SimdIsa::Avx2) ? SimdIsa::Avx2 : SimdIsa::Scalar;
 }
 
 SimdIsa parse_simd_isa(const std::string& name, bool* ok) {
   if (ok) *ok = true;
   if (name == "scalar") return SimdIsa::Scalar;
   if (name == "avx2") return SimdIsa::Avx2;
-  if (name == "neon") return SimdIsa::Neon;
   if (ok) *ok = false;
   return SimdIsa::Scalar;
 }
@@ -169,7 +155,7 @@ SimdIsa resolve_simd_isa(const char* env_value) {
   if (!ok) {
     QC_LOG_WARN("linalg",
                 "QAPPROX_SIMD='%s' not recognized "
-                "(want scalar|avx2|neon); auto-detecting",
+                "(want scalar|avx2); auto-detecting",
                 env_value);
     return best_supported_simd_isa();
   }
@@ -780,72 +766,6 @@ QAPPROX_TGT_AVX2 void a2_row_combine(cplx* dst, const cplx* scratch,
 
 #endif  // QAPPROX_X86_KERNELS
 
-#if defined(QAPPROX_NEON_KERNELS)
-
-// ---- NEON kernels ----------------------------------------------------------
-//
-// One float64x2_t holds a single complex double, so NEON mainly saves the
-// shuffle/mul bookkeeping of the scalar complex operator<*>; the dense 1q/2q
-// kernels below cover the trajectory hot path.
-
-inline float64x2_t ncmul(float64x2_t a, float64x2_t b) {
-  const float64x2_t sgn = {-1.0, 1.0};
-  const float64x2_t br = vdupq_laneq_f64(b, 0);
-  const float64x2_t bi = vdupq_laneq_f64(b, 1);
-  const float64x2_t t = vmulq_f64(vextq_f64(a, a, 1), bi);
-  return vfmaq_f64(vmulq_f64(t, sgn), a, br);
-}
-
-void n_oneq_diag(const BoundKernel& p, cplx* data, std::size_t b, std::size_t e) {
-  const int q = p.q[0];
-  const float64x2_t d0 =
-      vld1q_f64(reinterpret_cast<const double*>(&p.d[0]));
-  const float64x2_t d1 =
-      vld1q_f64(reinterpret_cast<const double*>(&p.d[1]));
-  for (std::size_t i = b; i < e; ++i) {
-    double* v = reinterpret_cast<double*>(data + i);
-    vst1q_f64(v, ncmul(vld1q_f64(v), ((i >> q) & 1U) ? d1 : d0));
-  }
-}
-
-void n_oneq_general(const BoundKernel& p, cplx* data, std::size_t b,
-                    std::size_t e) {
-  const std::size_t bit = p.bit[0];
-  const std::size_t low = bit - 1;
-  const double* m = reinterpret_cast<const double*>(p.m);
-  const float64x2_t m00 = vld1q_f64(m + 0), m01 = vld1q_f64(m + 2);
-  const float64x2_t m10 = vld1q_f64(m + 4), m11 = vld1q_f64(m + 6);
-  for (std::size_t g = b; g < e; ++g) {
-    const std::size_t i0 = ((g & ~low) << 1) | (g & low);
-    const std::size_t i1 = i0 | bit;
-    double* v0 = reinterpret_cast<double*>(data + i0);
-    double* v1 = reinterpret_cast<double*>(data + i1);
-    const float64x2_t a0 = vld1q_f64(v0);
-    const float64x2_t a1 = vld1q_f64(v1);
-    vst1q_f64(v0, vaddq_f64(ncmul(a0, m00), ncmul(a1, m01)));
-    vst1q_f64(v1, vaddq_f64(ncmul(a0, m10), ncmul(a1, m11)));
-  }
-}
-
-void n_twoq_general(const BoundKernel& p, cplx* data, std::size_t b,
-                    std::size_t e) {
-  const double* m = reinterpret_cast<const double*>(p.m);
-  for (std::size_t g = b; g < e; ++g) {
-    const std::size_t base = coset_base(g, p.lo_pos, p.hi_pos);
-    float64x2_t t[4];
-    for (int c = 0; c < 4; ++c)
-      t[c] = vld1q_f64(reinterpret_cast<double*>(data + (base | p.offs[c])));
-    for (int r = 0; r < 4; ++r) {
-      float64x2_t acc = ncmul(t[0], vld1q_f64(m + 8 * r));
-      for (int c = 1; c < 4; ++c)
-        acc = vaddq_f64(acc, ncmul(t[c], vld1q_f64(m + 8 * r + 2 * c)));
-      vst1q_f64(reinterpret_cast<double*>(data + (base | p.offs[r])), acc);
-    }
-  }
-}
-
-#endif  // QAPPROX_NEON_KERNELS
-
 // ---- dispatch tables -------------------------------------------------------
 
 constexpr int kNumKinds = 10;
@@ -879,20 +799,11 @@ constexpr KernelTable kAvx2Table = {{a2_oneq_diag, a2_oneq_general,
 constexpr RowOps kAvx2RowOps = {a2_row_scale, a2_row_scale_copy,
                                 a2_row_combine};
 #endif
-#if defined(QAPPROX_NEON_KERNELS)
-constexpr KernelTable kNeonTable = {{n_oneq_diag, n_oneq_general, s_twoq_diag,
-                                     s_twoq_perm, n_twoq_general, s_kq_diag,
-                                     s_kq_general, s_kq_diag, s_kq_general,
-                                     nullptr}};
-#endif
 
 const KernelTable& kernel_table(SimdIsa isa) {
   switch (isa) {
 #if defined(QAPPROX_X86_KERNELS)
     case SimdIsa::Avx2: return kAvx2Table;
-#endif
-#if defined(QAPPROX_NEON_KERNELS)
-    case SimdIsa::Neon: return kNeonTable;
 #endif
     default: return kScalarTable;
   }
@@ -923,13 +834,6 @@ std::size_t loop_count(KernelKind kind, std::size_t dim) {
   }
   QC_CHECK_MSG(false, "generic kernels have no prepared form");
   return 0;
-}
-
-void run_span(const BoundKernel& p, cplx* data, std::size_t dim,
-              const ApplyOptions& options) {
-  const RangeFn fn = kernel_table(active_simd_isa()).fn[static_cast<int>(p.kind)];
-  sliced(loop_count(p.kind, dim), dim, options,
-         [fn, &p, data](std::size_t b, std::size_t e) { fn(p, data, b, e); });
 }
 
 }  // namespace
@@ -970,14 +874,17 @@ void apply_bound(std::vector<cplx>& state, const BoundKernel& bound,
     apply_gate_inplace(state, *bound.generic_op, *bound.generic_qubits);
     return;
   }
+  const RangeFn fn = kernel_table(active_simd_isa()).fn[static_cast<int>(bound.kind)];
+  const std::size_t count = loop_count(bound.kind, dim);
+  cplx* data = state.data();
   if (dim < options.parallel_threshold) {
     // The branch sliced() would take, without the slicing lambda: trajectory
     // states are a few amplitudes, so the call overhead is the cost.
-    kernel_table(active_simd_isa()).fn[static_cast<int>(bound.kind)](
-        bound, state.data(), 0, loop_count(bound.kind, dim));
+    fn(bound, data, 0, count);
     return;
   }
-  run_span(bound, state.data(), dim, options);
+  sliced(count, dim, options,
+         [fn, &bound, data](std::size_t b, std::size_t e) { fn(bound, data, b, e); });
 }
 
 double norm_squared(const std::vector<cplx>& state) {
@@ -991,59 +898,6 @@ double applied_norm_squared(const std::vector<cplx>& state, const BoundKernel& b
   scratch.assign(state.begin(), state.end());
   apply_bound(scratch, bound, options);
   return norm_squared(scratch);
-}
-
-void apply_cx(std::vector<cplx>& state, int control, int target,
-              const ApplyOptions& options) {
-  const std::size_t dim = state.size();
-  QC_CHECK_MSG(std::has_single_bit(dim), "state size must be a power of two");
-  QC_CHECK(control >= 0 && target >= 0 && control != target);
-  QC_CHECK((std::size_t{1} << control) < dim && (std::size_t{1} << target) < dim);
-  const std::size_t cbit = std::size_t{1} << control;
-  const std::size_t tbit = std::size_t{1} << target;
-  const int lo_pos = std::min(control, target);
-  const int hi_pos = std::max(control, target);
-  cplx* data = state.data();
-  sliced(dim >> 2, dim, options, [&](std::size_t b, std::size_t e) {
-    for (std::size_t g = b; g < e; ++g) {
-      const std::size_t base = coset_base(g, lo_pos, hi_pos) | cbit;
-      std::swap(data[base], data[base | tbit]);
-    }
-  });
-}
-
-void apply_cz(std::vector<cplx>& state, int a, int b,
-              const ApplyOptions& options) {
-  const std::size_t dim = state.size();
-  QC_CHECK_MSG(std::has_single_bit(dim), "state size must be a power of two");
-  QC_CHECK(a >= 0 && b >= 0 && a != b);
-  QC_CHECK((std::size_t{1} << a) < dim && (std::size_t{1} << b) < dim);
-  const std::size_t both = (std::size_t{1} << a) | (std::size_t{1} << b);
-  const int lo_pos = std::min(a, b);
-  const int hi_pos = std::max(a, b);
-  cplx* data = state.data();
-  sliced(dim >> 2, dim, options, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t g = begin; g < end; ++g) {
-      const std::size_t i = coset_base(g, lo_pos, hi_pos) | both;
-      data[i] = -data[i];
-    }
-  });
-}
-
-void apply_diag1(std::vector<cplx>& state, cplx d0, cplx d1, int qubit,
-                 const ApplyOptions& options) {
-  const std::size_t dim = state.size();
-  QC_CHECK_MSG(std::has_single_bit(dim), "state size must be a power of two");
-  QC_CHECK(qubit >= 0 && (std::size_t{1} << qubit) < dim);
-  BoundKernel p;
-  p.kind = KernelKind::OneQDiag;
-  p.k = 1;
-  p.q[0] = qubit;
-  p.bit[0] = std::size_t{1} << qubit;
-  p.spos[0] = qubit;
-  p.d[0] = d0;
-  p.d[1] = d1;
-  run_span(p, state.data(), dim, options);
 }
 
 void left_apply(Matrix& u, const Matrix& op, const std::vector<int>& qubits,

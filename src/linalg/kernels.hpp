@@ -43,19 +43,21 @@
 // op's plan serves both sides. The Matrix-only overloads are plan_kernel plus
 // the planned call.
 //
-// On top of the shape dispatch sits a one-time runtime ISA dispatch with one
-// vector kernel table per architecture: explicitly vectorized AVX2+FMA
-// kernels on x86 (selected by CPUID), NEON kernels on aarch64, and the scalar
-// reference everywhere. A single portable binary picks the widest supported
-// ISA at startup; QAPPROX_SIMD=scalar|avx2|neon overrides the choice (for
-// sanitizer runs, pinned-ISA CI baselines, and A/B benchmarking), and
-// unrecognized or unsupported requests fall back with a warning. Vector
+// On top of the shape dispatch sits a one-time runtime ISA dispatch between
+// the scalar reference and one vector kernel table per supported host:
+// explicitly vectorized AVX2+FMA kernels on x86-64, selected by CPUID. Other
+// hosts run the scalar table. A single portable binary picks the widest
+// supported ISA at startup; QAPPROX_SIMD=scalar|avx2 overrides the choice
+// (for sanitizer runs, pinned-ISA CI baselines, and A/B benchmarking), and
+// unrecognized or unsupported requests fall back with a warning. The AVX2
 // variants reassociate the complex arithmetic (fused multiply-add, lane-wise
 // sums), so they agree with the scalar path to ~1e-12 rather than
 // bit-for-bit; the scalar path itself accumulates in the same order as the
 // generic path (ascending column index) and stays bit-identical to
 // apply_gate_inplace. RNG draw order is never affected — the dispatch only
-// changes arithmetic inside a kernel application.
+// changes arithmetic inside a kernel application. Every state-vector apply,
+// StateVector::apply of a named gate included, reaches the kernels through
+// the same three steps: plan_kernel, bind_kernel, apply_bound.
 //
 // Wide states additionally slice the coset loop across the process thread
 // pool (common::parallel_for, OpenMP-free) once the span holds at least
@@ -145,12 +147,12 @@ KernelPlan plan_kernel(const Matrix& op, const std::vector<int>& qubits,
 // ---- runtime SIMD dispatch -------------------------------------------------
 
 /// Instruction sets the kernel layer can dispatch to. Scalar is always
-/// available and is the bit-identical reference; the vector ISAs are compiled
-/// in behind target guards and selected at runtime, so one binary runs on any
-/// host.
-enum class SimdIsa { Scalar = 0, Avx2, Neon };
+/// available and is the bit-identical reference; AVX2 is compiled in behind a
+/// function target on x86-64 and selected at runtime, so one binary runs on
+/// any host.
+enum class SimdIsa { Scalar = 0, Avx2 };
 
-/// Stable lowercase label ("scalar", "avx2", "neon").
+/// Stable lowercase label ("scalar", "avx2").
 const char* simd_isa_name(SimdIsa isa);
 
 /// True when both the binary carries code for `isa` and the running CPU
@@ -160,7 +162,7 @@ bool simd_isa_supported(SimdIsa isa);
 /// Widest ISA supported by this binary on this CPU.
 SimdIsa best_supported_simd_isa();
 
-/// Parses a QAPPROX_SIMD value ("scalar", "avx2", "neon", case-sensitive).
+/// Parses a QAPPROX_SIMD value ("scalar" or "avx2", case-sensitive).
 /// Sets *ok=false (returning Scalar) on anything else.
 SimdIsa parse_simd_isa(const std::string& name, bool* ok);
 
@@ -180,9 +182,10 @@ SimdIsa active_simd_isa();
 /// clamp to the widest supported ISA. Returns the ISA actually installed.
 SimdIsa force_simd_isa(SimdIsa isa);
 
-/// True when this library was compiled with FMA available (QAPPROX_NATIVE on
-/// an FMA machine). FMA contraction may round kernel and generic loops
-/// differently even at SimdIsa::Scalar.
+/// True when this library was compiled with FMA available (compiler flags
+/// that enable FMA for the whole target, such as -march on an FMA machine).
+/// FMA contraction may round kernel and generic loops differently even at
+/// SimdIsa::Scalar.
 bool kernels_compiled_with_fma();
 
 /// True when kernel results are guaranteed bit-identical to the generic
@@ -269,20 +272,6 @@ double norm_squared(const std::vector<cplx>& state);
 double applied_norm_squared(const std::vector<cplx>& state, const BoundKernel& bound,
                             std::vector<cplx>& scratch,
                             const ApplyOptions& options = {});
-
-/// CX with no matrix in sight: swaps the target-flipped amplitude pairs in
-/// the control=1 half-space. Zero complex multiplies.
-void apply_cx(std::vector<cplx>& state, int control, int target,
-              const ApplyOptions& options = {});
-
-/// CZ as a pure sign flip on the |11> quarter-space.
-void apply_cz(std::vector<cplx>& state, int a, int b,
-              const ApplyOptions& options = {});
-
-/// Diagonal 1q gate diag(d0, d1) on `qubit` (Z/RZ/P without building a
-/// Matrix).
-void apply_diag1(std::vector<cplx>& state, cplx d0, cplx d1, int qubit,
-                 const ApplyOptions& options = {});
 
 /// u := embed(op) * u through the specialized kernels. Cache-blocked: the
 /// coset (row-group) loop is outermost and each group transforms a tile of

@@ -23,6 +23,24 @@ CouplingMap::CouplingMap(int num_qubits, std::vector<std::pair<int, int>> edges)
   }
   for (auto& adj : adjacency_) std::sort(adj.begin(), adj.end());
   std::sort(edges_.begin(), edges_.end());
+  const std::size_t n = static_cast<std::size_t>(num_qubits);
+  auto dist = std::make_shared<std::vector<int>>(n * n, -1);
+  for (std::size_t src = 0; src < n; ++src) {
+    int* row = dist->data() + src * n;
+    std::deque<int> queue{static_cast<int>(src)};
+    row[src] = 0;
+    while (!queue.empty()) {
+      const int u = queue.front();
+      queue.pop_front();
+      for (int v : adjacency_[u]) {
+        if (row[v] < 0) {
+          row[v] = row[u] + 1;
+          queue.push_back(v);
+        }
+      }
+    }
+  }
+  dist_ = std::move(dist);
 }
 
 bool CouplingMap::are_coupled(int a, int b) const {
@@ -36,36 +54,14 @@ const std::vector<int>& CouplingMap::neighbors(int q) const {
   return adjacency_[q];
 }
 
-void CouplingMap::compute_distances() const {
-  if (!dist_.empty()) return;
-  dist_.assign(static_cast<std::size_t>(num_qubits_),
-               std::vector<int>(static_cast<std::size_t>(num_qubits_), -1));
-  for (int src = 0; src < num_qubits_; ++src) {
-    std::deque<int> queue{src};
-    dist_[src][src] = 0;
-    while (!queue.empty()) {
-      const int u = queue.front();
-      queue.pop_front();
-      for (int v : adjacency_[u]) {
-        if (dist_[src][v] < 0) {
-          dist_[src][v] = dist_[src][u] + 1;
-          queue.push_back(v);
-        }
-      }
-    }
-  }
-}
-
 int CouplingMap::distance(int a, int b) const {
   QC_CHECK(a >= 0 && a < num_qubits_ && b >= 0 && b < num_qubits_);
-  compute_distances();
-  return dist_[a][b];
+  return (*dist_)[static_cast<std::size_t>(a) * num_qubits_ + b];
 }
 
 bool CouplingMap::is_connected() const {
-  compute_distances();
   for (int q = 0; q < num_qubits_; ++q)
-    if (dist_[0][q] < 0) return false;
+    if ((*dist_)[q] < 0) return false;
   return true;
 }
 

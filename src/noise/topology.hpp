@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,9 +29,13 @@ class CouplingMap {
   bool are_coupled(int a, int b) const;
   const std::vector<int>& neighbors(int q) const;
 
-  /// Hop distance between qubits (BFS, cached). Returns -1 if disconnected.
+  /// Hop distance between qubits, read from the all-pairs BFS table the
+  /// constructor builds. Returns -1 if disconnected.
   int distance(int a, int b) const;
   bool is_connected() const;
+  /// The whole table, row-major n x n: distance(a, b) is entry a * n + b.
+  /// Copies of a map share one table.
+  const std::vector<int>& distance_table() const { return *dist_; }
 
   /// Edge index of (a, b) in edges(); throws if not coupled.
   std::size_t edge_index(int a, int b) const;
@@ -47,12 +52,12 @@ class CouplingMap {
   static CouplingMap hummingbird_65();      // ibmq_manhattan-style heavy-hex
 
  private:
-  void compute_distances() const;
-
   int num_qubits_ = 0;
   std::vector<std::pair<int, int>> edges_;
   std::vector<std::vector<int>> adjacency_;
-  mutable std::vector<std::vector<int>> dist_;  // lazily filled
+  // Row-major n x n hop distances, immutable once built and shared by every
+  // copy of the map, so copies cost no BFS and concurrent readers no race.
+  std::shared_ptr<const std::vector<int>> dist_;
 };
 
 }  // namespace qc::noise

@@ -1,7 +1,6 @@
-// Configure-time build stamp: git SHA, compiler, flags, build type, and the
-// QAPPROX_NATIVE kernel-ISA switch. Generated into build_info.cpp by CMake so
-// every binary (and every RunRecord / bench JSON) can state exactly what code
-// produced its numbers.
+// Configure-time build stamp: git SHA, compiler, flags and build type.
+// Generated into build_info.cpp by CMake so every binary (and every RunRecord
+// / bench JSON) can state exactly what code produced its numbers.
 #pragma once
 
 #include <string>
@@ -13,12 +12,11 @@ struct BuildInfo {
   const char* compiler;    // e.g. "GNU 12.2.0"
   const char* flags;       // CMAKE_CXX_FLAGS + build-type flags (+ sanitizers)
   const char* build_type;  // Release / Debug / ...
-  const char* native;      // "ON" when kernels were built with -march=native
 };
 
 const BuildInfo& build_info();
 
-/// One line: "qapprox <sha> | <compiler> | <type> | native=<ON/OFF> | <flags>".
+/// One line: "qapprox <sha> | <compiler> | <type> | <flags>".
 std::string build_info_summary();
 
 /// JSON object with the same fields.

@@ -26,37 +26,8 @@ StateVector::StateVector(int num_qubits, std::vector<cplx> amplitudes)
 void StateVector::apply(const ir::Gate& gate) {
   QC_CHECK_MSG(ir::gate_is_unitary(gate.kind) || gate.kind == ir::GateKind::Barrier,
                "cannot apply a measurement as a unitary");
-  // Kind-based fast paths skip the gate-matrix construction entirely for the
-  // permutation / diagonal gates; everything else classifies via dispatch.
-  switch (gate.kind) {
-    case ir::GateKind::Barrier:
-      return;
-    case ir::GateKind::CX:
-      linalg::apply_cx(amps_, gate.qubits[0], gate.qubits[1]);
-      return;
-    case ir::GateKind::CZ:
-      linalg::apply_cz(amps_, gate.qubits[0], gate.qubits[1]);
-      return;
-    case ir::GateKind::Z:
-      linalg::apply_diag1(amps_, {1.0, 0.0}, {-1.0, 0.0}, gate.qubits[0]);
-      return;
-    case ir::GateKind::S:
-      linalg::apply_diag1(amps_, {1.0, 0.0}, {0.0, 1.0}, gate.qubits[0]);
-      return;
-    case ir::GateKind::Sdg:
-      linalg::apply_diag1(amps_, {1.0, 0.0}, {0.0, -1.0}, gate.qubits[0]);
-      return;
-    case ir::GateKind::P:
-      linalg::apply_diag1(amps_, {1.0, 0.0}, std::polar(1.0, gate.params[0]),
-                          gate.qubits[0]);
-      return;
-    case ir::GateKind::RZ:
-      linalg::apply_diag1(amps_, std::polar(1.0, -gate.params[0] / 2.0),
-                          std::polar(1.0, gate.params[0] / 2.0), gate.qubits[0]);
-      return;
-    default:
-      linalg::apply_operator(amps_, gate.matrix(), gate.qubits);
-  }
+  if (gate.kind == ir::GateKind::Barrier) return;
+  linalg::apply_operator(amps_, gate.matrix(), gate.qubits);
 }
 
 void StateVector::apply(const ir::QuantumCircuit& circuit) {

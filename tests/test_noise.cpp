@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <deque>
 #include <set>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -229,6 +231,58 @@ TEST(Topology, ConnectedSubsetsMatchSetBasedReference) {
       EXPECT_FALSE(got.empty());
     }
   }
+}
+
+/// Hop distances by a BFS per pair of qubits, straight from neighbors():
+/// the oracle for the table the constructor builds.
+int bfs_distance(const CouplingMap& map, int a, int b) {
+  std::vector<int> dist(static_cast<std::size_t>(map.num_qubits()), -1);
+  std::deque<int> queue{a};
+  dist[a] = 0;
+  while (!queue.empty()) {
+    const int u = queue.front();
+    queue.pop_front();
+    for (int v : map.neighbors(u)) {
+      if (dist[v] >= 0) continue;
+      dist[v] = dist[u] + 1;
+      queue.push_back(v);
+    }
+  }
+  return dist[b];
+}
+
+TEST(Topology, DistanceTableMatchesBfsReferenceAndCopiesShareIt) {
+  const CouplingMap split(4, {{0, 1}, {2, 3}});  // two components
+  EXPECT_FALSE(split.is_connected());
+  EXPECT_EQ(split.distance(0, 3), -1);
+  for (const CouplingMap& map :
+       {CouplingMap::line(6), CouplingMap::ring(7), CouplingMap::ourense_t(),
+        CouplingMap::falcon_27(), CouplingMap::hummingbird_65(), split}) {
+    const int n = map.num_qubits();
+    ASSERT_EQ(map.distance_table().size(), static_cast<std::size_t>(n * n));
+    for (int a = 0; a < n; ++a)
+      for (int b = 0; b < n; ++b)
+        ASSERT_EQ(map.distance(a, b), bfs_distance(map, a, b))
+            << n << " qubits, " << a << "-" << b;
+    const CouplingMap copy = map;
+    EXPECT_EQ(&copy.distance_table(), &map.distance_table());
+  }
+
+  // Concurrent readers of one freshly built map: the table is complete before
+  // the constructor returns, so there is nothing to race on.
+  const CouplingMap fresh = CouplingMap::hummingbird_65();
+  std::vector<long> sums(8, 0);
+  std::vector<std::thread> readers;
+  for (std::size_t t = 0; t < sums.size(); ++t) {
+    readers.emplace_back([&fresh, &sums, t] {
+      for (int a = 0; a < 65; ++a)
+        for (int b = 0; b < 65; ++b) sums[t] += fresh.distance(a, b);
+    });
+  }
+  for (std::thread& r : readers) r.join();
+  long expect = 0;
+  for (int d : fresh.distance_table()) expect += d;
+  for (long s : sums) EXPECT_EQ(s, expect);
 }
 
 TEST(Catalog, Table1AveragesMatchExactly) {

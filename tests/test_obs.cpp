@@ -374,7 +374,6 @@ TEST(ObsBuildInfoTest, SummaryAndJsonNameTheBuild) {
   EXPECT_EQ(root.at("git_sha").string, info.git_sha);
   EXPECT_TRUE(root.has("compiler"));
   EXPECT_TRUE(root.has("build_type"));
-  EXPECT_TRUE(root.has("native"));
 }
 
 // ---- spans ------------------------------------------------------------------

@@ -112,6 +112,52 @@ TEST(StateVector, RejectsMeasureAsGate) {
   EXPECT_THROW(sv.apply(ir::Gate(ir::GateKind::Measure, {0})), common::Error);
 }
 
+TEST(StateVector, EveryGateKindMatchesTheGenericPath) {
+  // StateVector::apply plans gate.matrix() like any other operator; the
+  // generic embedding of the same matrix is the reference. Bit for bit where
+  // the kernels guarantee it (scalar ISA), otherwise within rounding.
+  common::Rng rng(63);
+  for (int n = 2; n <= 6; ++n) {
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<cplx> amps(std::size_t{1} << n);
+      double norm2 = 0.0;
+      for (cplx& a : amps) {
+        a = cplx{rng.normal(), rng.normal()};
+        norm2 += std::norm(a);
+      }
+      for (cplx& a : amps) a /= std::sqrt(norm2);
+      const int a = static_cast<int>(rng.uniform_int(n));
+      int b = static_cast<int>(rng.uniform_int(n));
+      while (b == a) b = static_cast<int>(rng.uniform_int(n));
+      const double t = rng.uniform(-3, 3);
+      const ir::Gate gates[] = {
+          ir::Gate(ir::GateKind::CX, {a, b}),
+          ir::Gate(ir::GateKind::CZ, {a, b}),
+          ir::Gate(ir::GateKind::Z, {a}),
+          ir::Gate(ir::GateKind::S, {a}),
+          ir::Gate(ir::GateKind::Sdg, {a}),
+          ir::Gate(ir::GateKind::P, {a}, {t}),
+          ir::Gate(ir::GateKind::RZ, {a}, {t}),
+          ir::Gate(ir::GateKind::H, {a}),
+          ir::Gate(ir::GateKind::U3, {a}, {t, rng.uniform(-3, 3), rng.uniform(-3, 3)})};
+      for (const ir::Gate& gate : gates) {
+        StateVector sv(n, amps);
+        sv.apply(gate);
+        std::vector<cplx> expect = amps;
+        linalg::apply_gate_inplace(expect, gate.matrix(), gate.qubits);
+        for (std::size_t i = 0; i < expect.size(); ++i) {
+          if (linalg::kernels_bit_exact()) {
+            ASSERT_EQ(sv.amplitudes()[i], expect[i]) << ir::gate_name(gate.kind);
+          } else {  // the vector ISA may round differently
+            ASSERT_NEAR(std::abs(sv.amplitudes()[i] - expect[i]), 0.0, 1e-12)
+                << ir::gate_name(gate.kind);
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(DensityMatrix, PureStateMatchesStateVector) {
   common::Rng rng(6);
   const auto qc = random_basis_circuit(3, 25, rng);
