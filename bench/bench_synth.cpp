@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the synthesis hot path: the HS cost
-// value and its analytic gradient, the QSearch frontier (serial vs parallel
-// children), the incremental QFactor sweep, and the synthesis result cache.
+// value and its analytic gradient, the reducer's boundary gradient, the
+// QSearch frontier (serial vs parallel children), the incremental QFactor
+// sweep, and the synthesis result cache.
 //
 // The binary always writes the full results as google-benchmark JSON to
 // BENCH_synth.json in the working directory (override the path with
@@ -78,6 +79,32 @@ void BM_HsCostValue(benchmark::State& state) {
   state.counters["params"] = static_cast<double>(p.tpl.num_params());
 }
 BENCHMARK(BM_HsCostValue)->Arg(3)->Arg(4);
+
+// ---- reducer boundary gradient ----------------------------------------------
+//
+// One central-difference gradient of the reducer's boundary cost over its 6n
+// angles, at a fixed random point: 12n probes, each restarted from the
+// checkpointed product before its op.
+
+void BM_BoundaryGradient(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const std::size_t dim = std::size_t{1} << n;
+  common::Rng rng(15);
+  const linalg::Matrix target = linalg::random_unitary(dim, rng);
+  const linalg::Matrix kept = linalg::random_unitary(dim, rng);
+  std::vector<double> x(static_cast<std::size_t>(6 * n));
+  for (auto& v : x) v = rng.uniform(-3.0, 3.0);
+  std::vector<double> grad;
+  std::vector<linalg::Matrix> checkpoints;
+  linalg::Matrix scratch;
+  for (auto _ : state) {
+    synth::boundary_gap_gradient(target, kept, x, 1e-6, grad, checkpoints, scratch);
+    benchmark::DoNotOptimize(grad.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["params"] = static_cast<double>(x.size());
+}
+BENCHMARK(BM_BoundaryGradient)->Arg(3)->Arg(4);
 
 // ---- qsearch frontier ------------------------------------------------------
 //

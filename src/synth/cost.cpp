@@ -44,22 +44,83 @@ QAPPROX_SYNTH_INLINE double cost_value(const TemplateCircuit& tpl, const Matrix&
   return detail::fidelity_gap(target, scratch);
 }
 
-/// boundary_gap's body.
-QAPPROX_SYNTH_INLINE double boundary_value(const Matrix& target, const Matrix& kept,
-                                           const std::vector<double>& x, Matrix& scratch) {
+/// The number of qubits n of a boundary cost, checked against its 6n angles.
+std::size_t boundary_qubits(const Matrix& target, const std::vector<double>& x) {
   std::size_t n = 0;
   while ((std::size_t{1} << n) < target.rows()) ++n;
   QC_CHECK(x.size() == 6 * n);
-  scratch = kept;
-  for (std::size_t q = 0; q < n; ++q) {
-    const double* p = x.data() + 3 * q;
-    detail::right_u3(scratch, static_cast<int>(q), u3_entries(p[0], p[1], p[2]));
+  return n;
+}
+
+/// Boundary op t of 2n, in application order: t < n is A's U3 on qubit t
+/// (column mixing), t >= n is B's U3 on qubit t - n (row mixing).
+QAPPROX_SYNTH_INLINE void apply_boundary_op(Matrix& m, std::size_t n, std::size_t t,
+                                            const U3Entries& g) {
+  if (t < n) {
+    detail::right_u3(m, static_cast<int>(t), g);
+  } else {
+    detail::left_u3(m, static_cast<int>(t - n), g);
   }
-  for (std::size_t q = 0; q < n; ++q) {
-    const double* p = x.data() + 3 * (n + q);
-    detail::left_u3(scratch, static_cast<int>(q), u3_entries(p[0], p[1], p[2]));
+}
+
+/// boundary_gap's body.
+QAPPROX_SYNTH_INLINE double boundary_value(const Matrix& target, const Matrix& kept,
+                                           const std::vector<double>& x, Matrix& scratch) {
+  const std::size_t n = boundary_qubits(target, x);
+  scratch = kept;
+  for (std::size_t t = 0; t < 2 * n; ++t) {
+    const double* p = x.data() + 3 * t;
+    apply_boundary_op(scratch, n, t, u3_entries(p[0], p[1], p[2]));
   }
   return detail::fidelity_gap(target, scratch);
+}
+
+/// One probe of boundary_gradient: the gap with op t's angles set to p,
+/// restarted from `start`, the product after ops 0..t-1.
+QAPPROX_SYNTH_INLINE double boundary_probe(const Matrix& target, const Matrix& start,
+                                           std::size_t n, std::size_t t, const double* p,
+                                           const std::vector<U3Entries>& entries,
+                                           Matrix& scratch) {
+  scratch = start;
+  apply_boundary_op(scratch, n, t, u3_entries(p[0], p[1], p[2]));
+  for (std::size_t u = t + 1; u < 2 * n; ++u) apply_boundary_op(scratch, n, u, entries[u]);
+  return detail::fidelity_gap(target, scratch);
+}
+
+/// boundary_gap_gradient's body. A probe of an angle of op t leaves ops
+/// 0..t-1 as they are, so it restarts from the product after them
+/// (checkpoints[t - 1], or `kept` for t = 0) and re-applies ops t..2n-1 only.
+/// The checkpoints and the unprobed ops' entries are exactly the values
+/// boundary_value computes on the way, so every probe is bit-identical to a
+/// full boundary_gap call.
+QAPPROX_SYNTH_INLINE void boundary_gradient(const Matrix& target, const Matrix& kept,
+                                            const std::vector<double>& x, double h,
+                                            std::vector<double>& grad,
+                                            std::vector<Matrix>& checkpoints, Matrix& scratch) {
+  const std::size_t n = boundary_qubits(target, x);
+  grad.resize(x.size());
+  if (n == 0) return;
+  const std::size_t ops = 2 * n;
+  std::vector<U3Entries> entries(ops);
+  for (std::size_t t = 0; t < ops; ++t) {
+    const double* p = x.data() + 3 * t;
+    entries[t] = u3_entries(p[0], p[1], p[2]);
+  }
+  checkpoints.resize(ops - 1);
+  for (std::size_t t = 1; t < ops; ++t) {
+    checkpoints[t - 1] = t == 1 ? kept : checkpoints[t - 2];
+    apply_boundary_op(checkpoints[t - 1], n, t - 1, entries[t - 1]);
+  }
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const std::size_t t = i / 3;
+    const Matrix& start = t == 0 ? kept : checkpoints[t - 1];
+    double p[3] = {x[3 * t], x[3 * t + 1], x[3 * t + 2]};
+    p[i % 3] = x[i] + h;
+    const double fp = boundary_probe(target, start, n, t, p, entries, scratch);
+    p[i % 3] = x[i] - h;
+    const double fm = boundary_probe(target, start, n, t, p, entries, scratch);
+    grad[i] = (fp - fm) / (2.0 * h);
+  }
 }
 
 }  // namespace
@@ -87,6 +148,12 @@ double fidelity_gap(const Matrix& target, const Matrix& v) {
 double boundary_gap(const Matrix& target, const Matrix& kept, const std::vector<double>& x,
                     Matrix& scratch) {
   return detail::dispatch<boundary_value>(target, kept, x, scratch);
+}
+
+void boundary_gap_gradient(const Matrix& target, const Matrix& kept,
+                           const std::vector<double>& x, double h, std::vector<double>& grad,
+                           std::vector<Matrix>& checkpoints, Matrix& scratch) {
+  detail::dispatch<boundary_gradient>(target, kept, x, h, grad, checkpoints, scratch);
 }
 
 double cost_to_hs_distance(double cost) {
@@ -145,7 +212,8 @@ QAPPROX_SYNTH_INLINE void HsCost::sweep(const HsCost& cost, const std::vector<do
   // touches the 2x2 environment of (L_k · S_{k+1}) on the gate's qubit,
   //   E(a,b) = Σ_rest (L_k · S_{k+1})(rest|a·bit, rest|b·bit),
   // extracted directly from L and S in O(dim²) without forming the product.
-  // The products are written out on the interleaved doubles, as in rowops.
+  // Its eight sums run in the lanes of detail::accumulate_environment, each
+  // in the scalar order.
   fill_adjoint(target, prefix);
   dw.assign(params.size(), cplx{0.0, 0.0});
   const std::size_t stride = 2 * dim;
@@ -161,31 +229,14 @@ QAPPROX_SYNTH_INLINE void HsCost::sweep(const HsCost& cost, const std::vector<do
     const double* l = reinterpret_cast<const double*>(prefix.data());
     const double* s = reinterpret_cast<const double*>(suffix[k + 1].data());
     const std::size_t bit = std::size_t{1} << op.a;
-    double e00r = 0.0, e00i = 0.0, e01r = 0.0, e01i = 0.0;
-    double e10r = 0.0, e10i = 0.0, e11r = 0.0, e11i = 0.0;
+    detail::Environment env;
     for (std::size_t rest = 0; rest < dim; ++rest) {
       if (rest & bit) continue;
-      const double* lrow0 = l + rest * stride;
-      const double* lrow1 = l + (rest | bit) * stride;
-      const std::size_t c0 = 2 * rest;
-      const std::size_t c1 = 2 * (rest | bit);
-      for (std::size_t j = 0; j < dim; ++j) {
-        const double* srow = s + j * stride;
-        const double s0r = srow[c0], s0i = srow[c0 + 1];  // S(j, rest)
-        const double s1r = srow[c1], s1i = srow[c1 + 1];  // S(j, rest | bit)
-        const double l0r = lrow0[2 * j], l0i = lrow0[2 * j + 1];
-        const double l1r = lrow1[2 * j], l1i = lrow1[2 * j + 1];
-        e00r += l0r * s0r - l0i * s0i;
-        e00i += l0r * s0i + l0i * s0r;
-        e01r += l0r * s1r - l0i * s1i;
-        e01i += l0r * s1i + l0i * s1r;
-        e10r += l1r * s0r - l1i * s0i;
-        e10i += l1r * s0i + l1i * s0r;
-        e11r += l1r * s1r - l1i * s1i;
-        e11i += l1r * s1i + l1i * s1r;
-      }
+      detail::accumulate_environment(l + rest * stride, l + (rest | bit) * stride, s, stride,
+                                     rest, rest | bit, dim, env);
     }
-    const cplx e00{e00r, e00i}, e01{e01r, e01i}, e10{e10r, e10i}, e11{e11r, e11i};
+    const cplx e00{env.row0[0], env.row0[1]}, e01{env.row0[2], env.row0[3]};
+    const cplx e10{env.row1[0], env.row1[1]}, e11{env.row1[2], env.row1[3]};
 
     // Tr(M · D_emb) = Σ_{a,b} E(a,b) D(b,a) for a one-qubit D = [[d00,d01],
     // [d10,d11]]; with ∂θ above and

@@ -1,10 +1,11 @@
 // Inline bodies of the synthesis hot path and their once-per-evaluation ISA
-// dispatch. Internal to qc_synth: template.cpp and cost.cpp include it;
-// nothing outside them should.
+// dispatch. Internal to qc_synth: template.cpp, cost.cpp and qfactor.cpp
+// include it; nothing outside them should.
 //
 // Each dispatched entry point — the public rowops, TemplateCircuit::unitary,
-// HsCost::operator() and its gradient sweep, fidelity_gap and boundary_gap —
-// has one source body, an always-inline function. dispatch<Body>(args...)
+// HsCost::operator() and its gradient sweep, fidelity_gap, boundary_gap,
+// boundary_gap_gradient and qfactor_environment — has one source body, an
+// always-inline function. dispatch<Body>(args...)
 // instantiates that body twice: inline at the baseline ISA, and inside a
 // target("avx2") trampoline, so the row and column kernels the body calls are
 // inlined into each copy and compiled for its ISA. The copy is chosen once per
@@ -14,11 +15,16 @@
 //
 // Both copies compute the same bits. The trampoline enables AVX2 but not FMA,
 // and qc_synth is built with -ffp-contract=off, so no multiply-add is fused on
-// any host. GCC reassociates floating point only under -ffast-math, so a
-// vectorized element-wise loop performs each lane's IEEE operations in the
-// scalar order, and the loop vectorizer leaves the floating-point reductions
-// (the trace products, the gradient environments) sequential. AVX2 buys wider
-// and three-operand vector forms of the same operations, never different ones.
+// any host (CI disassembles libqc_synth.a to check). GCC reassociates floating
+// point only under -ffast-math, so a vectorized element-wise loop performs
+// each lane's IEEE operations in the scalar order, and the loop vectorizer
+// leaves floating-point reductions sequential: the trace product stays a
+// scalar loop. The 2x2 environments of the gradient sweep and of QFactor are
+// eight independent sums, so accumulate_environment holds them explicitly,
+// one GCC-vector lane per sum; each lane still adds its own products in the
+// scalar order, with the sign of the cross terms applied by exact
+// multiplications by ±1 (see there). AVX2 buys wider and three-operand
+// vector forms of the same operations, never different ones.
 // Only x86-64 has a second copy; aarch64's baseline already has 2-wide NEON
 // doubles.
 #pragma once
@@ -26,6 +32,7 @@
 #include <algorithm>
 #include <complex>
 #include <cstddef>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -174,6 +181,52 @@ QAPPROX_SYNTH_INLINE void unitary(const TemplateCircuit& tpl, const std::vector<
                          params[op.param_offset + 2]));
     }
   }
+}
+
+/// Two and four doubles as GCC vectors: element-wise operators act lane by
+/// lane in IEEE double arithmetic, and a scalar operand is broadcast. Lanes4
+/// is one AVX register in the AVX2 copy and two SSE2 registers in the
+/// baseline copy.
+typedef double Lanes2 __attribute__((vector_size(2 * sizeof(double))));
+typedef double Lanes4 __attribute__((vector_size(4 * sizeof(double))));
+
+/// The running sums of a one-qubit slot's 2x2 environment E(a,b), one lane
+/// per double: row0 = [e00r e00i e01r e01i], row1 = [e10r e10i e11r e11i].
+struct Environment {
+  Lanes4 row0 = {0.0, 0.0, 0.0, 0.0};
+  Lanes4 row1 = {0.0, 0.0, 0.0, 0.0};
+};
+
+/// env += Σ_{j < count} (l0[j]·S(j,c0), l0[j]·S(j,c1), l1[j]·S(j,c0),
+/// l1[j]·S(j,c1)) for the interleaved rows l0 and l1 of L and the columns
+/// c0 and c1 of S, whose row j starts at s + j·stride (doubles).
+///
+/// Each complex product a·b is (ar·br - ai·bi, ar·bi + ai·br), the
+/// expression GCC emits for a std::complex<double> product minus its
+/// NaN-recovery branch. A step computes, per row,
+///   acc += ar·[br0 bi0 br1 bi1] + ai·([bi0 br0 bi1 br1]·[-1 +1 -1 +1]).
+/// (-1)·y is exact, x·(-y) = -(x·y) because round-to-nearest is symmetric,
+/// and x + (-y) is x - y, so each lane performs one scalar accumulator's
+/// IEEE operations in the scalar order: the sums are bit-identical to eight
+/// scalar accumulators, in either copy.
+QAPPROX_SYNTH_INLINE void accumulate_environment(const double* l0, const double* l1,
+                                                 const double* s, std::size_t stride,
+                                                 std::size_t c0, std::size_t c1,
+                                                 std::size_t count, Environment& env) {
+  const Lanes4 sign = {-1.0, 1.0, -1.0, 1.0};
+  Lanes4 acc0 = env.row0, acc1 = env.row1;
+  for (std::size_t j = 0; j < count; ++j) {
+    const double* srow = s + j * stride;
+    Lanes2 b0, b1;
+    std::memcpy(&b0, srow + 2 * c0, sizeof b0);
+    std::memcpy(&b1, srow + 2 * c1, sizeof b1);
+    const Lanes4 b = __builtin_shufflevector(b0, b1, 0, 1, 2, 3);
+    const Lanes4 b_signed = __builtin_shufflevector(b0, b1, 1, 0, 3, 2) * sign;
+    acc0 += l0[2 * j] * b + l0[2 * j + 1] * b_signed;
+    acc1 += l1[2 * j] * b + l1[2 * j + 1] * b_signed;
+  }
+  env.row0 = acc0;
+  env.row1 = acc1;
 }
 
 /// 1 - min(|Tr(T† V)| / d, 1).

@@ -8,6 +8,7 @@
 #include "metrics/process.hpp"
 #include "obs/obs.hpp"
 #include "synth/cache.hpp"
+#include "synth/kernels.hpp"
 #include "transpile/decompose.hpp"
 #include "transpile/euler.hpp"
 
@@ -50,6 +51,28 @@ void eig_hermitian_2x2(const Matrix& h, double& l0, double& l1, Matrix& q) {
   q(1, 0) = std::conj(v0);
   q(0, 1) = v0;
   q(1, 1) = v1;
+}
+
+/// qfactor_environment's body: per base row pair, the partial sums of
+/// accumulate_environment, added to kt one base at a time.
+QAPPROX_SYNTH_INLINE Matrix environment(const Matrix& l, const Matrix& s, int qubit) {
+  const std::size_t dim = l.rows();
+  const std::size_t stride = 2 * dim;
+  const double* lp = reinterpret_cast<const double*>(l.data());
+  const double* sp = reinterpret_cast<const double*>(s.data());
+  const std::size_t bit = std::size_t{1} << qubit;
+  Matrix kt(2, 2);
+  for (std::size_t base = 0; base < dim; ++base) {
+    if (base & bit) continue;
+    detail::Environment env;
+    detail::accumulate_environment(lp + base * stride, lp + (base | bit) * stride, sp, stride,
+                                   base, base | bit, dim, env);
+    kt(0, 0) += cplx{env.row0[0], env.row0[1]};
+    kt(0, 1) += cplx{env.row0[2], env.row0[3]};
+    kt(1, 0) += cplx{env.row1[0], env.row1[1]};
+    kt(1, 1) += cplx{env.row1[2], env.row1[3]};
+  }
+  return kt;
 }
 
 QFactorCacheKey make_cache_key(const QuantumCircuit& structure, const Matrix& target,
@@ -144,28 +167,7 @@ QFactorResult run_qfactor(const QuantumCircuit& structure, const Matrix& target,
     lmat = t_dag;
     for (std::size_t k = 0; k < m; ++k) {
       if (gates[k]->qubits.size() == 1) {
-        const Matrix& s = suffix[k + 1];
-        const int qb = gates[k]->qubits[0];
-        const std::size_t bit = std::size_t{1} << qb;
-        Matrix kt(2, 2);
-        for (std::size_t base = 0; base < dim; ++base) {
-          if (base & bit) continue;
-          const cplx* lrow0 = lmat.data() + base * dim;
-          const cplx* lrow1 = lmat.data() + (base | bit) * dim;
-          cplx k00{0.0, 0.0}, k01{0.0, 0.0}, k10{0.0, 0.0}, k11{0.0, 0.0};
-          for (std::size_t j = 0; j < dim; ++j) {
-            const cplx s0 = s(j, base);
-            const cplx s1 = s(j, base | bit);
-            k00 += lrow0[j] * s0;
-            k01 += lrow0[j] * s1;
-            k10 += lrow1[j] * s0;
-            k11 += lrow1[j] * s1;
-          }
-          kt(0, 0) += k00;
-          kt(0, 1) += k01;
-          kt(1, 0) += k10;
-          kt(1, 1) += k11;
-        }
+        const Matrix kt = qfactor_environment(lmat, suffix[k + 1], gates[k]->qubits[0]);
         mats[k] = best_unitary_for_environment(kt);
       }
       linalg::left_apply(lmat, mats[k], gates[k]->qubits);
@@ -201,6 +203,12 @@ QFactorResult run_qfactor(const QuantumCircuit& structure, const Matrix& target,
 }
 
 }  // namespace
+
+Matrix qfactor_environment(const Matrix& l, const Matrix& suffix, int qubit) {
+  QC_CHECK(l.rows() == l.cols() && suffix.rows() == l.rows() && suffix.cols() == l.cols());
+  QC_CHECK(qubit >= 0 && (std::size_t{1} << qubit) < l.rows());
+  return detail::dispatch<environment>(l, suffix, qubit);
+}
 
 Matrix best_unitary_for_environment(const Matrix& k) {
   QC_CHECK(k.rows() == 2 && k.cols() == 2);

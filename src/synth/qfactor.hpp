@@ -50,6 +50,13 @@ QFactorResult qfactor_optimize(const ir::QuantumCircuit& structure,
                                const linalg::Matrix& target,
                                const QFactorOptions& options = {});
 
+/// A one-qubit slot's environment as the sweep uses it: the 2x2 matrix
+/// kt(a, b) = Σ_base Σ_j L(base|a·bit, j) · S(j, base|b·bit) over the bases
+/// with the qubit's bit clear, where L is the forward product B·T† and S the
+/// suffix product after the slot, without forming L·S. Exposed for tests.
+linalg::Matrix qfactor_environment(const linalg::Matrix& l, const linalg::Matrix& suffix,
+                                   int qubit);
+
 /// Unitary 2x2 maximizing |Tr(U K)| for a given complex 2x2 K (the SVD-based
 /// environment update). Exposed for tests.
 linalg::Matrix best_unitary_for_environment(const linalg::Matrix& k);

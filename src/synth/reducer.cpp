@@ -32,22 +32,14 @@ class BoundaryCost {
 
   void gradient(const std::vector<double>& x, std::vector<double>& grad) const {
     constexpr double h = 1e-6;
-    grad.resize(x.size());
-    std::vector<double> probe = x;
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      probe[i] = x[i] + h;
-      const double fp = (*this)(probe);
-      probe[i] = x[i] - h;
-      const double fm = (*this)(probe);
-      probe[i] = x[i];
-      grad[i] = (fp - fm) / (2.0 * h);
-    }
+    boundary_gap_gradient(target_, kept_, x, h, grad, checkpoints_, scratch_);
   }
 
  private:
   Matrix target_;
   Matrix kept_;
   mutable Matrix scratch_;
+  mutable std::vector<Matrix> checkpoints_;
 };
 
 /// Deterministically chooses `k` of `total` CX indices. Variant 0 is evenly

@@ -602,6 +602,50 @@ void gradient_analytic(const TemplateCircuit& tpl, const Matrix& target,
     grad[p] = (factor * dw[p]).real();
 }
 
+/// The reducer's boundary gradient as plain central differences: two full
+/// boundary_gap calls per angle.
+void boundary_gradient(const Matrix& target, const Matrix& kept, const std::vector<double>& x,
+                       double h, std::vector<double>& grad) {
+  Matrix scratch;
+  grad.resize(x.size());
+  std::vector<double> probe = x;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    probe[i] = x[i] + h;
+    const double fp = boundary_gap(target, kept, probe, scratch);
+    probe[i] = x[i] - h;
+    const double fm = boundary_gap(target, kept, probe, scratch);
+    probe[i] = x[i];
+    grad[i] = (fp - fm) / (2.0 * h);
+  }
+}
+
+/// QFactor's slot environment with std::complex accumulators, zeroed per
+/// base and added to kt one base at a time.
+Matrix qfactor_environment(const Matrix& lmat, const Matrix& s, int qubit) {
+  const std::size_t dim = lmat.rows();
+  const std::size_t bit = std::size_t{1} << qubit;
+  Matrix kt(2, 2);
+  for (std::size_t base = 0; base < dim; ++base) {
+    if (base & bit) continue;
+    const cplx* lrow0 = lmat.data() + base * dim;
+    const cplx* lrow1 = lmat.data() + (base | bit) * dim;
+    cplx k00{0.0, 0.0}, k01{0.0, 0.0}, k10{0.0, 0.0}, k11{0.0, 0.0};
+    for (std::size_t j = 0; j < dim; ++j) {
+      const cplx s0 = s(j, base);
+      const cplx s1 = s(j, base | bit);
+      k00 += lrow0[j] * s0;
+      k01 += lrow0[j] * s1;
+      k10 += lrow1[j] * s0;
+      k11 += lrow1[j] * s1;
+    }
+    kt(0, 0) += k00;
+    kt(0, 1) += k01;
+    kt(1, 0) += k10;
+    kt(1, 1) += k11;
+  }
+  return kt;
+}
+
 /// lbfgs_minimize with deque-held history and per-iteration vectors.
 OptimizeResult lbfgs_minimize(const CostFn& f, const GradFn& grad,
                               const std::vector<double>& x0,
@@ -759,6 +803,20 @@ TemplateCircuit random_template(int n, common::Rng& rng) {
   return tpl;
 }
 
+/// Restores the SIMD ISA that was active when it was made.
+struct SimdIsaRestorer {
+  linalg::SimdIsa saved = linalg::active_simd_isa();
+  ~SimdIsaRestorer() { linalg::force_simd_isa(saved); }
+};
+
+/// The SIMD ISAs this host can force: the baseline copies, and the AVX2
+/// copies where the host runs them.
+std::vector<linalg::SimdIsa> forceable_isas() {
+  std::vector<linalg::SimdIsa> isas{linalg::SimdIsa::Scalar};
+  if (linalg::simd_isa_supported(linalg::SimdIsa::Avx2)) isas.push_back(linalg::SimdIsa::Avx2);
+  return isas;
+}
+
 TEST(Template, RowKernelsMatchComplexReferenceBitwise) {
   common::Rng rng(51);
   int negative_cos = 0, negative_sin = 0;
@@ -813,20 +871,70 @@ TEST(Cost, ValueMatchesComplexReferenceBitwise) {
 }
 
 TEST(Cost, AnalyticGradientMatchesComplexReferenceBitwise) {
-  common::Rng rng(53);
-  for (int n = 1; n <= 5; ++n) {
-    const TemplateCircuit tpl = random_template(n, rng);
-    const Matrix target = linalg::random_unitary(std::size_t{1} << n, rng);
-    const HsCost cost(tpl, target);
-    for (int trial = 0; trial < 4; ++trial) {
-      std::vector<double> x(static_cast<std::size_t>(tpl.num_params()));
-      for (auto& p : x) p = random_angle(rng);
-      std::vector<double> got, want;
-      cost.gradient(x, got);  // the second trial onward reuses the scratch
-      ref::gradient_analytic(tpl, target, x, want);
-      ASSERT_EQ(got.size(), want.size());
-      expect_same_doubles(got.data(), want.data(), got.size(),
-                          "n=" + std::to_string(n) + " trial " + std::to_string(trial));
+  const SimdIsaRestorer restore;
+  for (const linalg::SimdIsa isa : forceable_isas()) {
+    ASSERT_EQ(linalg::force_simd_isa(isa), isa);
+    SCOPED_TRACE(linalg::simd_isa_name(isa));
+    common::Rng rng(53);
+    for (int n = 1; n <= 5; ++n) {
+      const TemplateCircuit tpl = random_template(n, rng);
+      const Matrix target = linalg::random_unitary(std::size_t{1} << n, rng);
+      const HsCost cost(tpl, target);
+      for (int trial = 0; trial < 4; ++trial) {
+        std::vector<double> x(static_cast<std::size_t>(tpl.num_params()));
+        for (auto& p : x) p = random_angle(rng);
+        std::vector<double> got, want;
+        cost.gradient(x, got);  // the second trial onward reuses the scratch
+        ref::gradient_analytic(tpl, target, x, want);
+        ASSERT_EQ(got.size(), want.size());
+        expect_same_doubles(got.data(), want.data(), got.size(),
+                            "n=" + std::to_string(n) + " trial " + std::to_string(trial));
+      }
+    }
+  }
+}
+
+TEST(Reducer, CheckpointedGradientMatchesCentralDifferenceBitwise) {
+  const SimdIsaRestorer restore;
+  for (const linalg::SimdIsa isa : forceable_isas()) {
+    ASSERT_EQ(linalg::force_simd_isa(isa), isa);
+    SCOPED_TRACE(linalg::simd_isa_name(isa));
+    common::Rng rng(55);
+    for (int n = 1; n <= 5; ++n) {
+      const std::size_t dim = std::size_t{1} << n;
+      const Matrix target = linalg::random_unitary(dim, rng);
+      const Matrix kept = linalg::random_unitary(dim, rng);
+      std::vector<Matrix> checkpoints;
+      Matrix scratch;
+      for (int trial = 0; trial < 3; ++trial) {
+        std::vector<double> x(static_cast<std::size_t>(6 * n));
+        for (auto& p : x) p = random_angle(rng);
+        std::vector<double> got, want;
+        // The second trial onward reuses the checkpoints and the scratch.
+        boundary_gap_gradient(target, kept, x, 1e-6, got, checkpoints, scratch);
+        ref::boundary_gradient(target, kept, x, 1e-6, want);
+        ASSERT_EQ(got.size(), want.size());
+        expect_same_doubles(got.data(), want.data(), got.size(),
+                            "n=" + std::to_string(n) + " trial " + std::to_string(trial));
+      }
+    }
+  }
+}
+
+TEST(QFactor, EnvironmentMatchesComplexReferenceBitwise) {
+  const SimdIsaRestorer restore;
+  for (const linalg::SimdIsa isa : forceable_isas()) {
+    ASSERT_EQ(linalg::force_simd_isa(isa), isa);
+    SCOPED_TRACE(linalg::simd_isa_name(isa));
+    common::Rng rng(56);
+    for (int n = 1; n <= 5; ++n) {
+      const std::size_t dim = std::size_t{1} << n;
+      const Matrix l = linalg::random_unitary(dim, rng);
+      const Matrix suffix = linalg::random_unitary(dim, rng);
+      for (int q = 0; q < n; ++q) {
+        expect_same_matrix(qfactor_environment(l, suffix, q), ref::qfactor_environment(l, suffix, q),
+                           "n=" + std::to_string(n) + " q=" + std::to_string(q));
+      }
     }
   }
 }
@@ -893,15 +1001,17 @@ std::vector<std::pair<std::string, std::vector<double>>> synthesis_outputs() {
     out.push_back({"boundary_gap" + where,
                    {boundary_gap(target, linalg::random_unitary(dim, rng), boundary, scratch)}});
     add_matrix("boundary_gap product" + where, scratch);
+    std::vector<double> boundary_grad;
+    std::vector<Matrix> checkpoints;
+    boundary_gap_gradient(target, linalg::random_unitary(dim, rng), boundary, 1e-6,
+                          boundary_grad, checkpoints, scratch);
+    out.emplace_back("boundary_gap_gradient" + where, boundary_grad);
+    add_matrix("qfactor_environment" + where,
+               qfactor_environment(linalg::random_unitary(dim, rng),
+                                   linalg::random_unitary(dim, rng), n - 1));
   }
   return out;
 }
-
-/// Restores the SIMD ISA that was active when it was made.
-struct SimdIsaRestorer {
-  linalg::SimdIsa saved = linalg::active_simd_isa();
-  ~SimdIsaRestorer() { linalg::force_simd_isa(saved); }
-};
 
 TEST(Cost, AvxAndBaselineCopiesAgreeBitwise) {
   if (!linalg::simd_isa_supported(linalg::SimdIsa::Avx2))
