@@ -4,7 +4,6 @@
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
-#include "obs/obs.hpp"
 #include "transpile/decompose.hpp"
 
 namespace qc::approx {
@@ -51,39 +50,6 @@ std::vector<MappingCandidate> enumerate_mappings(const ir::QuantumCircuit& circu
   }
   out.push_back(MappingCandidate{"auto", {}, 0.0});
   return out;
-}
-
-MappingStudyResult run_mapping_study(
-    const ir::QuantumCircuit& reference,
-    const std::vector<synth::ApproxCircuit>& approximations,
-    const ExecutionConfig& base_execution, const MetricSpec& metric,
-    std::size_t num_manual, exec::ExecutionEngine* engine) {
-  const auto candidates = enumerate_mappings(reference, base_execution.device, num_manual);
-
-  MappingStudyResult result;
-  for (const auto& candidate : candidates) {
-    ExecutionConfig cfg = base_execution;
-    if (candidate.layout.empty()) {
-      cfg.optimization_level = 3;
-      cfg.initial_layout.reset();
-    } else {
-      cfg.optimization_level = 1;
-      cfg.initial_layout = candidate.layout;
-    }
-    MappingStudyEntry entry;
-    entry.mapping = candidate;
-    // Candidates are independent; annotate a failing one and keep going so
-    // the report always covers every enumerated mapping.
-    try {
-      entry.scatter = run_scatter_study(reference, approximations, cfg, metric, engine);
-    } catch (const common::Error& e) {
-      entry.error = std::string(e.kind()) + ": " + e.what();
-      QC_LOG_ERROR("approx", "mapping candidate '%s' failed: %s",
-                   candidate.label.c_str(), entry.error.c_str());
-    }
-    result.entries.push_back(std::move(entry));
-  }
-  return result;
 }
 
 common::Table device_readout_report(const noise::DeviceProperties& device) {

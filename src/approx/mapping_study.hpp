@@ -1,9 +1,9 @@
 // Qubit-mapping sensitivity study (Figures 16-19).
 //
-// Enumerates connected physical placements for a circuit on a device,
-// ranks them by calibrated cost (the Figure 16 "circles"), then runs the
-// approximate-circuit scatter under each pinned mapping plus under the
-// automatic level-3 transpiler mapping.
+// Enumerates connected physical placements for a circuit on a device and
+// ranks them by calibrated cost (the Figure 16 "circles"), plus the Figure 16
+// device reports. bench::run_toronto_mapping_figure runs the approximate-
+// circuit scatter under each pinned mapping and the automatic one.
 #pragma once
 
 #include <string>
@@ -25,30 +25,6 @@ struct MappingCandidate {
 std::vector<MappingCandidate> enumerate_mappings(const ir::QuantumCircuit& circuit,
                                                  const noise::DeviceProperties& device,
                                                  std::size_t num_manual = 4);
-
-struct MappingStudyEntry {
-  MappingCandidate mapping;
-  ScatterStudy scatter;
-  /// Non-empty when this candidate's scatter study failed outright (its
-  /// `scatter` is then empty); the study still reports every candidate.
-  std::string error;
-
-  bool ok() const { return error.empty(); }
-};
-
-struct MappingStudyResult {
-  std::vector<MappingStudyEntry> entries;
-};
-
-/// Runs the scatter study once per mapping candidate. Manual mappings pin
-/// `initial_layout` (optimization level 1 so the pin survives); the
-/// automatic candidate uses level 3 with free layout.
-MappingStudyResult run_mapping_study(const ir::QuantumCircuit& reference,
-                                     const std::vector<synth::ApproxCircuit>& approximations,
-                                     const ExecutionConfig& base_execution,
-                                     const MetricSpec& metric,
-                                     std::size_t num_manual = 4,
-                                     exec::ExecutionEngine* engine = nullptr);
 
 /// Figure 16: the device noise report (per-qubit readout error, per-edge CX
 /// error) as printable tables.

@@ -1,5 +1,7 @@
 #include "exec/engine.hpp"
 
+#include <array>
+#include <string>
 #include <utility>
 
 #include "common/error.hpp"
@@ -33,29 +35,14 @@ EngineTimers& timers() {
 /// Mirrors one run's kernel dispatch classes (RunRecord::kernel_counts) into
 /// the process-wide sim.kernel.* counters, one name per KernelKind label.
 void record_kernel_metrics(const linalg::KernelCounts& kc) {
-  struct KernelCounters {
-    obs::Counter& oneq_diag{obs::counter("sim.kernel.1q_diag")};
-    obs::Counter& oneq_general{obs::counter("sim.kernel.1q_general")};
-    obs::Counter& twoq_diag{obs::counter("sim.kernel.2q_diag")};
-    obs::Counter& twoq_perm_phase{obs::counter("sim.kernel.2q_perm_phase")};
-    obs::Counter& twoq_general{obs::counter("sim.kernel.2q_general")};
-    obs::Counter& threeq_diag{obs::counter("sim.kernel.3q_diag")};
-    obs::Counter& threeq_general{obs::counter("sim.kernel.3q_general")};
-    obs::Counter& fourq_diag{obs::counter("sim.kernel.4q_diag")};
-    obs::Counter& fourq_general{obs::counter("sim.kernel.4q_general")};
-    obs::Counter& generic{obs::counter("sim.kernel.generic")};
-  };
-  static KernelCounters c;
-  c.oneq_diag.add(kc.oneq_diag);
-  c.oneq_general.add(kc.oneq_general);
-  c.twoq_diag.add(kc.twoq_diag);
-  c.twoq_perm_phase.add(kc.twoq_perm_phase);
-  c.twoq_general.add(kc.twoq_general);
-  c.threeq_diag.add(kc.threeq_diag);
-  c.threeq_general.add(kc.threeq_general);
-  c.fourq_diag.add(kc.fourq_diag);
-  c.fourq_general.add(kc.fourq_general);
-  c.generic.add(kc.generic);
+  static const auto counters = [] {
+    std::array<obs::Counter*, linalg::kNumKernelKinds> c{};
+    for (std::size_t k = 0; k < c.size(); ++k)
+      c[k] = &obs::counter(std::string("sim.kernel.") +
+                           linalg::kernel_kind_name(static_cast<linalg::KernelKind>(k)));
+    return c;
+  }();
+  for (std::size_t k = 0; k < counters.size(); ++k) counters[k]->add(kc.by_kind[k]);
 }
 
 }  // namespace

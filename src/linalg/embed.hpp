@@ -1,5 +1,6 @@
-// Embedding small operators into n-qubit spaces, and the shared
-// apply-gate kernels used by the unitary builder and the simulators.
+// Embedding small operators into n-qubit spaces, and the generic apply-gate
+// loops: the k > 4 fallback of the specialized kernels in kernels.hpp and the
+// reference their tests compare against.
 //
 // Bit convention (Qiskit-compatible): qubit 0 is the least-significant bit
 // of a basis index, so |q_{n-1} ... q_1 q_0>.
@@ -21,12 +22,12 @@ void apply_gate_inplace(std::vector<cplx>& state, const Matrix& op,
                         const std::vector<int>& qubits);
 
 /// u := embed(op) * u without forming the embedded matrix (applies the
-/// state-vector kernel to each column of u). Used by the circuit->unitary
-/// builder where it is asymptotically cheaper than GEMM with an embedding.
+/// state-vector kernel to each column of u). The k > 4 fallback of
+/// linalg::left_apply (kernels.hpp) and a reference for its tests.
 void left_apply_inplace(Matrix& u, const Matrix& op, const std::vector<int>& qubits);
 
-/// u := u * embed(op). With left_apply_inplace this gives the density-matrix
-/// Kraus update rho := K rho K† without forming embedded matrices.
+/// u := u * embed(op) without forming the embedded matrix. The k > 4
+/// fallback of linalg::right_apply_adjoint and a reference for its tests.
 void right_apply_inplace(Matrix& u, const Matrix& op, const std::vector<int>& qubits);
 
 }  // namespace qc::linalg

@@ -4,8 +4,6 @@
 #include <atomic>
 #include <bit>
 #include <cstdlib>
-#include <cstring>
-#include <limits>
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
@@ -22,21 +20,6 @@
 #endif
 
 namespace qc::linalg {
-
-void KernelCounts::add(KernelKind kind) {
-  switch (kind) {
-    case KernelKind::OneQDiag: ++oneq_diag; return;
-    case KernelKind::OneQGeneral: ++oneq_general; return;
-    case KernelKind::TwoQDiag: ++twoq_diag; return;
-    case KernelKind::TwoQPermPhase: ++twoq_perm_phase; return;
-    case KernelKind::TwoQGeneral: ++twoq_general; return;
-    case KernelKind::ThreeQDiag: ++threeq_diag; return;
-    case KernelKind::ThreeQGeneral: ++threeq_general; return;
-    case KernelKind::FourQDiag: ++fourq_diag; return;
-    case KernelKind::FourQGeneral: ++fourq_general; return;
-    case KernelKind::GenericK: ++generic; return;
-  }
-}
 
 const char* kernel_kind_name(KernelKind kind) {
   switch (kind) {
@@ -331,30 +314,6 @@ BoundKernel bind(const KernelPlan& plan, const Matrix& op, ConjEntries* conj) {
   return p;
 }
 
-/// Runs body(begin, end) over [0, count), sliced across the thread pool when
-/// the span is at least `options.parallel_threshold` amplitudes. Slice
-/// boundaries are aligned to multiples of 8 loop indices so the vector
-/// kernels see the same absolute vector-block positions threaded as serial —
-/// with disjoint slices that makes threaded results bit-identical to serial
-/// ones at any fixed ISA.
-template <typename Body>
-void sliced(std::size_t count, std::size_t span_amps,
-            const ApplyOptions& options, const Body& body) {
-  if (span_amps < options.parallel_threshold || count < 2) {
-    body(std::size_t{0}, count);
-    return;
-  }
-  const std::size_t workers = common::ThreadPool::global().size();
-  const std::size_t slices = std::min(count, std::max<std::size_t>(1, workers * 4));
-  const std::size_t chunk =
-      ((count + slices - 1) / slices + 7) & ~std::size_t{7};
-  common::parallel_for(0, slices, [&](std::size_t s) {
-    const std::size_t begin = s * chunk;
-    if (begin >= count) return;
-    body(begin, std::min(count, begin + chunk));
-  });
-}
-
 /// Reconstructs the g-th coset representative (zeros at both gate-qubit
 /// positions) by splitting g at the sorted positions — no skip-branch, each
 /// of the 2^(n-2) cosets visited exactly once in ascending address order so
@@ -418,21 +377,26 @@ void s_twoq_diag(const BoundKernel& p, cplx* data, std::size_t b, std::size_t e)
 }
 
 void s_twoq_perm(const BoundKernel& p, cplx* data, std::size_t b, std::size_t e) {
-  if (p.pure_swap) {
-    // CX / SWAP shape: amplitudes move, none are scaled — zero multiplies.
-    const std::size_t oa = p.offs[p.swap_a], ob = p.offs[p.swap_b];
-    for (std::size_t g = b; g < e; ++g) {
-      const std::size_t base = coset_base(g, p.lo_pos, p.hi_pos);
-      std::swap(data[base | oa], data[base | ob]);
-    }
-    return;
-  }
-  for (std::size_t g = b; g < e; ++g) {
+  // Cosets walk in runs of up to 2^lo_pos whose bases are contiguous, so a
+  // CX on the row qubits of a matrix swaps whole rows.
+  const std::size_t L = std::size_t{1} << p.lo_pos;
+  std::size_t g = b;
+  while (g < e) {
     const std::size_t base = coset_base(g, p.lo_pos, p.hi_pos);
-    cplx t[4];
-    for (int m = 0; m < 4; ++m) t[m] = data[base | p.offs[m]];
-    for (int r = 0; r < 4; ++r)
-      data[base | p.offs[r]] = p.phase[r] * t[p.perm[r]];
+    const std::size_t run = std::min(e - g, L - (g & (L - 1)));
+    if (p.pure_swap) {
+      // CX / SWAP shape: amplitudes move, none are scaled — zero multiplies.
+      cplx* a = data + (base | p.offs[p.swap_a]);
+      std::swap_ranges(a, a + run, data + (base | p.offs[p.swap_b]));
+    } else {
+      for (std::size_t j = base; j < base + run; ++j) {
+        cplx t[4];
+        for (int m = 0; m < 4; ++m) t[m] = data[j | p.offs[m]];
+        for (int r = 0; r < 4; ++r)
+          data[j | p.offs[r]] = p.phase[r] * t[p.perm[r]];
+      }
+    }
+    g += run;
   }
 }
 
@@ -476,37 +440,6 @@ void s_kq_general(const BoundKernel& p, cplx* data, std::size_t b,
   }
 }
 
-// ---- row primitives (matrix-apply building blocks) -------------------------
-
-void s_row_scale(cplx* row, std::size_t n, cplx s) {
-  for (std::size_t j = 0; j < n; ++j) row[j] *= s;
-}
-
-void s_row_scale_copy(cplx* dst, const cplx* src, std::size_t n, cplx s) {
-  for (std::size_t j = 0; j < n; ++j) dst[j] = s * src[j];
-}
-
-/// dst[j] = sum_c mrow[c] * scratch[c * stride + j] — one output row of a
-/// cache-blocked coset-group transform. Ascending-c accumulation keeps the
-/// scalar variant term-compatible with left_apply_inplace.
-void s_row_combine(cplx* dst, const cplx* scratch, std::size_t stride,
-                   std::size_t sub, const cplx* mrow, std::size_t n) {
-  for (std::size_t j = 0; j < n; ++j) {
-    cplx acc = mrow[0] * scratch[j];
-    for (std::size_t c = 1; c < sub; ++c)
-      acc += mrow[c] * scratch[c * stride + j];
-    dst[j] = acc;
-  }
-}
-
-/// dst[j] += w * src[j] with a real weight: a pure elementwise double AXPY,
-/// identical on every ISA (the compiler vectorizes the double loop).
-void row_axpy_real(cplx* dst, const cplx* src, std::size_t n, double w) {
-  double* d = reinterpret_cast<double*>(dst);
-  const double* s = reinterpret_cast<const double*>(src);
-  for (std::size_t i = 0; i < 2 * n; ++i) d[i] += w * s[i];
-}
-
 #if defined(QAPPROX_X86_KERNELS)
 
 // ---- AVX2+FMA kernels ------------------------------------------------------
@@ -515,7 +448,7 @@ void row_axpy_real(cplx* dst, const cplx* src, std::size_t n, double w) {
 // multiply uses the fmaddsub idiom: even lanes get re*re - im*im, odd lanes
 // im*re + re*im. Vector blocks always start at absolute loop indices that
 // are multiples of the vector width (runs start on width-aligned boundaries
-// and sliced() aligns chunk starts to 8), so threaded and serial runs round
+// and apply_span aligns slice starts to 8), so threaded and serial runs round
 // identically.
 
 QAPPROX_TGT_AVX2 inline __m256d cmul2(__m256d a, __m256d b) {
@@ -716,88 +649,25 @@ QAPPROX_TGT_AVX2 void a2_kq_general(const BoundKernel& p, cplx* data,
   }
 }
 
-QAPPROX_TGT_AVX2 void a2_row_scale(cplx* row, std::size_t n, cplx s) {
-  const __m256d sr = _mm256_set1_pd(s.real());
-  const __m256d si = _mm256_set1_pd(s.imag());
-  std::size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    double* v = reinterpret_cast<double*>(row + j);
-    _mm256_storeu_pd(v, cmul2s(_mm256_loadu_pd(v), sr, si));
-  }
-  for (; j < n; ++j) row[j] *= s;
-}
-
-QAPPROX_TGT_AVX2 void a2_row_scale_copy(cplx* dst, const cplx* src,
-                                        std::size_t n, cplx s) {
-  const __m256d sr = _mm256_set1_pd(s.real());
-  const __m256d si = _mm256_set1_pd(s.imag());
-  std::size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    _mm256_storeu_pd(
-        reinterpret_cast<double*>(dst + j),
-        cmul2s(_mm256_loadu_pd(reinterpret_cast<const double*>(src + j)), sr,
-               si));
-  }
-  for (; j < n; ++j) dst[j] = s * src[j];
-}
-
-QAPPROX_TGT_AVX2 void a2_row_combine(cplx* dst, const cplx* scratch,
-                                     std::size_t stride, std::size_t sub,
-                                     const cplx* mrow, std::size_t n) {
-  std::size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    __m256d acc = cmul2s(
-        _mm256_loadu_pd(reinterpret_cast<const double*>(scratch + j)),
-        bre2(mrow, 0), bim2(mrow, 0));
-    for (std::size_t c = 1; c < sub; ++c)
-      acc = _mm256_add_pd(
-          acc, cmul2s(_mm256_loadu_pd(reinterpret_cast<const double*>(
-                          scratch + c * stride + j)),
-                      bre2(mrow, c), bim2(mrow, c)));
-    _mm256_storeu_pd(reinterpret_cast<double*>(dst + j), acc);
-  }
-  for (; j < n; ++j) {
-    cplx acc = mrow[0] * scratch[j];
-    for (std::size_t c = 1; c < sub; ++c)
-      acc += mrow[c] * scratch[c * stride + j];
-    dst[j] = acc;
-  }
-}
-
 #endif  // QAPPROX_X86_KERNELS
 
 // ---- dispatch tables -------------------------------------------------------
 
-constexpr int kNumKinds = 10;
-
-struct KernelTable {
-  RangeFn fn[kNumKinds];
-};
-
-struct RowOps {
-  void (*scale)(cplx*, std::size_t, cplx);
-  void (*scale_copy)(cplx*, const cplx*, std::size_t, cplx);
-  void (*combine)(cplx*, const cplx*, std::size_t, std::size_t, const cplx*,
-                  std::size_t);
-};
+using KernelTable = RangeFn[kNumKernelKinds];
 
 // Entry order mirrors KernelKind; GenericK never reaches a table.
-constexpr KernelTable kScalarTable = {{s_oneq_diag, s_oneq_general,
-                                       s_twoq_diag, s_twoq_perm,
-                                       s_twoq_general, s_kq_diag,
-                                       s_kq_general, s_kq_diag, s_kq_general,
-                                       nullptr}};
-constexpr RowOps kScalarRowOps = {s_row_scale, s_row_scale_copy,
-                                  s_row_combine};
+constexpr KernelTable kScalarTable = {s_oneq_diag, s_oneq_general,
+                                      s_twoq_diag, s_twoq_perm,
+                                      s_twoq_general, s_kq_diag,
+                                      s_kq_general, s_kq_diag, s_kq_general,
+                                      nullptr};
 
 #if defined(QAPPROX_X86_KERNELS)
-constexpr KernelTable kAvx2Table = {{a2_oneq_diag, a2_oneq_general,
-                                     a2_twoq_diag, s_twoq_perm,
-                                     a2_twoq_general, s_kq_diag,
-                                     a2_kq_general, s_kq_diag, a2_kq_general,
-                                     nullptr}};
-constexpr RowOps kAvx2RowOps = {a2_row_scale, a2_row_scale_copy,
-                                a2_row_combine};
+constexpr KernelTable kAvx2Table = {a2_oneq_diag, a2_oneq_general,
+                                    a2_twoq_diag, s_twoq_perm,
+                                    a2_twoq_general, s_kq_diag,
+                                    a2_kq_general, s_kq_diag, a2_kq_general,
+                                    nullptr};
 #endif
 
 const KernelTable& kernel_table(SimdIsa isa) {
@@ -806,15 +676,6 @@ const KernelTable& kernel_table(SimdIsa isa) {
     case SimdIsa::Avx2: return kAvx2Table;
 #endif
     default: return kScalarTable;
-  }
-}
-
-const RowOps& row_ops(SimdIsa isa) {
-  switch (isa) {
-#if defined(QAPPROX_X86_KERNELS)
-    case SimdIsa::Avx2: return kAvx2RowOps;
-#endif
-    default: return kScalarRowOps;
   }
 }
 
@@ -834,6 +695,47 @@ std::size_t loop_count(KernelKind kind, std::size_t dim) {
   }
   QC_CHECK_MSG(false, "generic kernels have no prepared form");
   return 0;
+}
+
+/// Runs a bound kernel (not GenericK) over the `span` amplitudes at `data`.
+/// Spans of at least `options.parallel_threshold` amplitudes are sliced
+/// across the thread pool. Slice boundaries are aligned to multiples of 8
+/// loop indices so the vector kernels see the same absolute vector-block
+/// positions threaded as serial — with disjoint slices that makes threaded
+/// results bit-identical to serial ones at any fixed ISA.
+void apply_span(cplx* data, std::size_t span, const BoundKernel& bound,
+                const ApplyOptions& options) {
+  const RangeFn fn = kernel_table(active_simd_isa())[static_cast<int>(bound.kind)];
+  const std::size_t count = loop_count(bound.kind, span);
+  if (span < options.parallel_threshold || count < 2) {
+    // Trajectory states are a few amplitudes, so the call overhead is the
+    // cost: no slicing lambda.
+    fn(bound, data, 0, count);
+    return;
+  }
+  const std::size_t workers = common::ThreadPool::global().size();
+  const std::size_t slices = std::min(count, std::max<std::size_t>(1, workers * 4));
+  const std::size_t chunk =
+      ((count + slices - 1) / slices + 7) & ~std::size_t{7};
+  common::parallel_for(0, slices, [&](std::size_t s) {
+    const std::size_t begin = s * chunk;
+    if (begin >= count) return;
+    fn(bound, data, begin, std::min(count, begin + chunk));
+  });
+}
+
+/// The plan of an n-qubit plan's operator on a 2^n x 2^n row-major matrix
+/// read as a vector on 2n qubits: column index on qubits 0..n-1, row index
+/// on n..2n-1. `shift` is n for the row side (embed(op) * u) and 0 for the
+/// column side (u * embed(op†), bound to conj(op)). The n-qubit plan already
+/// checked the qubits, so nothing is re-checked.
+KernelPlan widen(KernelPlan plan, int shift) {
+  plan.log2_dim = static_cast<std::uint8_t>(2 * plan.log2_dim);
+  for (int i = 0; i < plan.k; ++i) {
+    plan.q[i] = static_cast<std::uint8_t>(plan.q[i] + shift);
+    plan.spos[i] = static_cast<std::uint8_t>(plan.spos[i] + shift);
+  }
+  return plan;
 }
 
 }  // namespace
@@ -867,24 +769,13 @@ BoundKernel bind_kernel(const KernelPlan& plan, const Matrix& op,
 
 void apply_bound(std::vector<cplx>& state, const BoundKernel& bound,
                  const ApplyOptions& options) {
-  const std::size_t dim = state.size();
-  QC_CHECK_MSG(dim == (std::size_t{1} << bound.log2_dim),
+  QC_CHECK_MSG(state.size() == (std::size_t{1} << bound.log2_dim),
                "kernel was bound for another span");
   if (bound.kind == KernelKind::GenericK) {
     apply_gate_inplace(state, *bound.generic_op, *bound.generic_qubits);
     return;
   }
-  const RangeFn fn = kernel_table(active_simd_isa()).fn[static_cast<int>(bound.kind)];
-  const std::size_t count = loop_count(bound.kind, dim);
-  cplx* data = state.data();
-  if (dim < options.parallel_threshold) {
-    // The branch sliced() would take, without the slicing lambda: trajectory
-    // states are a few amplitudes, so the call overhead is the cost.
-    fn(bound, data, 0, count);
-    return;
-  }
-  sliced(count, dim, options,
-         [fn, &bound, data](std::size_t b, std::size_t e) { fn(bound, data, b, e); });
+  apply_span(state.data(), state.size(), bound, options);
 }
 
 double norm_squared(const std::vector<cplx>& state) {
@@ -910,94 +801,13 @@ void left_apply(Matrix& u, const Matrix& op, const std::vector<int>& qubits,
   QC_CHECK(u.rows() == u.cols());
   const std::size_t dim = u.rows();
   check_plan(plan, dim, op);
-  const KernelKind kind = plan.kind;
-  if (kind == KernelKind::GenericK) {
+  if (plan.kind == KernelKind::GenericK) {
     left_apply_inplace(u, op, qubits);
     return;
   }
-  const BoundKernel p = bind(plan, op, nullptr);
-  cplx* data = u.data();
-  const std::size_t span = dim * dim;
-  const RowOps& ops = row_ops(active_simd_isa());
-  switch (kind) {
-    case KernelKind::OneQDiag:
-    case KernelKind::TwoQDiag:
-    case KernelKind::ThreeQDiag:
-    case KernelKind::FourQDiag: {
-      // embed(op) is diagonal: row i of u scales by d[sub(i)], unit-stride.
-      sliced(dim, span, options, [&](std::size_t b, std::size_t e) {
-        for (std::size_t row = b; row < e; ++row) {
-          std::size_t s = 0;
-          for (int i = 0; i < p.k; ++i) s |= ((row >> p.q[i]) & 1U) << i;
-          ops.scale(data + row * dim, dim, p.d[s]);
-        }
-      });
-      return;
-    }
-    case KernelKind::TwoQPermPhase: {
-      sliced(dim >> 2, span, options, [&](std::size_t b, std::size_t e) {
-        std::vector<cplx> scratch(dim);
-        for (std::size_t g = b; g < e; ++g) {
-          const std::size_t base = coset_base(g, p.lo_pos, p.hi_pos);
-          auto row_of = [&](int s) { return data + (base | p.offs[s]) * dim; };
-          if (p.pure_swap) {
-            cplx* ra = row_of(p.swap_a);
-            cplx* rb = row_of(p.swap_b);
-            std::swap_ranges(ra, ra + dim, rb);
-            continue;
-          }
-          // Walk each permutation cycle with one scratch row; fixed points
-          // just scale in place.
-          bool done[4] = {false, false, false, false};
-          for (int r = 0; r < 4; ++r) {
-            if (done[r]) continue;
-            if (p.perm[r] == r) {
-              if (p.phase[r] != cplx{1.0, 0.0})
-                ops.scale(row_of(r), dim, p.phase[r]);
-              done[r] = true;
-              continue;
-            }
-            std::copy_n(row_of(r), dim, scratch.data());
-            int cur = r;
-            while (p.perm[cur] != r) {
-              ops.scale_copy(row_of(cur), row_of(p.perm[cur]), dim,
-                             p.phase[cur]);
-              done[cur] = true;
-              cur = p.perm[cur];
-            }
-            ops.scale_copy(row_of(cur), scratch.data(), dim, p.phase[cur]);
-            done[cur] = true;
-          }
-        }
-      });
-      return;
-    }
-    default: break;
-  }
-  // Dense case: coset groups outermost, then column tiles. The 2^k row
-  // streams of one group advance unit-stride together, and the sub x kTile
-  // scratch tile (<=16 KiB) keeps the whole group resident in L1 — this is
-  // what un-memory-binds the density-matrix conjugation, which previously
-  // walked full strided columns.
-  const std::size_t sub = std::size_t{1} << p.k;
-  const std::size_t groups = dim >> p.k;
-  constexpr std::size_t kTile = 64;
-  sliced(groups, span, options, [&](std::size_t b, std::size_t e) {
-    alignas(64) cplx scratch[16 * kTile];
-    cplx* dst[16];
-    for (std::size_t g = b; g < e; ++g) {
-      const std::size_t base = coset_base_k(g, p.spos, p.k);
-      for (std::size_t s = 0; s < sub; ++s)
-        dst[s] = data + (base | p.offs[s]) * dim;
-      for (std::size_t c0 = 0; c0 < dim; c0 += kTile) {
-        const std::size_t n = std::min(kTile, dim - c0);
-        for (std::size_t s = 0; s < sub; ++s)
-          std::memcpy(scratch + s * kTile, dst[s] + c0, n * sizeof(cplx));
-        for (std::size_t r = 0; r < sub; ++r)
-          ops.combine(dst[r] + c0, scratch, kTile, sub, p.m + r * sub, n);
-      }
-    }
-  });
+  // embed(op) * u is op on the row qubits of vec(u).
+  apply_span(u.data(), dim * dim, bind(widen(plan, plan.log2_dim), op, nullptr),
+             options);
 }
 
 void right_apply(Matrix& u, const Matrix& op, const std::vector<int>& qubits,
@@ -1019,59 +829,10 @@ void right_apply_adjoint(Matrix& u, const Matrix& op,
     right_apply_inplace(u, op.adjoint(), qubits);
     return;
   }
-  // (u * embed(op†)) transforms each row's sub-vector by (op†)^T = conj(op);
-  // rows are contiguous in the row-major layout, so this is the unit-stride
-  // kernel.
+  // u * embed(op†) transforms each row by (op†)^T = conj(op): conj(op) on
+  // the column qubits of vec(u).
   ConjEntries conj;
-  const BoundKernel p = bind(plan, op, &conj);
-  const RangeFn fn = kernel_table(active_simd_isa()).fn[static_cast<int>(p.kind)];
-  const std::size_t cnt = loop_count(p.kind, dim);
-  cplx* data = u.data();
-  sliced(dim, dim * dim, options, [&](std::size_t b, std::size_t e) {
-    for (std::size_t row = b; row < e; ++row)
-      fn(p, data + row * dim, 0, cnt);
-  });
-}
-
-void right_apply_accumulate(Matrix& accum, const Matrix& term, const Matrix& op,
-                            const std::vector<int>& qubits, double weight,
-                            const ApplyOptions& options) {
-  const Matrix adj = op.adjoint();
-  right_apply_adjoint_accumulate(accum, term, adj, qubits,
-                                 plan_kernel(adj, qubits, accum.rows()), weight,
-                                 options);
-}
-
-void right_apply_adjoint_accumulate(Matrix& accum, const Matrix& term,
-                                    const Matrix& op,
-                                    const std::vector<int>& qubits,
-                                    const KernelPlan& plan, double weight,
-                                    const ApplyOptions& options) {
-  QC_CHECK(accum.rows() == accum.cols());
-  QC_CHECK_MSG(term.rows() == accum.rows() && term.cols() == accum.cols(),
-               "accum and term must have identical shapes");
-  const std::size_t dim = accum.rows();
-  check_plan(plan, dim, op);
-  if (plan.kind == KernelKind::GenericK) {
-    Matrix tmp = term;
-    right_apply_inplace(tmp, op.adjoint(), qubits);
-    row_axpy_real(accum.data(), tmp.data(), dim * dim, weight);
-    return;
-  }
-  ConjEntries conj;
-  const BoundKernel p = bind(plan, op, &conj);
-  const RangeFn fn = kernel_table(active_simd_isa()).fn[static_cast<int>(p.kind)];
-  const std::size_t cnt = loop_count(p.kind, dim);
-  const cplx* src = term.data();
-  cplx* dst = accum.data();
-  sliced(dim, dim * dim, options, [&](std::size_t b, std::size_t e) {
-    std::vector<cplx> scratch(dim);
-    for (std::size_t row = b; row < e; ++row) {
-      std::copy_n(src + row * dim, dim, scratch.data());
-      fn(p, scratch.data(), 0, cnt);
-      row_axpy_real(dst + row * dim, scratch.data(), dim, weight);
-    }
-  });
+  apply_span(u.data(), dim * dim, bind(widen(plan, 0), op, &conj), options);
 }
 
 }  // namespace qc::linalg

@@ -1,5 +1,6 @@
 // Specialized state-vector gate kernels, the SIMD dispatch layer above them,
-// and the cache-blocked matrix-apply paths used by the density-matrix engine.
+// and the matrix applies (density matrix, QFactor, circuit unitaries) that
+// run the same kernels on a doubled register.
 //
 // The generic apply_gate_inplace in embed.hpp walks all 2^n basis indices
 // with a `base & mask` skip-branch and heap-allocates scatter/scratch
@@ -64,10 +65,21 @@
 // `ApplyOptions::parallel_threshold` amplitudes; slices write disjoint
 // amplitudes, so threaded results are bit-identical to serial ones at any
 // fixed ISA.
+//
+// There is no second kernel family for matrices. A row-major 2^n x 2^n
+// matrix u is a vector on 2n qubits, the column index on qubits 0..n-1 and
+// the row index on n..2n-1. embed(op) * u is op on the row qubits (op's
+// qubits plus n) and u * embed(op†) is conj(op) on the column qubits, so
+// left_apply and right_apply_adjoint widen op's n-qubit plan to the doubled
+// register and run the state-vector kernels over all dim^2 entries. On the
+// row side every qubit sits at n or above, so each vector kernel takes its
+// unit-stride path along whole rows.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -89,28 +101,24 @@ enum class KernelKind : std::uint8_t {
   GenericK,
 };
 
-/// Stable lowercase label ("1q_diag", "cx_perm", ...) for reports.
+inline constexpr std::size_t kNumKernelKinds =
+    static_cast<std::size_t>(KernelKind::GenericK) + 1;
+
+/// Stable lowercase label ("1q_diag", "2q_perm_phase", ...) for reports.
 const char* kernel_kind_name(KernelKind kind);
 
-/// Per-kernel dispatch tallies; recorded per CompiledCircuit and surfaced in
-/// RunRecord so benchmarks can report which kernels a run actually hit.
+/// Per-kernel dispatch tallies, indexed by KernelKind; recorded per
+/// CompiledCircuit and surfaced in RunRecord so benchmarks can report which
+/// kernels a run actually hit.
 struct KernelCounts {
-  std::size_t oneq_diag = 0;
-  std::size_t oneq_general = 0;
-  std::size_t twoq_diag = 0;
-  std::size_t twoq_perm_phase = 0;
-  std::size_t twoq_general = 0;
-  std::size_t threeq_diag = 0;
-  std::size_t threeq_general = 0;
-  std::size_t fourq_diag = 0;
-  std::size_t fourq_general = 0;
-  std::size_t generic = 0;
+  std::array<std::size_t, kNumKernelKinds> by_kind{};
 
-  void add(KernelKind kind);
+  void add(KernelKind kind) { ++by_kind[static_cast<std::size_t>(kind)]; }
+  std::size_t operator[](KernelKind kind) const {
+    return by_kind[static_cast<std::size_t>(kind)];
+  }
   std::size_t total() const {
-    return oneq_diag + oneq_general + twoq_diag + twoq_perm_phase +
-           twoq_general + threeq_diag + threeq_general + fourq_diag +
-           fourq_general + generic;
+    return std::accumulate(by_kind.begin(), by_kind.end(), std::size_t{0});
   }
   bool operator==(const KernelCounts&) const = default;
 };
@@ -273,46 +281,23 @@ double applied_norm_squared(const std::vector<cplx>& state, const BoundKernel& b
                             std::vector<cplx>& scratch,
                             const ApplyOptions& options = {});
 
-/// u := embed(op) * u through the specialized kernels. Cache-blocked: the
-/// coset (row-group) loop is outermost and each group transforms a tile of
-/// columns at a time, so every memory access is unit-stride along the rows
-/// of u instead of striding a full column — the layout that kept the
-/// density-matrix conjugation memory-bound. Groups are disjoint row sets, so
-/// the group loop threads across the pool for large u. Drop-in replacement
-/// for left_apply_inplace.
+/// u := embed(op) * u: op on the row qubits of the doubled register, through
+/// the state-vector kernels (k > 4: left_apply_inplace). u must be square;
+/// the planned overload checks it against the plan's span.
 void left_apply(Matrix& u, const Matrix& op, const std::vector<int>& qubits,
                 const ApplyOptions& options = {});
 void left_apply(Matrix& u, const Matrix& op, const std::vector<int>& qubits,
                 const KernelPlan& plan, const ApplyOptions& options = {});
 
-/// u := u * embed(op); rows transform by op^T with contiguous access.
-/// Drop-in replacement for right_apply_inplace.
+/// u := u * embed(op), as right_apply_adjoint of op†.
 void right_apply(Matrix& u, const Matrix& op, const std::vector<int>& qubits,
                  const ApplyOptions& options = {});
 
-/// u := u * embed(op†) with op's own plan: rows transform by conj(op), read
-/// from op's entries, so no adjoint matrix is built. Bit-identical to
-/// right_apply(u, op.adjoint(), qubits).
+/// u := u * embed(op†) with op's own plan: conj(op), read from op's entries,
+/// on the column qubits of the doubled register, so no adjoint matrix is
+/// built. Bit-identical to right_apply(u, op.adjoint(), qubits).
 void right_apply_adjoint(Matrix& u, const Matrix& op,
                          const std::vector<int>& qubits, const KernelPlan& plan,
                          const ApplyOptions& options = {});
-
-/// accum += weight * (term * embed(op)), transforming each row of `term` by
-/// op^T in scratch and accumulating it into `accum` while the row is still
-/// cache-hot — the fused final pass of a density-matrix Kraus term
-/// (K rho K^dagger accumulated into the channel sum without a separate
-/// full-matrix sweep). `term` is left unchanged. All three matrices must be
-/// square with identical dimensions.
-void right_apply_accumulate(Matrix& accum, const Matrix& term, const Matrix& op,
-                            const std::vector<int>& qubits, double weight,
-                            const ApplyOptions& options = {});
-
-/// accum += weight * (term * embed(op†)) with op's own plan; bit-identical to
-/// right_apply_accumulate(accum, term, op.adjoint(), qubits, weight).
-void right_apply_adjoint_accumulate(Matrix& accum, const Matrix& term,
-                                    const Matrix& op,
-                                    const std::vector<int>& qubits,
-                                    const KernelPlan& plan, double weight,
-                                    const ApplyOptions& options = {});
 
 }  // namespace qc::linalg

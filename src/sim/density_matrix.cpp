@@ -71,15 +71,16 @@ void DensityMatrix::apply_kraus(const std::vector<Matrix>& ops,
     std::fill(scratch_accum_.data(), scratch_accum_.data() + dim * dim,
               cplx{0.0, 0.0});
   }
+  double* accum = reinterpret_cast<double*>(scratch_accum_.data());
   for (std::size_t i = 0; i < ops.size(); ++i) {
     scratch_term_ = rho_;
+    // K_i rho K_i†: K_i on the row qubits, conj(K_i) on the column qubits,
+    // then one real axpy into the channel sum.
     linalg::left_apply(scratch_term_, ops[i], qubits, plans[i]);
-    // The right conjugation and the weighted channel sum fuse into one pass:
-    // each row of K_i rho is transformed by K_i† and accumulated while still
-    // cache-hot, instead of a full right_apply sweep plus a dim^2 axpy.
-    linalg::right_apply_adjoint_accumulate(scratch_accum_, scratch_term_, ops[i],
-                                           qubits, plans[i],
-                                           weights ? (*weights)[i] : 1.0);
+    linalg::right_apply_adjoint(scratch_term_, ops[i], qubits, plans[i]);
+    const double* term = reinterpret_cast<const double*>(scratch_term_.data());
+    const double w = weights ? (*weights)[i] : 1.0;
+    for (std::size_t j = 0; j < 2 * dim * dim; ++j) accum[j] += w * term[j];
   }
   std::swap(rho_, scratch_accum_);
 }

@@ -237,9 +237,7 @@ OptimizeResult multistart_minimize(const CostFn& f, const GradFn& grad,
     if (start > 0) {
       for (double& v : x) v = rng.uniform(-std::numbers::pi, std::numbers::pi);
     }
-    OptimizeResult r = options.use_nelder_mead
-                           ? nelder_mead_minimize(f, x, options.inner)
-                           : lbfgs_minimize(f, grad, x, options.inner);
+    OptimizeResult r = lbfgs_minimize(f, grad, x, options.inner);
     if (!have_best || r.value < best.value) {
       r.evaluations += have_best ? best.evaluations : 0;
       best = std::move(r);

@@ -5,7 +5,7 @@
 //    smooth fidelity-gap objective.
 //  * Nelder–Mead — derivative-free fallback (COBYLA stand-in), used by the
 //    optimizer-choice ablation.
-//  * Multistart — wraps either with deterministic random restarts; circuit
+//  * Multistart — wraps L-BFGS with deterministic random restarts; circuit
 //    cost landscapes are multimodal and restarts matter.
 #pragma once
 
@@ -51,10 +51,9 @@ struct MultistartOptions {
   /// First start is x0 itself; the rest perturb/randomize angles in
   /// [-pi, pi). Stops early when `good_enough` is reached.
   double good_enough = 1e-14;
-  bool use_nelder_mead = false;
 };
 
-/// Runs the inner optimizer from x0 and from random restarts; returns best.
+/// Runs L-BFGS from x0 and from random restarts; returns the best.
 OptimizeResult multistart_minimize(const CostFn& f, const GradFn& grad,
                                    const std::vector<double>& x0, common::Rng& rng,
                                    const MultistartOptions& options = {});

@@ -333,10 +333,10 @@ TEST(Kernels, ClassifyRecognizesEveryShape) {
   counts.add(KernelKind::TwoQPermPhase);
   counts.add(KernelKind::ThreeQGeneral);
   counts.add(KernelKind::FourQDiag);
-  EXPECT_EQ(counts.oneq_diag, 1u);
-  EXPECT_EQ(counts.twoq_perm_phase, 2u);
-  EXPECT_EQ(counts.threeq_general, 1u);
-  EXPECT_EQ(counts.fourq_diag, 1u);
+  EXPECT_EQ(counts[KernelKind::OneQDiag], 1u);
+  EXPECT_EQ(counts[KernelKind::TwoQPermPhase], 2u);
+  EXPECT_EQ(counts[KernelKind::ThreeQGeneral], 1u);
+  EXPECT_EQ(counts[KernelKind::FourQDiag], 1u);
   EXPECT_EQ(counts.total(), 5u);
 }
 
@@ -427,8 +427,9 @@ TEST(Kernels, LeftRightApplyMatchGenericAndGemm) {
 }
 
 TEST(Kernels, PermPhaseLeftApplyMatchesEmbeddedGemm) {
-  // CX/SWAP/CY row shuffles take a dedicated cycle-walking path in the
-  // blocked left_apply; check it against the embedded product directly.
+  // CX/SWAP/CY row shuffles run s_twoq_perm on the row qubits of the doubled
+  // register, in runs of whole rows; check them against the embedded product
+  // directly.
   common::Rng rng(66);
   const ApplyOptions serial{};
   const ApplyOptions threaded{2};
@@ -445,33 +446,6 @@ TEST(Kernels, PermPhaseLeftApplyMatchesEmbeddedGemm) {
         Matrix left = u;
         left_apply(left, op, qs, opts);
         EXPECT_NEAR(left.max_abs_diff(e * u), 0.0, 1e-12);
-      }
-    }
-  }
-}
-
-TEST(Kernels, RightApplyAccumulateMatchesSeparatePasses) {
-  common::Rng rng(67);
-  const ApplyOptions serial{};
-  const ApplyOptions threaded{2};
-  for (int n = 2; n <= 5; ++n) {
-    const std::size_t dim = std::size_t{1} << n;
-    for (int k = 1; k <= std::min(n, 4); ++k) {
-      const auto qs = kernel_test::distinct_qubits(n, k, rng);
-      const Matrix op = random_unitary(std::size_t{1} << k, rng);
-      const Matrix term = random_unitary(dim, rng);
-      const Matrix accum0 = random_unitary(dim, rng);
-      const double w = 0.25 + rng.uniform();
-
-      Matrix expect = term;
-      right_apply_inplace(expect, op, qs);
-      expect *= cplx{w, 0.0};
-      expect += accum0;
-
-      for (const ApplyOptions& opts : {serial, threaded}) {
-        Matrix accum = accum0;
-        right_apply_accumulate(accum, term, op, qs, w, opts);
-        EXPECT_NEAR(accum.max_abs_diff(expect), 0.0, 1e-12);
       }
     }
   }
@@ -625,8 +599,6 @@ TEST(Kernels, PlannedMatrixAppliesAreBitIdenticalToExplicitAdjoints) {
       const auto qs = kernel_test::distinct_qubits(n, k, rng);
       const KernelPlan plan = plan_kernel(op, qs, dim);
       const Matrix u = random_unitary(dim, rng);
-      const Matrix term = random_unitary(dim, rng);
-      const double w = 0.25 + rng.uniform();
       for (const ApplyOptions& opts : {serial, threaded}) {
         SCOPED_TRACE(::testing::Message() << kernel_kind_name(plan.kind) << " n=" << n);
         Matrix planned = u;
@@ -645,15 +617,64 @@ TEST(Kernels, PlannedMatrixAppliesAreBitIdenticalToExplicitAdjoints) {
         Matrix generic = u;
         right_apply_inplace(generic, adj, qs);
         ASSERT_NEAR(planned.max_abs_diff(generic), 0.0, 1e-12);
-
-        planned = u;
-        right_apply_adjoint_accumulate(planned, term, op, qs, plan, w, opts);
-        explicit_adj = u;
-        right_apply_accumulate(explicit_adj, term, adj, qs, w, opts);
-        ASSERT_TRUE(plan_test::same_bytes(planned, explicit_adj));
       }
     }
   }
+}
+
+TEST(Kernels, ThreadedMatrixAppliesAreBitIdenticalToSerial) {
+  // The matrix applies run the state-vector kernels over all dim^2 entries of
+  // the doubled register; slicing that span across the pool must not move a
+  // bit. parallel_threshold = 2 slices every span, the default none below
+  // n = 7. DensityMatrix takes no apply options, so its Kraus update (serial
+  // up to n = 6, sliced at n = 7) is checked against the sliced passes it is
+  // made of.
+  common::Rng rng(74);
+  const SimdIsa prev = active_simd_isa();
+  const ApplyOptions serial{};
+  const ApplyOptions threaded{2};
+  for (SimdIsa isa : {SimdIsa::Scalar, SimdIsa::Avx2}) {
+    force_simd_isa(isa);
+    for (const Matrix& op : plan_test::operators_of_every_kind(rng)) {
+      const int k = plan_test::qubits_of(op);
+      const std::size_t sub = std::size_t{1} << k;
+      for (int n = k; n <= 7; ++n) {
+        SCOPED_TRACE(::testing::Message()
+                     << simd_isa_name(active_simd_isa()) << " "
+                     << kernel_kind_name(classify_kernel(op)) << " n=" << n);
+        const std::size_t dim = std::size_t{1} << n;
+        const auto qs = kernel_test::distinct_qubits(n, k, rng);
+        const KernelPlan plan = plan_kernel(op, qs, dim);
+        const Matrix u = random_unitary(dim, rng);
+        Matrix a = u, b = u;
+        left_apply(a, op, qs, plan, serial);
+        left_apply(b, op, qs, plan, threaded);
+        ASSERT_TRUE(plan_test::same_bytes(a, b)) << "left_apply";
+        a = u;
+        b = u;
+        right_apply_adjoint(a, op, qs, plan, serial);
+        right_apply_adjoint(b, op, qs, plan, threaded);
+        ASSERT_TRUE(plan_test::same_bytes(a, b)) << "right_apply_adjoint";
+
+        const std::vector<Matrix> ops = {op, random_unitary(sub, rng)};
+        const std::vector<KernelPlan> plans = {plan, plan_kernel(ops[1], qs, dim)};
+        const std::vector<double> weights = {0.3, 0.7};
+        sim::DensityMatrix rho(n, kernel_test::random_state(n, rng));
+        Matrix expect(dim, dim);
+        double* acc = reinterpret_cast<double*>(expect.data());
+        for (std::size_t i = 0; i < ops.size(); ++i) {
+          Matrix term = rho.rho();
+          left_apply(term, ops[i], qs, plans[i], threaded);
+          right_apply_adjoint(term, ops[i], qs, plans[i], threaded);
+          const double* t = reinterpret_cast<const double*>(term.data());
+          for (std::size_t j = 0; j < 2 * dim * dim; ++j) acc[j] += weights[i] * t[j];
+        }
+        rho.apply_kraus(ops, plans, &weights, qs);
+        ASSERT_TRUE(plan_test::same_bytes(rho.rho(), expect)) << "apply_kraus";
+      }
+    }
+  }
+  force_simd_isa(prev);
 }
 
 TEST(Kernels, PlanRejectsAnotherSpan) {
@@ -666,11 +687,8 @@ TEST(Kernels, PlanRejectsAnotherSpan) {
   auto state16 = kernel_test::random_state(4, rng);
   EXPECT_THROW(apply_operator(state16, op, qs, plan), common::Error);
   Matrix u16 = random_unitary(16, rng);
-  const Matrix term16 = random_unitary(16, rng);
   EXPECT_THROW(left_apply(u16, op, qs, plan), common::Error);
   EXPECT_THROW(right_apply_adjoint(u16, op, qs, plan), common::Error);
-  EXPECT_THROW(right_apply_adjoint_accumulate(u16, term16, op, qs, plan, 1.0),
-               common::Error);
   // An operator of another shape under the same plan is refused too.
   EXPECT_THROW(apply_operator(state8, random_unitary(2, rng), {0}, plan),
                common::Error);
@@ -739,7 +757,7 @@ TEST(Kernels, SimdDispatchResolvesOverridesAndClamps) {
 TEST(Kernels, EveryHostIsaMatchesScalarWithinTolerance) {
   // Every planned entry point under each supported vector ISA against the
   // scalar reference: the state-vector apply, the matrix left/right applies
-  // (the left apply is what drives the row ops), and the density-matrix
+  // (the same kernels on the doubled register), and the density-matrix
   // unitary and Kraus updates built on them. Operators cover every k <= 4
   // kernel kind, including TwoQPermPhase.
   common::Rng rng(68);
@@ -763,8 +781,6 @@ TEST(Kernels, EveryHostIsaMatchesScalarWithinTolerance) {
     std::vector<cplx> psi = state;  // normalized, for rho = |psi><psi|
     for (cplx& a : psi) a /= std::sqrt(norm2);
     const Matrix u = random_square(dim);
-    const Matrix term = random_square(dim);
-    const Matrix accum = random_square(dim);
     for (int k = 1; k <= std::min(n, 4); ++k) {
       const auto qs = kernel_test::distinct_qubits(n, k, rng);
       const std::size_t sub = std::size_t{1} << k;
@@ -806,13 +822,6 @@ TEST(Kernels, EveryHostIsaMatchesScalarWithinTolerance) {
           right_apply_adjoint(m, op, qs, plan, o);
           return flat(m);
         });
-        expect_isas_agree("right_apply_adjoint_accumulate",
-                          [&](const ApplyOptions& o) {
-                            Matrix m = accum;
-                            right_apply_adjoint_accumulate(m, term, op, qs,
-                                                           plan, 0.3, o);
-                            return flat(m);
-                          });
         // The density-matrix updates take no apply options.
         expect_isas_agree("DensityMatrix::apply_unitary",
                           [&](const ApplyOptions&) {
