@@ -4,7 +4,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -22,10 +25,24 @@ namespace {
 
 using common::json::Value;
 
-// Version 2 dropped the key fields that only ever held one value (the
-// gradient mode and the QFactor sweep kind); the version check refuses a
-// version-1 snapshot, and the server cold-starts.
-constexpr int kSnapshotVersion = 2;
+// Version 3 keys every tool with one SynthKey (the tool's name and a hex
+// options list). The version check refuses versions 1 and 2, and the server
+// cold-starts.
+constexpr int kSnapshotVersion = 3;
+
+/// A member every row carries: a missing one is a corrupt snapshot.
+const Value& field(const Value& v, const char* name) {
+  const Value* out = v.find(name);
+  QC_CHECK_MSG(out != nullptr, std::string("synth snapshot: missing field ") + name);
+  return *out;
+}
+
+int to_int(const Value& v) {
+  const double x = v.as_number();
+  QC_CHECK_MSG(x >= std::numeric_limits<int>::min() && x <= std::numeric_limits<int>::max(),
+               "synth snapshot: integer out of range");
+  return static_cast<int>(x);
+}
 
 std::string u64_hex(std::uint64_t v) {
   char buf[20];
@@ -40,26 +57,6 @@ std::uint64_t u64_from_hex(const Value& v) {
   const std::uint64_t out = std::strtoull(hex.c_str(), &end, 16);
   QC_CHECK_MSG(end != nullptr && *end == '\0', "synth snapshot: bad u64 field");
   return out;
-}
-
-Value edges_to_json(const std::vector<std::pair<int, int>>& edges) {
-  Value arr = Value::array();
-  for (const auto& [a, b] : edges) {
-    Value e = Value::array();
-    e.push_back(a).push_back(b);
-    arr.push_back(std::move(e));
-  }
-  return arr;
-}
-
-std::vector<std::pair<int, int>> edges_from_json(const Value& v) {
-  std::vector<std::pair<int, int>> edges;
-  for (const Value& e : v.as_array()) {
-    QC_CHECK_MSG(e.is_array() && e.size() == 2, "synth snapshot: bad edge");
-    edges.emplace_back(static_cast<int>(e.as_array()[0].as_int()),
-                       static_cast<int>(e.as_array()[1].as_int()));
-  }
-  return edges;
 }
 
 Value circuit_to_json(const ir::QuantumCircuit& circuit) {
@@ -85,18 +82,14 @@ Value circuit_to_json(const ir::QuantumCircuit& circuit) {
 }
 
 ir::QuantumCircuit circuit_from_json(const Value& v) {
-  ir::QuantumCircuit circuit(static_cast<int>(v.get_int("n", 0)),
-                             v.get_string("name", ""));
-  const Value* gates = v.find("gates");
-  QC_CHECK_MSG(gates != nullptr && gates->is_array(),
-               "synth snapshot: circuit lacks gates");
-  for (const Value& entry : gates->as_array()) {
+  ir::QuantumCircuit circuit(to_int(field(v, "n")), v.get_string("name", ""));
+  for (const Value& entry : field(v, "gates").as_array()) {
     const auto& fields = entry.as_array();
     QC_CHECK_MSG(fields.size() >= 2, "synth snapshot: bad gate entry");
     const ir::GateKind kind = ir::gate_kind_from_name(fields[0].as_string());
     std::vector<int> qubits;
     for (const Value& q : fields[1].as_array())
-      qubits.push_back(static_cast<int>(q.as_int()));
+      qubits.push_back(to_int(q));
     std::vector<double> params;
     if (fields.size() > 2)
       for (const Value& p : fields[2].as_array()) params.push_back(p.as_number());
@@ -116,12 +109,10 @@ Value approx_to_json(const ApproxCircuit& a) {
 
 ApproxCircuit approx_from_json(const Value& v) {
   ApproxCircuit a;
-  const Value* circuit = v.find("circuit");
-  QC_CHECK_MSG(circuit != nullptr, "synth snapshot: entry lacks circuit");
-  a.circuit = circuit_from_json(*circuit);
-  a.hs_distance = v.get_number("hs", 1.0);
-  a.cnot_count = static_cast<std::size_t>(v.get_int("cnots", 0));
-  a.source = v.get_string("source", "");
+  a.circuit = circuit_from_json(field(v, "circuit"));
+  a.hs_distance = field(v, "hs").as_number();
+  a.cnot_count = static_cast<std::size_t>(to_int(field(v, "cnots")));
+  a.source = field(v, "source").as_string();
   return a;
 }
 
@@ -137,100 +128,105 @@ std::vector<ApproxCircuit> stream_from_json(const Value& v) {
   return stream;
 }
 
-// ---- per-kind key/entry codecs ---------------------------------------------
+// ---- the key codec ----------------------------------------------------------
 
-Value qsearch_key_to_json(const QSearchCacheKey& k) {
+const char* tool_name(SynthTool tool) {
+  static constexpr const char* kNames[] = {"qsearch", "qfast", "qfactor"};  // by SynthTool
+  return kNames[static_cast<std::size_t>(tool)];
+}
+
+SynthTool tool_from_name(const std::string& name) {
+  for (SynthTool tool : kSynthTools)
+    if (name == tool_name(tool)) return tool;
+  throw common::Error("synth snapshot: unknown tool " + name);
+}
+
+// 64-bit fields (fingerprints, seed, option bit patterns) are hex strings:
+// JSON numbers are doubles and silently lose bits past 2^53.
+Value key_to_json(const SynthKey& k) {
   Value out = Value::object();
-  out.set("target_fp", u64_hex(k.target_fp));
-  out.set("dim", k.dim);
-  out.set("qubits", k.num_qubits);
-  out.set("edges", edges_to_json(k.edges));
-  out.set("success_bits", u64_hex(k.success_threshold_bits));
-  out.set("depth_weight_bits", u64_hex(k.depth_weight_bits));
-  out.set("opt_tol_bits", u64_hex(k.opt_tolerance_bits));
-  out.set("max_cnots", k.max_cnots);
-  out.set("max_nodes", k.max_nodes);
-  out.set("opt_max_iter", k.opt_max_iterations);
-  out.set("opt_lbfgs", k.opt_lbfgs_memory);
-  out.set("restarts", k.restarts_per_node);
-  out.set("seed", u64_hex(k.seed));
-  return out;
-}
-
-QSearchCacheKey qsearch_key_from_json(const Value& v) {
-  QSearchCacheKey k;
-  k.target_fp = u64_from_hex(*v.find("target_fp"));
-  k.dim = static_cast<std::uint64_t>(v.get_int("dim", 0));
-  k.num_qubits = static_cast<int>(v.get_int("qubits", 0));
-  k.edges = edges_from_json(*v.find("edges"));
-  k.success_threshold_bits = u64_from_hex(*v.find("success_bits"));
-  k.depth_weight_bits = u64_from_hex(*v.find("depth_weight_bits"));
-  k.opt_tolerance_bits = u64_from_hex(*v.find("opt_tol_bits"));
-  k.max_cnots = static_cast<int>(v.get_int("max_cnots", 0));
-  k.max_nodes = static_cast<int>(v.get_int("max_nodes", 0));
-  k.opt_max_iterations = static_cast<int>(v.get_int("opt_max_iter", 0));
-  k.opt_lbfgs_memory = static_cast<int>(v.get_int("opt_lbfgs", 0));
-  k.restarts_per_node = static_cast<int>(v.get_int("restarts", 0));
-  k.seed = u64_from_hex(*v.find("seed"));
-  return k;
-}
-
-Value qfast_key_to_json(const QFastCacheKey& k) {
-  Value out = Value::object();
-  out.set("target_fp", u64_hex(k.target_fp));
-  out.set("dim", k.dim);
-  out.set("qubits", k.num_qubits);
-  out.set("edges", edges_to_json(k.edges));
-  out.set("success_bits", u64_hex(k.success_threshold_bits));
-  out.set("opt_tol_bits", u64_hex(k.opt_tolerance_bits));
-  out.set("max_blocks", k.max_blocks);
-  out.set("opt_max_iter", k.opt_max_iterations);
-  out.set("opt_lbfgs", k.opt_lbfgs_memory);
-  out.set("restarts", k.restarts_per_depth);
-  out.set("coarse", k.emit_coarse_passes);
-  out.set("seed", u64_hex(k.seed));
-  return out;
-}
-
-QFastCacheKey qfast_key_from_json(const Value& v) {
-  QFastCacheKey k;
-  k.target_fp = u64_from_hex(*v.find("target_fp"));
-  k.dim = static_cast<std::uint64_t>(v.get_int("dim", 0));
-  k.num_qubits = static_cast<int>(v.get_int("qubits", 0));
-  k.edges = edges_from_json(*v.find("edges"));
-  k.success_threshold_bits = u64_from_hex(*v.find("success_bits"));
-  k.opt_tolerance_bits = u64_from_hex(*v.find("opt_tol_bits"));
-  k.max_blocks = static_cast<int>(v.get_int("max_blocks", 0));
-  k.opt_max_iterations = static_cast<int>(v.get_int("opt_max_iter", 0));
-  k.opt_lbfgs_memory = static_cast<int>(v.get_int("opt_lbfgs", 0));
-  k.restarts_per_depth = static_cast<int>(v.get_int("restarts", 0));
-  k.emit_coarse_passes = v.get_bool("coarse", false);
-  k.seed = u64_from_hex(*v.find("seed"));
-  return k;
-}
-
-Value qfactor_key_to_json(const QFactorCacheKey& k) {
-  Value out = Value::object();
+  out.set("tool", tool_name(k.tool));
   out.set("target_fp", u64_hex(k.target_fp));
   out.set("structure_fp", u64_hex(k.structure_fp));
+  out.set("seed", u64_hex(k.seed));
   out.set("dim", k.dim);
   out.set("qubits", k.num_qubits);
-  out.set("tol_bits", u64_hex(k.tolerance_bits));
-  out.set("success_bits", u64_hex(k.success_threshold_bits));
-  out.set("max_sweeps", k.max_sweeps);
+  Value edges = Value::array();
+  for (const auto& [a, b] : k.edges) {
+    Value e = Value::array();
+    e.push_back(a).push_back(b);
+    edges.push_back(std::move(e));
+  }
+  out.set("edges", std::move(edges));
+  Value options = Value::array();
+  for (std::uint64_t bits : k.options) options.push_back(u64_hex(bits));
+  out.set("options", std::move(options));
   return out;
 }
 
-QFactorCacheKey qfactor_key_from_json(const Value& v) {
-  QFactorCacheKey k;
-  k.target_fp = u64_from_hex(*v.find("target_fp"));
-  k.structure_fp = u64_from_hex(*v.find("structure_fp"));
-  k.dim = static_cast<std::uint64_t>(v.get_int("dim", 0));
-  k.num_qubits = static_cast<int>(v.get_int("qubits", 0));
-  k.tolerance_bits = u64_from_hex(*v.find("tol_bits"));
-  k.success_threshold_bits = u64_from_hex(*v.find("success_bits"));
-  k.max_sweeps = static_cast<int>(v.get_int("max_sweeps", 0));
+SynthKey key_from_json(const Value& v) {
+  SynthKey k;
+  k.tool = tool_from_name(field(v, "tool").as_string());
+  k.target_fp = u64_from_hex(field(v, "target_fp"));
+  k.structure_fp = u64_from_hex(field(v, "structure_fp"));
+  k.seed = u64_from_hex(field(v, "seed"));
+  k.dim = field(v, "dim").as_uint64();
+  k.num_qubits = to_int(field(v, "qubits"));
+  for (const Value& e : field(v, "edges").as_array()) {
+    QC_CHECK_MSG(e.is_array() && e.size() == 2, "synth snapshot: bad edge");
+    k.edges.emplace_back(to_int(e.as_array()[0]), to_int(e.as_array()[1]));
+  }
+  for (const Value& bits : field(v, "options").as_array())
+    k.options.push_back(u64_from_hex(bits));
   return k;
+}
+
+// ---- one result codec per result type ---------------------------------------
+
+Value result_to_json(const QSearchResult& r) {
+  Value out = Value::object();
+  out.set("best", approx_to_json(r.best));
+  out.set("converged", r.converged);
+  out.set("nodes_expanded", r.nodes_expanded);
+  out.set("nodes_optimized", r.nodes_optimized);
+  return out;
+}
+
+void result_from_json(const Value& v, QSearchResult& r) {
+  r.best = approx_from_json(field(v, "best"));
+  r.converged = field(v, "converged").as_bool();
+  r.nodes_expanded = to_int(field(v, "nodes_expanded"));
+  r.nodes_optimized = to_int(field(v, "nodes_optimized"));
+}
+
+Value result_to_json(const QFastResult& r) {
+  Value out = Value::object();
+  out.set("best", approx_to_json(r.best));
+  out.set("converged", r.converged);
+  out.set("depths_tried", r.depths_tried);
+  return out;
+}
+
+void result_from_json(const Value& v, QFastResult& r) {
+  r.best = approx_from_json(field(v, "best"));
+  r.converged = field(v, "converged").as_bool();
+  r.depths_tried = to_int(field(v, "depths_tried"));
+}
+
+Value result_to_json(const QFactorResult& r) {
+  Value out = Value::object();
+  out.set("circuit", circuit_to_json(r.circuit));
+  out.set("hs", r.hs_distance);
+  out.set("sweeps", r.sweeps);
+  out.set("converged", r.converged);
+  return out;
+}
+
+void result_from_json(const Value& v, QFactorResult& r) {
+  r.circuit = circuit_from_json(field(v, "circuit"));
+  r.hs_distance = field(v, "hs").as_number();
+  r.sweeps = to_int(field(v, "sweeps"));
+  r.converged = field(v, "converged").as_bool();
 }
 
 std::string join_path(const std::string& dir, const char* file) {
@@ -249,52 +245,21 @@ const std::string& synth_cache_dir_env() {
 }
 
 std::string synth_cache_serialize() {
+  Value entries = Value::array();
+  for (SynthTool tool : kSynthTools) {
+    with_result_type(tool, [&]<class R>(std::type_identity<R>) {
+      for (const auto& [key, entry] : synth_cache<R>().dump()) {
+        Value row = Value::object();
+        row.set("key", key_to_json(key));
+        row.set("result", result_to_json(entry.result));
+        row.set("stream", stream_to_json(entry.stream));
+        entries.push_back(std::move(row));
+      }
+    });
+  }
   Value doc = Value::object();
   doc.set("version", kSnapshotVersion);
-
-  Value qsearch = Value::array();
-  for (const auto& [key, entry] : synth_cache_dump_qsearch()) {
-    Value row = Value::object();
-    row.set("key", qsearch_key_to_json(key));
-    Value result = Value::object();
-    result.set("best", approx_to_json(entry.result.best));
-    result.set("converged", entry.result.converged);
-    result.set("nodes_expanded", entry.result.nodes_expanded);
-    result.set("nodes_optimized", entry.result.nodes_optimized);
-    row.set("result", std::move(result));
-    row.set("stream", stream_to_json(entry.stream));
-    qsearch.push_back(std::move(row));
-  }
-  doc.set("qsearch", std::move(qsearch));
-
-  Value qfast = Value::array();
-  for (const auto& [key, entry] : synth_cache_dump_qfast()) {
-    Value row = Value::object();
-    row.set("key", qfast_key_to_json(key));
-    Value result = Value::object();
-    result.set("best", approx_to_json(entry.result.best));
-    result.set("converged", entry.result.converged);
-    result.set("depths_tried", entry.result.depths_tried);
-    row.set("result", std::move(result));
-    row.set("stream", stream_to_json(entry.stream));
-    qfast.push_back(std::move(row));
-  }
-  doc.set("qfast", std::move(qfast));
-
-  Value qfactor = Value::array();
-  for (const auto& [key, entry] : synth_cache_dump_qfactor()) {
-    Value row = Value::object();
-    row.set("key", qfactor_key_to_json(key));
-    Value result = Value::object();
-    result.set("circuit", circuit_to_json(entry.circuit));
-    result.set("hs", entry.hs_distance);
-    result.set("sweeps", entry.sweeps);
-    result.set("converged", entry.converged);
-    row.set("result", std::move(result));
-    qfactor.push_back(std::move(row));
-  }
-  doc.set("qfactor", std::move(qfactor));
-
+  doc.set("entries", std::move(entries));
   return doc.dump();
 }
 
@@ -302,62 +267,19 @@ std::size_t synth_cache_deserialize(const std::string& text) {
   const Value doc = common::json::parse(text);
   QC_CHECK_MSG(doc.get_int("version", -1) == kSnapshotVersion,
                "synth snapshot: unsupported version");
-  std::size_t loaded = 0;
-
-  if (const Value* rows = doc.find("qsearch")) {
-    for (const Value& row : rows->as_array()) {
-      const QSearchCacheKey key = qsearch_key_from_json(*row.find("key"));
-      const Value* result = row.find("result");
-      QC_CHECK_MSG(result != nullptr, "synth snapshot: row lacks result");
-      CachedQSearch entry;
-      entry.result.best = approx_from_json(*result->find("best"));
-      entry.result.converged = result->get_bool("converged", false);
-      entry.result.nodes_expanded =
-          static_cast<int>(result->get_int("nodes_expanded", 0));
-      entry.result.nodes_optimized =
-          static_cast<int>(result->get_int("nodes_optimized", 0));
-      if (const Value* stream = row.find("stream"))
-        entry.stream = stream_from_json(*stream);
-      synth_cache_store(key, std::move(entry));
-      ++loaded;
-    }
+  // Decode every row before storing any, so a bad row loads nothing.
+  std::vector<std::function<void()>> stores;
+  for (const Value& row : field(doc, "entries").as_array()) {
+    const SynthKey key = key_from_json(field(row, "key"));
+    with_result_type(key.tool, [&]<class R>(std::type_identity<R>) {
+      Cached<R> entry;
+      result_from_json(field(row, "result"), entry.result);
+      entry.stream = stream_from_json(field(row, "stream"));
+      stores.emplace_back([key, entry] { synth_cache<R>().put(key, entry); });
+    });
   }
-
-  if (const Value* rows = doc.find("qfast")) {
-    for (const Value& row : rows->as_array()) {
-      const QFastCacheKey key = qfast_key_from_json(*row.find("key"));
-      const Value* result = row.find("result");
-      QC_CHECK_MSG(result != nullptr, "synth snapshot: row lacks result");
-      CachedQFast entry;
-      entry.result.best = approx_from_json(*result->find("best"));
-      entry.result.converged = result->get_bool("converged", false);
-      entry.result.depths_tried =
-          static_cast<int>(result->get_int("depths_tried", 0));
-      if (const Value* stream = row.find("stream"))
-        entry.stream = stream_from_json(*stream);
-      synth_cache_store(key, std::move(entry));
-      ++loaded;
-    }
-  }
-
-  if (const Value* rows = doc.find("qfactor")) {
-    for (const Value& row : rows->as_array()) {
-      const QFactorCacheKey key = qfactor_key_from_json(*row.find("key"));
-      const Value* result = row.find("result");
-      QC_CHECK_MSG(result != nullptr, "synth snapshot: row lacks result");
-      QFactorResult entry;
-      const Value* circuit = result->find("circuit");
-      QC_CHECK_MSG(circuit != nullptr, "synth snapshot: qfactor row lacks circuit");
-      entry.circuit = circuit_from_json(*circuit);
-      entry.hs_distance = result->get_number("hs", 1.0);
-      entry.sweeps = static_cast<int>(result->get_int("sweeps", 0));
-      entry.converged = result->get_bool("converged", false);
-      synth_cache_store(key, std::move(entry));
-      ++loaded;
-    }
-  }
-
-  return loaded;
+  for (const auto& store : stores) store();
+  return stores.size();
 }
 
 std::size_t synth_cache_save(const std::string& dir) {

@@ -1,6 +1,5 @@
 #include "synth/qfactor.hpp"
 
-#include <bit>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -73,19 +72,6 @@ QAPPROX_SYNTH_INLINE Matrix environment(const Matrix& l, const Matrix& s, int qu
     kt(1, 1) += cplx{env.row1[2], env.row1[3]};
   }
   return kt;
-}
-
-QFactorCacheKey make_cache_key(const QuantumCircuit& structure, const Matrix& target,
-                               const QFactorOptions& options) {
-  QFactorCacheKey key;
-  key.target_fp = target.fingerprint();
-  key.structure_fp = structure.fingerprint();  // gates AND starting angles
-  key.dim = target.rows();
-  key.num_qubits = structure.num_qubits();
-  key.tolerance_bits = std::bit_cast<std::uint64_t>(options.tolerance);
-  key.success_threshold_bits = std::bit_cast<std::uint64_t>(options.success_threshold);
-  key.max_sweeps = options.max_sweeps;
-  return key;
 }
 
 QFactorResult run_qfactor(const QuantumCircuit& structure, const Matrix& target,
@@ -264,14 +250,16 @@ Matrix best_unitary_for_environment(const Matrix& k) {
 
 QFactorResult qfactor_optimize(const QuantumCircuit& structure, const Matrix& target,
                                const QFactorOptions& options) {
-  if (!options.use_cache) return run_qfactor(structure, target, options);
-
-  const QFactorCacheKey key = make_cache_key(structure, target, options);
-  if (auto hit = synth_cache_lookup(key)) return std::move(*hit);
-
-  QFactorResult result = run_qfactor(structure, target, options);
-  if (!result.timed_out) synth_cache_store(key, result);
-  return result;
+  // Everything a run's result depends on besides the target and the seed
+  // structure; QFactor draws no random numbers, so the key's seed stays 0.
+  const SynthKey key{SynthTool::QFactor, target.fingerprint(), structure.fingerprint(),
+                     target.rows(), structure.num_qubits(), {},
+                     key_options(options.tolerance, options.success_threshold,
+                                 options.max_sweeps),
+                     0};
+  return cached_synthesis<QFactorResult>(
+      key, options.use_cache, {},
+      [&](std::vector<ApproxCircuit>&) { return run_qfactor(structure, target, options); });
 }
 
 }  // namespace qc::synth

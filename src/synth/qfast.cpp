@@ -1,7 +1,6 @@
 #include "synth/qfast.hpp"
 
 #include <algorithm>
-#include <bit>
 
 #include "common/error.hpp"
 #include "common/faults.hpp"
@@ -13,26 +12,13 @@ namespace qc::synth {
 
 namespace {
 
-QFastCacheKey make_cache_key(const linalg::Matrix& target, int num_qubits,
-                             const QFastOptions& options,
-                             const std::vector<std::pair<int, int>>& edges) {
-  QFastCacheKey key;
-  key.target_fp = target.fingerprint();
-  key.dim = target.rows();
-  key.num_qubits = num_qubits;
-  key.edges = edges;
-  key.success_threshold_bits = std::bit_cast<std::uint64_t>(options.success_threshold);
-  key.opt_tolerance_bits = std::bit_cast<std::uint64_t>(options.optimizer.tolerance);
-  key.max_blocks = options.max_blocks;
-  key.opt_max_iterations = options.optimizer.max_iterations;
-  key.opt_lbfgs_memory = options.optimizer.lbfgs_memory;
-  key.restarts_per_depth = options.restarts_per_depth;
-  // Coarse passes only run when a callback is present, and their result
-  // seeds the full pass — so the *effective* setting is what must key.
-  key.emit_coarse_passes = options.emit_coarse_passes &&
-                           static_cast<bool>(options.partial_solution_callback);
-  key.seed = options.seed;
-  return key;
+// Everything a run's result depends on besides the target, the edges and the
+// seed, in a fixed order. Coarse passes only run when a callback is present,
+// and their result seeds the full pass, so the *effective* setting is keyed.
+std::vector<std::uint64_t> keyed_options(const QFastOptions& o) {
+  return key_options(o.success_threshold, o.optimizer.tolerance, o.max_blocks,
+                     o.optimizer.max_iterations, o.optimizer.lbfgs_memory, o.restarts_per_depth,
+                     o.emit_coarse_passes && static_cast<bool>(o.partial_solution_callback));
 }
 
 QFastResult run_qfast(const linalg::Matrix& target, int num_qubits,
@@ -121,37 +107,14 @@ QFastResult qfast_synthesize(const linalg::Matrix& target, int num_qubits,
                                  std::to_string(options.seed) + ")");
   }
 
-  std::vector<std::pair<int, int>> edges;
-  if (coupling) {
-    for (const auto& e : coupling->edges())
-      if (e.first < num_qubits && e.second < num_qubits) edges.push_back(e);
-  } else {
-    for (int a = 0; a < num_qubits; ++a)
-      for (int b = a + 1; b < num_qubits; ++b) edges.emplace_back(a, b);
-  }
-  QC_CHECK_MSG(!edges.empty(), "no usable edges for synthesis");
-
-  if (!options.use_cache) {
-    std::vector<ApproxCircuit> stream;
-    return run_qfast(target, num_qubits, options, edges, stream);
-  }
-
-  const QFastCacheKey key = make_cache_key(target, num_qubits, options, edges);
-  if (auto hit = synth_cache_lookup(key)) {
-    if (options.partial_solution_callback)
-      for (const ApproxCircuit& record : hit->stream)
-        options.partial_solution_callback(record);
-    return std::move(hit->result);
-  }
-
-  CachedQFast entry;
-  entry.result = run_qfast(target, num_qubits, options, edges, entry.stream);
-  if (!entry.result.timed_out) {
-    QFastResult result = entry.result;
-    synth_cache_store(key, std::move(entry));
-    return result;
-  }
-  return entry.result;
+  const SynthKey key{SynthTool::QFast, target.fingerprint(), 0, target.rows(), num_qubits,
+                     synthesis_edges(num_qubits, coupling), keyed_options(options),
+                     options.seed};
+  return cached_synthesis<QFastResult>(
+      key, options.use_cache, options.partial_solution_callback,
+      [&](std::vector<ApproxCircuit>& stream) {
+        return run_qfast(target, num_qubits, options, key.edges, stream);
+      });
 }
 
 }  // namespace qc::synth

@@ -1,7 +1,6 @@
 #include "synth/qsearch.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <queue>
 
 #include "common/error.hpp"
@@ -35,24 +34,13 @@ TemplateCircuit build_template(int num_qubits,
   return tpl;
 }
 
-QSearchCacheKey make_cache_key(const linalg::Matrix& target, int num_qubits,
-                               const QSearchOptions& options,
-                               const std::vector<std::pair<int, int>>& edges) {
-  QSearchCacheKey key;
-  key.target_fp = target.fingerprint();
-  key.dim = target.rows();
-  key.num_qubits = num_qubits;
-  key.edges = edges;
-  key.success_threshold_bits = std::bit_cast<std::uint64_t>(options.success_threshold);
-  key.depth_weight_bits = std::bit_cast<std::uint64_t>(options.depth_weight);
-  key.opt_tolerance_bits = std::bit_cast<std::uint64_t>(options.optimizer.tolerance);
-  key.max_cnots = options.max_cnots;
-  key.max_nodes = options.max_nodes;
-  key.opt_max_iterations = options.optimizer.max_iterations;
-  key.opt_lbfgs_memory = options.optimizer.lbfgs_memory;
-  key.restarts_per_node = options.restarts_per_node;
-  key.seed = options.seed;
-  return key;
+// Everything a search's result depends on besides the target, the edges and
+// the seed, in a fixed order. The deadline, the callback, parallel_children
+// and the pool are not keyed (synth/cache.hpp).
+std::vector<std::uint64_t> keyed_options(const QSearchOptions& o) {
+  return key_options(o.success_threshold, o.depth_weight, o.optimizer.tolerance, o.max_cnots,
+                     o.max_nodes, o.optimizer.max_iterations, o.optimizer.lbfgs_memory,
+                     o.restarts_per_node);
 }
 
 /// The search proper; `stream` records every intermediate the callback saw
@@ -223,8 +211,18 @@ QSearchResult qsearch_synthesize(const linalg::Matrix& target, int num_qubits,
                                  std::to_string(options.seed) + ")");
   }
 
-  // Expansion edges: coupling-map edges, or all pairs. Both CX directions
-  // are equivalent up to the surrounding U3s, so one orientation suffices.
+  const SynthKey key{SynthTool::QSearch, target.fingerprint(), 0, target.rows(), num_qubits,
+                     synthesis_edges(num_qubits, coupling), keyed_options(options),
+                     options.seed};
+  return cached_synthesis<QSearchResult>(
+      key, options.use_cache, options.intermediate_callback,
+      [&](std::vector<ApproxCircuit>& stream) {
+        return run_qsearch(target, num_qubits, options, key.edges, stream);
+      });
+}
+
+std::vector<std::pair<int, int>> synthesis_edges(int num_qubits,
+                                                 const noise::CouplingMap* coupling) {
   std::vector<std::pair<int, int>> edges;
   if (coupling) {
     QC_CHECK(coupling->num_qubits() >= num_qubits);
@@ -235,29 +233,7 @@ QSearchResult qsearch_synthesize(const linalg::Matrix& target, int num_qubits,
       for (int b = a + 1; b < num_qubits; ++b) edges.emplace_back(a, b);
   }
   QC_CHECK_MSG(!edges.empty(), "no usable edges for synthesis");
-
-  if (!options.use_cache) {
-    std::vector<ApproxCircuit> stream;
-    return run_qsearch(target, num_qubits, options, edges, stream);
-  }
-
-  const QSearchCacheKey key = make_cache_key(target, num_qubits, options, edges);
-  if (auto hit = synth_cache_lookup(key)) {
-    if (options.intermediate_callback)
-      for (const ApproxCircuit& record : hit->stream)
-        options.intermediate_callback(record);
-    return std::move(hit->result);
-  }
-
-  CachedQSearch entry;
-  entry.result = run_qsearch(target, num_qubits, options, edges, entry.stream);
-  // A timed-out run is a truncated search, not *the* result for this key.
-  if (!entry.result.timed_out) {
-    QSearchResult result = entry.result;
-    synth_cache_store(key, std::move(entry));
-    return result;
-  }
-  return entry.result;
+  return edges;
 }
 
 }  // namespace qc::synth

@@ -91,4 +91,12 @@ QSearchResult qsearch_synthesize(const linalg::Matrix& target, int num_qubits,
                                  const QSearchOptions& options = {},
                                  const noise::CouplingMap* coupling = nullptr);
 
+/// The CX edges QSearch and QFast place blocks on, and part of their cache
+/// key: `coupling`'s edges among qubits 0..num_qubits-1 (the map must span
+/// them), or every pair when null. Both CX directions are equivalent up to
+/// the surrounding U3s, so one orientation suffices. Throws when no edge is
+/// usable.
+std::vector<std::pair<int, int>> synthesis_edges(int num_qubits,
+                                                 const noise::CouplingMap* coupling);
+
 }  // namespace qc::synth

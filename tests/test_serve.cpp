@@ -319,35 +319,35 @@ TEST(Scheduler, StopCancelsTheSharedToken) {
 
 // ---- synthesis-cache persistence -------------------------------------------
 
-synth::QSearchCacheKey sample_qsearch_key() {
-  synth::QSearchCacheKey key;
+synth::SynthKey sample_key(synth::SynthTool tool) {
+  synth::SynthKey key;
+  key.tool = tool;
   key.target_fp = 0xDEADBEEFCAFEF00Dull;
+  key.structure_fp = tool == synth::SynthTool::QFactor ? 0xFEEDFACE12345678ull : 0;
   key.dim = 4;
   key.num_qubits = 2;
-  key.edges = {{0, 1}};
-  key.success_threshold_bits = 0x3FB999999999999Aull;  // bits of 0.1
-  key.depth_weight_bits = 1;
-  key.opt_tolerance_bits = 2;
-  key.max_cnots = 5;
-  key.max_nodes = 40;
-  key.opt_max_iterations = 100;
-  key.opt_lbfgs_memory = 6;
-  key.restarts_per_node = 2;
+  if (tool != synth::SynthTool::QFactor) key.edges = {{0, 1}};
+  // 0.1's bit pattern, a negative int widened, a bool.
+  key.options = synth::key_options(0.1, -3, 40, true);
   key.seed = 0xFFFFFFFFFFFFFFF7ull;  // beyond 2^53: must survive as hex
   return key;
 }
 
-synth::CachedQSearch sample_qsearch_entry() {
+ir::QuantumCircuit sample_circuit() {
   ir::QuantumCircuit circuit(2, "approx");
   circuit.u3(0.1234567890123456789, -2.718281828459045, 3.141592653589793, 0);
   circuit.cx(0, 1);
   circuit.rz(1e-300, 1);
+  return circuit;
+}
 
-  synth::CachedQSearch entry;
-  entry.result.best.circuit = circuit;
-  entry.result.best.hs_distance = 0.123456789012345678;
-  entry.result.best.cnot_count = 1;
-  entry.result.best.source = "qsearch";
+synth::ApproxCircuit sample_approx(const char* source) {
+  return {sample_circuit(), 0.123456789012345678, 1, source};
+}
+
+synth::Cached<synth::QSearchResult> sample_qsearch_entry() {
+  synth::Cached<synth::QSearchResult> entry;
+  entry.result.best = sample_approx("qsearch");
   entry.result.converged = true;
   entry.result.nodes_expanded = 17;
   entry.result.nodes_optimized = 9;
@@ -355,68 +355,113 @@ synth::CachedQSearch sample_qsearch_entry() {
   return entry;
 }
 
-TEST(SynthPersist, SerializeDeserializeRoundTripsBitExactly) {
+synth::Cached<synth::QFastResult> sample_qfast_entry() {
+  synth::Cached<synth::QFastResult> entry;
+  entry.result.best = sample_approx("qfast");
+  entry.result.converged = false;
+  entry.result.depths_tried = 5;
+  entry.stream = {sample_approx("qfast"), entry.result.best};
+  entry.stream.front().hs_distance = 0.5;
+  return entry;
+}
+
+synth::Cached<synth::QFactorResult> sample_qfactor_entry() {
+  synth::Cached<synth::QFactorResult> entry;
+  entry.result.circuit = sample_circuit();
+  entry.result.hs_distance = 0.25;
+  entry.result.sweeps = 7;
+  entry.result.converged = false;
+  return entry;
+}
+
+/// One entry per tool in an otherwise empty cache.
+void store_one_entry_per_tool() {
   synth::clear_synth_cache();
-  const synth::QSearchCacheKey key = sample_qsearch_key();
-  const synth::CachedQSearch entry = sample_qsearch_entry();
-  synth::synth_cache_store(key, entry);
+  synth::synth_cache<synth::QSearchResult>().put(sample_key(synth::SynthTool::QSearch),
+                                                 sample_qsearch_entry());
+  synth::synth_cache<synth::QFastResult>().put(sample_key(synth::SynthTool::QFast),
+                                               sample_qfast_entry());
+  synth::synth_cache<synth::QFactorResult>().put(sample_key(synth::SynthTool::QFactor),
+                                                 sample_qfactor_entry());
+}
 
-  synth::QFactorCacheKey fkey;
-  fkey.target_fp = 1;
-  fkey.structure_fp = 2;
-  fkey.dim = 4;
-  fkey.num_qubits = 2;
-  fkey.max_sweeps = 12;
-  synth::QFactorResult fres;
-  fres.circuit = entry.result.best.circuit;
-  fres.hs_distance = 0.25;
-  fres.sweeps = 7;
-  fres.converged = false;
-  synth::synth_cache_store(fkey, fres);
+// %.17g parameters + hex bit patterns: a reload is bit-identical, so the
+// content fingerprint (which hashes parameter bits) must match.
+void expect_same_approx(const synth::ApproxCircuit& a, const synth::ApproxCircuit& b) {
+  EXPECT_EQ(a.circuit.fingerprint(), b.circuit.fingerprint());
+  EXPECT_EQ(a.circuit.name(), b.circuit.name());
+  EXPECT_EQ(a.hs_distance, b.hs_distance);
+  EXPECT_EQ(a.cnot_count, b.cnot_count);
+  EXPECT_EQ(a.source, b.source);
+}
 
+void expect_same_stream(const std::vector<synth::ApproxCircuit>& a,
+                        const std::vector<synth::ApproxCircuit>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) expect_same_approx(a[i], b[i]);
+}
+
+void write_snapshot(const std::string& dir, const std::string& text) {
+  std::ofstream out(dir + "/" + synth::kSynthCacheSnapshotFile, std::ios::trunc);
+  out << text;
+}
+
+TEST(SynthPersist, SerializeDeserializeRoundTripsBitExactly) {
+  store_one_entry_per_tool();
   const std::string snapshot = synth::synth_cache_serialize();
   synth::clear_synth_cache();
-  EXPECT_FALSE(synth::synth_cache_lookup(key).has_value());
+  EXPECT_FALSE(synth::synth_cache<synth::QSearchResult>().contains(
+      sample_key(synth::SynthTool::QSearch)));
 
-  EXPECT_EQ(synth::synth_cache_deserialize(snapshot), 2u);
-  const auto loaded = synth::synth_cache_lookup(key);
-  ASSERT_TRUE(loaded.has_value());
-  // %.17g parameters + hex bit patterns: the reload is bit-identical, so the
-  // content fingerprint (which hashes parameter bits) must match.
-  EXPECT_EQ(loaded->result.best.circuit.fingerprint(),
-            entry.result.best.circuit.fingerprint());
-  EXPECT_EQ(loaded->result.best.hs_distance, entry.result.best.hs_distance);
-  EXPECT_EQ(loaded->result.best.cnot_count, 1u);
-  EXPECT_EQ(loaded->result.best.source, "qsearch");
-  EXPECT_TRUE(loaded->result.converged);
-  EXPECT_EQ(loaded->result.nodes_expanded, 17);
-  ASSERT_EQ(loaded->stream.size(), 1u);
+  EXPECT_EQ(synth::synth_cache_deserialize(snapshot), 3u);
+  EXPECT_EQ(synth::synth_cache_stats().entries, 3u);
 
-  const auto floaded = synth::synth_cache_lookup(fkey);
-  ASSERT_TRUE(floaded.has_value());
-  EXPECT_EQ(floaded->sweeps, 7);
-  EXPECT_FALSE(floaded->converged);
+  const auto search =
+      synth::synth_cache<synth::QSearchResult>().get(sample_key(synth::SynthTool::QSearch));
+  ASSERT_TRUE(search.has_value());
+  const auto want_search = sample_qsearch_entry();
+  expect_same_approx(search->result.best, want_search.result.best);
+  EXPECT_TRUE(search->result.converged);
+  EXPECT_EQ(search->result.nodes_expanded, 17);
+  EXPECT_EQ(search->result.nodes_optimized, 9);
+  expect_same_stream(search->stream, want_search.stream);
+
+  const auto fast =
+      synth::synth_cache<synth::QFastResult>().get(sample_key(synth::SynthTool::QFast));
+  ASSERT_TRUE(fast.has_value());
+  const auto want_fast = sample_qfast_entry();
+  expect_same_approx(fast->result.best, want_fast.result.best);
+  EXPECT_FALSE(fast->result.converged);
+  EXPECT_EQ(fast->result.depths_tried, 5);
+  expect_same_stream(fast->stream, want_fast.stream);
+
+  const auto factor =
+      synth::synth_cache<synth::QFactorResult>().get(sample_key(synth::SynthTool::QFactor));
+  ASSERT_TRUE(factor.has_value());
+  EXPECT_EQ(factor->result.circuit.fingerprint(), sample_circuit().fingerprint());
+  EXPECT_EQ(factor->result.hs_distance, 0.25);
+  EXPECT_EQ(factor->result.sweeps, 7);
+  EXPECT_FALSE(factor->result.converged);
+  EXPECT_TRUE(factor->stream.empty());
+
   synth::clear_synth_cache();
 }
 
 TEST(SynthPersist, DiskRoundTripAndHostileFilesAreSafe) {
   const std::string dir = make_temp_dir();
-  synth::clear_synth_cache();
-  synth::synth_cache_store(sample_qsearch_key(), sample_qsearch_entry());
-  EXPECT_EQ(synth::synth_cache_save(dir), 1u);
+  store_one_entry_per_tool();
+  EXPECT_EQ(synth::synth_cache_save(dir), 3u);
 
   synth::clear_synth_cache();
-  EXPECT_EQ(synth::synth_cache_load(dir), 1u);
-  EXPECT_TRUE(synth::synth_cache_lookup(sample_qsearch_key()).has_value());
+  EXPECT_EQ(synth::synth_cache_load(dir), 3u);
+  EXPECT_TRUE(synth::synth_cache<synth::QSearchResult>().contains(
+      sample_key(synth::SynthTool::QSearch)));
 
   // A corrupt snapshot must warn-and-skip, never throw or half-load.
-  {
-    std::ofstream out(dir + "/" + synth::kSynthCacheSnapshotFile,
-                      std::ios::trunc);
-    out << "{this is not a snapshot";
-  }
+  write_snapshot(dir, "{this is not a snapshot");
   synth::clear_synth_cache();
   EXPECT_EQ(synth::synth_cache_load(dir), 0u);
+  EXPECT_EQ(synth::synth_cache_stats().entries, 0u);
 
   // Missing snapshot: clean cold start.
   const std::string empty_dir = make_temp_dir();
@@ -424,25 +469,103 @@ TEST(SynthPersist, DiskRoundTripAndHostileFilesAreSafe) {
   synth::clear_synth_cache();
 }
 
-TEST(SynthPersist, VersionOneSnapshotLoadsNothingWithoutThrowing) {
-  // Version 1 keys carried fields that only ever held one value; version 2
-  // dropped them, so a v1 snapshot is refused whole: a cold start.
+TEST(SynthPersist, OlderSnapshotVersionsLoadNothingWithoutThrowing) {
+  // Versions 1 and 2 keyed each tool with its own fields; version 3 keys
+  // every tool with one SynthKey, so an older snapshot is refused whole: a
+  // cold start.
   const std::string dir = make_temp_dir();
-  synth::clear_synth_cache();
-  synth::synth_cache_store(sample_qsearch_key(), sample_qsearch_entry());
+  store_one_entry_per_tool();
   Value doc = json::parse(synth::synth_cache_serialize());
-  doc.set("version", 1);
-  {
-    std::ofstream out(dir + "/" + synth::kSynthCacheSnapshotFile,
-                      std::ios::trunc);
-    out << doc.dump();
+  for (int version : {1, 2}) {
+    SCOPED_TRACE(version);
+    doc.set("version", version);
+    write_snapshot(dir, doc.dump());
+    synth::clear_synth_cache();
+    EXPECT_THROW(synth::synth_cache_deserialize(doc.dump()), common::Error);
+    std::size_t loaded = 1;
+    EXPECT_NO_THROW(loaded = synth::synth_cache_load(dir));
+    EXPECT_EQ(loaded, 0u);
+    EXPECT_EQ(synth::synth_cache_stats().entries, 0u);
   }
   synth::clear_synth_cache();
+}
+
+/// Every copy of `v` with one object member dropped, at any depth, except
+/// a circuit's optional "name".
+std::vector<Value> drop_each_field(const Value& v) {
+  std::vector<Value> out;
+  if (v.is_array()) {
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      for (Value& dropped : drop_each_field(v.as_array()[i])) {
+        Value copy = v;
+        copy.as_array()[i] = std::move(dropped);
+        out.push_back(std::move(copy));
+      }
+    }
+    return out;
+  }
+  if (!v.is_object()) return out;
+  const json::Members& members = v.members();
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    if (members[i].first != "name") {
+      Value without = Value::object();
+      for (std::size_t j = 0; j < members.size(); ++j)
+        if (j != i) without.set(members[j].first, members[j].second);
+      out.push_back(std::move(without));
+    }
+    for (Value& dropped : drop_each_field(members[i].second)) {
+      Value copy = v;
+      copy.set(members[i].first, std::move(dropped));
+      out.push_back(std::move(copy));
+    }
+  }
+  return out;
+}
+
+TEST(SynthPersist, MissingFieldLoadsNothingAndNeverCrashes) {
+  const std::string dir = make_temp_dir();
+  store_one_entry_per_tool();
+  const Value doc = json::parse(synth::synth_cache_serialize());
+  const std::vector<Value> variants = drop_each_field(doc);
+  // Document, rows, keys, results, streams and circuits of all three tools.
+  ASSERT_GT(variants.size(), 50u);
+  for (const Value& variant : variants) {
+    SCOPED_TRACE(variant.dump());
+    write_snapshot(dir, variant.dump());
+    synth::clear_synth_cache();
+    std::size_t loaded = 1;
+    EXPECT_NO_THROW(loaded = synth::synth_cache_load(dir));
+    EXPECT_EQ(loaded, 0u);
+    EXPECT_EQ(synth::synth_cache_stats().entries, 0u);
+  }
+  synth::clear_synth_cache();
+}
+
+TEST(SynthPersist, ABadRowLoadsNoRowAtAll) {
+  // Every row is decoded before any is stored: a good row followed by a row
+  // without a result leaves the live cache exactly as it was.
+  const std::string dir = make_temp_dir();
+  store_one_entry_per_tool();
+  Value doc = json::parse(synth::synth_cache_serialize());
+  Value good = doc.find("entries")->as_array().at(0);  // the QSearch row
+  Value result = *good.find("result");
+  result.set("nodes_expanded", 99);
+  good.set("result", std::move(result));
+  Value bad = Value::object();
+  bad.set("key", *good.find("key"));
+  bad.set("stream", Value::array());
+  Value rows = Value::array();
+  rows.push_back(std::move(good)).push_back(std::move(bad));
+  doc.set("entries", std::move(rows));
+
   EXPECT_THROW(synth::synth_cache_deserialize(doc.dump()), common::Error);
-  std::size_t loaded = 1;
-  EXPECT_NO_THROW(loaded = synth::synth_cache_load(dir));
-  EXPECT_EQ(loaded, 0u);
-  EXPECT_FALSE(synth::synth_cache_lookup(sample_qsearch_key()).has_value());
+  write_snapshot(dir, doc.dump());
+  EXPECT_EQ(synth::synth_cache_load(dir), 0u);
+  EXPECT_EQ(synth::synth_cache_stats().entries, 3u);
+  const auto live =
+      synth::synth_cache<synth::QSearchResult>().get(sample_key(synth::SynthTool::QSearch));
+  ASSERT_TRUE(live.has_value());
+  EXPECT_EQ(live->result.nodes_expanded, 17);
   synth::clear_synth_cache();
 }
 

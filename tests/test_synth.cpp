@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <deque>
+#include <functional>
 #include <numbers>
 #include <string>
 #include <utility>
@@ -1399,6 +1400,227 @@ TEST(Cache, DisabledBypassesLookup) {
   const SynthCacheStats after = synth_cache_stats();
   EXPECT_EQ(after.hits, before.hits);
   EXPECT_EQ(after.misses, before.misses);
+}
+
+TEST(Cache, TimedOutRunIsNotStored) {
+  common::Rng rng(52);
+  const Matrix target = linalg::random_unitary(8, rng);
+  clear_synth_cache();
+  QSearchOptions opts;
+  opts.max_cnots = 2;
+  opts.max_nodes = 2;
+  opts.optimizer.max_iterations = 10;
+  opts.deadline = common::Deadline::after_ms(0.0);
+  const SynthCacheStats before = synth_cache_stats();
+  EXPECT_TRUE(qsearch_synthesize(target, 3, opts).timed_out);
+  EXPECT_EQ(synth_cache_stats().entries, 0u);
+
+  // The deadline is not keyed: the same call without one misses (nothing
+  // was stored), completes and is stored, and the next one hits.
+  opts.deadline = common::Deadline::never();
+  EXPECT_FALSE(qsearch_synthesize(target, 3, opts).timed_out);
+  EXPECT_FALSE(qsearch_synthesize(target, 3, opts).timed_out);
+  const SynthCacheStats after = synth_cache_stats();
+  EXPECT_EQ(after.misses - before.misses, 2u);
+  EXPECT_EQ(after.hits - before.hits, 1u);
+  EXPECT_EQ(after.entries, 1u);
+  clear_synth_cache();
+}
+
+// ---- the one cache key: every keyed option misses, every non-key hits -------
+
+/// One call's observable output: the result's circuits and other fields, and
+/// the stream its callback saw, if it had one.
+struct Outcome {
+  std::vector<ApproxCircuit> circuits;
+  std::vector<double> fields;
+  bool observed = false;
+  std::vector<ApproxCircuit> stream;
+};
+
+template <class Call>
+using Edits = std::vector<std::pair<const char*, std::function<void(Call&)>>>;
+
+/// Runs `base` (a miss), then each edit of `base` once: an unkeyed edit must
+/// hit and return the baseline's output bit for bit, and a keyed edit must
+/// miss (so no two keyed edits alias each other either).
+template <class Call, class Run>
+void expect_key_sensitivity(const char* tool, const Call& base, const Edits<Call>& keyed,
+                            const Edits<Call>& unkeyed, Run run) {
+  SCOPED_TRACE(tool);
+  clear_synth_cache();
+  SynthCacheStats before = synth_cache_stats();
+  const Outcome first = run(base);
+  ASSERT_EQ(synth_cache_stats().misses - before.misses, 1u);
+  ASSERT_FALSE(first.circuits.empty());
+  if (first.observed) {
+    ASSERT_FALSE(first.stream.empty());
+  }
+
+  auto run_edit = [&](const auto& edit, std::uint64_t hits, std::uint64_t misses) {
+    SCOPED_TRACE(edit.first);
+    Call call = base;
+    edit.second(call);
+    before = synth_cache_stats();
+    const Outcome out = run(call);
+    const SynthCacheStats after = synth_cache_stats();
+    EXPECT_EQ(after.hits - before.hits, hits);
+    EXPECT_EQ(after.misses - before.misses, misses);
+    return out;
+  };
+  for (const auto& edit : unkeyed) {
+    const Outcome out = run_edit(edit, 1, 0);
+    EXPECT_EQ(out.fields, first.fields);
+    ASSERT_EQ(out.circuits.size(), first.circuits.size());
+    for (std::size_t i = 0; i < out.circuits.size(); ++i)
+      expect_bit_identical(out.circuits[i], first.circuits[i]);
+    // A call with a callback sees the recorded stream replayed whole.
+    if (!out.observed) continue;
+    ASSERT_TRUE(first.observed);
+    ASSERT_EQ(out.stream.size(), first.stream.size());
+    for (std::size_t i = 0; i < out.stream.size(); ++i)
+      expect_bit_identical(out.stream[i], first.stream[i]);
+  }
+  for (const auto& edit : keyed) run_edit(edit, 0, 1);
+  clear_synth_cache();
+}
+
+struct SearchCall {
+  Matrix target;
+  int num_qubits = 3;
+  QSearchOptions options;
+  const noise::CouplingMap* coupling = nullptr;
+  bool callback = true;
+};
+
+struct FastCall {
+  Matrix target;
+  int num_qubits = 3;
+  QFastOptions options;
+  const noise::CouplingMap* coupling = nullptr;
+  bool callback = true;
+};
+
+struct FactorCall {
+  Matrix target;
+  ir::QuantumCircuit structure;
+  QFactorOptions options;
+};
+
+TEST(Cache, KeySensitivity) {
+  common::Rng rng(51);
+  const Matrix target3 = linalg::random_unitary(8, rng);
+  const Matrix other3 = linalg::random_unitary(8, rng);
+  const Matrix target2 = linalg::random_unitary(4, rng);
+  const Matrix other2 = linalg::random_unitary(4, rng);
+  const noise::CouplingMap line(3, {{0, 1}, {1, 2}});
+  common::ThreadPool pool2(2);
+  const common::Deadline far = common::Deadline::after_ms(600000.0);
+
+  SearchCall search;
+  search.target = target3;
+  search.options.max_cnots = 2;
+  search.options.max_nodes = 2;
+  search.options.optimizer.max_iterations = 10;
+  search.options.restarts_per_node = 1;
+  expect_key_sensitivity<SearchCall>(
+      "qsearch", search,
+      {{"success_threshold", [](SearchCall& c) { c.options.success_threshold *= 2; }},
+       {"depth_weight", [](SearchCall& c) { c.options.depth_weight *= 2; }},
+       {"optimizer.tolerance", [](SearchCall& c) { c.options.optimizer.tolerance *= 2; }},
+       {"max_cnots", [](SearchCall& c) { ++c.options.max_cnots; }},
+       {"max_nodes", [](SearchCall& c) { ++c.options.max_nodes; }},
+       {"optimizer.max_iterations", [](SearchCall& c) { ++c.options.optimizer.max_iterations; }},
+       {"optimizer.lbfgs_memory", [](SearchCall& c) { ++c.options.optimizer.lbfgs_memory; }},
+       {"restarts_per_node", [](SearchCall& c) { ++c.options.restarts_per_node; }},
+       {"seed", [](SearchCall& c) { ++c.options.seed; }},
+       {"edges", [&](SearchCall& c) { c.coupling = &line; }},
+       {"target", [&](SearchCall& c) { c.target = other3; }}},
+      {{"deadline", [&](SearchCall& c) { c.options.deadline = far; }},
+       {"parallel_children", [](SearchCall& c) { c.options.parallel_children = false; }},
+       {"pool", [&](SearchCall& c) { c.options.pool = &pool2; }},
+       {"callback", [](SearchCall& c) { c.callback = false; }}},
+      [](const SearchCall& c) {
+        Outcome out;
+        QSearchOptions options = c.options;
+        out.observed = c.callback;
+        if (c.callback)
+          options.intermediate_callback = [&](const ApproxCircuit& a) { out.stream.push_back(a); };
+        const QSearchResult r = qsearch_synthesize(c.target, c.num_qubits, options, c.coupling);
+        out.circuits = {r.best};
+        out.fields = {double(r.converged), double(r.timed_out), double(r.nodes_expanded),
+                      double(r.nodes_optimized)};
+        return out;
+      });
+
+  // Coarse passes run only when a callback is present, so QFast keys the
+  // effective flag: the baseline (callback, flag off) runs none, and only
+  // turning the flag on while a callback is present changes the key.
+  FastCall fast;
+  fast.target = target3;
+  fast.options.max_blocks = 2;
+  fast.options.optimizer.max_iterations = 10;
+  fast.options.emit_coarse_passes = false;
+  expect_key_sensitivity<FastCall>(
+      "qfast", fast,
+      {{"success_threshold", [](FastCall& c) { c.options.success_threshold *= 2; }},
+       {"optimizer.tolerance", [](FastCall& c) { c.options.optimizer.tolerance *= 2; }},
+       {"max_blocks", [](FastCall& c) { ++c.options.max_blocks; }},
+       {"optimizer.max_iterations", [](FastCall& c) { ++c.options.optimizer.max_iterations; }},
+       {"optimizer.lbfgs_memory", [](FastCall& c) { ++c.options.optimizer.lbfgs_memory; }},
+       {"restarts_per_depth", [](FastCall& c) { ++c.options.restarts_per_depth; }},
+       {"seed", [](FastCall& c) { ++c.options.seed; }},
+       {"callback with emit_coarse_passes",
+        [](FastCall& c) { c.options.emit_coarse_passes = true; }},
+       {"edges", [&](FastCall& c) { c.coupling = &line; }},
+       {"target", [&](FastCall& c) { c.target = other3; }}},
+      {{"deadline", [&](FastCall& c) { c.options.deadline = far; }},
+       {"callback", [](FastCall& c) { c.callback = false; }},
+       {"emit_coarse_passes without a callback",
+        [](FastCall& c) {
+          c.callback = false;
+          c.options.emit_coarse_passes = true;
+        }}},
+      [](const FastCall& c) {
+        Outcome out;
+        QFastOptions options = c.options;
+        out.observed = c.callback;
+        if (c.callback)
+          options.partial_solution_callback = [&](const ApproxCircuit& a) {
+            out.stream.push_back(a);
+          };
+        const QFastResult r = qfast_synthesize(c.target, c.num_qubits, options, c.coupling);
+        out.circuits = {r.best};
+        out.fields = {double(r.converged), double(r.timed_out), double(r.depths_tried)};
+        return out;
+      });
+
+  ir::QuantumCircuit structure(2);
+  structure.cx(0, 1).u3(0.4, 0.1, -0.3, 0).u3(0.2, -0.2, 0.5, 1);
+  FactorCall factor;
+  factor.target = target2;
+  factor.structure = structure;
+  factor.options.max_sweeps = 3;
+  expect_key_sensitivity<FactorCall>(
+      "qfactor", factor,
+      {{"tolerance", [](FactorCall& c) { c.options.tolerance *= 2; }},
+       {"success_threshold", [](FactorCall& c) { c.options.success_threshold *= 2; }},
+       {"max_sweeps", [](FactorCall& c) { ++c.options.max_sweeps; }},
+       {"structure angles",
+        [](FactorCall& c) {
+          ir::QuantumCircuit s(2);
+          s.cx(0, 1).u3(0.5, 0.1, -0.3, 0).u3(0.2, -0.2, 0.5, 1);
+          c.structure = s;
+        }},
+       {"target", [&](FactorCall& c) { c.target = other2; }}},
+      {{"deadline", [&](FactorCall& c) { c.options.deadline = far; }}},
+      [](const FactorCall& c) {
+        Outcome out;
+        const QFactorResult r = qfactor_optimize(c.structure, c.target, c.options);
+        out.circuits = {ApproxCircuit{r.circuit, r.hs_distance, 0, "qfactor"}};
+        out.fields = {double(r.converged), double(r.timed_out), double(r.sweeps)};
+        return out;
+      });
 }
 
 }  // namespace
