@@ -13,7 +13,7 @@
 #include "exec/engine.hpp"
 #include "metrics/distribution.hpp"
 #include "noise/catalog.hpp"
-#include "sim/statevector.hpp"
+#include "sim/compiled.hpp"
 #include "transpile/decompose.hpp"
 
 static int run(int argc, char** argv) {
@@ -39,9 +39,8 @@ static int run(int argc, char** argv) {
 
   for (const auto& w : workloads) {
     const auto device = common::driver::device(w.device);
-    sim::StateVector ideal(w.circuit.num_qubits());
-    ideal.apply(transpile::decompose_to_cx_u3(w.circuit));
-    const auto reference = ideal.probabilities();
+    const auto reference =
+        sim::ideal_probabilities(transpile::decompose_to_cx_u3(w.circuit));
 
     std::size_t swaps[2], cx[2];
     double tvd[2];

@@ -13,8 +13,8 @@
 #include "common/strings.hpp"
 #include "metrics/distribution.hpp"
 #include "noise/catalog.hpp"
+#include "sim/compiled.hpp"
 #include "sim/observables.hpp"
-#include "sim/statevector.hpp"
 #include "synth/partition.hpp"
 #include "transpile/decompose.hpp"
 
@@ -54,9 +54,8 @@ static int run(int argc, char** argv) {
 
     // Output quality under the simulator noise model (ideal = noiseless
     // original circuit).
-    sim::StateVector ideal(circuit.num_qubits());
-    ideal.apply(circuit);
-    const double ideal_mag = sim::average_z_magnetization(ideal.probabilities());
+    const double ideal_mag =
+        sim::average_z_magnetization(sim::ideal_probabilities(circuit));
     approx::ExecutionConfig exec = approx::ExecutionConfig::simulator(device);
     const double before = std::abs(
         sim::average_z_magnetization(approx::execute_distribution(circuit, exec)) -

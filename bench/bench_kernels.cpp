@@ -1,7 +1,7 @@
-// Microbenchmarks (google-benchmark) for the hot kernels: state-vector gate
-// application, density-matrix channel application, template unitary builds
-// (the synthesis inner loop), GEMM and expm — plus head-to-head generic-path
-// vs specialized-kernel comparisons on wide states.
+// Microbenchmarks (google-benchmark) for the hot kernels: state-vector
+// kernel application, density-matrix channel application, template unitary
+// builds (the synthesis inner loop), GEMM and expm — plus head-to-head
+// generic-path vs specialized-kernel comparisons on wide states.
 //
 // The binary always writes the full results as google-benchmark JSON to
 // BENCH_kernels.json in the working directory (override the path with
@@ -31,7 +31,6 @@
 #include "sim/density_matrix.hpp"
 #include "noise/catalog.hpp"
 #include "sim/compiled.hpp"
-#include "sim/statevector.hpp"
 #include "synth/qfactor.hpp"
 #include "synth/cost.hpp"
 #include "synth/template.hpp"
@@ -40,38 +39,20 @@ namespace {
 
 using namespace qc;
 
-void BM_StateVectorCx(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  sim::StateVector sv(n);
-  const ir::Gate cx(ir::GateKind::CX, {0, n - 1});
-  const ir::Gate h(ir::GateKind::H, {0});
-  sv.apply(h);
-  for (auto _ : state) {
-    sv.apply(cx);
-    benchmark::DoNotOptimize(sv.amplitudes().data());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_StateVectorCx)->Arg(3)->Arg(5)->Arg(10);
-
-void BM_StateVectorU3(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  sim::StateVector sv(n);
-  const ir::Gate u3(ir::GateKind::U3, {n / 2}, {0.3, 0.1, -0.2});
-  for (auto _ : state) {
-    sv.apply(u3);
-    benchmark::DoNotOptimize(sv.amplitudes().data());
-  }
-}
-BENCHMARK(BM_StateVectorU3)->Arg(3)->Arg(5)->Arg(10);
-
 void BM_DensityMatrixDepolarizing(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  sim::DensityMatrix dm(n);
-  dm.apply(ir::Gate(ir::GateKind::H, {0}));
+  std::vector<linalg::cplx> plus(std::size_t{1} << n);  // H on qubit 0
+  plus[0] = plus[1] = linalg::cplx{1.0 / std::sqrt(2.0), 0.0};
+  sim::DensityMatrix dm(n, plus);
+  // The channel's Kraus operators are planned once, as a compiled program
+  // plans them, so the loop times the channel application alone.
   const noise::Channel ch = noise::depolarizing(0.01, 2);
+  const std::vector<int> qubits = {0, 1};
+  std::vector<linalg::KernelPlan> plans;
+  for (const linalg::Matrix& k : ch.kraus())
+    plans.push_back(linalg::plan_kernel(k, qubits, dm.rho().rows()));
   for (auto _ : state) {
-    dm.apply_channel(ch, {0, 1});
+    dm.apply_kraus(ch.kraus(), plans, nullptr, qubits);
     benchmark::DoNotOptimize(dm.rho().data());
   }
 }

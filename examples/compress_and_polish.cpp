@@ -15,8 +15,8 @@
 #include "common/cli.hpp"
 #include "metrics/process.hpp"
 #include "noise/catalog.hpp"
+#include "sim/compiled.hpp"
 #include "sim/observables.hpp"
-#include "sim/statevector.hpp"
 #include "synth/partition.hpp"
 #include "transpile/decompose.hpp"
 
@@ -49,9 +49,8 @@ static int run(int argc, char** argv) {
 
   const auto device = common::driver::device("toronto");
   const approx::ExecutionConfig exec = approx::ExecutionConfig::simulator(device);
-  sim::StateVector ideal_state(circuit.num_qubits());
-  ideal_state.apply(circuit);
-  const double ideal = sim::average_z_magnetization(ideal_state.probabilities());
+  const double ideal =
+      sim::average_z_magnetization(sim::ideal_probabilities(circuit));
   const double before = sim::average_z_magnetization(
       approx::execute_distribution(circuit, exec));
   const double after = sim::average_z_magnetization(

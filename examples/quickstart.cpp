@@ -15,7 +15,7 @@
 #include "common/cli.hpp"
 #include "metrics/distribution.hpp"
 #include "noise/catalog.hpp"
-#include "sim/statevector.hpp"
+#include "sim/compiled.hpp"
 
 static int run(int, char**) {
   using namespace qc;
@@ -37,9 +37,7 @@ static int run(int, char**) {
               circuit.count(ir::GateKind::CX));
 
   // 2. Ideal output distribution (what a perfect machine would return).
-  sim::StateVector ideal(circuit.num_qubits());
-  ideal.apply(circuit);
-  const auto ideal_probs = ideal.probabilities();
+  const auto ideal_probs = sim::ideal_probabilities(circuit);
 
   // 3. Harvest approximate circuits from instrumented QSearch.
   approx::GeneratorConfig gen;

@@ -7,7 +7,7 @@
 #include "exec/engine.hpp"
 #include "linalg/factories.hpp"
 #include "noise/noise_model.hpp"
-#include "sim/statevector.hpp"
+#include "sim/compiled.hpp"
 #include "transpile/euler.hpp"
 #include "transpile/pipeline.hpp"
 
@@ -106,9 +106,7 @@ QvResult measure_quantum_volume(const noise::DeviceProperties& device,
     for (int c = 0; c < options.num_circuits; ++c) {
       common::Rng circuit_rng = rng.split((width << 10) + c);
       ir::QuantumCircuit model = qv_model_circuit(width, circuit_rng);
-      sim::StateVector ideal(width);
-      ideal.apply(model);
-      ideals.push_back(ideal.probabilities());
+      ideals.push_back(sim::ideal_probabilities(model));
       batch.push_back({std::move(model), exec_cfg});
     }
     const auto noisy = exec::ExecutionEngine::global().run_batch(batch);

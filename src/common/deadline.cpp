@@ -1,5 +1,6 @@
 #include "common/deadline.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdlib>
@@ -34,6 +35,12 @@ bool CancelToken::cancelled() const noexcept {
 }
 
 Deadline Deadline::after_ms(double ms) {
+  // The nanosecond clock spans about 292 years; converting a budget beyond it
+  // (a wire deadline_ms of 1e300, or inf) would be an undefined cast. 1e12 ms
+  // is about 31 years: later is never, earlier than its negation is expired.
+  constexpr double kMaxMs = 1e12;
+  if (!(ms < kMaxMs)) return never();
+  ms = std::max(ms, -kMaxMs);
   Deadline d;
   d.at_ = Clock::now() + std::chrono::duration_cast<Clock::duration>(
                              std::chrono::duration<double, std::milli>(ms));

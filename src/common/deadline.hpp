@@ -75,7 +75,8 @@ class Deadline {
   /// sites that mean it).
   static Deadline never() { return {}; }
 
-  /// Expires `ms` milliseconds from now. ms <= 0 is already expired.
+  /// Expires `ms` milliseconds from now. ms <= 0 is already expired; 1e12
+  /// (about 31 years) or more, inf and NaN are never().
   static Deadline after_ms(double ms);
 
   /// Expires at an absolute steady-clock time point.

@@ -21,13 +21,20 @@ double Value::as_number() const {
   return number_;
 }
 
+// The casts below are defined only for values whose truncation fits the
+// target type; the parser turns an overlong literal such as 1e400 into inf.
+// Each bound is a power of two, so the comparisons are exact, and NaN fails
+// them all.
 std::int64_t Value::as_int() const {
-  return static_cast<std::int64_t>(as_number());
+  const double v = as_number();
+  QC_CHECK_MSG(v >= -0x1p63 && v < 0x1p63, "json: number outside the int64 range");
+  return static_cast<std::int64_t>(v);
 }
 
 std::uint64_t Value::as_uint64() const {
   const double v = as_number();
   QC_CHECK_MSG(v >= 0.0, "json: negative value where unsigned expected");
+  QC_CHECK_MSG(v < 0x1p64, "json: number outside the uint64 range");
   return static_cast<std::uint64_t>(v);
 }
 

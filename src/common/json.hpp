@@ -63,7 +63,8 @@ class Value {
   bool is_array() const { return type_ == Type::Array; }
   bool is_object() const { return type_ == Type::Object; }
 
-  // Checked accessors; throw ContractError on type mismatch.
+  // Checked accessors; throw ContractError on type mismatch. The integer
+  // ones also throw unless the number is finite and its truncation fits.
   bool as_bool() const;
   double as_number() const;
   std::int64_t as_int() const;      // number truncated toward zero

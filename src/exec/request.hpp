@@ -61,7 +61,7 @@ struct RunRequest {
   ExecutionConfig config;
   /// Per-request execution bound (time limit and/or cancel token). Unbounded
   /// requests fall back to the process default from QAPPROX_DEADLINE_MS.
-  common::Deadline deadline;
+  common::Deadline deadline = {};
   /// Fault-injection stream id (QAPPROX_FAULTS); the sentinel means "use the
   /// batch index". Batch drivers get per-slot variety for free, but a
   /// multiplexer submitting single-element batches (the serve layer) must
@@ -74,7 +74,7 @@ struct RunRequest {
   /// the caller's trace instead of starting an orphan — this is how a served
   /// job's admission, queue-wait, and engine phases export as one connected
   /// trace. Invalid (the default) keeps the pre-existing unparented spans.
-  obs::TraceContext trace_parent;
+  obs::TraceContext trace_parent = {};
 };
 
 /// How a request finished. TimedOut results still carry a best-effort

@@ -57,8 +57,8 @@
 // generic path (ascending column index) and stays bit-identical to
 // apply_gate_inplace. RNG draw order is never affected — the dispatch only
 // changes arithmetic inside a kernel application. Every state-vector apply,
-// StateVector::apply of a named gate included, reaches the kernels through
-// the same three steps: plan_kernel, bind_kernel, apply_bound.
+// a compiled program's steps and the Matrix-only overloads alike, reaches the
+// kernels through the same three steps: plan_kernel, bind_kernel, apply_bound.
 //
 // Wide states additionally slice the coset loop across the process thread
 // pool (common::parallel_for, OpenMP-free) once the span holds at least

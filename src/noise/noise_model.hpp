@@ -92,7 +92,8 @@ class NoiseModel {
   const std::string& device_name() const { return device_name_; }
 
   /// Error channels to apply after the given (basis) gate. Unitary gates on
-  /// 1-2 qubits only; wider unitaries must be transpiled to the basis first.
+  /// 1-2 qubits only; wider unitaries must be transpiled to the basis first,
+  /// unless is_ideal(), when no gate of any width gets an op.
   std::vector<NoiseOp> ops_for_gate(const ir::Gate& gate) const;
 
   /// Per-qubit readout errors (all-zero when readout noise is disabled).

@@ -367,7 +367,10 @@ class ShotTree {
       for (std::size_t i = lo; i < hi; ++i) {
         const std::uint64_t stream = common::derive_stream_seed(seed_, shot_begin_ + ids_[i]);
         if (common::faults::fires(common::faults::Site::StateNan, stream)) {
-          state.apply_matrix(nan_matrix(), {0});
+          static const std::vector<int> qubit0{0};
+          state.apply_bound(linalg::bind_kernel(
+              linalg::plan_kernel(nan_matrix(), qubit0, state.amplitudes().size()),
+              nan_matrix(), qubit0));
           check_state_norm(state.norm_squared());
         }
       }
@@ -460,12 +463,17 @@ std::vector<double> statevector_probabilities(const CompiledCircuit& compiled,
     QC_CHECK_MSG(step.noise == kNoNoise,
                  "statevector_probabilities requires a noise-free program");
     if (poller.should_stop()) break;
-    state.apply_matrix(step.unitary, step.qubits, step.plan);
+    state.apply_bound(linalg::bind_kernel(step.plan, step.unitary, step.qubits));
   }
   if (timed_out != nullptr) *timed_out = poller.triggered();
   auto probs = state.probabilities();
   check_outcome_mass(probs, "statevector");
   return probs;
+}
+
+std::vector<double> ideal_probabilities(const ir::QuantumCircuit& circuit) {
+  return statevector_probabilities(compile_noisy_circuit(
+      circuit, noise::NoiseModel::ideal(circuit.num_qubits())));
 }
 
 }  // namespace qc::sim

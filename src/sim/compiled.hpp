@@ -29,9 +29,12 @@
 // (qsim/Cirq amortize noisy trajectory repetitions across shots too, Isakov
 // et al., arXiv:2111.02396).
 //
-// Three simulate entry points: trajectory_counts_streamed (a shot range),
-// density_matrix_probabilities (exact noisy) and statevector_probabilities
-// (noise free). All three take an optional Deadline and stop early on expiry.
+// Four simulate entry points: trajectory_counts_streamed (a shot range),
+// density_matrix_probabilities (exact noisy), statevector_probabilities
+// (noise free) and ideal_probabilities (a circuit's noise-free reference,
+// compiled and run in one call). The first three take an optional Deadline
+// and stop early on expiry. There is no gate-by-gate path: StateVector and
+// DensityMatrix apply only the planned operators of a compiled program.
 #pragma once
 
 #include <array>
@@ -165,5 +168,12 @@ std::vector<double> statevector_probabilities(
     const CompiledCircuit& compiled,
     const common::Deadline& deadline = common::Deadline::never(),
     bool* timed_out = nullptr);
+
+/// The ideal outcome distribution of `circuit` (size 2^n, qubit 0 the
+/// least-significant bit): statevector_probabilities of the default compile
+/// against NoiseModel::ideal. Barriers and Measure gates are skipped. The one
+/// noise-free reference of the figures (QV heavy outputs, router TVD,
+/// magnetization error) and of the tests.
+std::vector<double> ideal_probabilities(const ir::QuantumCircuit& circuit);
 
 }  // namespace qc::sim

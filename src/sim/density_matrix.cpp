@@ -29,31 +29,10 @@ DensityMatrix::DensityMatrix(int num_qubits, const std::vector<cplx>& amplitudes
       rho_(r, c) = amplitudes[r] * std::conj(amplitudes[c]);
 }
 
-void DensityMatrix::apply(const ir::Gate& gate) {
-  if (gate.kind == ir::GateKind::Barrier || gate.kind == ir::GateKind::Measure) return;
-  const Matrix u = gate.matrix();
-  apply_unitary(u, linalg::plan_kernel(u, gate.qubits, rho_.rows()), gate.qubits);
-}
-
 void DensityMatrix::apply_unitary(const Matrix& u, const linalg::KernelPlan& plan,
                                   const std::vector<int>& qubits) {
   linalg::left_apply(rho_, u, qubits, plan);
   linalg::right_apply_adjoint(rho_, u, qubits, plan);
-}
-
-void DensityMatrix::apply(const ir::QuantumCircuit& circuit) {
-  QC_CHECK(circuit.num_qubits() <= num_qubits_);
-  for (const ir::Gate& g : circuit.gates()) apply(g);
-}
-
-void DensityMatrix::apply_channel(const noise::Channel& channel,
-                                  const std::vector<int>& qubits) {
-  QC_CHECK(static_cast<std::size_t>(channel.num_qubits()) == qubits.size());
-  const auto& kraus = channel.kraus();
-  std::vector<linalg::KernelPlan> plans;
-  plans.reserve(kraus.size());
-  for (const Matrix& k : kraus) plans.push_back(linalg::plan_kernel(k, qubits, rho_.rows()));
-  apply_kraus(kraus, plans, nullptr, qubits);
 }
 
 void DensityMatrix::apply_kraus(const std::vector<Matrix>& ops,
@@ -90,15 +69,6 @@ std::vector<double> DensityMatrix::probabilities() const {
   std::vector<double> p(dim);
   for (std::size_t i = 0; i < dim; ++i) p[i] = std::max(0.0, rho_(i, i).real());
   return p;
-}
-
-double DensityMatrix::expectation_z(int q) const {
-  QC_CHECK(q >= 0 && q < num_qubits_);
-  const std::size_t bit = std::size_t{1} << q;
-  double e = 0.0;
-  for (std::size_t i = 0; i < rho_.rows(); ++i)
-    e += ((i & bit) ? -1.0 : 1.0) * rho_(i, i).real();
-  return e;
 }
 
 double DensityMatrix::purity() const {

@@ -1,17 +1,17 @@
 // Mixed-state simulator.
 //
-// Evolves the full density matrix, applying each gate's unitary and each
-// noise channel's Kraus set exactly — the noisy-output engine the paper's
-// "noise model simulations" map onto. Exact probabilities, no sampling
-// noise; practical up to ~7 qubits (128x128 rho), far beyond the paper's 5.
+// The state of density_matrix_probabilities (sim/compiled.hpp): each compiled
+// step's unitary and each bound noise channel's Kraus set are applied
+// exactly, through the kernel plans the compiled program made once — the
+// noisy-output engine the paper's "noise model simulations" map onto. Exact
+// probabilities, no sampling noise; practical up to ~7 qubits (128x128 rho),
+// far beyond the paper's 5.
 #pragma once
 
 #include <vector>
 
-#include "ir/circuit.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/matrix.hpp"
-#include "noise/channel.hpp"
 
 namespace qc::sim {
 
@@ -25,18 +25,11 @@ class DensityMatrix {
   int num_qubits() const { return num_qubits_; }
   const linalg::Matrix& rho() const { return rho_; }
 
-  /// Applies a unitary gate: rho := U rho U†.
-  void apply(const ir::Gate& gate);
-  /// Applies all unitary gates of a circuit (Measure gates are skipped —
-  /// terminal measurement is read via probabilities()).
-  void apply(const ir::QuantumCircuit& circuit);
   /// rho := U rho U† with U's kernel plan for this width (linalg::plan_kernel),
   /// so compiled programs that plan once don't redo it per application. The
   /// right conjugation reads conj(U) from U's entries; no adjoint is built.
   void apply_unitary(const linalg::Matrix& u, const linalg::KernelPlan& plan,
                      const std::vector<int>& qubits);
-  /// Applies a channel on the given qubits: rho := sum_i K_i rho K_i†.
-  void apply_channel(const noise::Channel& channel, const std::vector<int>& qubits);
   /// rho := sum_i w_i K_i rho K_i† with one kernel plan per operator; `weights`
   /// may be null (all 1, the plain Kraus form) or per-operator branch
   /// probabilities (the mixed-unitary form). Reuses persistent scratch — no
@@ -48,8 +41,6 @@ class DensityMatrix {
 
   /// Diagonal of rho: exact outcome distribution.
   std::vector<double> probabilities() const;
-  /// Tr(rho Z_q).
-  double expectation_z(int q) const;
   /// Tr(rho^2) in [1/2^n, 1].
   double purity() const;
   /// Tr(rho); stays 1 within rounding for CPTP evolution.

@@ -23,30 +23,6 @@ StateVector::StateVector(int num_qubits, std::vector<cplx> amplitudes)
   QC_CHECK_MSG(std::abs(norm_squared() - 1.0) < 1e-6, "state must be normalized");
 }
 
-void StateVector::apply(const ir::Gate& gate) {
-  QC_CHECK_MSG(ir::gate_is_unitary(gate.kind) || gate.kind == ir::GateKind::Barrier,
-               "cannot apply a measurement as a unitary");
-  if (gate.kind == ir::GateKind::Barrier) return;
-  linalg::apply_operator(amps_, gate.matrix(), gate.qubits);
-}
-
-void StateVector::apply(const ir::QuantumCircuit& circuit) {
-  QC_CHECK(circuit.num_qubits() <= num_qubits_);
-  for (const ir::Gate& g : circuit.gates()) {
-    if (g.kind == ir::GateKind::Measure) continue;  // terminal measurement: no-op here
-    apply(g);
-  }
-}
-
-void StateVector::apply_matrix(const linalg::Matrix& op, const std::vector<int>& qubits) {
-  linalg::apply_operator(amps_, op, qubits);
-}
-
-void StateVector::apply_matrix(const linalg::Matrix& op, const std::vector<int>& qubits,
-                               const linalg::KernelPlan& plan) {
-  linalg::apply_operator(amps_, op, qubits, plan);
-}
-
 void StateVector::apply_bound(const linalg::BoundKernel& bound) {
   linalg::apply_bound(amps_, bound);
 }
@@ -61,17 +37,6 @@ std::vector<double> StateVector::probabilities() const {
   for (std::size_t i = 0; i < amps_.size(); ++i) p[i] = std::norm(amps_[i]);
   return p;
 }
-
-double StateVector::probability_one(int q) const {
-  QC_CHECK(q >= 0 && q < num_qubits_);
-  const std::size_t bit = std::size_t{1} << q;
-  double p = 0.0;
-  for (std::size_t i = 0; i < amps_.size(); ++i)
-    if (i & bit) p += std::norm(amps_[i]);
-  return p;
-}
-
-double StateVector::expectation_z(int q) const { return 1.0 - 2.0 * probability_one(q); }
 
 double StateVector::norm_squared() const { return linalg::norm_squared(amps_); }
 

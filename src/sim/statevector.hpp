@@ -1,15 +1,17 @@
 // Pure-state simulator.
 //
-// The ideal-execution engine (noise-free references) and the per-shot state
-// of the trajectory engine (sim/compiled.hpp). Amplitudes are indexed with
-// qubit 0 as the least-significant bit.
+// The state that sim/compiled.hpp evolves: the per-shot state of the
+// trajectory engine and the one pass of statevector_probabilities (noise-free
+// references go through sim::ideal_probabilities). It applies only operators
+// already planned and bound (linalg::bind_kernel); circuits are compiled, not
+// applied gate by gate. Amplitudes are indexed with qubit 0 as the
+// least-significant bit.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "ir/circuit.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/matrix.hpp"
 
@@ -25,21 +27,10 @@ class StateVector {
   int num_qubits() const { return num_qubits_; }
   const std::vector<linalg::cplx>& amplitudes() const { return amps_; }
 
-  /// Applies one unitary gate.
-  void apply(const ir::Gate& gate);
-  /// Applies every unitary gate of the circuit in order (skips barriers;
-  /// throws on Measure — use sample()/probabilities() for output).
-  void apply(const ir::QuantumCircuit& circuit);
-  /// Applies an arbitrary operator matrix on the given qubits (also used for
-  /// normalized Kraus operators during trajectory evolution). Dispatches to
-  /// the specialized kernels in linalg/kernels.hpp by operator shape.
-  void apply_matrix(const linalg::Matrix& op, const std::vector<int>& qubits);
-  /// The same with a plan made for this width (linalg::plan_kernel), so a
-  /// compiled program's replays skip the checks and classification.
-  void apply_matrix(const linalg::Matrix& op, const std::vector<int>& qubits,
-                    const linalg::KernelPlan& plan);
-  /// The same with the plan already bound to op (linalg::bind_kernel), so a
-  /// trajectory shot tree binds each noise operator once per run.
+  /// Applies an operator whose kernel plan (linalg::plan_kernel, made for
+  /// this width) is bound to its entries (linalg::bind_kernel): a step
+  /// unitary, a mixed-unitary branch or a Kraus operator (the caller
+  /// renormalizes). The one way to change the amplitudes.
   void apply_bound(const linalg::BoundKernel& bound);
 
   /// Back to |0...0> without reallocating; lets trajectory loops reuse one
@@ -48,10 +39,6 @@ class StateVector {
 
   /// Exact outcome distribution |amp|^2 (size 2^n).
   std::vector<double> probabilities() const;
-  /// Probability that qubit q reads 1.
-  double probability_one(int q) const;
-  /// <psi| Z_q |psi>.
-  double expectation_z(int q) const;
 
   /// Squared norm (should stay 1 within rounding; trajectory code
   /// renormalizes after Kraus jumps).

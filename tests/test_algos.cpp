@@ -9,8 +9,8 @@
 #include "common/error.hpp"
 #include "metrics/distribution.hpp"
 #include "metrics/process.hpp"
+#include "sim/compiled.hpp"
 #include "sim/observables.hpp"
-#include "sim/statevector.hpp"
 #include "transpile/decompose.hpp"
 
 namespace qc::algos {
@@ -64,14 +64,11 @@ TEST(Tfim, TrotterApproachesExactForSmallDt) {
 
 TEST(Tfim, MagnetizationStartsHighAndDecays) {
   TfimModel m;
-  sim::StateVector sv1(m.num_qubits);
-  sv1.apply(m.circuit_up_to(1));
-  const double m1 = sim::average_z_magnetization(sv1.probabilities());
+  const double m1 = sim::average_z_magnetization(sim::ideal_probabilities(m.circuit_up_to(1)));
   EXPECT_GT(m1, 0.9);  // barely perturbed after one weak-field step
 
-  sim::StateVector sv21(m.num_qubits);
-  sv21.apply(m.circuit_up_to(21));
-  const double m21 = sim::average_z_magnetization(sv21.probabilities());
+  const double m21 =
+      sim::average_z_magnetization(sim::ideal_probabilities(m.circuit_up_to(21)));
   EXPECT_LT(m21, m1);  // strong transverse field has melted the order
 }
 
@@ -104,9 +101,7 @@ TEST(Grover, OptimalIterations) {
 TEST(Grover, SimulatedSuccessMatchesFormula) {
   for (int iters : {1, 2}) {
     const QuantumCircuit qc = grover_circuit(3, 0b111, iters);
-    sim::StateVector sv(3);
-    sv.apply(qc);
-    const double p = metrics::success_probability(sv.probabilities(), 0b111);
+    const double p = metrics::success_probability(sim::ideal_probabilities(qc), 0b111);
     EXPECT_NEAR(p, grover_ideal_success(3, iters), 1e-9) << iters;
   }
   EXPECT_GT(grover_ideal_success(3, 2), 0.94);
@@ -115,9 +110,7 @@ TEST(Grover, SimulatedSuccessMatchesFormula) {
 TEST(Grover, WorksForAnyMarkedItem) {
   for (std::uint64_t marked = 0; marked < 8; ++marked) {
     const QuantumCircuit qc = grover_circuit(3, marked);
-    sim::StateVector sv(3);
-    sv.apply(qc);
-    EXPECT_GT(metrics::success_probability(sv.probabilities(), marked), 0.9)
+    EXPECT_GT(metrics::success_probability(sim::ideal_probabilities(qc), marked), 0.9)
         << marked;
   }
 }
@@ -155,9 +148,7 @@ TEST(Mct, SixCnotToffoliIsExact) {
 TEST(Mct, BatteryIdealDistributionMatchesSimulation) {
   for (int n : {3, 4, 5}) {
     const QuantumCircuit qc = mct_battery_circuit(n);
-    sim::StateVector sv(n);
-    sv.apply(qc);
-    const auto probs = sv.probabilities();
+    const auto probs = sim::ideal_probabilities(qc);
     const auto ideal = mct_battery_ideal_distribution(n);
     ASSERT_EQ(probs.size(), ideal.size());
     for (std::size_t i = 0; i < probs.size(); ++i)

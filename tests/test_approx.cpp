@@ -11,7 +11,7 @@
 #include "approx/workflow.hpp"
 #include "common/error.hpp"
 #include "metrics/process.hpp"
-#include "sim/statevector.hpp"
+#include "sim/compiled.hpp"
 #include "synth/cache.hpp"
 
 namespace qc::approx {
@@ -119,9 +119,7 @@ TEST(Execution, IdealRunMatchesDirectSimulation) {
   qc.h(0).cx(0, 1).cx(1, 2);
   ExecutionConfig cfg = ExecutionConfig::noise_free(noise::device_by_name("ourense"));
   const auto probs = execute_distribution(qc, cfg);
-  sim::StateVector sv(3);
-  sv.apply(qc);
-  const auto expect = sv.probabilities();
+  const auto expect = sim::ideal_probabilities(qc);
   ASSERT_EQ(probs.size(), expect.size());
   for (std::size_t i = 0; i < probs.size(); ++i) ASSERT_NEAR(probs[i], expect[i], 1e-8);
 }

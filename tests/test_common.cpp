@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -330,6 +331,29 @@ TEST(Json, NumbersRoundTripExactly) {
     v.set("x", x);
     EXPECT_EQ(json::parse(v.dump()).get_number("x", 0.0), x);
   }
+}
+
+TEST(Json, IntegerAccessorsRejectNumbersOutsideTheirRange) {
+  // Wire numbers reach as_int/as_uint64 through get_int; the parser turns an
+  // overlong literal into inf. None of these may reach the integer cast.
+  const json::Value doc = json::parse(
+      R"({"big":1e300,"neg":-1e300,"inf":1e400,"ninf":-1e400,"two64":18446744073709551616})");
+  for (const char* key : {"big", "neg", "inf", "ninf", "two64"}) {
+    EXPECT_THROW(doc.find(key)->as_int(), Error) << key;
+    EXPECT_THROW(doc.find(key)->as_uint64(), Error) << key;
+    EXPECT_THROW(doc.get_int(key, 0), Error) << key;
+  }
+  EXPECT_THROW(json::Value(std::nan("")).as_int(), Error);
+  EXPECT_THROW(json::Value(std::nan("")).as_uint64(), Error);
+  // The edges: 2^63 is one past int64, -2^63 and the largest double below
+  // 2^64 fit.
+  EXPECT_THROW(json::Value(0x1p63).as_int(), Error);
+  EXPECT_EQ(json::Value(-0x1p63).as_int(), std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(json::Value(0x1p63).as_uint64(), std::uint64_t{1} << 63);
+  EXPECT_EQ(json::Value(0x1p64 - 2048.0).as_uint64(),
+            std::numeric_limits<std::uint64_t>::max() - 2047);
+  EXPECT_THROW(json::Value(-1.0).as_uint64(), Error);
+  EXPECT_EQ(json::Value(-2.9).as_int(), -2);
 }
 
 TEST(Json, ParseErrorsCarryByteOffsets) {

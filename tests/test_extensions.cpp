@@ -15,7 +15,6 @@
 #include "noise/catalog.hpp"
 #include "noise/mitigation.hpp"
 #include "sim/compiled.hpp"
-#include "sim/statevector.hpp"
 #include "synth/partition.hpp"
 #include "synth/qfactor.hpp"
 #include "transpile/decompose.hpp"
@@ -27,12 +26,6 @@ namespace {
 using ir::GateKind;
 using ir::QuantumCircuit;
 using linalg::Matrix;
-
-std::vector<double> ideal_probabilities(const QuantumCircuit& qc) {
-  sim::StateVector state(qc.num_qubits());
-  state.apply(qc);
-  return state.probabilities();
-}
 
 // ---- QFactor ---------------------------------------------------------------
 
@@ -207,7 +200,7 @@ TEST(QuantumVolume, ModelCircuitShape) {
 TEST(QuantumVolume, HeavySetIsHalfTheOutcomes) {
   common::Rng rng(8);
   const QuantumCircuit model = algos::qv_model_circuit(3, rng);
-  const auto ideal = ideal_probabilities(model);
+  const auto ideal = sim::ideal_probabilities(model);
   const auto heavy = algos::qv_heavy_set(ideal);
   // With continuous probabilities the heavy set has exactly half the
   // outcomes (no ties at the median).
@@ -221,7 +214,7 @@ TEST(QuantumVolume, IdealHopNearTheoreticalValue) {
   const int trials = 12;
   for (int t = 0; t < trials; ++t) {
     const QuantumCircuit model = algos::qv_model_circuit(3, rng);
-    const auto ideal = ideal_probabilities(model);
+    const auto ideal = sim::ideal_probabilities(model);
     hop += algos::heavy_output_probability(ideal, ideal);
   }
   EXPECT_NEAR(hop / trials, 0.846, 0.06);
@@ -230,7 +223,7 @@ TEST(QuantumVolume, IdealHopNearTheoreticalValue) {
 TEST(QuantumVolume, FullyMixedFailsAndIdealPasses) {
   common::Rng rng(10);
   const QuantumCircuit model = algos::qv_model_circuit(3, rng);
-  const auto ideal = ideal_probabilities(model);
+  const auto ideal = sim::ideal_probabilities(model);
   EXPECT_GT(algos::heavy_output_probability(ideal, ideal), 2.0 / 3.0);
   const auto mixed = metrics::uniform_distribution(ideal.size());
   EXPECT_NEAR(algos::heavy_output_probability(ideal, mixed), 0.5, 1e-9);
@@ -279,7 +272,7 @@ TEST(Mitigation, ImprovesNoisyBackendOutput) {
   const auto device = noise::device_by_name("ourense");
   ir::QuantumCircuit bell(2);
   bell.h(0).cx(0, 1);
-  const auto ideal = ideal_probabilities(bell);
+  const auto ideal = sim::ideal_probabilities(bell);
 
   const auto model = noise::simulator_noise_model(device);
   const auto noisy =
@@ -343,7 +336,7 @@ TEST(Twirling, AverageConvergesUnderCoherentNoise) {
   EXPECT_TRUE(metrics::is_distribution(averaged, 1e-9));
   // Averaging cannot be *worse* than the raw coherent run by much; typically
   // it is closer to ideal (coherent -> stochastic conversion).
-  const auto reference = ideal_probabilities(qc);
+  const auto reference = sim::ideal_probabilities(qc);
   const double raw = metrics::total_variation(reference, run(qc));
   const double twirled = metrics::total_variation(reference, averaged);
   EXPECT_LT(twirled, raw + 0.02);

@@ -14,8 +14,8 @@
 #include "metrics/distribution.hpp"
 #include "metrics/process.hpp"
 #include "noise/catalog.hpp"
+#include "sim/compiled.hpp"
 #include "sim/observables.hpp"
-#include "sim/statevector.hpp"
 #include "transpile/pipeline.hpp"
 
 namespace qc {
@@ -29,9 +29,8 @@ TEST(Integration, ShortApproximationBeatsDeepExactUnderNoise) {
   const ir::QuantumCircuit reference = model.circuit_up_to(step);
 
   // Ideal output.
-  sim::StateVector ideal(reference.num_qubits());
-  ideal.apply(transpile::transpile_all_to_all(reference));
-  const double ideal_mag = sim::average_z_magnetization(ideal.probabilities());
+  const auto ideal = sim::ideal_probabilities(transpile::transpile_all_to_all(reference));
+  const double ideal_mag = sim::average_z_magnetization(ideal);
 
   // Approximations via instrumented QSearch.
   approx::GeneratorConfig gen = approx::tfim_generator_preset(3);
@@ -66,9 +65,8 @@ TEST(Integration, HigherCxErrorFavorsShallowerCircuits) {
   const auto circuits = approx::generate_from_reference(reference, gen);
   ASSERT_GT(circuits.size(), 3u);
 
-  sim::StateVector ideal(reference.num_qubits());
-  ideal.apply(transpile::transpile_all_to_all(reference));
-  const double ideal_mag = sim::average_z_magnetization(ideal.probabilities());
+  const auto ideal = sim::ideal_probabilities(transpile::transpile_all_to_all(reference));
+  const double ideal_mag = sim::average_z_magnetization(ideal);
 
   auto best_depth_at = [&](double cx_error) {
     approx::ExecutionConfig exec =

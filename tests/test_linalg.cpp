@@ -738,7 +738,9 @@ TEST(Kernels, SimdDispatchResolvesOverridesAndClamps) {
   for (SimdIsa isa : {SimdIsa::Scalar, SimdIsa::Avx2}) {
     const SimdIsa got = force_simd_isa(isa);
     EXPECT_TRUE(simd_isa_supported(got));
-    if (simd_isa_supported(isa)) EXPECT_EQ(got, isa);
+    if (simd_isa_supported(isa)) {
+      EXPECT_EQ(got, isa);
+    }
     EXPECT_EQ(active_simd_isa(), got);
   }
   force_simd_isa(prev);

@@ -330,6 +330,8 @@ TEST(NoiseModel, IdealModelProducesNoOps) {
   EXPECT_TRUE(m.is_ideal());
   EXPECT_TRUE(m.ops_for_gate(ir::Gate(ir::GateKind::CX, {0, 1})).empty());
   EXPECT_TRUE(m.ops_for_gate(ir::Gate(ir::GateKind::U3, {0}, {1, 2, 3})).empty());
+  // Wide gates too: ideal references compile untranspiled circuits.
+  EXPECT_TRUE(m.ops_for_gate(ir::Gate(ir::GateKind::CCX, {0, 1, 2})).empty());
 }
 
 TEST(NoiseModel, DeviceModelAttachesExpectedChannels) {

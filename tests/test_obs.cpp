@@ -460,9 +460,10 @@ TEST(ObsSpanTest, ConcurrentRunBatchProducesWellFormedTrace) {
     EXPECT_GE(ev.dur, 0.0) << ev.name;
     const double end = ev.ts + ev.dur;
     auto it = last_end.find(ev.tid);
-    if (it != last_end.end())
+    if (it != last_end.end()) {
       EXPECT_GE(end, it->second - 0.01)
           << "per-thread completion order violated for " << ev.name;
+    }
     last_end[ev.tid] = std::max(end, it == last_end.end() ? end : it->second);
     if (ev.name == "exec.run") ++runs;
     if (ev.name == "exec.run_batch") ++batches;

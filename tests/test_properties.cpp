@@ -14,7 +14,6 @@
 #include "noise/channel.hpp"
 #include "sim/compiled.hpp"
 #include "sim/density_matrix.hpp"
-#include "sim/statevector.hpp"
 #include "transpile/decompose.hpp"
 #include "transpile/peephole.hpp"
 #include "transpile/pipeline.hpp"
@@ -27,11 +26,26 @@ using ir::GateKind;
 using ir::QuantumCircuit;
 using linalg::Matrix;
 
-std::vector<double> ideal_probabilities(const QuantumCircuit& qc) {
-  sim::StateVector state(qc.num_qubits());
-  state.apply(qc);
-  return state.probabilities();
+namespace ref {
+
+/// rho = |psi><psi| for psi = qc|0...0>, the first column of qc's unitary.
+sim::DensityMatrix pure_state(const QuantumCircuit& qc) {
+  const Matrix u = qc.to_unitary();
+  std::vector<linalg::cplx> psi(u.rows());
+  for (std::size_t i = 0; i < psi.size(); ++i) psi[i] = u(i, 0);
+  return sim::DensityMatrix(qc.num_qubits(), psi);
 }
+
+/// rho := sum_i K_i rho K_i†, the Kraus set planned for this call only.
+void apply_channel(sim::DensityMatrix& rho, const noise::Channel& channel,
+                   const std::vector<int>& qubits) {
+  std::vector<linalg::KernelPlan> plans;
+  for (const Matrix& k : channel.kraus())
+    plans.push_back(linalg::plan_kernel(k, qubits, rho.rho().rows()));
+  rho.apply_kraus(channel.kraus(), plans, nullptr, qubits);
+}
+
+}  // namespace ref
 
 QuantumCircuit random_named_circuit(int num_qubits, int num_gates, common::Rng& rng) {
   QuantumCircuit qc(num_qubits);
@@ -98,10 +112,8 @@ TEST_P(RandomCircuitTest, TranspilePipelinePreservesOutput) {
     opts.optimization_level = level;
     const auto tr = transpile::transpile(qc, device, opts);
     const auto physical = transpile::unpermute_distribution(
-        ideal_probabilities(tr.circuit), tr.wire_of_virtual);
-    sim::StateVector logical(3);
-    logical.apply(transpile::decompose_to_cx_u3(qc));
-    const auto expect = logical.probabilities();
+        sim::ideal_probabilities(tr.circuit), tr.wire_of_virtual);
+    const auto expect = sim::ideal_probabilities(transpile::decompose_to_cx_u3(qc));
     for (std::size_t i = 0; i < expect.size(); ++i)
       ASSERT_NEAR(physical[i], expect[i], 1e-7) << "level " << level;
   }
@@ -118,12 +130,9 @@ TEST_P(RandomCircuitTest, InverseComposesToIdentity) {
 TEST_P(RandomCircuitTest, DensityMatrixAgreesWithStateVector) {
   common::Rng rng(500 + GetParam());
   const QuantumCircuit qc = random_named_circuit(4, 25, rng);
-  sim::StateVector sv(4);
-  sv.apply(qc);
-  sim::DensityMatrix dm(4);
-  dm.apply(qc);
-  const auto ps = sv.probabilities();
-  const auto pd = dm.probabilities();
+  const auto ps = sim::ideal_probabilities(qc);
+  const auto pd = sim::density_matrix_probabilities(
+      sim::compile_noisy_circuit(qc, noise::NoiseModel::ideal(4)));
   for (std::size_t i = 0; i < ps.size(); ++i) ASSERT_NEAR(ps[i], pd[i], 1e-9);
 }
 
@@ -137,15 +146,15 @@ TEST_P(ChannelFamilyTest, ChannelsPreserveDensityMatrixValidity) {
   const double p = GetParam();
   common::Rng rng(42);
   // Random pure state rho.
-  sim::DensityMatrix dm(2);
-  dm.apply(ir::Gate(GateKind::U3, {0}, {rng.uniform(0, 3), 0.3, -0.2}));
-  dm.apply(ir::Gate(GateKind::CX, {0, 1}));
+  QuantumCircuit prep(2);
+  prep.u3(rng.uniform(0, 3), 0.3, -0.2, 0).cx(0, 1);
+  const sim::DensityMatrix dm = ref::pure_state(prep);
 
   for (const auto& ch :
        {noise::depolarizing(p, 1), noise::amplitude_damping(p),
         noise::phase_damping(p), noise::bit_flip(p), noise::phase_flip(p)}) {
     sim::DensityMatrix probe = dm;
-    probe.apply_channel(ch, {0});
+    ref::apply_channel(probe, ch, {0});
     EXPECT_NEAR(probe.trace_real(), 1.0, 1e-9);
     EXPECT_LE(probe.purity(), 1.0 + 1e-9);
     EXPECT_GE(probe.purity(), 0.25 - 1e-9);
@@ -156,9 +165,10 @@ TEST_P(ChannelFamilyTest, ChannelsPreserveDensityMatrixValidity) {
 TEST_P(ChannelFamilyTest, DepolarizingShrinksHsOverlapLinearly) {
   const double p = GetParam();
   // rho_+ off-diagonal scales by exactly (1 - p).
-  sim::DensityMatrix dm(1);
-  dm.apply(ir::Gate(GateKind::H, {0}));
-  dm.apply_channel(noise::depolarizing(p, 1), {0});
+  QuantumCircuit plus(1);
+  plus.h(0);
+  sim::DensityMatrix dm = ref::pure_state(plus);
+  ref::apply_channel(dm, noise::depolarizing(p, 1), {0});
   EXPECT_NEAR(std::abs(dm.rho()(0, 1)), 0.5 * (1.0 - p), 1e-10);
 }
 
@@ -199,7 +209,7 @@ TEST_P(CatalogDeviceTest, HardwareModelIsStrictlyNoisier) {
     probe.cx(0, 1);
     probe.u3(0.4, 0.1, -0.3, 0);
   }
-  const auto reference = ideal_probabilities(probe);
+  const auto reference = sim::ideal_probabilities(probe);
   const auto noisy_tvd = [&](const noise::NoiseModel& model) {
     return metrics::total_variation(
         reference,
@@ -213,7 +223,7 @@ TEST_P(CatalogDeviceTest, HardwareModelIsStrictlyNoisier) {
 INSTANTIATE_TEST_SUITE_P(AllDevices, CatalogDeviceTest,
                          ::testing::Values("manhattan", "toronto", "santiago", "rome",
                                            "ourense"),
-                         [](const auto& info) { return std::string(info.param); });
+                         [](const auto& p) { return std::string(p.param); });
 
 // ---- routing on every catalog topology -----------------------------------------
 
@@ -234,18 +244,16 @@ TEST_P(RoutingTopologyTest, AllToAllCircuitRoutesEverywhere) {
     ASSERT_TRUE(device.coupling.are_coupled(pa, pb));
   }
   // Output equivalence.
-  const auto got = transpile::unpermute_distribution(ideal_probabilities(tr.circuit),
-                                                     tr.wire_of_virtual);
-  sim::StateVector logical(4);
-  logical.apply(transpile::decompose_to_cx_u3(qc));
-  const auto expect = logical.probabilities();
+  const auto got = transpile::unpermute_distribution(
+      sim::ideal_probabilities(tr.circuit), tr.wire_of_virtual);
+  const auto expect = sim::ideal_probabilities(transpile::decompose_to_cx_u3(qc));
   for (std::size_t i = 0; i < expect.size(); ++i) ASSERT_NEAR(got[i], expect[i], 1e-7);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDevices, RoutingTopologyTest,
                          ::testing::Values("manhattan", "toronto", "santiago", "rome",
                                            "ourense"),
-                         [](const auto& info) { return std::string(info.param); });
+                         [](const auto& p) { return std::string(p.param); });
 
 // ---- distribution-metric lattice ------------------------------------------------
 

@@ -88,6 +88,16 @@ TEST(DeadlineTest, NonPositiveBudgetIsAlreadyExpired) {
   EXPECT_FALSE(common::Deadline::after_ms(1e9).expired());
 }
 
+TEST(DeadlineTest, BudgetsBeyondTheClockRangeAreNeverOrExpired) {
+  // A wire deadline_ms reaches after_ms as any double; none may overflow the
+  // nanosecond conversion.
+  for (const double ms : {1e12, 1e300, HUGE_VAL, std::nan("")})
+    EXPECT_FALSE(common::Deadline::after_ms(ms).bounded()) << ms;
+  EXPECT_TRUE(common::Deadline::after_ms(1e11).bounded());
+  EXPECT_TRUE(common::Deadline::after_ms(-1e300).expired());
+  EXPECT_TRUE(common::Deadline::after_ms(-HUGE_VAL).expired());
+}
+
 TEST(DeadlineTest, RaiseIfExpiredThrowsTimeoutError) {
   const common::Deadline d = common::Deadline::after_ms(-1);
   try {

@@ -724,6 +724,33 @@ TEST(Server, SimulateJobRunsEndToEndAndBadParamsAreContractErrors) {
   server.stop();
 }
 
+TEST(Server, IntegerParamsOutsideEveryIntegerRangeAreContractErrors) {
+  // 1e300 is a finite double no integer type holds, and the parser reads
+  // 1e400 as inf: neither may reach an integer cast. Each gets the reply of
+  // any other bad parameter, and the connection keeps serving.
+  QapproxServer server(test_options("huge-int"));
+  server.start();
+  Client client = Client::connect(server.options().socket_path);
+  int id = 0;
+  for (const char* qubits : {"1e300", "-1e300", "1e400"}) {
+    client.send_raw(encode_frame(
+        "{\"id\": " + std::to_string(++id) +
+        ", \"type\": \"simulate\", \"params\": {\"workload\": \"grover\", \"qubits\": " +
+        qubits + ", \"mode\": \"ideal\"}}"));
+    const auto reply = client.recv();
+    ASSERT_TRUE(reply.has_value()) << qubits;
+    EXPECT_EQ(reply->get_int("id", 0), id);
+    EXPECT_EQ(reply->get_string("status", ""), "error") << reply->dump();
+    ASSERT_NE(reply->find("error"), nullptr);
+    EXPECT_EQ(reply->find("error")->get_string("kind", ""), "contract");
+    EXPECT_NE(reply->find("error")->get_string("message", "").find("int64 range"),
+              std::string::npos)
+        << reply->dump();
+  }
+  EXPECT_EQ(client.call(ping_request(99)).get_string("status", ""), "ok");
+  server.stop();
+}
+
 TEST(Server, OverloadRejectsWithBackpressureAndStillRepliesToEveryRequest) {
   ServerOptions opts = test_options("overload");
   opts.scheduler.workers = 1;

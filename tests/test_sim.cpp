@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "linalg/kernels.hpp"
 #include "metrics/distribution.hpp"
 #include "noise/catalog.hpp"
+#include "noise/channel.hpp"
 #include "noise/readout.hpp"
 #include "sim/compiled.hpp"
 #include "sim/density_matrix.hpp"
@@ -48,19 +50,100 @@ ir::QuantumCircuit random_basis_circuit(int num_qubits, int num_gates,
   return qc;
 }
 
+/// Random circuit on `num_qubits` that uses every unitary GateKind (each kind
+/// whose arity fits, MCX on 2..min(n, 6) qubits, so wide registers reach the
+/// k > 4 generic kernel), in a shuffled order, with Barrier and Measure gates
+/// mixed in.
+ir::QuantumCircuit random_every_kind_circuit(int num_qubits, common::Rng& rng) {
+  ir::QuantumCircuit qc(num_qubits);
+  const auto distinct_qubits = [&](int k) {
+    std::vector<int> qubits(static_cast<std::size_t>(num_qubits));
+    std::iota(qubits.begin(), qubits.end(), 0);
+    for (std::size_t i = 0; i < static_cast<std::size_t>(k); ++i)  // partial Fisher-Yates
+      std::swap(qubits[i], qubits[i + rng.uniform_int(qubits.size() - i)]);
+    qubits.resize(static_cast<std::size_t>(k));
+    return qubits;
+  };
+  std::vector<ir::Gate> gates;
+  for (int kind = 0; kind <= static_cast<int>(ir::GateKind::Measure); ++kind) {
+    const auto k = static_cast<ir::GateKind>(kind);
+    if (k == ir::GateKind::Barrier || k == ir::GateKind::Measure) continue;
+    const int arity = k == ir::GateKind::MCX
+                          ? 2 + static_cast<int>(rng.uniform_int(
+                                    std::max(1, std::min(num_qubits, 6) - 1)))
+                          : ir::gate_num_qubits(k);
+    if (arity > num_qubits) continue;
+    std::vector<double> params;
+    for (int i = 0; i < ir::gate_num_params(k); ++i) params.push_back(rng.uniform(-3, 3));
+    for (int copy = 0; copy < 2; ++copy) gates.emplace_back(k, distinct_qubits(arity), params);
+  }
+  gates.emplace_back(ir::GateKind::Measure, distinct_qubits(1));
+  for (std::size_t i = gates.size(); i > 1; --i)
+    std::swap(gates[i - 1], gates[rng.uniform_int(i)]);
+  for (std::size_t i = 0; i < gates.size(); ++i) {
+    if (i == gates.size() / 2) qc.barrier();
+    qc.append(gates[i]);
+  }
+  return qc;
+}
+
+// ---- gate-by-gate reference -------------------------------------------------
+//
+// Simulation as it was before every circuit went through compile_noisy_circuit:
+// each gate's matrix is planned for one application and applied in circuit
+// order (Barrier and Measure skipped), and a channel's Kraus set is planned
+// per call. Kept as the per-gate and per-channel oracle of the compiled path.
+
+namespace ref {
+
+/// `op` on `qubits`, planned and bound for this call only.
+void apply(StateVector& sv, const linalg::Matrix& op, const std::vector<int>& qubits) {
+  sv.apply_bound(linalg::bind_kernel(
+      linalg::plan_kernel(op, qubits, sv.amplitudes().size()), op, qubits));
+}
+
+StateVector evolve(const ir::QuantumCircuit& qc) {
+  StateVector sv(qc.num_qubits());
+  for (const ir::Gate& g : qc.gates())
+    if (ir::gate_is_unitary(g.kind)) apply(sv, g.matrix(), g.qubits);
+  return sv;
+}
+
+std::vector<double> ideal_probabilities(const ir::QuantumCircuit& qc) {
+  return evolve(qc).probabilities();
+}
+
+DensityMatrix evolve_density(const ir::QuantumCircuit& qc) {
+  DensityMatrix rho(qc.num_qubits());
+  for (const ir::Gate& g : qc.gates()) {
+    if (!ir::gate_is_unitary(g.kind)) continue;
+    const linalg::Matrix u = g.matrix();
+    rho.apply_unitary(u, linalg::plan_kernel(u, g.qubits, rho.rho().rows()), g.qubits);
+  }
+  return rho;
+}
+
+void apply_channel(DensityMatrix& rho, const noise::Channel& channel,
+                   const std::vector<int>& qubits) {
+  std::vector<linalg::KernelPlan> plans;
+  for (const linalg::Matrix& k : channel.kraus())
+    plans.push_back(linalg::plan_kernel(k, qubits, rho.rho().rows()));
+  rho.apply_kraus(channel.kraus(), plans, nullptr, qubits);
+}
+
+}  // namespace ref
+
 TEST(StateVector, StartsInGroundState) {
   const StateVector sv(3);
   EXPECT_EQ(sv.amplitudes()[0], (cplx{1.0, 0.0}));
   EXPECT_NEAR(sv.norm_squared(), 1.0, 1e-12);
-  EXPECT_NEAR(sv.expectation_z(0), 1.0, 1e-12);
+  EXPECT_NEAR(z_expectation_from_probs(sv.probabilities(), 0), 1.0, 1e-12);
 }
 
 TEST(StateVector, BellState) {
   ir::QuantumCircuit qc(2);
   qc.h(0).cx(0, 1);
-  StateVector sv(2);
-  sv.apply(qc);
-  const auto p = sv.probabilities();
+  const auto p = ideal_probabilities(qc);
   EXPECT_NEAR(p[0], 0.5, 1e-12);
   EXPECT_NEAR(p[3], 0.5, 1e-12);
   EXPECT_NEAR(p[1] + p[2], 0.0, 1e-12);
@@ -70,9 +153,7 @@ TEST(StateVector, GhzOnFiveQubits) {
   ir::QuantumCircuit qc(5);
   qc.h(0);
   for (int q = 0; q < 4; ++q) qc.cx(q, q + 1);
-  StateVector sv(5);
-  sv.apply(qc);
-  const auto p = sv.probabilities();
+  const auto p = ideal_probabilities(qc);
   EXPECT_NEAR(p[0], 0.5, 1e-12);
   EXPECT_NEAR(p[31], 0.5, 1e-12);
 }
@@ -80,42 +161,44 @@ TEST(StateVector, GhzOnFiveQubits) {
 TEST(StateVector, UnitaryEvolutionPreservesNorm) {
   common::Rng rng(3);
   const auto qc = random_basis_circuit(4, 40, rng);
-  StateVector sv(4);
-  sv.apply(qc);
-  EXPECT_NEAR(sv.norm_squared(), 1.0, 1e-9);
+  double mass = 0.0;
+  for (double p : ideal_probabilities(qc)) mass += p;
+  EXPECT_NEAR(mass, 1.0, 1e-9);
+  EXPECT_NEAR(ref::evolve(qc).norm_squared(), 1.0, 1e-9);
 }
 
 TEST(StateVector, MatchesCircuitUnitary) {
   common::Rng rng(4);
   const auto qc = random_basis_circuit(3, 20, rng);
-  StateVector sv(3);
-  sv.apply(qc);
   const auto u = qc.to_unitary();
-  // Column 0 of U is the evolved |000>.
-  for (std::size_t i = 0; i < 8; ++i)
-    EXPECT_NEAR(std::abs(sv.amplitudes()[i] - u(i, 0)), 0.0, 1e-9);
+  // Column 0 of U is the evolved |000>: per gate, and through the fused
+  // steps of the compiled program.
+  const StateVector per_gate = ref::evolve(qc);
+  StateVector compiled(3);
+  for (const CompiledStep& step :
+       compile_noisy_circuit(qc, noise::NoiseModel::ideal(3)).steps)
+    compiled.apply_bound(linalg::bind_kernel(step.plan, step.unitary, step.qubits));
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_NEAR(std::abs(per_gate.amplitudes()[i] - u(i, 0)), 0.0, 1e-9);
+    EXPECT_NEAR(std::abs(compiled.amplitudes()[i] - u(i, 0)), 0.0, 1e-9);
+  }
 }
 
 TEST(StateVector, SampleCountsFollowBorn) {
   ir::QuantumCircuit qc(1);
   qc.ry(2.0 * std::acos(std::sqrt(0.3)), 0);  // P(0)=0.3
-  StateVector sv(1);
-  sv.apply(qc);
+  const StateVector sv = ref::evolve(qc);
   common::Rng rng(5);
   std::vector<std::uint64_t> counts(2, 0);
   for (int s = 0; s < 40000; ++s) ++counts[sv.sample(rng)];
   EXPECT_NEAR(static_cast<double>(counts[0]) / 40000.0, 0.3, 0.015);
 }
 
-TEST(StateVector, RejectsMeasureAsGate) {
-  StateVector sv(1);
-  EXPECT_THROW(sv.apply(ir::Gate(ir::GateKind::Measure, {0})), common::Error);
-}
-
 TEST(StateVector, EveryGateKindMatchesTheGenericPath) {
-  // StateVector::apply plans gate.matrix() like any other operator; the
-  // generic embedding of the same matrix is the reference. Bit for bit where
-  // the kernels guarantee it (scalar ISA), otherwise within rounding.
+  // A one-gate program's step is gate.matrix() under its kernel plan, applied
+  // as statevector_probabilities applies it; the generic embedding of the
+  // same matrix is the reference. Bit for bit where the kernels guarantee it
+  // (scalar ISA), otherwise within rounding.
   common::Rng rng(63);
   for (int n = 2; n <= 6; ++n) {
     for (int trial = 0; trial < 4; ++trial) {
@@ -141,8 +224,14 @@ TEST(StateVector, EveryGateKindMatchesTheGenericPath) {
           ir::Gate(ir::GateKind::H, {a}),
           ir::Gate(ir::GateKind::U3, {a}, {t, rng.uniform(-3, 3), rng.uniform(-3, 3)})};
       for (const ir::Gate& gate : gates) {
+        ir::QuantumCircuit qc(n);
+        qc.append(gate);
+        const CompiledCircuit program = compile_noisy_circuit(
+            qc, noise::NoiseModel::ideal(n), {.max_fuse_qubits = 0});
+        ASSERT_EQ(program.steps.size(), 1u);
+        const CompiledStep& step = program.steps[0];
         StateVector sv(n, amps);
-        sv.apply(gate);
+        sv.apply_bound(linalg::bind_kernel(step.plan, step.unitary, step.qubits));
         std::vector<cplx> expect = amps;
         linalg::apply_gate_inplace(expect, gate.matrix(), gate.qubits);
         for (std::size_t i = 0; i < expect.size(); ++i) {
@@ -161,38 +250,42 @@ TEST(StateVector, EveryGateKindMatchesTheGenericPath) {
 TEST(DensityMatrix, PureStateMatchesStateVector) {
   common::Rng rng(6);
   const auto qc = random_basis_circuit(3, 25, rng);
-  StateVector sv(3);
-  sv.apply(qc);
-  DensityMatrix dm(3);
-  dm.apply(qc);
-  const auto psv = sv.probabilities();
+  const DensityMatrix dm = ref::evolve_density(qc);
+  const auto psv = ideal_probabilities(qc);
   const auto pdm = dm.probabilities();
-  for (std::size_t i = 0; i < 8; ++i) EXPECT_NEAR(psv[i], pdm[i], 1e-9);
+  const auto pcompiled =
+      density_matrix_probabilities(compile_noisy_circuit(qc, noise::NoiseModel::ideal(3)));
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_NEAR(psv[i], pdm[i], 1e-9);
+    EXPECT_NEAR(psv[i], pcompiled[i], 1e-9);
+  }
   EXPECT_NEAR(dm.purity(), 1.0, 1e-9);
   EXPECT_NEAR(dm.trace_real(), 1.0, 1e-9);
 }
 
 TEST(DensityMatrix, ChannelReducesPurity) {
-  DensityMatrix dm(2);
-  dm.apply(ir::Gate(ir::GateKind::H, {0}));
-  dm.apply_channel(noise::depolarizing(0.3, 1), {0});
+  ir::QuantumCircuit qc(2);
+  qc.h(0);
+  DensityMatrix dm = ref::evolve_density(qc);
+  ref::apply_channel(dm, noise::depolarizing(0.3, 1), {0});
   EXPECT_LT(dm.purity(), 1.0);
   EXPECT_NEAR(dm.trace_real(), 1.0, 1e-10);
 }
 
 TEST(DensityMatrix, FullDepolarizingGivesUniformDiagonal) {
-  DensityMatrix dm(2);
-  dm.apply(ir::Gate(ir::GateKind::H, {0}));
-  dm.apply(ir::Gate(ir::GateKind::CX, {0, 1}));
-  dm.apply_channel(noise::depolarizing(1.0, 2), {0, 1});
+  ir::QuantumCircuit qc(2);
+  qc.h(0).cx(0, 1);
+  DensityMatrix dm = ref::evolve_density(qc);
+  ref::apply_channel(dm, noise::depolarizing(1.0, 2), {0, 1});
   for (double p : dm.probabilities()) EXPECT_NEAR(p, 0.25, 1e-10);
 }
 
 TEST(DensityMatrix, ExpectationZMatchesProbabilities) {
-  DensityMatrix dm(2);
-  dm.apply(ir::Gate(ir::GateKind::X, {1}));
-  EXPECT_NEAR(dm.expectation_z(0), 1.0, 1e-12);
-  EXPECT_NEAR(dm.expectation_z(1), -1.0, 1e-12);
+  ir::QuantumCircuit qc(2);
+  qc.x(1);
+  const auto p = ref::evolve_density(qc).probabilities();
+  EXPECT_NEAR(z_expectation_from_probs(p, 0), 1.0, 1e-12);
+  EXPECT_NEAR(z_expectation_from_probs(p, 1), -1.0, 1e-12);
 }
 
 TEST(Observables, MagnetizationKnownStates) {
@@ -207,14 +300,28 @@ TEST(Observables, ZExpectationFromProbs) {
 }
 
 TEST(Compiled, IdealMatchesStateVector) {
+  // ideal_probabilities is the one noise-free path. Unfused, its program is
+  // the gate-by-gate loop step for step, so the distributions are equal byte
+  // for byte; the default fusion multiplies gates first and agrees to
+  // rounding.
   common::Rng rng(8);
-  const auto qc = random_basis_circuit(3, 15, rng);
-  const auto probs =
-      statevector_probabilities(compile_noisy_circuit(qc, noise::NoiseModel::ideal(3)));
-  StateVector sv(3);
-  sv.apply(qc);
-  const auto expect = sv.probabilities();
-  for (std::size_t i = 0; i < 8; ++i) EXPECT_NEAR(probs[i], expect[i], 1e-10);
+  for (int n = 1; n <= 8; ++n) {
+    for (int rep = 0; rep < 3; ++rep) {
+      SCOPED_TRACE(::testing::Message() << n << " qubits, rep " << rep);
+      const auto qc = random_every_kind_circuit(n, rng);
+      const auto reference = ref::ideal_probabilities(qc);
+      const auto unfused = statevector_probabilities(
+          compile_noisy_circuit(qc, noise::NoiseModel::ideal(n), {.max_fuse_qubits = 0}));
+      ASSERT_EQ(unfused.size(), reference.size());
+      EXPECT_EQ(std::memcmp(unfused.data(), reference.data(),
+                            unfused.size() * sizeof(double)),
+                0);
+      const auto fused = ideal_probabilities(qc);
+      ASSERT_EQ(fused.size(), reference.size());
+      for (std::size_t i = 0; i < fused.size(); ++i)
+        ASSERT_NEAR(fused[i], reference[i], 1e-12) << "outcome " << i;
+    }
+  }
 }
 
 TEST(Compiled, DensityMatrixAppliesReadoutError) {
@@ -561,12 +668,12 @@ std::uint64_t run_trajectory_shot(const CompiledCircuit& compiled, common::Rng& 
   StateVector& state = scratch.state;
   state.reset();
   for (const CompiledStep& step : compiled.steps) {
-    state.apply_matrix(step.unitary, step.qubits);
+    ref::apply(state, step.unitary, step.qubits);
     for (const CompiledNoiseOp& op : compiled.noise(step)) {
       if (op.mixed_unitary) {
         // Branch weights are state independent: sample, apply one unitary.
         const std::size_t pick = rng.discrete(op.probs);
-        state.apply_matrix(op.operators[pick], op.qubits);
+        ref::apply(state, op.operators[pick], op.qubits);
         continue;
       }
       // General quantum-trajectory step: Born weights p_i = ||K_i psi||^2,
@@ -575,11 +682,11 @@ std::uint64_t run_trajectory_shot(const CompiledCircuit& compiled, common::Rng& 
       scratch.weights.resize(op.operators.size());
       for (std::size_t i = 0; i < op.operators.size(); ++i) {
         scratch.branch = state;
-        scratch.branch.apply_matrix(op.operators[i], op.qubits);
+        ref::apply(scratch.branch, op.operators[i], op.qubits);
         scratch.weights[i] = scratch.branch.norm_squared();
       }
       const std::size_t pick = rng.discrete(scratch.weights);
-      state.apply_matrix(op.operators[pick], op.qubits);
+      ref::apply(state, op.operators[pick], op.qubits);
       state.normalize();
     }
   }
@@ -587,7 +694,7 @@ std::uint64_t run_trajectory_shot(const CompiledCircuit& compiled, common::Rng& 
   // same stream with or without injection armed.
   if (common::faults::enabled() &&
       common::faults::fires(common::faults::Site::StateNan, fault_stream)) {
-    state.apply_matrix(nan_matrix(), {0});
+    ref::apply(state, nan_matrix(), {0});
   }
   check_state_norm(state.norm_squared());
   std::uint64_t outcome = state.sample(rng);

@@ -11,7 +11,7 @@
 #include "linalg/factories.hpp"
 #include "metrics/process.hpp"
 #include "noise/catalog.hpp"
-#include "sim/statevector.hpp"
+#include "sim/compiled.hpp"
 #include "transpile/decompose.hpp"
 #include "transpile/euler.hpp"
 #include "transpile/layout.hpp"
@@ -95,7 +95,7 @@ INSTANTIATE_TEST_SUITE_P(
                       GateKind::CH, GateKind::CP, GateKind::CRX, GateKind::CRY,
                       GateKind::CRZ, GateKind::SWAP, GateKind::RXX, GateKind::RYY,
                       GateKind::RZZ, GateKind::CCX, GateKind::CSWAP),
-    [](const auto& info) { return ir::gate_name(info.param); });
+    [](const auto& p) { return ir::gate_name(p.param); });
 
 TEST(Decompose, CcxUsesSixCx) {
   QuantumCircuit qc(3);
@@ -282,8 +282,9 @@ TEST(Routing, InsertsSwapsOnlyWhenNeeded) {
   const RoutingResult routed = route(far, coupling, {0, 4});
   EXPECT_GT(routed.added_swaps, 0u);
   for (const auto& g : routed.circuit.gates()) {
-    if (g.qubits.size() == 2)
+    if (g.qubits.size() == 2) {
       EXPECT_TRUE(coupling.are_coupled(g.qubits[0], g.qubits[1]));
+    }
   }
 }
 
@@ -296,13 +297,9 @@ TEST(Routing, RoutedCircuitActsIdentically) {
   const QuantumCircuit basis = decompose_to_cx_u3(qc);
   const RoutingResult routed = route(basis, coupling, {0, 2, 4});
 
-  sim::StateVector direct(3);
-  direct.apply(basis);
-  sim::StateVector phys(5);
-  phys.apply(routed.circuit);
-
-  const auto expect = direct.probabilities();
-  const auto got = unpermute_distribution(phys.probabilities(), routed.final_layout);
+  const auto expect = sim::ideal_probabilities(basis);
+  const auto got =
+      unpermute_distribution(sim::ideal_probabilities(routed.circuit), routed.final_layout);
   ASSERT_EQ(got.size(), expect.size());
   for (std::size_t i = 0; i < got.size(); ++i) ASSERT_NEAR(got[i], expect[i], 1e-9);
 }
@@ -337,13 +334,9 @@ TEST(Pipeline, EndToEndPreservesSemantics) {
     const TranspileResult tr = transpile(qc, device, opts);
     EXPECT_TRUE(tr.circuit.in_cx_u3_basis());
 
-    sim::StateVector logical(3);
-    logical.apply(decompose_to_cx_u3(qc));
-    sim::StateVector physical(tr.circuit.num_qubits());
-    physical.apply(tr.circuit);
-    const auto expect = logical.probabilities();
+    const auto expect = sim::ideal_probabilities(decompose_to_cx_u3(qc));
     const auto got =
-        unpermute_distribution(physical.probabilities(), tr.wire_of_virtual);
+        unpermute_distribution(sim::ideal_probabilities(tr.circuit), tr.wire_of_virtual);
     for (std::size_t i = 0; i < expect.size(); ++i)
       ASSERT_NEAR(got[i], expect[i], 1e-8) << "level " << level;
   }
@@ -397,16 +390,15 @@ TEST(SabreRouting, ProducesCoupledGatesAndSameSemantics) {
   qc.h(0).cx(0, 3).u3(0.4, 0.1, -0.3, 1).cx(3, 1).cx(0, 2).cx(2, 3);
   const QuantumCircuit basis = decompose_to_cx_u3(qc);
   const RoutingResult routed = route_sabre(basis, coupling, {0, 1, 2, 3});
-  for (const auto& g : routed.circuit.gates())
-    if (g.qubits.size() == 2)
+  for (const auto& g : routed.circuit.gates()) {
+    if (g.qubits.size() == 2) {
       ASSERT_TRUE(coupling.are_coupled(g.qubits[0], g.qubits[1]));
+    }
+  }
 
-  sim::StateVector direct(4);
-  direct.apply(basis);
-  sim::StateVector phys(5);
-  phys.apply(routed.circuit);
-  const auto expect = direct.probabilities();
-  const auto got = unpermute_distribution(phys.probabilities(), routed.final_layout);
+  const auto expect = sim::ideal_probabilities(basis);
+  const auto got =
+      unpermute_distribution(sim::ideal_probabilities(routed.circuit), routed.final_layout);
   for (std::size_t i = 0; i < expect.size(); ++i) ASSERT_NEAR(got[i], expect[i], 1e-9);
 }
 
@@ -439,13 +431,9 @@ TEST(SabreRouting, PipelineIntegration) {
   opts.router = TranspileOptions::Router::Sabre;
   opts.optimization_level = 1;
   const auto tr = transpile(qc, device, opts);
-  sim::StateVector physical(tr.circuit.num_qubits());
-  physical.apply(tr.circuit);
   const auto got =
-      unpermute_distribution(physical.probabilities(), tr.wire_of_virtual);
-  sim::StateVector logical(4);
-  logical.apply(decompose_to_cx_u3(qc));
-  const auto expect = logical.probabilities();
+      unpermute_distribution(sim::ideal_probabilities(tr.circuit), tr.wire_of_virtual);
+  const auto expect = sim::ideal_probabilities(decompose_to_cx_u3(qc));
   for (std::size_t i = 0; i < expect.size(); ++i) ASSERT_NEAR(got[i], expect[i], 1e-8);
 }
 
