@@ -21,7 +21,7 @@ static int run(int argc, char** argv) {
   bench::emit_table(ctx, "fig16", cx);
 
   const auto mappings =
-      approx::enumerate_mappings(algos::mct_battery_circuit(4), device, 4);
+      approx::enumerate_mappings(algos::mct_battery_circuit(4), device);
   std::printf("-- candidate mappings for the 4q Toffoli --\n");
   for (const auto& m : mappings) {
     std::printf("  %-6s cost=%.5f layout=[", m.label.c_str(), m.cost);

@@ -31,6 +31,7 @@
 #include "sim/density_matrix.hpp"
 #include "noise/catalog.hpp"
 #include "sim/compiled.hpp"
+#include "synth/cache.hpp"
 #include "synth/qfactor.hpp"
 #include "synth/cost.hpp"
 #include "synth/template.hpp"
@@ -118,8 +119,8 @@ void BM_QFactorSweep(benchmark::State& state) {
   }
   synth::QFactorOptions opts;
   opts.max_sweeps = 1;
-  opts.use_cache = false;  // measure the sweep, not a memoized lookup
   for (auto _ : state) {
+    synth::clear_synth_cache();  // measure the sweep, not a memoized lookup
     benchmark::DoNotOptimize(synth::qfactor_optimize(structure, target, opts).sweeps);
   }
 }

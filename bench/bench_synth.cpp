@@ -119,10 +119,10 @@ void bench_qsearch(benchmark::State& state, bool parallel) {
   opts.max_nodes = 8;
   opts.max_cnots = 4;
   opts.optimizer.max_iterations = 40;
-  opts.use_cache = false;  // measure the search, not a memoized lookup
   opts.parallel_children = parallel;
   std::int64_t nodes = 0;
   for (auto _ : state) {
+    synth::clear_synth_cache();  // measure the search, not a memoized lookup
     const synth::QSearchResult res = synth::qsearch_synthesize(target, 3, opts);
     nodes += res.nodes_optimized;
     benchmark::DoNotOptimize(res.best.hs_distance);
@@ -157,8 +157,8 @@ void BM_QFactorSweepIncremental(benchmark::State& state) {
   const ir::QuantumCircuit structure = qfactor_structure(n, 3 * n);
   synth::QFactorOptions opts;
   opts.max_sweeps = 1;
-  opts.use_cache = false;
   for (auto _ : state) {
+    synth::clear_synth_cache();  // measure the sweep, not a memoized lookup
     benchmark::DoNotOptimize(synth::qfactor_optimize(structure, target, opts).sweeps);
   }
   state.SetItemsProcessed(state.iterations());
@@ -177,7 +177,6 @@ void BM_SynthCacheHit(benchmark::State& state) {
   opts.max_nodes = 4;
   opts.max_cnots = 3;
   opts.optimizer.max_iterations = 30;
-  opts.use_cache = true;
   synth::clear_synth_cache();
   const synth::SynthCacheStats before = synth::synth_cache_stats();
   for (auto _ : state) {

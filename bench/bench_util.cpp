@@ -140,7 +140,7 @@ MappingFigure run_toronto_mapping_figure(const BenchContext& ctx,
   const ToffoliSetup setup = make_toffoli_setup(ctx, 4);
 
   const auto mappings =
-      approx::enumerate_mappings(setup.reference_battery, device, 4);
+      approx::enumerate_mappings(setup.reference_battery, device);
   const approx::MappingCandidate* chosen = nullptr;
   for (const auto& m : mappings)
     if (m.label == label) chosen = &m;

@@ -39,7 +39,6 @@ static int run(int argc, char** argv) {
   opts.block_hs_budget = args.get_double("budget", 0.05);
   opts.qsearch.max_nodes = 24;
   opts.qsearch.max_cnots = 4;
-  opts.qfactor_polish = true;
 
   const auto result = synth::resynthesize_partitioned(circuit, opts);
   std::printf("compressed: %zu -> %zu CNOTs (%zu/%zu blocks rewritten, "

@@ -78,21 +78,13 @@ QvResult measure_quantum_volume(const noise::DeviceProperties& device,
   QC_CHECK(options.max_width >= 2);
   QC_CHECK(options.num_circuits >= 1);
 
-  noise::NoiseModelOptions nm_options;
-  if (options.hardware_mode) {
-    nm_options.coherent_cx_overrotation = true;
-    nm_options.zz_crosstalk = true;
-    nm_options.hardware_drift_scale = 4.5;
-    nm_options.hardware_readout_scale = 2.0;
-  }
-
   QvResult result;
   common::Rng rng(options.seed);
   bool chain_alive = true;
 
   exec::ExecutionConfig exec_cfg;
   exec_cfg.device = device;
-  exec_cfg.noise_options = nm_options;
+  if (options.hardware_mode) exec_cfg.noise_options = noise::NoiseModelOptions::hardware();
   exec_cfg.optimization_level = 3;  // DM engine: exact, so the seed is moot
 
   for (int width = 2; width <= std::min(options.max_width, device.num_qubits());

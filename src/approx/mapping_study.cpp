@@ -9,9 +9,9 @@
 namespace qc::approx {
 
 std::vector<MappingCandidate> enumerate_mappings(const ir::QuantumCircuit& circuit,
-                                                 const noise::DeviceProperties& device,
-                                                 std::size_t num_manual) {
-  QC_CHECK(num_manual >= 2);
+                                                 const noise::DeviceProperties& device) {
+  // Manual placements per figure: best, two middles and worst.
+  constexpr std::size_t kNumManual = 4;
   const ir::QuantumCircuit basis = transpile::decompose_to_cx_u3(circuit);
   const auto subsets = device.coupling.connected_subsets(basis.num_qubits());
   QC_CHECK(!subsets.empty());
@@ -40,7 +40,7 @@ std::vector<MappingCandidate> enumerate_mappings(const ir::QuantumCircuit& circu
             });
 
   std::vector<MappingCandidate> out;
-  const std::size_t take = std::min(num_manual, regions.size());
+  const std::size_t take = std::min(kNumManual, regions.size());
   for (std::size_t i = 0; i < take; ++i) {
     // Evenly spaced through the ranking: index 0 = best, last = worst.
     const std::size_t idx = take == 1 ? 0 : i * (regions.size() - 1) / (take - 1);

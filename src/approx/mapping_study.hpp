@@ -20,11 +20,11 @@ struct MappingCandidate {
 };
 
 /// Ranks all connected placements of `circuit` on `device` by layout_cost
-/// and returns the best and worst (plus evenly spaced middles up to
-/// `num_manual`), followed by the automatic candidate.
+/// and returns four of them — the best, two evenly spaced middles and the
+/// worst (fewer when fewer placements exist) — followed by the automatic
+/// candidate.
 std::vector<MappingCandidate> enumerate_mappings(const ir::QuantumCircuit& circuit,
-                                                 const noise::DeviceProperties& device,
-                                                 std::size_t num_manual = 4);
+                                                 const noise::DeviceProperties& device);
 
 /// Figure 16: the device noise report (per-qubit readout error, per-edge CX
 /// error) as printable tables.

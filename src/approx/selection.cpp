@@ -88,15 +88,17 @@ double precision_gain(const std::vector<CircuitScore>& scores, double reference_
 }
 
 std::size_t noise_aware_index(const std::vector<synth::ApproxCircuit>& circuits,
-                              double cx_error, double penalty_per_cnot_error) {
+                              double cx_error) {
+  // Noise each CNOT is expected to add, per unit of CX error.
+  constexpr double kPenaltyPerCnotError = 1.5;
   QC_CHECK(!circuits.empty());
-  QC_CHECK(cx_error >= 0.0 && penalty_per_cnot_error >= 0.0);
+  QC_CHECK(cx_error >= 0.0);
   std::size_t best = 0;
   double best_score = 0.0;
   for (std::size_t i = 0; i < circuits.size(); ++i) {
     const double score =
         circuits[i].hs_distance +
-        penalty_per_cnot_error * cx_error * static_cast<double>(circuits[i].cnot_count);
+        kPenaltyPerCnotError * cx_error * static_cast<double>(circuits[i].cnot_count);
     if (i == 0 || score < best_score) {
       best = i;
       best_score = score;

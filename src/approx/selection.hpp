@@ -42,14 +42,13 @@ double precision_gain(const std::vector<CircuitScore>& scores, double reference_
 /// ("any method of selecting appropriate approximate circuits will need to
 /// take the noise/error levels of target devices into account").
 ///
-/// Scores each candidate by   hs_distance + penalty_per_cnot_error *
-/// cx_error * cnot_count   and returns the argmin: the first term is the
-/// approximation's own error, the second a first-order estimate of the
-/// noise it will accumulate. At cx_error = 0 this degenerates to minimal-HS;
+/// Scores each candidate by   hs_distance + 1.5 * cx_error * cnot_count
+/// and returns the argmin: the first term is the approximation's own error,
+/// the second a first-order estimate of the noise it will accumulate. At cx_error = 0 this degenerates to minimal-HS;
 /// as the device worsens it trades process fidelity for depth — the
-/// behaviour Figures 8-11 demand. The default weight is fit against the
+/// behaviour Figures 8-11 demand. The weight 1.5 is fit against the
 /// metric-predictivity study (bench_ext_metric_predictivity).
 std::size_t noise_aware_index(const std::vector<synth::ApproxCircuit>& circuits,
-                              double cx_error, double penalty_per_cnot_error = 1.5);
+                              double cx_error);
 
 }  // namespace qc::approx

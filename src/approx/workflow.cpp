@@ -116,13 +116,15 @@ std::vector<ApproxCircuit> select_candidates(std::vector<ApproxCircuit> harvest,
 
 namespace {
 
-/// Shared harvest pass over the enabled tools (the reducer additionally
-/// needs the reference circuit, so it only runs when one is supplied).
-std::vector<ApproxCircuit> harvest_tools(const linalg::Matrix& target, int num_qubits,
+/// Harvest pass over the enabled tools: QSearch and QFast search against
+/// `target` (the reference's unitary), partition and reducer rewrite the
+/// reference itself.
+std::vector<ApproxCircuit> harvest_tools(const linalg::Matrix& target,
                                          const GeneratorConfig& config,
                                          const noise::CouplingMap* coupling,
-                                         const ir::QuantumCircuit* reference,
+                                         const ir::QuantumCircuit& reference,
                                          GenerationReport& report) {
+  const int num_qubits = reference.num_qubits();
   std::vector<ApproxCircuit> harvest;
   auto collect = [&harvest](const ApproxCircuit& c) { harvest.push_back(c); };
   const common::Deadline fallback_deadline =
@@ -165,14 +167,14 @@ std::vector<ApproxCircuit> harvest_tools(const linalg::Matrix& target, int num_q
         },
         report);
   }
-  if (config.use_partition && reference != nullptr) {
+  if (config.use_partition) {
     synth::PartitionedSynthesisOptions opts = config.partition;
     if (!opts.deadline.bounded()) opts.deadline = fallback_deadline;
     run_with_retry(
         "partition",
         [&] {
           synth::PartitionedSynthesisResult res =
-              synth::resynthesize_partitioned(*reference, opts);
+              synth::resynthesize_partitioned(reference, opts);
           if (res.timed_out) report.timed_out = true;
           report.partition_blocks = res.blocks_total;
           report.partition_blocks_resynthesized = res.blocks_resynthesized;
@@ -196,7 +198,7 @@ std::vector<ApproxCircuit> harvest_tools(const linalg::Matrix& target, int num_q
         },
         report);
   }
-  if (config.use_reducer && reference != nullptr) {
+  if (config.use_reducer) {
     synth::ReducerOptions opts = config.reducer;
     opts.callback = {};
     if (!opts.deadline.bounded()) opts.deadline = fallback_deadline;
@@ -204,7 +206,7 @@ std::vector<ApproxCircuit> harvest_tools(const linalg::Matrix& target, int num_q
         "reducer",
         [&] {
           bool timed_out = false;
-          for (auto& c : synth::reduce_circuit(*reference, opts, &timed_out))
+          for (auto& c : synth::reduce_circuit(reference, opts, &timed_out))
             harvest.push_back(std::move(c));
           if (timed_out) report.timed_out = true;
         },
@@ -223,20 +225,6 @@ std::vector<ApproxCircuit> harvest_tools(const linalg::Matrix& target, int num_q
 
 }  // namespace
 
-std::vector<ApproxCircuit> generate_approximations(const linalg::Matrix& target,
-                                                   int num_qubits,
-                                                   const GeneratorConfig& config,
-                                                   const noise::CouplingMap* coupling,
-                                                   GenerationReport* report) {
-  GenerationReport local;
-  GenerationReport& rep = report != nullptr ? *report : local;
-  rep = GenerationReport{};
-  std::vector<ApproxCircuit> harvest =
-      harvest_tools(target, num_qubits, config, coupling, nullptr, rep);
-  return select_candidates(std::move(harvest), config.hs_threshold,
-                           config.max_circuits);
-}
-
 std::vector<ApproxCircuit> generate_from_reference(const ir::QuantumCircuit& reference,
                                                    const GeneratorConfig& config,
                                                    const noise::CouplingMap* coupling,
@@ -253,7 +241,7 @@ std::vector<ApproxCircuit> generate_from_reference(const ir::QuantumCircuit& ref
   const linalg::Matrix target =
       needs_target ? reference.unitary_part().to_unitary() : linalg::Matrix();
   std::vector<ApproxCircuit> harvest =
-      harvest_tools(target, reference.num_qubits(), config, coupling, &reference, rep);
+      harvest_tools(target, config, coupling, reference, rep);
   std::vector<ApproxCircuit> selected = select_candidates(
       std::move(harvest), config.hs_threshold, config.max_circuits);
 

@@ -86,23 +86,15 @@ struct GenerationReport {
   }
 };
 
-/// Harvested + filtered approximate circuits for a target unitary.
-/// Deterministic in (target, config). Sorted by CNOT count, then HS.
-/// Failed tools are retried once with a reduced budget (see
-/// GenerationReport); with no reference circuit available there is no
-/// fallback, so the result may be empty when every tool fails.
-std::vector<synth::ApproxCircuit> generate_approximations(
-    const linalg::Matrix& target, int num_qubits, const GeneratorConfig& config,
-    const noise::CouplingMap* coupling = nullptr,
-    GenerationReport* report = nullptr);
-
-/// Convenience: target extracted from a reference circuit (its unitary
-/// part); the reducer, when enabled, perturbs this same reference. Never
-/// returns an empty set: when the harvest dies (all tools failed, or the
-/// selection threshold ate everything), the lowered reference itself is
-/// returned as a single exact "approximation" with
-/// source == "reference-fallback", so every downstream study always has a
-/// full result set to execute.
+/// Harvested + filtered approximate circuits for a reference circuit.
+/// Deterministic in (reference, config). Sorted by CNOT count, then HS.
+/// QSearch and QFast search against the reference's unitary part; partition
+/// and the reducer rewrite the reference itself. Failed tools are retried
+/// once with a reduced budget (see GenerationReport). Never returns an empty
+/// set: when the harvest dies (all tools failed, or the selection threshold
+/// ate everything), the lowered reference itself is returned as a single
+/// exact "approximation" with source == "reference-fallback", so every
+/// downstream study always has a full result set to execute.
 std::vector<synth::ApproxCircuit> generate_from_reference(
     const ir::QuantumCircuit& reference, const GeneratorConfig& config,
     const noise::CouplingMap* coupling = nullptr,

@@ -1,6 +1,7 @@
 #include "common/cli.hpp"
 
 #include <atomic>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -36,7 +37,13 @@ std::string CliArgs::get(const std::string& name, const std::string& fallback) c
 
 int CliArgs::get_int(const std::string& name, int fallback) const {
   const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::atoi(it->second.c_str());
+  if (it == values_.end()) return fallback;
+  const std::string& text = it->second;
+  int value = 0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+  QC_CHECK_MSG(ec == std::errc() && end == text.data() + text.size(),
+               "--" + name + ": expected an integer, got '" + text + "'");
+  return value;
 }
 
 double CliArgs::get_double(const std::string& name, double fallback) const {

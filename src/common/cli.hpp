@@ -15,6 +15,8 @@ class CliArgs {
 
   bool has(const std::string& name) const;
   std::string get(const std::string& name, const std::string& fallback) const;
+  /// The whole value as a decimal int; throws ContractError naming the flag
+  /// when it has trailing text or is out of int range.
   int get_int(const std::string& name, int fallback) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;

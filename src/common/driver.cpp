@@ -62,8 +62,7 @@ std::uint64_t default_seed(std::uint64_t fallback) {
   return v;
 }
 
-DriverContext::DriverContext(int argc, char** argv, const std::string& id,
-                             std::size_t default_shots)
+DriverContext::DriverContext(int argc, char** argv, const std::string& id)
     : args(argc, argv) {
   init_runtime();
   if (args.has("version")) {
@@ -71,8 +70,11 @@ DriverContext::DriverContext(int argc, char** argv, const std::string& id,
     std::exit(0);
   }
   fast = args.get_bool("fast", false);
-  shots = static_cast<std::size_t>(
-      args.get_int("shots", static_cast<int>(default_shots)));
+  const int requested_shots = args.get_int("shots", static_cast<int>(shots));
+  QC_CHECK_MSG(requested_shots >= 1 && static_cast<std::size_t>(requested_shots) <= kMaxShots,
+               "--shots: " + std::to_string(requested_shots) + " is outside [1, " +
+                   std::to_string(kMaxShots) + "]");
+  shots = static_cast<std::size_t>(requested_shots);
   seed = args.get_seed("seed", default_seed(11));
   csv_path = args.get("csv", id + ".csv");
 }

@@ -57,9 +57,13 @@ exec::ExecutionConfig execution_config(const std::string& device_name,
 /// `fallback`. A malformed value warns and returns the fallback.
 std::uint64_t default_seed(std::uint64_t fallback);
 
+/// Most shots one run may ask for, on the command line and on the wire.
+inline constexpr std::size_t kMaxShots = std::size_t{1} << 20;
+
 /// The CLI surface shared by figure binaries and examples. Construction runs
 /// init_runtime(), parses the common flags, and services --version (prints
-/// the build stamp and exits 0).
+/// the build stamp and exits 0). --shots must lie in [1, kMaxShots]; a bad
+/// value throws ContractError.
 struct DriverContext {
   CliArgs args;
   bool fast = false;
@@ -67,8 +71,7 @@ struct DriverContext {
   std::uint64_t seed = 11;
   std::string csv_path;
 
-  DriverContext(int argc, char** argv, const std::string& id,
-                std::size_t default_shots = 2048);
+  DriverContext(int argc, char** argv, const std::string& id);
 };
 
 }  // namespace qc::common::driver

@@ -21,7 +21,6 @@ class Table {
   void add_row_values(const std::vector<double>& values);
 
   std::size_t num_rows() const { return rows_.size(); }
-  std::size_t num_cols() const { return headers_.size(); }
   const std::vector<std::string>& headers() const { return headers_; }
   const std::vector<std::string>& row(std::size_t i) const;
 

@@ -34,6 +34,9 @@ EngineTimers& timers() {
 
 /// Mirrors one run's kernel dispatch classes (RunRecord::kernel_counts) into
 /// the process-wide sim.kernel.* counters, one name per KernelKind label.
+/// Each compiled step unitary's class counts once per run: noise operators
+/// (ZZ crosstalk and over-rotation land on TwoQDiag) and per-shot
+/// applications are never counted, so these are not kernel call counts.
 void record_kernel_metrics(const linalg::KernelCounts& kc) {
   static const auto counters = [] {
     std::array<obs::Counter*, linalg::kNumKernelKinds> c{};
@@ -61,10 +64,7 @@ ExecutionConfig ExecutionConfig::hardware(const noise::DeviceProperties& device)
   cfg.device = device;
   cfg.optimization_level = 3;
   cfg.use_trajectories = true;
-  cfg.noise_options.coherent_cx_overrotation = true;
-  cfg.noise_options.zz_crosstalk = true;
-  cfg.noise_options.hardware_drift_scale = 4.5;
-  cfg.noise_options.hardware_readout_scale = 2.0;
+  cfg.noise_options = noise::NoiseModelOptions::hardware();
   return cfg;
 }
 
@@ -124,7 +124,7 @@ ExecutionEngine& ExecutionEngine::global() {
   return engine;
 }
 
-CacheSnapshot ExecutionEngine::read_caches() const {
+CacheSnapshot ExecutionEngine::cache_stats_snapshot() const {
   const common::LruStats t = transpile_cache_.stats();
   const common::LruStats m = model_cache_.stats();
   const common::LruStats c = compiled_cache_.stats();
@@ -135,13 +135,7 @@ CacheSnapshot ExecutionEngine::read_caches() const {
   snap.model_entries = m.entries;
   snap.compiled_entries = c.entries;
   snap.cap = kEngineCacheCap;
-  return snap;
-}
 
-CacheStats ExecutionEngine::cache_stats() const { return read_caches().stats; }
-
-CacheSnapshot ExecutionEngine::cache_stats_snapshot() const {
-  const CacheSnapshot snap = read_caches();
   struct Row {
     const char* name;
     std::size_t hits, misses, evictions, entries;
@@ -316,7 +310,6 @@ RunResult ExecutionEngine::run(const RunRequest& request) {
       request.deadline.bounded() ? request.deadline : common::Deadline::from_env();
   RunResult result;
   RunRecord& rec = result.record;
-  rec.build_stamp = obs::build_info_summary();
   rec.trace_id = run_ctx.trace_id;
 
   std::shared_ptr<const transpile::TranspileResult> tr;
@@ -416,7 +409,6 @@ RunResult failed_result(const RunRequest& request, const common::Error& e) {
   result.status = RunStatus::Failed;
   result.record.engine = "failed";
   result.record.error = std::string(e.kind()) + ": " + e.what();
-  result.record.build_stamp = obs::build_info_summary();
   const std::size_t dim = std::size_t{1} << request.circuit.num_qubits();
   result.probabilities.assign(dim, 1.0 / static_cast<double>(dim));
   return result;

@@ -91,17 +91,14 @@ class ExecutionEngine {
   /// requests, the pool, and the engine are unaffected.
   std::vector<RunResult> run_batch(const std::vector<RunRequest>& requests);
 
-  /// Snapshot of this engine's cache counters. Process-wide aggregates (all
-  /// engines) live in the obs metrics registry under exec.cache.*.
-  CacheStats cache_stats() const;
-
   /// Thread-safe point-in-time view of this engine's caches: the hit, miss
-  /// and eviction counters plus the current entry count of each cache. Also
-  /// publishes the numbers as process-wide gauges (exec.engine.cache.<cache>.
-  /// {hits,misses,evictions,entries}) so they reach the QAPPROX_METRICS
-  /// export and the serve `stats` reply; with several engines alive the
-  /// gauges reflect the last snapshotted one (per-engine exactness stays in
-  /// the returned struct).
+  /// and eviction counters plus the current entry count of each cache.
+  /// (Process-wide aggregates over all engines live in the obs metrics
+  /// registry under exec.cache.*.) Also publishes the numbers as process-wide
+  /// gauges (exec.engine.cache.<cache>.{hits,misses,evictions,entries}) so
+  /// they reach the QAPPROX_METRICS export and the serve `stats` reply; with
+  /// several engines alive the gauges reflect the last snapshotted one
+  /// (per-engine exactness stays in the returned struct).
   CacheSnapshot cache_stats_snapshot() const;
 
   /// Drops every cached entry and zeroes this engine's counters (the global
@@ -162,9 +159,6 @@ class ExecutionEngine {
   template <typename K, typename V, typename Make>
   static std::shared_ptr<const V> get_or_compute(SlotCache<K, V>& cache, const K& key,
                                                  bool* was_hit, Make&& make);
-
-  /// This engine's cache tallies, without publishing gauges.
-  CacheSnapshot read_caches() const;
 
   common::ThreadPool& pool();
 

@@ -106,16 +106,14 @@ struct RunRecord {
   /// Fused-block tally by final arity: index k in [1, 4] counts compiled
   /// steps on k qubits built from >= 2 source gates (index 0 unused).
   std::array<std::size_t, 5> fused_blocks_by_k{};
-  /// Which specialized gate kernels the program's steps dispatch to.
+  /// Which specialized gate kernels the program's step unitaries dispatch
+  /// to, one count per step. Noise operators and per-shot applications are
+  /// not counted.
   linalg::KernelCounts kernel_counts;
   bool transpile_cache_hit = false;
   bool noise_model_cache_hit = false;
   bool compiled_cache_hit = false;      // compiled-program cache (all engines)
   double wall_ms = 0.0;
-  /// Which binary produced this record (obs::build_info_summary(): git SHA,
-  /// compiler, build type, flags) — lets archived results name the
-  /// exact build they came from.
-  std::string build_stamp;
   /// True when the run's deadline expired and `probabilities` is a flagged
   /// partial result rather than the full computation.
   bool timed_out = false;

@@ -130,32 +130,11 @@ std::size_t QuantumCircuit::count(GateKind kind) const {
                     [kind](const Gate& g) { return g.kind == kind; }));
 }
 
-std::size_t QuantumCircuit::two_qubit_gate_count() const {
-  std::size_t n = 0;
-  for (const Gate& g : gates_)
-    if (gate_is_unitary(g.kind) && g.qubits.size() == 2) ++n;
-  return n;
-}
-
 std::size_t QuantumCircuit::depth() const {
   std::vector<std::size_t> wire(static_cast<std::size_t>(num_qubits_), 0);
   std::size_t depth = 0;
   for (const Gate& g : gates_) {
     if (!gate_is_unitary(g.kind)) continue;
-    std::size_t level = 0;
-    for (int q : g.qubits) level = std::max(level, wire[q]);
-    ++level;
-    for (int q : g.qubits) wire[q] = level;
-    depth = std::max(depth, level);
-  }
-  return depth;
-}
-
-std::size_t QuantumCircuit::two_qubit_depth() const {
-  std::vector<std::size_t> wire(static_cast<std::size_t>(num_qubits_), 0);
-  std::size_t depth = 0;
-  for (const Gate& g : gates_) {
-    if (!gate_is_unitary(g.kind) || g.qubits.size() < 2) continue;
     std::size_t level = 0;
     for (int q : g.qubits) level = std::max(level, wire[q]);
     ++level;
@@ -201,14 +180,6 @@ QuantumCircuit QuantumCircuit::inverse() const {
     }
   }
   return inv;
-}
-
-QuantumCircuit QuantumCircuit::remapped(const std::vector<int>& mapping,
-                                        int new_width) const {
-  QC_CHECK(mapping.size() == static_cast<std::size_t>(num_qubits_));
-  QuantumCircuit out(new_width, name_);
-  out.append_mapped(*this, mapping);
-  return out;
 }
 
 QuantumCircuit QuantumCircuit::unitary_part() const {

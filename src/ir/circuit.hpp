@@ -64,13 +64,8 @@ class QuantumCircuit {
   // ---- statistics ------------------------------------------------------
   /// Number of gates of a given kind.
   std::size_t count(GateKind kind) const;
-  /// Number of two-qubit unitary gates (the paper's "CNOT count" once
-  /// circuits are in the {CX,U3} basis).
-  std::size_t two_qubit_gate_count() const;
   /// Longest dependency chain of unitary gates (circuit depth).
   std::size_t depth() const;
-  /// Depth counting only two-qubit gates (the paper's "CNOT depth").
-  std::size_t two_qubit_depth() const;
   /// True if every gate is CX or U3 (hardware basis).
   bool in_cx_u3_basis() const;
   /// True if circuit contains a Measure gate.
@@ -83,8 +78,6 @@ class QuantumCircuit {
   // ---- transforms ------------------------------------------------------
   /// Reverse circuit with inverted gates; throws if a Measure is present.
   QuantumCircuit inverse() const;
-  /// Same gates on a `new_width`-qubit register with qubit i -> mapping[i].
-  QuantumCircuit remapped(const std::vector<int>& mapping, int new_width) const;
   /// Circuit without Barrier/Measure gates.
   QuantumCircuit unitary_part() const;
 

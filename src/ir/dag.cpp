@@ -1,7 +1,5 @@
 #include "ir/dag.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 
 namespace qc::ir {
@@ -9,21 +7,15 @@ namespace qc::ir {
 DagView::DagView(const QuantumCircuit& circuit) : circuit_(circuit) {
   const std::size_t n = circuit.size();
   next_.resize(n);
-  prev_.resize(n);
-  front_.assign(static_cast<std::size_t>(circuit.num_qubits()), kNone);
 
   std::vector<std::size_t> last(static_cast<std::size_t>(circuit.num_qubits()), kNone);
   for (std::size_t i = 0; i < n; ++i) {
     const Gate& g = circuit.gate(i);
     next_[i].assign(g.qubits.size(), kNone);
-    prev_[i].assign(g.qubits.size(), kNone);
     for (std::size_t k = 0; k < g.qubits.size(); ++k) {
       const int q = g.qubits[k];
       const std::size_t p = last[q];
-      prev_[i][k] = p;
-      if (p == kNone) {
-        front_[q] = i;
-      } else {
+      if (p != kNone) {
         const Gate& pg = circuit.gate(p);
         for (std::size_t pk = 0; pk < pg.qubits.size(); ++pk)
           if (pg.qubits[pk] == q) next_[p][pk] = i;
@@ -44,36 +36,6 @@ std::size_t DagView::operand_slot(std::size_t i, int qubit) const {
 std::size_t DagView::next_on_qubit(std::size_t i, int qubit) const {
   QC_CHECK(i < next_.size());
   return next_[i][operand_slot(i, qubit)];
-}
-
-std::size_t DagView::prev_on_qubit(std::size_t i, int qubit) const {
-  QC_CHECK(i < prev_.size());
-  return prev_[i][operand_slot(i, qubit)];
-}
-
-std::size_t DagView::front_on_qubit(int qubit) const {
-  QC_CHECK(qubit >= 0 && qubit < circuit_.num_qubits());
-  return front_[qubit];
-}
-
-std::vector<std::size_t> DagView::predecessors(std::size_t i) const {
-  QC_CHECK(i < prev_.size());
-  std::vector<std::size_t> out;
-  for (std::size_t p : prev_[i])
-    if (p != kNone) out.push_back(p);
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
-std::vector<std::size_t> DagView::successors(std::size_t i) const {
-  QC_CHECK(i < next_.size());
-  std::vector<std::size_t> out;
-  for (std::size_t s : next_[i])
-    if (s != kNone) out.push_back(s);
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
 }
 
 }  // namespace qc::ir

@@ -1,9 +1,9 @@
 // Lightweight DAG view over a QuantumCircuit.
 //
 // Gate order in the circuit is already a topological order; the DAG adds the
-// per-qubit wiring (previous/next gate on each wire) that peephole passes
-// need to find adjacent-gate pairs (CX-CX cancellation, U3 fusion) without
-// quadratic rescans.
+// per-qubit wiring (next gate on each wire) that peephole passes need to find
+// adjacent-gate pairs (CX-CX cancellation, U3 fusion) without quadratic
+// rescans.
 #pragma once
 
 #include <cstddef>
@@ -19,27 +19,14 @@ class DagView {
 
   explicit DagView(const QuantumCircuit& circuit);
 
-  std::size_t num_nodes() const { return next_.size(); }
-
   /// Index of the next gate touching `qubit` after gate `i`; kNone at the end
   /// of the wire. `i` must act on `qubit`.
   std::size_t next_on_qubit(std::size_t i, int qubit) const;
-  /// Index of the previous gate touching `qubit` before gate `i`.
-  std::size_t prev_on_qubit(std::size_t i, int qubit) const;
-
-  /// First gate on the wire, or kNone.
-  std::size_t front_on_qubit(int qubit) const;
-  /// All direct predecessors (dedup'd) of gate i.
-  std::vector<std::size_t> predecessors(std::size_t i) const;
-  /// All direct successors (dedup'd) of gate i.
-  std::vector<std::size_t> successors(std::size_t i) const;
 
  private:
   const QuantumCircuit& circuit_;
-  // next_[i][k] / prev_[i][k]: neighbour on wire circuit.gate(i).qubits[k].
+  // next_[i][k]: neighbour on wire circuit.gate(i).qubits[k].
   std::vector<std::vector<std::size_t>> next_;
-  std::vector<std::vector<std::size_t>> prev_;
-  std::vector<std::size_t> front_;  // per qubit
 
   std::size_t operand_slot(std::size_t i, int qubit) const;
 };

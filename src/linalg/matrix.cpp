@@ -94,23 +94,11 @@ Matrix Matrix::transpose() const {
   return out;
 }
 
-Matrix Matrix::conjugate() const {
-  Matrix out = *this;
-  for (auto& v : out.data_) v = std::conj(v);
-  return out;
-}
-
 cplx Matrix::trace() const {
   QC_CHECK(rows_ == cols_);
   cplx t{0.0, 0.0};
   for (std::size_t i = 0; i < rows_; ++i) t += (*this)(i, i);
   return t;
-}
-
-double Matrix::frobenius_norm() const {
-  double s = 0.0;
-  for (const auto& v : data_) s += std::norm(v);
-  return std::sqrt(s);
 }
 
 double Matrix::max_abs_diff(const Matrix& rhs) const {

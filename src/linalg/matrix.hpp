@@ -48,11 +48,8 @@ class Matrix {
   Matrix adjoint() const;
   /// Plain transpose.
   Matrix transpose() const;
-  /// Elementwise complex conjugate.
-  Matrix conjugate() const;
 
   cplx trace() const;
-  double frobenius_norm() const;
   /// max_ij |a_ij - b_ij|
   double max_abs_diff(const Matrix& rhs) const;
 

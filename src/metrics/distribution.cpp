@@ -38,13 +38,6 @@ std::vector<double> uniform_distribution(std::size_t n) {
   return std::vector<double>(n, 1.0 / static_cast<double>(n));
 }
 
-std::vector<double> delta_distribution(std::size_t n, std::size_t index) {
-  QC_CHECK(index < n);
-  std::vector<double> p(n, 0.0);
-  p[index] = 1.0;
-  return p;
-}
-
 std::vector<double> counts_to_distribution(const std::vector<std::uint64_t>& counts) {
   std::vector<double> p(counts.size());
   double total = 0.0;
@@ -64,23 +57,6 @@ double total_variation(const std::vector<double>& p, const std::vector<double>& 
   return 0.5 * s;
 }
 
-double kl_divergence(const std::vector<double>& p, const std::vector<double>& q,
-                     double smoothing) {
-  check_pair(p, q);
-  std::vector<double> qq = q;
-  if (smoothing > 0.0) {
-    for (double& v : qq) v += smoothing;
-    qq = normalized(std::move(qq));
-  }
-  double d = 0.0;
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    if (p[i] <= 0.0) continue;
-    QC_CHECK_MSG(qq[i] > 0.0, "KL undefined: q=0 where p>0 (use smoothing)");
-    d += p[i] * std::log(p[i] / qq[i]);
-  }
-  return std::max(0.0, d);
-}
-
 double js_divergence(const std::vector<double>& p, const std::vector<double>& q) {
   check_pair(p, q);
   double d = 0.0;
@@ -94,20 +70,6 @@ double js_divergence(const std::vector<double>& p, const std::vector<double>& q)
 
 double js_distance(const std::vector<double>& p, const std::vector<double>& q) {
   return std::sqrt(js_divergence(p, q));
-}
-
-double hellinger(const std::vector<double>& p, const std::vector<double>& q) {
-  check_pair(p, q);
-  double bc = 0.0;
-  for (std::size_t i = 0; i < p.size(); ++i) bc += std::sqrt(p[i] * q[i]);
-  return std::sqrt(std::max(0.0, 1.0 - bc));
-}
-
-double classical_fidelity(const std::vector<double>& p, const std::vector<double>& q) {
-  check_pair(p, q);
-  double bc = 0.0;
-  for (std::size_t i = 0; i < p.size(); ++i) bc += std::sqrt(p[i] * q[i]);
-  return bc * bc;
 }
 
 double success_probability(const std::vector<double>& p, std::size_t target) {

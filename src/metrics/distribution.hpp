@@ -2,8 +2,8 @@
 //
 // The paper scores circuits by comparing measured output distributions to
 // the ideal ones: Jensen–Shannon distance for the Toffoli study, success
-// probability for Grover, expectation values for TFIM, with KL/TVD as
-// alternatives. Conventions follow SciPy: js_distance is the square root of
+// probability for Grover, expectation values for TFIM, with TVD as an
+// alternative. Conventions follow SciPy: js_distance is the square root of
 // the Jensen–Shannon divergence computed with natural logarithms (so the
 // paper's "random noise sits at JS 0.465 from the Toffoli target" anchor
 // reproduces exactly).
@@ -25,9 +25,6 @@ std::vector<double> normalized(std::vector<double> p);
 /// Uniform distribution over `n` outcomes.
 std::vector<double> uniform_distribution(std::size_t n);
 
-/// Point mass on `index` over `n` outcomes.
-std::vector<double> delta_distribution(std::size_t n, std::size_t index);
-
 /// Converts integer shot counts to a distribution.
 std::vector<double> counts_to_distribution(const std::vector<std::uint64_t>& counts);
 
@@ -36,22 +33,11 @@ std::vector<double> counts_to_distribution(const std::vector<std::uint64_t>& cou
 /// Total variation distance: (1/2) Σ |p - q|, in [0, 1].
 double total_variation(const std::vector<double>& p, const std::vector<double>& q);
 
-/// KL divergence D(p||q) with natural log; q entries where p>0 must be >0
-/// unless `smoothing` > 0, which is added to every q entry (then renormalized).
-double kl_divergence(const std::vector<double>& p, const std::vector<double>& q,
-                     double smoothing = 0.0);
-
 /// Jensen–Shannon divergence with natural log; symmetric, in [0, ln 2].
 double js_divergence(const std::vector<double>& p, const std::vector<double>& q);
 
 /// Jensen–Shannon distance: sqrt(js_divergence); the paper's JS metric.
 double js_distance(const std::vector<double>& p, const std::vector<double>& q);
-
-/// Hellinger distance: sqrt(1 - Σ sqrt(p q)), in [0, 1].
-double hellinger(const std::vector<double>& p, const std::vector<double>& q);
-
-/// Classical (Bhattacharyya) fidelity: (Σ sqrt(p q))², in [0, 1].
-double classical_fidelity(const std::vector<double>& p, const std::vector<double>& q);
 
 /// Probability assigned to one outcome (Grover's success probability).
 double success_probability(const std::vector<double>& p, std::size_t target);

@@ -39,8 +39,4 @@ double average_gate_fidelity(const Matrix& u, const Matrix& v) {
   return (t * t + d) / (d * d + d);
 }
 
-double diamond_distance_bound(const Matrix& u, const Matrix& v) {
-  return 2.0 * hs_distance(u, v);
-}
-
 }  // namespace qc::metrics

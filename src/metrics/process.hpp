@@ -20,9 +20,4 @@ double hs_distance(const linalg::Matrix& u, const linalg::Matrix& v);
 /// Average gate fidelity  F̄ = (|Tr(U†V)|² + d) / (d² + d).
 double average_gate_fidelity(const linalg::Matrix& u, const linalg::Matrix& v);
 
-/// Cheap upper bound on the diamond-norm distance between the unitary
-/// channels: 2·sqrt(1 - hs_fidelity²). Reported alongside HS where the paper
-/// cites the diamond norm as an alternative process metric.
-double diamond_distance_bound(const linalg::Matrix& u, const linalg::Matrix& v);
-
 }  // namespace qc::metrics

@@ -71,12 +71,6 @@ DeviceProperties build(const CatalogEntry& entry) {
 
 }  // namespace
 
-std::vector<std::string> catalog_device_names() {
-  std::vector<std::string> names;
-  for (const auto& e : kEntries) names.emplace_back(e.name);
-  return names;
-}
-
 DeviceProperties device_by_name(const std::string& name) {
   const std::string lower = common::to_lower(name);
   for (const auto& e : kEntries)
@@ -96,13 +90,7 @@ NoiseModel simulator_noise_model(const DeviceProperties& device) {
 }
 
 NoiseModel hardware_noise_model(const DeviceProperties& device) {
-  NoiseModelOptions options;
-  options.coherent_cx_overrotation = true;
-  options.zz_crosstalk = true;
-  options.hardware_drift_scale = 4.5;
-  options.hardware_readout_scale = 2.0;
-
-  return NoiseModel::from_device(device, options);
+  return NoiseModel::from_device(device, NoiseModelOptions::hardware());
 }
 
 }  // namespace qc::noise

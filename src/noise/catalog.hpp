@@ -23,9 +23,6 @@
 
 namespace qc::noise {
 
-/// Names accepted by device_by_name (lowercase).
-std::vector<std::string> catalog_device_names();
-
 /// Builds the calibration snapshot for one device; throws on unknown names.
 DeviceProperties device_by_name(const std::string& name);
 

@@ -66,11 +66,6 @@ bool Channel::mixed_unitary_form(std::vector<double>& probs,
   return true;
 }
 
-Channel identity_channel(int num_qubits) {
-  QC_CHECK(num_qubits >= 1);
-  return Channel({Matrix::identity(std::size_t{1} << num_qubits)});
-}
-
 Channel unitary_channel(const Matrix& u) {
   QC_CHECK_MSG(u.is_unitary(1e-8), "unitary_channel needs a unitary matrix");
   return Channel({u});

@@ -44,9 +44,6 @@ class Channel {
 
 // ---- standard channels ---------------------------------------------------
 
-/// Identity channel on n qubits.
-Channel identity_channel(int num_qubits);
-
 /// Deterministic unitary channel (e.g. coherent over-rotation errors).
 Channel unitary_channel(const linalg::Matrix& u);
 

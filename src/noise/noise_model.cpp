@@ -9,6 +9,26 @@
 
 namespace qc::noise {
 
+namespace {
+
+/// Over-rotation angle per sqrt(edge CX error), radians.
+constexpr double kOverrotationScale = 0.5;
+/// ZZ angle between a CX qubit and each idle spectator neighbour, radians.
+constexpr double kCrosstalkAngle = 0.12;
+/// Wall-clock per CX layer as a multiple of the CX duration.
+constexpr double kIdleDurationFactor = 3.0;
+
+}  // namespace
+
+NoiseModelOptions NoiseModelOptions::hardware() {
+  NoiseModelOptions options;
+  options.coherent_cx_overrotation = true;
+  options.zz_crosstalk = true;
+  options.hardware_drift_scale = 4.5;
+  options.hardware_readout_scale = 2.0;
+  return options;
+}
+
 std::uint64_t NoiseModelOptions::fingerprint() const {
   using common::hash_combine;
   std::uint64_t h = 0x3c95b1e87d42f609ULL;
@@ -22,16 +42,12 @@ std::uint64_t NoiseModelOptions::fingerprint() const {
   mix_bool(readout);
   mix_bool(depolarizing);
   mix_bool(coherent_cx_overrotation);
-  mix_double(overrotation_scale);
   mix_bool(zz_crosstalk);
-  mix_double(crosstalk_angle);
   mix_double(hardware_drift_scale);
   mix_double(hardware_readout_scale);
   mix_bool(idle_relaxation);
-  mix_double(idle_duration_factor);
   mix_bool(uniform_cx_error.has_value());
   mix_double(uniform_cx_error.value_or(0.0));
-  mix_double(cx_error_scale);
   return h;
 }
 
@@ -87,7 +103,7 @@ NoiseModel NoiseModel::from_device(const DeviceProperties& device,
 }
 
 double NoiseModel::cx_error(int a, int b) const {
-  const double scale = options_.cx_error_scale * options_.hardware_drift_scale;
+  const double scale = options_.hardware_drift_scale;
   if (options_.uniform_cx_error) return *options_.uniform_cx_error * scale;
   if (a > b) std::swap(a, b);
   const auto it = cx_error_.find({a, b});
@@ -137,7 +153,7 @@ std::vector<NoiseOp> NoiseModel::ops_for_gate(const ir::Gate& gate) const {
 
   if (options_.depolarizing && p > 0.0) ops.push_back({{a, b}, depolarizing(p, 2)});
   if (options_.coherent_cx_overrotation && p > 0.0) {
-    const double theta = options_.overrotation_scale * std::sqrt(p);
+    const double theta = kOverrotationScale * std::sqrt(p);
     ops.push_back({{a, b}, zz_overrotation(theta)});
   }
   if (options_.thermal_relaxation && has_device_) {
@@ -151,36 +167,21 @@ std::vector<NoiseOp> NoiseModel::ops_for_gate(const ir::Gate& gate) const {
     auto key = std::minmax(a, b);
     const auto it = cx_duration_.find({key.first, key.second});
     const double layer = (it != cx_duration_.end() ? it->second : 400.0) *
-                         options_.idle_duration_factor;
+                         kIdleDurationFactor;
     for (int q = 0; q < num_qubits_; ++q) {
       if (q == a || q == b) continue;
       ops.push_back({{q}, thermal_relaxation(t1_[q], t2_[q], layer)});
     }
   }
-  if (options_.zz_crosstalk && options_.crosstalk_angle != 0.0) {
+  if (options_.zz_crosstalk) {
     for (int gq : gate.qubits) {
       for (int spectator : neighbors_[gq]) {
         if (spectator == a || spectator == b) continue;
-        ops.push_back({{gq, spectator}, zz_overrotation(options_.crosstalk_angle)});
+        ops.push_back({{gq, spectator}, zz_overrotation(kCrosstalkAngle)});
       }
     }
   }
   return ops;
-}
-
-NoiseModel NoiseModel::with_uniform_cx_error(double p) const {
-  QC_CHECK(p >= 0.0 && p < 1.0);
-  NoiseModel m = *this;
-  m.options_.uniform_cx_error = p;
-  m.options_.cx_error_scale = 1.0;
-  return m;
-}
-
-NoiseModel NoiseModel::with_cx_error_scale(double scale) const {
-  QC_CHECK(scale >= 0.0);
-  NoiseModel m = *this;
-  m.options_.cx_error_scale = scale;
-  return m;
 }
 
 bool NoiseModel::is_ideal() const {

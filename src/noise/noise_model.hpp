@@ -7,8 +7,8 @@
 // measurement applies per-qubit readout confusion.
 //
 // Two extensions drive the paper's experiments:
-//  * CNOT-error sweeps (Figs 8-11): a uniform override / scale on the
-//    two-qubit depolarizing probability, leaving every other source intact.
+//  * CNOT-error sweeps (Figs 8-11): a uniform override of the two-qubit
+//    depolarizing probability, leaving every other source intact.
 //  * Hardware mode (Figs 12-15, 17-19): effects real devices exhibit but
 //    calibration-derived Aer models omit — coherent ZZ over-rotation on each
 //    CX and ZZ crosstalk onto spectator neighbours — so "physical machine"
@@ -36,14 +36,12 @@ struct NoiseModelOptions {
   // runs are systematically worse than the calibration-derived model alone —
   // the sim-vs-hardware gap the paper observes (its 4q Toffoli reference
   // lands at/beyond the random-noise JS line on real Manhattan/Toronto).
+  /// ZZ over-rotation on each CX by 0.5 * sqrt(edge CX error) radians; sqrt
+  /// because a coherent angle err contributes O(angle^2) to gate infidelity.
   bool coherent_cx_overrotation = false;
-  /// Over-rotation angle = scale * sqrt(edge CX error) radians; sqrt because
-  /// a coherent angle err contributes O(angle^2) to gate infidelity.
-  double overrotation_scale = 0.5;
+  /// ZZ rotation by 0.12 rad between each gate qubit and each idle spectator
+  /// neighbour during a CX.
   bool zz_crosstalk = false;
-  /// ZZ angle applied between each gate qubit and each idle spectator
-  /// neighbour during a CX, in radians.
-  double crosstalk_angle = 0.12;
   /// Calibration drift: real runs happen hours after calibration; hardware
   /// mode inflates per-edge CX errors by this factor.
   double hardware_drift_scale = 1.0;
@@ -57,15 +55,17 @@ struct NoiseModelOptions {
   /// the hardware presets: T1 decay pumps qubits toward |0>, which *raises*
   /// Z-magnetization readings of deep circuits and would mask exactly the
   /// reference degradation the TFIM figures measure (see the noise-source
-  /// ablation).
+  /// ablation). Each idle qubit relaxes for 3x the CX duration (scheduling
+  /// gaps, alignment latency).
   bool idle_relaxation = false;
-  /// Wall-clock per CX layer = gate duration x this factor (scheduling gaps,
-  /// alignment latency).
-  double idle_duration_factor = 3.0;
 
-  // CNOT-error sensitivity sweep controls.
-  std::optional<double> uniform_cx_error;  // replace every edge's CX error
-  double cx_error_scale = 1.0;             // multiply every edge's CX error
+  /// CNOT-error sensitivity sweeps: replaces every edge's CX error (the
+  /// drift scale still applies on top).
+  std::optional<double> uniform_cx_error;
+
+  /// The hardware-mode preset ("<device> physical machine"): coherent CX
+  /// over-rotation and ZZ crosstalk on, CX errors x4.5 and readout errors x2.
+  static NoiseModelOptions hardware();
 
   /// 64-bit content hash over every option field; part of the execution
   /// engine's noise-model cache key.
@@ -99,15 +99,11 @@ class NoiseModel {
   /// Per-qubit readout errors (all-zero when readout noise is disabled).
   const std::vector<ReadoutError>& readout_errors() const { return readout_; }
 
-  /// Effective CX error probability for an edge, after sweep overrides.
+  /// Effective CX error probability for an edge, after the sweep override
+  /// and the drift scale.
   double cx_error(int a, int b) const;
   /// Single-qubit depolarizing probability of qubit q.
   double sq_error(int q) const;
-
-  /// Copy with every edge's CX depolarizing probability replaced (Figs 8-10).
-  NoiseModel with_uniform_cx_error(double p) const;
-  /// Copy with every edge's CX depolarizing probability scaled (Fig 11 sweep).
-  NoiseModel with_cx_error_scale(double scale) const;
 
   /// True if no gate produces any noise op and readout is exact.
   bool is_ideal() const;

@@ -131,7 +131,7 @@ CouplingMap CouplingMap::hummingbird_65() {
   std::vector<std::pair<int, int>> edges;
   const int rows = 5;
   const int cols = 10;
-  // Row qubits occupy ids row*10..row*10+9 remapped after bridges; build with
+  // Row qubits occupy ids row*10..row*10+9 renumbered after bridges; build with
   // explicit id table: rows get blocks of 10 starting at offsets computed as
   // we interleave bridge blocks between rows.
   std::vector<std::vector<int>> row_ids(rows);

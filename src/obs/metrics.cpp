@@ -270,39 +270,6 @@ std::string metrics_prometheus() {
   return os.str();
 }
 
-std::string metrics_table() {
-  const MetricsSnapshot snap = metrics_snapshot();
-  std::ostringstream os;
-  char line[192];
-  if (!snap.counters.empty()) {
-    os << "counters:\n";
-    for (const auto& [name, v] : snap.counters) {
-      std::snprintf(line, sizeof(line), "  %-44s %20llu\n", name.c_str(),
-                    static_cast<unsigned long long>(v));
-      os << line;
-    }
-  }
-  if (!snap.gauges.empty()) {
-    os << "gauges:\n";
-    for (const auto& [name, v] : snap.gauges) {
-      std::snprintf(line, sizeof(line), "  %-44s %20lld\n", name.c_str(),
-                    static_cast<long long>(v));
-      os << line;
-    }
-  }
-  if (!snap.histograms.empty()) {
-    os << "histograms (count / mean):\n";
-    for (const auto& h : snap.histograms) {
-      const double mean =
-          h.count ? static_cast<double>(h.sum) / static_cast<double>(h.count) : 0.0;
-      std::snprintf(line, sizeof(line), "  %-44s %12llu / %.1f\n", h.name.c_str(),
-                    static_cast<unsigned long long>(h.count), mean);
-      os << line;
-    }
-  }
-  return os.str();
-}
-
 bool write_metrics_json(const std::string& path) {
   const std::string json =
       "{\"build\":" + build_info_json() + ",\"metrics\":" + metrics_json() + "}";
@@ -318,17 +285,6 @@ bool write_metrics_json(const std::string& path) {
     return false;
   }
   return true;
-}
-
-void reset_metrics() {
-  {
-    Registry& r = registry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    for (auto& [name, c] : r.counters) c->reset();
-    for (auto& [name, g] : r.gauges) g->reset();
-    for (auto& [name, h] : r.histograms) h->reset();
-  }
-  reset_rolling();
 }
 
 }  // namespace qc::obs

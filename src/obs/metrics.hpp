@@ -5,7 +5,7 @@
 // / histogram(); creation takes a registry mutex, so hot paths bind a
 // reference once (function-local static) and then update it with relaxed
 // atomics only. A snapshot of every instrument is available programmatically
-// (metrics_snapshot / metrics_json / metrics_table) and, when
+// (metrics_snapshot / metrics_json / metrics_prometheus) and, when
 // QAPPROX_METRICS=<path> is set, written as JSON at process exit.
 //
 // Duration histograms are gated behind timing_enabled(): clock reads are the
@@ -133,15 +133,8 @@ std::string metrics_json();
 /// window plus monotonic _sum/_count totals.
 std::string metrics_prometheus();
 
-/// Human-readable table (histograms summarized as count/mean).
-std::string metrics_table();
-
 /// Writes {"build": <build info>, "metrics": <metrics_json()>} to `path`.
 /// Returns false (and logs an error) when the file cannot be written.
 bool write_metrics_json(const std::string& path);
-
-/// Zeroes every registered instrument, including rolling histograms (tests;
-/// instruments stay registered).
-void reset_metrics();
 
 }  // namespace qc::obs

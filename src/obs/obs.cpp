@@ -55,7 +55,6 @@ void init_from_env() {
   });
 }
 
-const std::string& trace_export_path() { return trace_path_storage(); }
 const std::string& metrics_export_path() { return metrics_path_storage(); }
 
 void flush_exports() { export_at_exit(); }

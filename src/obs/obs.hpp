@@ -28,8 +28,7 @@ namespace qc::obs {
 /// at-exit exporters. Idempotent, thread-safe, cheap after the first call.
 void init_from_env();
 
-/// Export paths resolved by init_from_env ("" when the variable was unset).
-const std::string& trace_export_path();
+/// QAPPROX_METRICS export path resolved by init_from_env ("" when unset).
 const std::string& metrics_export_path();
 
 /// Writes the armed QAPPROX_TRACE / QAPPROX_METRICS exports immediately (the

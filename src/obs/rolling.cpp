@@ -203,17 +203,6 @@ RollingHistogram& rolling_histogram(std::string_view name,
   return *it->second;
 }
 
-std::vector<std::pair<std::string, RollingSnapshot>> rolling_snapshots_at(
-    std::uint64_t now_ns) {
-  RollingRegistry& r = rolling_registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  std::vector<std::pair<std::string, RollingSnapshot>> out;
-  out.reserve(r.map.size());
-  for (const auto& [name, h] : r.map)
-    out.emplace_back(name, h->snapshot_at(now_ns));
-  return out;
-}
-
 std::vector<std::pair<std::string, RollingSnapshot>> rolling_snapshots() {
   RollingRegistry& r = rolling_registry();
   std::lock_guard<std::mutex> lock(r.mu);

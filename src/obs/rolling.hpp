@@ -126,8 +126,6 @@ RollingHistogram& rolling_histogram(std::string_view name,
 
 /// Snapshots of every registered rolling histogram, sorted by name.
 std::vector<std::pair<std::string, RollingSnapshot>> rolling_snapshots();
-std::vector<std::pair<std::string, RollingSnapshot>> rolling_snapshots_at(
-    std::uint64_t now_ns);
 
 /// Zeroes every registered rolling histogram (tests).
 void reset_rolling();

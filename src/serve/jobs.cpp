@@ -129,7 +129,8 @@ JobOutcome run_simulate_job(const json::Value& params,
                                         params.get_string("mode", "simulator"));
   const std::int64_t shots = params.get_int(
       "shots", static_cast<std::int64_t>(req.config.shots));
-  QC_CHECK_MSG(shots >= 1 && shots <= (1 << 20), "\"shots\" out of range");
+  QC_CHECK_MSG(shots >= 1 && static_cast<std::size_t>(shots) <= driver::kMaxShots,
+               "\"shots\" out of range");
   req.config.shots = static_cast<std::size_t>(shots);
   req.config.seed = static_cast<std::uint64_t>(
       params.get_int("seed", static_cast<std::int64_t>(driver::default_seed(11))));

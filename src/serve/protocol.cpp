@@ -6,18 +6,6 @@ namespace qc::serve {
 
 namespace json = common::json;
 
-const char* request_type_name(RequestType type) {
-  switch (type) {
-    case RequestType::Ping: return "ping";
-    case RequestType::Simulate: return "simulate";
-    case RequestType::Synthesize: return "synthesize";
-    case RequestType::Stats: return "stats";
-    case RequestType::Metrics: return "metrics";
-    case RequestType::Shutdown: return "shutdown";
-  }
-  return "unknown";
-}
-
 namespace {
 
 bool type_from_name(const std::string& name, RequestType* out) {

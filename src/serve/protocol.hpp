@@ -42,8 +42,6 @@ namespace qc::serve {
 /// behind jobs — a dashboard poll must not wait for a synthesis batch.
 enum class RequestType { Ping, Simulate, Synthesize, Stats, Metrics, Shutdown };
 
-const char* request_type_name(RequestType type);
-
 /// Parsed request envelope (params stay schemaless; job builders interpret
 /// them).
 struct RequestEnvelope {

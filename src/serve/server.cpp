@@ -34,12 +34,15 @@ using common::env_size;
 
 namespace {
 
+/// Span of one rolling-histogram window for the per-job SLO metrics and of
+/// one tail-sampling window: 1000 ms.
+constexpr std::uint64_t kMetricsWindowNs = 1'000'000'000ull;
+
 TailSamplerOptions tail_options(const ServerOptions& opts) {
   TailSamplerOptions t;
   t.dir = opts.trace_dir;
   t.top_k = opts.tail_top_k;
-  t.window_ns = static_cast<std::uint64_t>(
-      std::max(1.0, opts.metrics_window_ms) * 1e6);
+  t.window_ns = kMetricsWindowNs;
   return t;
 }
 
@@ -95,9 +98,6 @@ ServerOptions ServerOptions::from_env() {
   opts.tail_top_k = env_size("QAPPROX_TAIL_K", opts.tail_top_k);
   opts.metrics_period_ms =
       env_double("QAPPROX_METRICS_PERIOD_MS", opts.metrics_period_ms);
-  opts.metrics_window_ms =
-      env_double("QAPPROX_METRICS_WINDOW_MS", opts.metrics_window_ms);
-  if (opts.metrics_window_ms <= 0.0) opts.metrics_window_ms = 1000.0;
   if (const char* dir = std::getenv("QAPPROX_JOURNAL_DIR"))
     if (*dir != '\0') opts.journal_dir = dir;
   opts.replay_cache_cap =
@@ -599,10 +599,8 @@ void QapproxServer::record_job_metrics(const char* kind,
                                        std::uint64_t latency_ns,
                                        std::uint64_t queue_wait_ns,
                                        std::uint64_t exec_ns) {
-  const std::uint64_t window_ns = static_cast<std::uint64_t>(
-      std::max(1.0, options_.metrics_window_ms) * 1e6);
   const auto rec = [&](const std::string& name, std::uint64_t v) {
-    obs::rolling_histogram(name, window_ns).record(v);
+    obs::rolling_histogram(name, kMetricsWindowNs).record(v);
   };
   // Per kind, per tenant, then the aggregates, latency last: a reader that
   // sees the aggregate latency sample sees every other sample of the job.

@@ -82,9 +82,6 @@ struct ServerOptions {
   /// JSON to the QAPPROX_METRICS path and Prometheus text next to it
   /// (`<path>.prom`), both via atomic rename (QAPPROX_METRICS_PERIOD_MS).
   double metrics_period_ms = 0.0;
-  /// Span of one rolling-histogram window for the per-job SLO metrics
-  /// (QAPPROX_METRICS_WINDOW_MS). Geometry is fixed at first use.
-  double metrics_window_ms = 1000.0;
   /// Job-journal directory ("" = crash durability off). When set, idem-keyed
   /// jobs are journaled (see journal.hpp) and restart re-enqueues incomplete
   /// work (QAPPROX_JOURNAL_DIR).
@@ -101,8 +98,7 @@ struct ServerOptions {
 
   /// Reads QAPPROX_SERVE_SOCKET / _WORKERS / _QUEUE_CAP /
   /// QAPPROX_SYNTH_CACHE_DIR / QAPPROX_TRACE_DIR / QAPPROX_TAIL_K /
-  /// QAPPROX_METRICS_PERIOD_MS / QAPPROX_METRICS_WINDOW_MS /
-  /// QAPPROX_JOURNAL_DIR / QAPPROX_REPLAY_CACHE / QAPPROX_WRITE_BUDGET /
+  /// QAPPROX_METRICS_PERIOD_MS / QAPPROX_JOURNAL_DIR / QAPPROX_REPLAY_CACHE / QAPPROX_WRITE_BUDGET /
   /// QAPPROX_WATCHDOG_MS / QAPPROX_WATCHDOG_GRACE (malformed numbers warn
   /// and keep defaults).
   static ServerOptions from_env();

@@ -91,7 +91,9 @@ struct CompiledCircuit {
   std::size_t source_gates = 0;  // unitary gates before fusion
   std::size_t fused_gates = 0;   // gates merged into a neighbouring step
   FusedBlocksByK fused_blocks_by_k{};  // fused steps by final arity
-  linalg::KernelCounts kernel_counts;  // dispatch classes of the final steps
+  /// Dispatch class of each final step unitary, one count per step; the
+  /// noise operators' kernels and per-shot applications are not counted.
+  linalg::KernelCounts kernel_counts;
 
   /// The noise that follows `step` (empty for kNoNoise).
   std::span<const CompiledNoiseOp> noise(const CompiledStep& step) const {

@@ -17,8 +17,9 @@
 // the full intermediate stream is recorded with each entry and replayed into
 // the caller's callback on a hit.
 //
-// Each result type is a common::LruCache of 128 entries; the per-call
-// `use_cache` options (default on) bypass it for reference runs.
+// Each result type is a common::LruCache of 128 entries. Every call goes
+// through it; reference runs and benchmarks that need a fresh search call
+// clear_synth_cache() first.
 #pragma once
 
 #include <bit>
@@ -100,22 +101,19 @@ decltype(auto) with_result_type(SynthTool tool, F&& f) {
 }
 
 /// The one cached call. `run(stream)` runs the tool, appending every
-/// intermediate it reports to `stream`. With `use_cache` off it just runs.
-/// Otherwise a hit replays the recorded stream into `replay` and returns the
-/// stored result, and a miss runs and stores the result with its stream —
-/// unless the run timed out: a truncated search is not *the* result for its
+/// intermediate it reports to `stream`. A hit replays the recorded stream
+/// into `replay` and returns the stored result, and a miss runs and stores
+/// the result with its stream — unless the run timed out: a truncated search is not *the* result for its
 /// key. Lookups copy entries out, so no lock is held while a tool runs.
 template <class Result, class Run>
-Result cached_synthesis(const SynthKey& key, bool use_cache, const IntermediateCallback& replay,
-                        Run&& run) {
-  std::vector<ApproxCircuit> stream;
-  if (!use_cache) return run(stream);
+Result cached_synthesis(const SynthKey& key, const IntermediateCallback& replay, Run&& run) {
   common::LruCache<SynthKey, Cached<Result>>& cache = synth_cache<Result>();
   if (std::optional<Cached<Result>> hit = cache.get(key)) {
     if (replay)
       for (const ApproxCircuit& record : hit->stream) replay(record);
     return std::move(hit->result);
   }
+  std::vector<ApproxCircuit> stream;
   Result result = run(stream);
   if (!result.timed_out) cache.put(key, Cached<Result>{result, std::move(stream)});
   return result;

@@ -44,7 +44,6 @@ class HsCost {
   /// synth.gradient_ns when timing is armed).
   void gradient(const std::vector<double>& params, std::vector<double>& grad) const;
 
-  const TemplateCircuit& circuit_template() const { return tpl_; }
   const linalg::Matrix& target() const { return *target_; }
 
  private:

@@ -226,6 +226,8 @@ OptimizeResult nelder_mead_minimize(const CostFn& f, const std::vector<double>& 
 OptimizeResult multistart_minimize(const CostFn& f, const GradFn& grad,
                                    const std::vector<double>& x0, common::Rng& rng,
                                    const MultistartOptions& options) {
+  // A start this close to zero cost cannot be beaten by another.
+  constexpr double kGoodEnough = 1e-14;
   QC_CHECK(options.num_starts >= 1);
   OptimizeResult best;
   bool have_best = false;
@@ -245,7 +247,7 @@ OptimizeResult multistart_minimize(const CostFn& f, const GradFn& grad,
     } else {
       best.evaluations += r.evaluations;
     }
-    if (best.value <= options.good_enough) break;
+    if (best.value <= kGoodEnough) break;
   }
   return best;
 }

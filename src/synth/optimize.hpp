@@ -48,9 +48,8 @@ OptimizeResult nelder_mead_minimize(const CostFn& f, const std::vector<double>& 
 struct MultistartOptions {
   OptimizeOptions inner;
   int num_starts = 4;
-  /// First start is x0 itself; the rest perturb/randomize angles in
-  /// [-pi, pi). Stops early when `good_enough` is reached.
-  double good_enough = 1e-14;
+  /// First start is x0 itself; the rest randomize angles in [-pi, pi).
+  /// Stops early once a start reaches cost 1e-14.
 };
 
 /// Runs L-BFGS from x0 and from random restarts; returns the best.

@@ -52,8 +52,7 @@ Partition make_partition(const QuantumCircuit& circuit, const std::set<int>& sup
 }  // namespace
 
 std::vector<Partition> partition_circuit_dag(const QuantumCircuit& circuit,
-                                             int block_qubits,
-                                             std::size_t max_block_gates) {
+                                             int block_qubits) {
   QC_CHECK(block_qubits >= 2);
 
   // Invariant: every qubit is owned by at most one open block, and ownership
@@ -114,7 +113,6 @@ std::vector<Partition> partition_circuit_dag(const QuantumCircuit& circuit,
       owner[static_cast<std::size_t>(q)] = b;
     }
     b->gate_indices.push_back(i);
-    if (max_block_gates > 0 && b->gate_indices.size() >= max_block_gates) close(b);
   };
   auto open_block = [&](const Gate& g, std::size_t i) {
     auto b = std::make_unique<OpenBlock>();
@@ -259,7 +257,7 @@ PartitionedSynthesisResult resynthesize_partitioned(
   const QuantumCircuit lowered = transpile::decompose_to_cx_u3(circuit);
   const QuantumCircuit basis = lowered.unitary_part();
   const std::vector<Partition> partitions =
-      partition_circuit_dag(basis, block_qubits, options.max_block_gates);
+      partition_circuit_dag(basis, block_qubits);
 
   const SynthCacheStats cache_before = synth_cache_stats();
 
@@ -371,7 +369,7 @@ PartitionedSynthesisResult resynthesize_partitioned(
       QSearchResult found =
           qsearch_synthesize(problem.target, problem.num_qubits, qopts);
       if (found.timed_out) problem.timed_out = true;
-      if (options.qfactor_polish && !found.best.circuit.is_null()) {
+      if (!found.best.circuit.is_null()) {
         QFactorOptions fopts;
         fopts.deadline = qopts.deadline;
         QFactorResult polished =

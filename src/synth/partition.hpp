@@ -53,10 +53,8 @@ struct Partition {
 /// (gates only commute across blocks when they share no qubits). Barriers
 /// close every open block; Measure gates throw (partition the unitary_part);
 /// every unitary gate lands in exactly one block.
-/// `max_block_gates` closes any block reaching that many gates (0 = off).
 std::vector<Partition> partition_circuit_dag(const ir::QuantumCircuit& circuit,
-                                             int block_qubits,
-                                             std::size_t max_block_gates = 0);
+                                             int block_qubits);
 
 /// Canonical identity of one block's synthesis problem: the content hashes
 /// are paired with exact shape discriminators (dimensions and gate counts),
@@ -78,11 +76,6 @@ struct PartitionedSynthesisOptions {
   /// Block width cap. Values outside [2, 4] are clamped with a warning
   /// (QSearch above 4 qubits is no longer "small blocks").
   int block_qubits = 3;
-  /// Close a block once it holds this many gates even if its support still
-  /// has room; 0 = unbounded. Bounding the window keeps block unitaries
-  /// near-identity on deep circuits (they compress under smaller budgets)
-  /// and keeps recurring Trotter blocks aligned.
-  std::size_t max_block_gates = 0;
   /// Flat per-block HS budget, used when total_hs_budget == 0 (the original
   /// uniform interface).
   double block_hs_budget = 0.05;
@@ -107,9 +100,9 @@ struct PartitionedSynthesisOptions {
   /// search; on expiry the remaining blocks pass through unchanged and the
   /// result is flagged `timed_out`.
   common::Deadline deadline;
+  /// Each block's search; every block it finds is then polished with
+  /// QFactor sweeps.
   QSearchOptions qsearch;
-  /// Polish each accepted block with QFactor sweeps.
-  bool qfactor_polish = true;
 };
 
 /// Per-block accounting (satellite of the partition stats surface).

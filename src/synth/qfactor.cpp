@@ -258,7 +258,7 @@ QFactorResult qfactor_optimize(const QuantumCircuit& structure, const Matrix& ta
                                  options.max_sweeps),
                      0};
   return cached_synthesis<QFactorResult>(
-      key, options.use_cache, {},
+      key, {},
       [&](std::vector<ApproxCircuit>&) { return run_qfactor(structure, target, options); });
 }
 

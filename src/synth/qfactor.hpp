@@ -28,9 +28,6 @@ struct QFactorOptions {
   /// Polled once per sweep; on expiry the current (monotonically improved)
   /// angles are returned flagged `timed_out`.
   common::Deadline deadline;
-  /// Memoize the whole run on (target, structure, options). Timed-out runs
-  /// are never cached.
-  bool use_cache = true;
 };
 
 struct QFactorResult {
@@ -45,7 +42,8 @@ struct QFactorResult {
 /// Re-optimizes every U3 in `structure` (a {CX, U3} circuit; other gates are
 /// lowered first) against `target`, keeping the CX skeleton fixed. The
 /// incoming U3 angles are the starting point, so this doubles as a
-/// fine-tuner for QSearch/QFast output.
+/// fine-tuner for QSearch/QFast output. Memoized in the synthesis cache
+/// (synth/cache.hpp).
 QFactorResult qfactor_optimize(const ir::QuantumCircuit& structure,
                                const linalg::Matrix& target,
                                const QFactorOptions& options = {});

@@ -111,7 +111,7 @@ QFastResult qfast_synthesize(const linalg::Matrix& target, int num_qubits,
                      synthesis_edges(num_qubits, coupling), keyed_options(options),
                      options.seed};
   return cached_synthesis<QFastResult>(
-      key, options.use_cache, options.partial_solution_callback,
+      key, options.partial_solution_callback,
       [&](std::vector<ApproxCircuit>& stream) {
         return run_qfast(target, num_qubits, options, key.edges, stream);
       });

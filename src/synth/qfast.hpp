@@ -31,10 +31,6 @@ struct QFastOptions {
   /// Polled before each depth growth and inside each depth's optimization;
   /// on expiry the best circuit so far is returned flagged `timed_out`.
   common::Deadline deadline;
-  /// Memoize the whole run on (target, edges, options, seed); repeated calls
-  /// replay the recorded partial-solution stream. Timed-out runs are never
-  /// cached.
-  bool use_cache = true;
 };
 
 struct QFastResult {
@@ -47,7 +43,8 @@ struct QFastResult {
 
 /// Synthesizes `target`; block placement follows a fixed deterministic sweep
 /// over `coupling` edges (or all pairs when null), mirroring the tool's
-/// layered exploration.
+/// layered exploration. Memoized in the synthesis cache (synth/cache.hpp),
+/// which replays the recorded partial-solution stream on a hit.
 QFastResult qfast_synthesize(const linalg::Matrix& target, int num_qubits,
                              const QFastOptions& options = {},
                              const noise::CouplingMap* coupling = nullptr);

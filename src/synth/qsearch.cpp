@@ -215,7 +215,7 @@ QSearchResult qsearch_synthesize(const linalg::Matrix& target, int num_qubits,
                      synthesis_edges(num_qubits, coupling), keyed_options(options),
                      options.seed};
   return cached_synthesis<QSearchResult>(
-      key, options.use_cache, options.intermediate_callback,
+      key, options.intermediate_callback,
       [&](std::vector<ApproxCircuit>& stream) {
         return run_qsearch(target, num_qubits, options, key.edges, stream);
       });

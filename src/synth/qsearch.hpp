@@ -62,10 +62,6 @@ struct QSearchOptions {
   /// Results are bit-identical to the serial schedule (children are merged
   /// sequentially in edge order; see DESIGN.md §10).
   bool parallel_children = true;
-  /// Memoize the whole search on (target, edges, options, seed); repeated
-  /// calls replay the recorded intermediate stream and return the first
-  /// run's result. Timed-out runs are never cached.
-  bool use_cache = true;
   /// Pool for parallel_children; null means ThreadPool::global(). Tests pin
   /// explicit sizes here (QAPPROX_THREADS is read once per process).
   common::ThreadPool* pool = nullptr;
@@ -86,7 +82,9 @@ struct QSearchResult {
 /// Synthesizes `target` over `num_qubits` qubits. If `coupling` is given,
 /// expansion blocks are restricted to its edges (machine-aware synthesis);
 /// otherwise all qubit pairs are allowed. Throws SynthesisError when the
-/// synth fault-injection site fires (keyed by options.seed).
+/// synth fault-injection site fires (keyed by options.seed). Memoized in
+/// the synthesis cache (synth/cache.hpp): a repeated call replays the
+/// recorded intermediate stream and returns the first run's result.
 QSearchResult qsearch_synthesize(const linalg::Matrix& target, int num_qubits,
                                  const QSearchOptions& options = {},
                                  const noise::CouplingMap* coupling = nullptr);

@@ -74,7 +74,6 @@ class TemplateCircuit {
   int num_params() const { return 3 * num_u3_; }
   /// Number of CX gates in the structure.
   std::size_t cx_count() const { return num_cx_; }
-  std::size_t num_ops() const { return ops_.size(); }
   /// The structural slots, in application order (op 0 acts first).
   const std::vector<Op>& ops() const { return ops_; }
 

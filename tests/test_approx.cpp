@@ -3,7 +3,6 @@
 
 #include <cmath>
 
-#include "approx/archive.hpp"
 #include "approx/experiment.hpp"
 #include "approx/mapping_study.hpp"
 #include "approx/selection.hpp"
@@ -245,13 +244,17 @@ TEST(MappingStudy, EnumerationRanksByCost) {
   ir::QuantumCircuit qc = ir::QuantumCircuit(3);
   qc.cx(0, 1).cx(1, 2);
   const auto device = noise::device_by_name("toronto");
-  const auto mappings = enumerate_mappings(qc, device, 3);
-  ASSERT_EQ(mappings.size(), 4u);  // 3 manual + auto
+  const auto mappings = enumerate_mappings(qc, device);
+  ASSERT_EQ(mappings.size(), 5u);  // 4 manual + auto
   EXPECT_EQ(mappings[0].label, "best");
-  EXPECT_EQ(mappings[2].label, "worst");
-  EXPECT_LE(mappings[0].cost, mappings[2].cost);
-  EXPECT_EQ(mappings[3].label, "auto");
-  EXPECT_TRUE(mappings[3].layout.empty());
+  EXPECT_EQ(mappings[1].label, "mid1");
+  EXPECT_EQ(mappings[2].label, "mid2");
+  EXPECT_EQ(mappings[3].label, "worst");
+  EXPECT_LE(mappings[0].cost, mappings[1].cost);
+  EXPECT_LE(mappings[1].cost, mappings[2].cost);
+  EXPECT_LE(mappings[2].cost, mappings[3].cost);
+  EXPECT_EQ(mappings[4].label, "auto");
+  EXPECT_TRUE(mappings[4].layout.empty());
 }
 
 TEST(MappingStudy, DeviceReportsCoverEverything) {
@@ -282,31 +285,6 @@ TEST(Selection, NoiseAwarePrefersShallowOnNoisyDevices) {
   circuits.push_back(make_fake(3, 0.12));   // shallow, approximate
   EXPECT_EQ(noise_aware_index(circuits, 0.001), 0u);  // quiet machine: depth ok
   EXPECT_EQ(noise_aware_index(circuits, 0.05), 1u);   // noisy machine: go shallow
-}
-
-TEST(Archive, RoundTripsACircuitSet) {
-  std::vector<synth::ApproxCircuit> circuits;
-  circuits.push_back(make_fake(2, 0.125));
-  circuits.push_back(make_fake(5, 0.0625));
-  circuits[0].source = "qsearch";
-  circuits[1].source = "reducer";
-
-  const std::string dir = ::testing::TempDir() + "/qapprox_archive_test";
-  save_circuit_set(dir, circuits);
-  const auto loaded = load_circuit_set(dir);
-  ASSERT_EQ(loaded.size(), 2u);
-  for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(loaded[i].cnot_count, circuits[i].cnot_count);
-    EXPECT_DOUBLE_EQ(loaded[i].hs_distance, circuits[i].hs_distance);
-    EXPECT_EQ(loaded[i].source, circuits[i].source);
-    EXPECT_LT(metrics::hs_distance(loaded[i].circuit.to_unitary(),
-                                   circuits[i].circuit.to_unitary()),
-              1e-9);
-  }
-}
-
-TEST(Archive, LoadFromMissingDirectoryThrows) {
-  EXPECT_THROW(load_circuit_set("/nonexistent/qapprox_archive"), common::Error);
 }
 
 }  // namespace

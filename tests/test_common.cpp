@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/cli.hpp"
+#include "common/driver.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/lru_cache.hpp"
@@ -244,6 +245,36 @@ TEST(Cli, BoolParsing) {
   EXPECT_TRUE(args.get_bool("a", false));
   EXPECT_FALSE(args.get_bool("b", true));
   EXPECT_TRUE(args.get_bool("c", false));
+}
+
+TEST(Cli, GetIntRejectsTrailingTextAndOverflow) {
+  const char* argv[] = {"prog", "--a=12x", "--b=abc", "--c=-7", "--d=99999999999", "--e="};
+  CliArgs args(6, argv);
+  for (const char* name : {"a", "b", "d", "e"}) {
+    try {
+      args.get_int(name, 0);
+      ADD_FAILURE() << "--" << name << " parsed";
+    } catch (const ContractError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + name), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(args.get_int("c", 0), -7);
+  EXPECT_EQ(args.get_int("missing", 5), 5);
+}
+
+TEST(Cli, DriverContextBoundsShots) {
+  const auto shots_for = [](const char* value) {
+    const char* argv[] = {"prog", "--shots", value};
+    return driver::DriverContext(3, const_cast<char**>(argv), "test").shots;
+  };
+  EXPECT_EQ(shots_for("1"), 1u);
+  EXPECT_EQ(shots_for("512"), 512u);
+  EXPECT_EQ(shots_for("1048576"), driver::kMaxShots);
+  for (const char* bad : {"-1", "0", "12x", "abc", "1048577"})
+    EXPECT_THROW(shots_for(bad), ContractError) << bad;
+  const char* argv[] = {"prog"};
+  EXPECT_EQ(driver::DriverContext(1, const_cast<char**>(argv), "test").shots, 2048u);
 }
 
 TEST(Strings, SplitTrimLower) {

@@ -183,7 +183,7 @@ TEST(ExecutionEngineTest, ScatterStudyTranspilesEachUniqueCircuitExactlyOnce) {
                                                simulator_config(), metric, &engine);
   ASSERT_EQ(study.scores.size(), approximations.size());
 
-  const exec::CacheStats stats = engine.cache_stats();
+  const exec::CacheStats stats = engine.cache_stats_snapshot().stats;
   // 4 unique circuits (reference + 3 distinct Trotter prefixes): 4 transpile
   // misses and zero redundant transpiles.
   EXPECT_EQ(stats.transpile_misses, 4u);
@@ -197,7 +197,7 @@ TEST(ExecutionEngineTest, ScatterStudyTranspilesEachUniqueCircuitExactlyOnce) {
   // Re-running the identical study costs zero new misses.
   const auto again = approx::run_scatter_study(reference, approximations,
                                                simulator_config(), metric, &engine);
-  const exec::CacheStats stats2 = engine.cache_stats();
+  const exec::CacheStats stats2 = engine.cache_stats_snapshot().stats;
   EXPECT_EQ(stats2.transpile_misses, stats.transpile_misses);
   EXPECT_EQ(stats2.model_misses, stats.model_misses);
   EXPECT_EQ(again.reference_metric, study.reference_metric);
@@ -246,7 +246,7 @@ TEST(ExecutionEngineTest, ClearCachesResetsCounters) {
   exec::ExecutionEngine engine;
   engine.run({small_circuit(), simulator_config()});
   engine.clear_caches();
-  const auto stats = engine.cache_stats();
+  const auto stats = engine.cache_stats_snapshot().stats;
   EXPECT_EQ(stats.transpile_hits + stats.transpile_misses, 0u);
   const auto result = engine.run({small_circuit(), simulator_config()});
   EXPECT_FALSE(result.record.transpile_cache_hit);

@@ -16,6 +16,7 @@
 #include "noise/catalog.hpp"
 #include "sim/compiled.hpp"
 #include "sim/observables.hpp"
+#include "synth/cache.hpp"
 #include "transpile/pipeline.hpp"
 
 namespace qc {
@@ -161,7 +162,10 @@ TEST(Integration, EndToEndDeterminism) {
   cfg.generator = approx::tfim_generator_preset(3);
   cfg.generator.qsearch.max_nodes = 4;
   cfg.execution = approx::ExecutionConfig::simulator(noise::device_by_name("ourense"));
+  // Both studies synthesize from scratch; a cache hit would compare nothing.
+  synth::clear_synth_cache();
   const auto a = approx::run_tfim_study(cfg);
+  synth::clear_synth_cache();
   const auto b = approx::run_tfim_study(cfg);
   ASSERT_EQ(a.timesteps.size(), b.timesteps.size());
   ASSERT_EQ(a.timesteps[0].scores.size(), b.timesteps[0].scores.size());

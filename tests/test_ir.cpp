@@ -132,7 +132,6 @@ TEST(Circuit, BuilderAndCounts) {
   qc.h(0).cx(0, 1).cx(1, 2).rz(0.5, 2).ccx(0, 1, 2);
   EXPECT_EQ(qc.size(), 5u);
   EXPECT_EQ(qc.count(GateKind::CX), 2u);
-  EXPECT_EQ(qc.two_qubit_gate_count(), 2u);  // CCX is 3-qubit
   EXPECT_FALSE(qc.in_cx_u3_basis());
   EXPECT_FALSE(qc.has_measurements());
   qc.measure_all();
@@ -152,7 +151,6 @@ TEST(Circuit, DepthComputation) {
   qc.cx(1, 2);                // depth 3
   qc.x(0);                    // fits at depth 3 on wire 0
   EXPECT_EQ(qc.depth(), 3u);
-  EXPECT_EQ(qc.two_qubit_depth(), 2u);
 }
 
 TEST(Circuit, ToUnitaryMatchesEmbeddedProduct) {
@@ -179,13 +177,6 @@ TEST(Circuit, InverseWithMeasureThrows) {
   EXPECT_THROW(qc.inverse(), common::Error);
 }
 
-TEST(Circuit, RemapMovesOperands) {
-  QuantumCircuit qc(2);
-  qc.cx(0, 1);
-  const QuantumCircuit wide = qc.remapped({2, 0}, 3);
-  EXPECT_EQ(wide.gate(0).qubits, (std::vector<int>{2, 0}));
-}
-
 TEST(Circuit, UnitaryPartStripsNonUnitary) {
   QuantumCircuit qc(2);
   qc.h(0).barrier();
@@ -209,14 +200,10 @@ TEST(Dag, WiresFollowProgramOrder) {
   qc.x(1);          // 2
   qc.cx(1, 2);      // 3
   const DagView dag(qc);
-  EXPECT_EQ(dag.front_on_qubit(0), 0u);
   EXPECT_EQ(dag.next_on_qubit(0, 0), 1u);
   EXPECT_EQ(dag.next_on_qubit(1, 1), 2u);
   EXPECT_EQ(dag.next_on_qubit(2, 1), 3u);
   EXPECT_EQ(dag.next_on_qubit(3, 2), DagView::kNone);
-  EXPECT_EQ(dag.prev_on_qubit(3, 1), 2u);
-  EXPECT_EQ(dag.predecessors(1), (std::vector<std::size_t>{0}));
-  EXPECT_EQ(dag.successors(1), (std::vector<std::size_t>{2}));
 }
 
 TEST(Dag, RejectsWrongQubitQuery) {

@@ -53,13 +53,6 @@ TEST(Process, AverageGateFidelityKnownValue) {
               1.0 / 3.0, 1e-12);
 }
 
-TEST(Process, DiamondBoundDominatesHs) {
-  common::Rng rng(4);
-  const Matrix u = linalg::random_unitary(4, rng);
-  const Matrix v = linalg::random_unitary(4, rng);
-  EXPECT_GE(diamond_distance_bound(u, v), hs_distance(u, v));
-}
-
 TEST(Distributions, ValidationHelpers) {
   EXPECT_TRUE(is_distribution({0.25, 0.75}));
   EXPECT_FALSE(is_distribution({0.5, 0.6}));
@@ -71,8 +64,6 @@ TEST(Distributions, ValidationHelpers) {
 
 TEST(Distributions, Factories) {
   EXPECT_EQ(uniform_distribution(4), (std::vector<double>{0.25, 0.25, 0.25, 0.25}));
-  EXPECT_EQ(delta_distribution(3, 1), (std::vector<double>{0.0, 1.0, 0.0}));
-  EXPECT_THROW(delta_distribution(3, 3), common::Error);
   EXPECT_EQ(counts_to_distribution({1, 3}), (std::vector<double>{0.25, 0.75}));
 }
 
@@ -80,20 +71,6 @@ TEST(Tvd, KnownValuesAndProperties) {
   EXPECT_NEAR(total_variation({1, 0}, {0, 1}), 1.0, 1e-12);
   EXPECT_NEAR(total_variation({0.5, 0.5}, {0.5, 0.5}), 0.0, 1e-12);
   EXPECT_NEAR(total_variation({0.7, 0.3}, {0.4, 0.6}), 0.3, 1e-12);
-}
-
-TEST(Kl, KnownValueAndAsymmetry) {
-  const std::vector<double> p = {0.75, 0.25};
-  const std::vector<double> q = {0.5, 0.5};
-  const double expect = 0.75 * std::log(1.5) + 0.25 * std::log(0.5);
-  EXPECT_NEAR(kl_divergence(p, q), expect, 1e-12);
-  EXPECT_NE(kl_divergence(p, q), kl_divergence(q, p));
-}
-
-TEST(Kl, ZeroSupportHandling) {
-  EXPECT_THROW(kl_divergence({0.5, 0.5}, {1.0, 0.0}), common::Error);
-  // Smoothing makes it finite.
-  EXPECT_GT(kl_divergence({0.5, 0.5}, {1.0, 0.0}, 1e-6), 0.0);
 }
 
 TEST(Js, BoundsAndSymmetry) {
@@ -125,18 +102,6 @@ TEST(Js, PaperRandomNoiseAnchor) {
     const double d = js_distance(ideal, uniform_distribution(dim));
     EXPECT_NEAR(d, 0.4645, 5e-4) << n;
   }
-}
-
-TEST(Hellinger, PropertiesAndFidelityRelation) {
-  const std::vector<double> p = {0.6, 0.4};
-  const std::vector<double> q = {0.1, 0.9};
-  const double h = hellinger(p, q);
-  EXPECT_GT(h, 0.0);
-  EXPECT_LT(h, 1.0);
-  EXPECT_NEAR(hellinger(p, p), 0.0, 1e-7);
-  // fidelity = (1 - h^2)^2.
-  EXPECT_NEAR(classical_fidelity(p, q), std::pow(1.0 - h * h, 2.0), 1e-12);
-  EXPECT_NEAR(classical_fidelity(p, p), 1.0, 1e-12);
 }
 
 TEST(Distributions, SizeMismatchThrows) {

@@ -325,6 +325,40 @@ TEST(Catalog, UnknownDeviceThrows) {
   EXPECT_THROW(device_by_name("kolkata"), common::Error);
 }
 
+// The engine caches one noise model per (device, options fingerprint), so an
+// option the fingerprint skips would hand two option sets the same model.
+TEST(NoiseModelOptions, EveryFieldChangesTheFingerprint) {
+  // Adding a field changes the size: list the field below and in fingerprint().
+  static_assert(sizeof(NoiseModelOptions) == 48,
+                "NoiseModelOptions changed: cover the new field here and in fingerprint()");
+  using Flip = void (*)(NoiseModelOptions&);
+  const std::vector<std::pair<const char*, Flip>> flips = {
+      {"thermal_relaxation",
+       [](NoiseModelOptions& o) { o.thermal_relaxation = !o.thermal_relaxation; }},
+      {"readout", [](NoiseModelOptions& o) { o.readout = !o.readout; }},
+      {"depolarizing", [](NoiseModelOptions& o) { o.depolarizing = !o.depolarizing; }},
+      {"coherent_cx_overrotation",
+       [](NoiseModelOptions& o) { o.coherent_cx_overrotation = !o.coherent_cx_overrotation; }},
+      {"zz_crosstalk", [](NoiseModelOptions& o) { o.zz_crosstalk = !o.zz_crosstalk; }},
+      {"hardware_drift_scale", [](NoiseModelOptions& o) { o.hardware_drift_scale += 0.5; }},
+      {"hardware_readout_scale", [](NoiseModelOptions& o) { o.hardware_readout_scale += 0.5; }},
+      {"idle_relaxation", [](NoiseModelOptions& o) { o.idle_relaxation = !o.idle_relaxation; }},
+      {"uniform_cx_error set", [](NoiseModelOptions& o) { o.uniform_cx_error = 0.0; }},
+  };
+  for (const NoiseModelOptions& base : {NoiseModelOptions{}, NoiseModelOptions::hardware()}) {
+    for (const auto& [name, flip] : flips) {
+      NoiseModelOptions changed = base;
+      flip(changed);
+      EXPECT_NE(changed.fingerprint(), base.fingerprint()) << name;
+    }
+  }
+  NoiseModelOptions low;
+  low.uniform_cx_error = 0.01;
+  NoiseModelOptions high = low;
+  high.uniform_cx_error = 0.02;
+  EXPECT_NE(low.fingerprint(), high.fingerprint()) << "uniform_cx_error value";
+}
+
 TEST(NoiseModel, IdealModelProducesNoOps) {
   const NoiseModel m = NoiseModel::ideal(3);
   EXPECT_TRUE(m.is_ideal());
@@ -362,10 +396,14 @@ TEST(NoiseModel, HardwareModeAddsCoherentAndCrosstalk) {
 
 TEST(NoiseModel, UniformCxErrorOverride) {
   const DeviceProperties d = device_by_name("ourense");
-  const NoiseModel m = simulator_noise_model(d).with_uniform_cx_error(0.12);
+  NoiseModelOptions uniform;
+  uniform.uniform_cx_error = 0.12;
+  const NoiseModel m = NoiseModel::from_device(d, uniform);
   EXPECT_NEAR(m.cx_error(0, 1), 0.12, 1e-12);
   EXPECT_NEAR(m.cx_error(3, 4), 0.12, 1e-12);
-  const NoiseModel scaled = simulator_noise_model(d).with_cx_error_scale(2.0);
+  NoiseModelOptions drifted;
+  drifted.hardware_drift_scale = 2.0;
+  const NoiseModel scaled = NoiseModel::from_device(d, drifted);
   EXPECT_NEAR(scaled.cx_error(0, 1), 2.0 * d.cx_error_for(0, 1), 1e-12);
 }
 

@@ -147,14 +147,6 @@ TEST(DagPartition, RejectsOversizedGatesAndMeasure) {
   EXPECT_THROW(synth::partition_circuit_dag(measured, 2), common::Error);
 }
 
-TEST(DagPartition, MaxBlockGatesCapsWindows) {
-  QuantumCircuit qc(2);
-  for (int i = 0; i < 12; ++i) qc.cx(0, 1);
-  const auto parts = synth::partition_circuit_dag(qc, 2, 4);
-  EXPECT_EQ(parts.size(), 3u);
-  for (const auto& p : parts) EXPECT_LE(p.sub_circuit.size(), 4u);
-}
-
 // ---- canonical block keys --------------------------------------------------
 
 TEST(BlockKey, ExactDiscriminatorsBreakHashCollisions) {

@@ -87,6 +87,14 @@ ir::QuantumCircuit random_every_kind_circuit(int num_qubits, common::Rng& rng) {
   return qc;
 }
 
+/// The hardware preset with every edge's CX error scaled by 4 on top of its
+/// drift: 4 x 4.5 = 18 exactly, so the per-edge products are the preset's x4.
+noise::NoiseModel cx_error_x4_hardware_model(const noise::DeviceProperties& device) {
+  noise::NoiseModelOptions options = noise::NoiseModelOptions::hardware();
+  options.hardware_drift_scale = 18.0;
+  return noise::NoiseModel::from_device(device, options);
+}
+
 // ---- gate-by-gate reference -------------------------------------------------
 //
 // Simulation as it was before every circuit went through compile_noisy_circuit:
@@ -720,7 +728,7 @@ TEST(Compiled, ShotTreeMatchesPerShotOracle) {
   const std::vector<std::pair<const char*, noise::NoiseModel>> models = {
       {"simulator", noise::simulator_noise_model(device)},
       {"hardware", noise::hardware_noise_model(device)},
-      {"hardware, CX error x4", noise::hardware_noise_model(device).with_cx_error_scale(4)},
+      {"hardware, CX error x4", cx_error_x4_hardware_model(device)},
   };
   const std::vector<std::pair<std::size_t, std::size_t>> ranges = {
       {0, 1}, {0, 137}, {137, 500}, {0, 500}};
@@ -979,8 +987,7 @@ TEST(Compiled, ExpiredDeadlineSamplesNoShots) {
 }
 
 TEST(Compiled, DeadlineMidRangeCountsOnlyCompletedShots) {
-  const auto model = noise::hardware_noise_model(noise::device_by_name("rome"))
-                         .with_cx_error_scale(4);
+  const auto model = cx_error_x4_hardware_model(noise::device_by_name("rome"));
   common::Rng rng(12);
   const auto compiled = compile_noisy_circuit(random_basis_circuit(5, 60, rng), model);
   constexpr std::size_t kShots = 20000;

@@ -262,7 +262,10 @@ TEST(QSearch, DeterministicAcrossRuns) {
   QSearchOptions opts;
   opts.max_cnots = 2;
   opts.max_nodes = 5;
+  // Both runs search; a cache hit would compare nothing.
+  clear_synth_cache();
   const QSearchResult a = qsearch_synthesize(qc.to_unitary(), 2, opts);
+  clear_synth_cache();
   const QSearchResult b = qsearch_synthesize(qc.to_unitary(), 2, opts);
   EXPECT_EQ(a.best.cnot_count, b.best.cnot_count);
   EXPECT_DOUBLE_EQ(a.best.hs_distance, b.best.hs_distance);
@@ -1114,11 +1117,11 @@ TEST(QSearch, ParallelChildrenBitIdenticalToSerial) {
 
   auto run = [&](bool parallel, common::ThreadPool& pool,
                  std::vector<ApproxCircuit>& stream) {
+    clear_synth_cache();  // each run searches; a hit would compare nothing
     QSearchOptions opts;
     opts.max_cnots = 3;
     opts.max_nodes = 10;
     opts.optimizer.max_iterations = 40;
-    opts.use_cache = false;
     opts.parallel_children = parallel;
     opts.pool = &pool;
     opts.intermediate_callback = [&stream](const ApproxCircuit& c) {
@@ -1142,12 +1145,12 @@ TEST(QSearch, ParallelMatchesSerialUnderMidSearchExpiry) {
   common::ThreadPool pool4(4);
 
   auto run = [&](bool parallel, std::vector<ApproxCircuit>& stream) {
+    clear_synth_cache();  // each run searches; a hit would compare nothing
     const common::CancelToken token = common::CancelToken::make();
     QSearchOptions opts;
     opts.max_cnots = 4;
     opts.max_nodes = 20;
     opts.optimizer.max_iterations = 40;
-    opts.use_cache = false;
     opts.parallel_children = parallel;
     opts.pool = &pool4;
     opts.deadline = common::Deadline::never().with_token(token);
@@ -1194,11 +1197,11 @@ TEST(QSearch, ParallelMatchesSerialWithFaultsArmed) {
   common::ThreadPool pool4(4);
   auto run = [&](bool parallel, std::uint64_t seed,
                  std::vector<ApproxCircuit>& stream) {
+    clear_synth_cache();  // each run searches; a hit would compare nothing
     QSearchOptions opts;
     opts.max_cnots = 3;
     opts.max_nodes = 6;
     opts.optimizer.max_iterations = 30;
-    opts.use_cache = false;
     opts.parallel_children = parallel;
     opts.pool = &pool4;
     opts.seed = seed;
@@ -1320,9 +1323,9 @@ TEST(QFactor, IncrementalMatchesDenseSweep) {
   QFactorOptions opts;
   opts.max_sweeps = 4;
   opts.tolerance = 0.0;  // run all sweeps in both sweeps
-  opts.use_cache = false;
 
   const QFactorResult dense = dense_qfactor_reference(structure, target, opts);
+  clear_synth_cache();  // run the incremental sweeps, not a stored result
   const QFactorResult inc = qfactor_optimize(structure, target, opts);
 
   EXPECT_EQ(dense.sweeps, inc.sweeps);
@@ -1349,7 +1352,6 @@ TEST(Cache, RepeatedSearchHitsAndReplaysStream) {
   opts.max_cnots = 3;
   opts.max_nodes = 6;
   opts.optimizer.max_iterations = 30;
-  opts.use_cache = true;
 
   const SynthCacheStats before = synth_cache_stats();
   std::vector<ApproxCircuit> first_stream, second_stream;
@@ -1377,7 +1379,6 @@ TEST(Cache, QFactorRunsHit) {
   clear_synth_cache();
   QFactorOptions opts;
   opts.max_sweeps = 8;
-  opts.use_cache = true;
   const SynthCacheStats before = synth_cache_stats();
   const QFactorResult first = qfactor_optimize(structure, target, opts);
   const QFactorResult second = qfactor_optimize(structure, target, opts);
@@ -1387,19 +1388,23 @@ TEST(Cache, QFactorRunsHit) {
   EXPECT_EQ(first.sweeps, second.sweeps);
 }
 
-TEST(Cache, DisabledBypassesLookup) {
+TEST(Cache, ClearForcesAFreshSearch) {
   common::Rng rng(50);
   const Matrix target = linalg::random_unitary(4, rng);
   QSearchOptions opts;
   opts.max_cnots = 2;
   opts.max_nodes = 4;
-  opts.use_cache = false;
   const SynthCacheStats before = synth_cache_stats();
-  qsearch_synthesize(target, 2, opts);
-  qsearch_synthesize(target, 2, opts);
+  clear_synth_cache();
+  const QSearchResult first = qsearch_synthesize(target, 2, opts);
+  clear_synth_cache();
+  const QSearchResult second = qsearch_synthesize(target, 2, opts);
   const SynthCacheStats after = synth_cache_stats();
   EXPECT_EQ(after.hits, before.hits);
-  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.misses - before.misses, 2u);
+  EXPECT_EQ(first.nodes_optimized, second.nodes_optimized);
+  EXPECT_EQ(first.best.hs_distance, second.best.hs_distance);
+  clear_synth_cache();
 }
 
 TEST(Cache, TimedOutRunIsNotStored) {

@@ -14,12 +14,13 @@
 //   QAPPROX_TRACE_DIR          tail-sample capture dir      (default: off)
 //   QAPPROX_METRICS_PERIOD_MS  periodic metrics snapshots to the
 //                              QAPPROX_METRICS path (+ .prom) (default: off)
-//   QAPPROX_METRICS_WINDOW_MS  rolling SLO window span       (default 1000)
 //   QAPPROX_JOURNAL_DIR        crash-durable job journal dir (default: off)
 //   QAPPROX_REPLAY_CACHE       reply-replay cache entries    (default 4096)
 //   QAPPROX_WRITE_BUDGET       per-connection write-queue bytes (default 8 MiB)
 //   QAPPROX_WATCHDOG_MS        hung-job scan period; 0 = off (default 250)
 //   QAPPROX_WATCHDOG_GRACE     budget multiplier before a strike (default 4)
+//
+// The rolling SLO histograms and the tail sampler use fixed 1000 ms windows.
 //
 // For crash durability run it under tools/qapprox_supervisor (restart with
 // backoff + pidfile) and point QAPPROX_JOURNAL_DIR at a scratch directory:
