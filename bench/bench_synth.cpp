@@ -32,9 +32,12 @@ using namespace qc;
 
 // ---- cost and gradient ----------------------------------------------------
 //
-// One cost object at one random point: the fidelity-gap value (a unitary
+// One cost object at a random point: the fidelity-gap value (a unitary
 // build plus the trace) and the analytic gradient sweep, O(m·dim²) — about
-// two unitary builds for all P partials.
+// two unitary builds for all P partials. The gradient rows repeat one point,
+// so after the first call they reuse its U3 trig, as a gradient after an
+// accepted line-search value does; {3, 6} is tfim_dm's shape (3 qubits at
+// the TFIM preset's 6-CNOT cap).
 
 synth::TemplateCircuit grad_template(int num_qubits, int blocks) {
   synth::TemplateCircuit tpl = synth::TemplateCircuit::u3_layer(num_qubits);
@@ -69,12 +72,20 @@ void BM_GradientAnalytic(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
   state.counters["params"] = static_cast<double>(p.tpl.num_params());
 }
-BENCHMARK(BM_GradientAnalytic)->Args({3, 4})->Args({4, 6});
+BENCHMARK(BM_GradientAnalytic)->Args({3, 4})->Args({3, 6})->Args({4, 6});
 
 void BM_HsCostValue(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const CostPoint p = cost_point(n, 2 * n);
-  for (auto _ : state) benchmark::DoNotOptimize(p.cost(p.x));
+  // Alternates between two points, as a line search moves: the cost keeps
+  // the trig of its last point, and a repeat would skip it.
+  std::vector<double> mirrored = p.x;
+  for (auto& v : mirrored) v = -v;
+  bool flip = false;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(p.cost(flip ? mirrored : p.x));
+    flip = !flip;
+  }
   state.SetItemsProcessed(state.iterations());
   state.counters["params"] = static_cast<double>(p.tpl.num_params());
 }

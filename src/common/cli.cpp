@@ -2,8 +2,8 @@
 
 #include <atomic>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 
@@ -48,7 +48,13 @@ int CliArgs::get_int(const std::string& name, int fallback) const {
 
 double CliArgs::get_double(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::atof(it->second.c_str());
+  if (it == values_.end()) return fallback;
+  const std::string& text = it->second;
+  double value = 0.0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+  QC_CHECK_MSG(ec == std::errc() && end == text.data() + text.size() && std::isfinite(value),
+               "--" + name + ": expected a finite number, got '" + text + "'");
+  return value;
 }
 
 bool CliArgs::get_bool(const std::string& name, bool fallback) const {
@@ -60,7 +66,13 @@ bool CliArgs::get_bool(const std::string& name, bool fallback) const {
 
 std::uint64_t CliArgs::get_seed(const std::string& name, std::uint64_t fallback) const {
   const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::strtoull(it->second.c_str(), nullptr, 0);
+  if (it == values_.end()) return fallback;
+  const std::string& text = it->second;
+  std::uint64_t value = 0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+  QC_CHECK_MSG(ec == std::errc() && end == text.data() + text.size(),
+               "--" + name + ": expected a decimal seed in [0, 2^64), got '" + text + "'");
+  return value;
 }
 
 namespace {

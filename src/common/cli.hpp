@@ -18,8 +18,12 @@ class CliArgs {
   /// The whole value as a decimal int; throws ContractError naming the flag
   /// when it has trailing text or is out of int range.
   int get_int(const std::string& name, int fallback) const;
+  /// The whole value as a finite decimal double; throws ContractError naming
+  /// the flag otherwise.
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;
+  /// The whole value as a decimal integer in [0, 2^64); throws ContractError
+  /// naming the flag otherwise (a sign, a base prefix, trailing text).
   std::uint64_t get_seed(const std::string& name, std::uint64_t fallback) const;
 
  private:

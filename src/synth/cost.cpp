@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstring>
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
@@ -34,14 +35,6 @@ void fill_identity(Matrix& m, std::size_t n) {
   cplx* data = m.data();
   for (std::size_t i = 0; i < n * n; ++i) data[i] = cplx{0.0, 0.0};
   for (std::size_t i = 0; i < n; ++i) data[i * n + i] = cplx{1.0, 0.0};
-}
-
-/// HsCost::operator()'s body: the template's unitary into `scratch`, then
-/// its fidelity gap to `target`.
-QAPPROX_SYNTH_INLINE double cost_value(const TemplateCircuit& tpl, const Matrix& target,
-                                       const std::vector<double>& params, Matrix& scratch) {
-  detail::unitary(tpl, params, scratch);
-  return detail::fidelity_gap(target, scratch);
 }
 
 /// The number of qubits n of a boundary cost, checked against its 6n angles.
@@ -137,8 +130,44 @@ HsCost::HsCost(const TemplateCircuit& tpl, Matrix&& target)
   check_target(tpl_, *target_);
 }
 
+void HsCost::fill_slots(const std::vector<double>& params) const {
+  QC_CHECK(params.size() == static_cast<std::size_t>(tpl_.num_params()));
+  if (slots_at_.size() == params.size() &&
+      (params.empty() ||
+       std::memcmp(slots_at_.data(), params.data(), params.size() * sizeof(double)) == 0))
+    return;
+  // Slot i's angles are params[3i..3i+2]. With c, s = cos, sin(θ/2), which
+  // may be negative, the θ-partial is
+  //   ∂θ = ½ [[-s, -e^{iλ}c], [e^{iφ}c, -e^{i(φ+λ)}s]].
+  slots_.resize(params.size() / 3);
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    const U3Trig t(params[3 * i], params[3 * i + 1], params[3 * i + 2]);
+    SlotEntries& slot = slots_[i];
+    slot.g = u3_entries(t);
+    slot.dt00 = -0.5 * t.sin_half;
+    slot.dt01 = -0.5 * cplx{t.cos_half * t.cos_lambda, t.cos_half * t.sin_lambda};
+    slot.dt10 = 0.5 * cplx{t.cos_half * t.cos_phi, t.cos_half * t.sin_phi};
+    slot.dt11 = -0.5 * cplx{t.sin_half * t.cos_sum, t.sin_half * t.sin_sum};
+  }
+  slots_at_ = params;
+}
+
+/// operator()'s body: the template's unitary from the slots' entries into
+/// the scratch, then its fidelity gap to the target.
+QAPPROX_SYNTH_INLINE double HsCost::value(const HsCost& cost) {
+  const std::vector<SlotEntries>& slots = cost.slots_;
+  detail::build_unitary(
+      cost.tpl_,
+      [&slots](const TemplateCircuit::Op& op) -> const U3Entries& {
+        return slots[static_cast<std::size_t>(op.param_offset) / 3].g;
+      },
+      cost.scratch_);
+  return detail::fidelity_gap(*cost.target_, cost.scratch_);
+}
+
 double HsCost::operator()(const std::vector<double>& params) const {
-  return detail::dispatch<cost_value>(tpl_, *target_, params, scratch_);
+  fill_slots(params);
+  return detail::dispatch<value>(*this);
 }
 
 double fidelity_gap(const Matrix& target, const Matrix& v) {
@@ -171,9 +200,8 @@ QAPPROX_SYNTH_INLINE void HsCost::sweep(const HsCost& cost, const std::vector<do
   const Matrix& target = *cost.target_;
   Matrix& prefix = cost.prefix_;
   std::vector<Matrix>& suffix = cost.suffix_;
-  std::vector<SlotEntries>& slots = cost.slots_;
+  const std::vector<SlotEntries>& slots = cost.slots_;
   std::vector<cplx>& dw = cost.dw_;
-  QC_CHECK(params.size() == static_cast<std::size_t>(tpl.num_params()));
   grad.assign(params.size(), 0.0);
   if (params.empty()) return;
 
@@ -182,11 +210,7 @@ QAPPROX_SYNTH_INLINE void HsCost::sweep(const HsCost& cost, const std::vector<do
   const std::size_t dim = target.rows();
 
   // Backward pass: suffix[k] = O_{m-1}···O_k with suffix[m] = I, built by
-  // column ops (suffix[k] = suffix[k+1] · O_k). O(m·dim²). Each U3 slot's
-  // entries and θ-partial are evaluated here, once, for both passes:
-  //   ∂θ = ½ [[-s, -e^{iλ}c], [e^{iφ}c, -e^{i(φ+λ)}s]]
-  // with c, s = cos, sin(θ/2), which may be negative.
-  slots.resize(params.size() / 3);
+  // column ops (suffix[k] = suffix[k+1] · O_k). O(m·dim²).
   suffix.resize(m + 1);
   fill_identity(suffix[m], dim);
   for (std::size_t k = m; k-- > 0;) {
@@ -196,15 +220,7 @@ QAPPROX_SYNTH_INLINE void HsCost::sweep(const HsCost& cost, const std::vector<do
       detail::right_cx(suffix[k], op.a, op.b);
       continue;
     }
-    const U3Trig t(params[op.param_offset], params[op.param_offset + 1],
-                   params[op.param_offset + 2]);
-    SlotEntries& slot = slots[static_cast<std::size_t>(op.param_offset) / 3];
-    slot.g = u3_entries(t);
-    slot.dt00 = -0.5 * t.sin_half;
-    slot.dt01 = -0.5 * cplx{t.cos_half * t.cos_lambda, t.cos_half * t.sin_lambda};
-    slot.dt10 = 0.5 * cplx{t.cos_half * t.cos_phi, t.cos_half * t.sin_phi};
-    slot.dt11 = -0.5 * cplx{t.sin_half * t.cos_sum, t.sin_half * t.sin_sum};
-    detail::right_u3(suffix[k], op.a, slot.g);
+    detail::right_u3(suffix[k], op.a, slots[static_cast<std::size_t>(op.param_offset) / 3].g);
   }
 
   // Forward pass: prefix = L_k = O_{k-1}···O_0 · T†, advanced by row ops.
@@ -268,6 +284,7 @@ void HsCost::gradient(const std::vector<double>& params,
   const bool timed = obs::timing_enabled();
   const auto t0 = timed ? std::chrono::steady_clock::now()
                         : std::chrono::steady_clock::time_point{};
+  fill_slots(params);
   detail::dispatch<sweep>(*this, params, grad);
   if (timed) {
     static obs::Histogram& hist = obs::histogram("synth.gradient_ns");

@@ -34,23 +34,29 @@ class HsCost {
   int dim() const { return static_cast<int>(target_->rows()); }
   int num_params() const { return tpl_.num_params(); }
 
-  /// 1 - |Tr(T† V(x))| / d, in [0, 1].
+  /// 1 - |Tr(T† V(x))| / d, in [0, 1]. Leaves the U3 entries and θ-partials
+  /// at x in the scratch, so a gradient at the same x skips their trig.
   double operator()(const std::vector<double>& params) const;
 
   /// HS distance at x: sqrt(1 - (1 - f)^2).
   double hs_distance(const std::vector<double>& params) const;
 
   /// Closed-form gradient via the partial-product sweep (records
-  /// synth.gradient_ns when timing is armed).
+  /// synth.gradient_ns when timing is armed). Bit for bit the same whether
+  /// or not a value call at the same x came first.
   void gradient(const std::vector<double>& params, std::vector<double>& grad) const;
 
   const linalg::Matrix& target() const { return *target_; }
 
  private:
-  /// The gradient sweep's one source body: inline and defined in cost.cpp,
-  /// where gradient() runs it through synth/kernels.hpp's dispatch.
+  /// The value's and the gradient sweep's source bodies: inline and defined
+  /// in cost.cpp, where operator() and gradient() run them through
+  /// synth/kernels.hpp's dispatch. Both read the U3 entries from slots_.
+  static inline double value(const HsCost& cost);
   static inline void sweep(const HsCost& cost, const std::vector<double>& params,
                            std::vector<double>& grad);
+  /// Fills slots_ at `params`, unless they already hold that point.
+  void fill_slots(const std::vector<double>& params) const;
 
   TemplateCircuit tpl_;
   std::shared_ptr<const linalg::Matrix> owned_;  // null when borrowing
@@ -61,13 +67,17 @@ class HsCost {
   mutable linalg::Matrix prefix_;
   mutable std::vector<linalg::Matrix> suffix_;
   /// Per U3 slot (indexed by param_offset / 3): the gate's entries and its
-  /// θ-partial, evaluated once per gradient call from one U3Trig.
+  /// θ-partial, evaluated from one U3Trig at the point slots_at_. L-BFGS
+  /// takes the gradient at the point of its last accepted value, so the
+  /// gradient reuses the value's trig. The point is compared by memcmp:
+  /// -0.0 == 0.0, but sin(-0.0) is -0.0.
   struct SlotEntries {
     U3Entries g;
     double dt00;  // real; the imaginary part is zero
     linalg::cplx dt01, dt10, dt11;
   };
   mutable std::vector<SlotEntries> slots_;
+  mutable std::vector<double> slots_at_;
   mutable std::vector<linalg::cplx> dw_;
 };
 

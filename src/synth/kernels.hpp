@@ -15,16 +15,18 @@
 //
 // Both copies compute the same bits. The trampoline enables AVX2 but not FMA,
 // and qc_synth is built with -ffp-contract=off, so no multiply-add is fused on
-// any host (CI disassembles libqc_synth.a to check). GCC reassociates floating
-// point only under -ffast-math, so a vectorized element-wise loop performs
-// each lane's IEEE operations in the scalar order, and the loop vectorizer
-// leaves floating-point reductions sequential: the trace product stays a
-// scalar loop. The 2x2 environments of the gradient sweep and of QFactor are
-// eight independent sums, so accumulate_environment holds them explicitly,
-// one GCC-vector lane per sum; each lane still adds its own products in the
-// scalar order, with the sign of the cross terms applied by exact
-// multiplications by ±1 (see there). AVX2 buys wider and three-operand
-// vector forms of the same operations, never different ones.
+// any host (CI disassembles libqc_synth.a to check). The inner loops are
+// written in explicit GCC-vector lanes: the U3 row and column kernels mix
+// two complex doubles per four-lane vector (Mix, RunMixer), and the 2x2
+// environments of the gradient sweep and of QFactor hold their eight sums
+// one lane per sum (accumulate_environment). Each lane performs one scalar
+// expression's IEEE operations in the scalar order, with the signs of the
+// cross terms applied by exact negations (see Mix), so the lanes compute
+// the bits of the complex-typed loops the tests keep as oracles. What is left
+// to the loop vectorizer is the fidelity-gap trace product; GCC reassociates
+// floating point only under -ffast-math, so it vectorizes the products and
+// still adds them in order. AVX2 buys wider and three-operand vector forms of
+// the same operations, never different ones.
 // Only x86-64 has a second copy; aarch64's baseline already has 2-wide NEON
 // doubles.
 #pragma once
@@ -69,36 +71,95 @@ QAPPROX_SYNTH_INLINE decltype(auto) dispatch(Args&&... args) {
   return Body(std::forward<Args>(args)...);
 }
 
-// The U3 kernels write each complex product out on the interleaved doubles
-// (the array view of std::complex<double> that [complex.numbers] guarantees)
-// as (ar*br - ai*bi, ar*bi + ai*br): the expression GCC emits for a
-// std::complex<double> product, minus the NaN-recovery branch that keeps the
-// loops from vectorizing. For finite inputs the results are bit-identical to
-// the complex-typed loops.
+/// Two and four doubles as GCC vectors: element-wise operators act lane by
+/// lane in IEEE double arithmetic, and a scalar operand is broadcast. Lanes4
+/// is one AVX register in the AVX2 copy and two SSE2 registers in the
+/// baseline copy. Helpers take and return them by reference only: a 32-byte
+/// vector passed by value has a different ABI in the two copies (-Wpsabi).
+typedef double Lanes2 __attribute__((vector_size(2 * sizeof(double))));
+typedef double Lanes4 __attribute__((vector_size(4 * sizeof(double))));
 
-/// m := embed(U3 on q) * m  (row mixing).
+/// Entries of a 2x2 complex mix in lane form, for vectors v and w of two
+/// interleaved complex doubles each:
+///   out := (vr·v + vi·swap(v)) + (wr·w + wi·swap(w)),
+/// where swap exchanges the real and imaginary part of each complex. The
+/// output's first complex (lanes 0-1) takes v_lo·v + w_lo·w, its second
+/// (lanes 2-3) v_hi·v + w_hi·w. The imaginary parts are stored times
+/// [-1 +1 -1 +1], so lane 0 is ar·vr + (-ai)·vi and lane 1 is ar·vi + ai·vr:
+/// the complex product a·v written out on the interleaved doubles,
+/// (ar·vr - ai·vi, ar·vi + ai·vr), the expression GCC emits for a
+/// std::complex<double> product minus its NaN-recovery branch. Negation is
+/// exact, (-x)·y = -(x·y) because round-to-nearest is symmetric, x + (-y) is
+/// x - y, and IEEE products and sums commute, so each lane performs the
+/// scalar expression's operations, in its order: for finite inputs the bits
+/// of the complex-typed loops.
+struct Mix {
+  QAPPROX_SYNTH_INLINE Mix(linalg::cplx v_lo, linalg::cplx v_hi, linalg::cplx w_lo,
+                           linalg::cplx w_hi)
+      : vr{v_lo.real(), v_lo.real(), v_hi.real(), v_hi.real()},
+        vi{-v_lo.imag(), v_lo.imag(), -v_hi.imag(), v_hi.imag()},
+        wr{w_lo.real(), w_lo.real(), w_hi.real(), w_hi.real()},
+        wi{-w_lo.imag(), w_lo.imag(), -w_hi.imag(), w_hi.imag()} {}
+
+  QAPPROX_SYNTH_INLINE void apply(const Lanes4& v, const Lanes4& w, Lanes4& out) const {
+    out = (vr * v + vi * __builtin_shufflevector(v, v, 1, 0, 3, 2)) +
+          (wr * w + wi * __builtin_shufflevector(w, w, 1, 0, 3, 2));
+  }
+
+  Lanes4 vr, vi, wr, wi;
+};
+
+/// The one-qubit mix of the U3 row and column kernels: for every complex
+/// double k of two runs p0 and p1 of `len` interleaved doubles,
+///   p0[k] := a·p0[k] + b·p1[k],   p1[k] := c·p0[k] + d·p1[k].
+/// Runs go two complexes per vector, through one Mix per output run (`top`,
+/// `bottom`). A run length that four doubles do not divide (a row of odd
+/// width) leaves one complex, which goes as [p0[k] p0[k]] and [p1[k] p1[k]]
+/// through `both`, whose two halves are the two outputs.
+struct RunMixer {
+  QAPPROX_SYNTH_INLINE RunMixer(linalg::cplx a, linalg::cplx b, linalg::cplx c, linalg::cplx d)
+      : top(a, a, b, b), bottom(c, c, d, d), both(a, c, b, d) {}
+
+  QAPPROX_SYNTH_INLINE void apply(double* p0, double* p1, std::size_t len) const {
+    std::size_t k = 0;
+    for (; k + 4 <= len; k += 4) {
+      Lanes4 v, w, out0, out1;
+      std::memcpy(&v, p0 + k, sizeof v);
+      std::memcpy(&w, p1 + k, sizeof w);
+      top.apply(v, w, out0);
+      bottom.apply(v, w, out1);
+      std::memcpy(p0 + k, &out0, sizeof out0);
+      std::memcpy(p1 + k, &out1, sizeof out1);
+    }
+    if (k == len) return;
+    Lanes2 v2, w2;
+    std::memcpy(&v2, p0 + k, sizeof v2);
+    std::memcpy(&w2, p1 + k, sizeof w2);
+    const Lanes4 v = __builtin_shufflevector(v2, v2, 0, 1, 0, 1);
+    const Lanes4 w = __builtin_shufflevector(w2, w2, 0, 1, 0, 1);
+    Lanes4 out;
+    both.apply(v, w, out);
+    const Lanes2 out0 = __builtin_shufflevector(out, out, 0, 1);
+    const Lanes2 out1 = __builtin_shufflevector(out, out, 2, 3);
+    std::memcpy(p0 + k, &out0, sizeof out0);
+    std::memcpy(p1 + k, &out1, sizeof out1);
+  }
+
+  Mix top, bottom, both;
+};
+
+/// m := embed(U3 on q) * m  (row mixing). The rows r and r | bit pair up in
+/// blocks of 2·bit rows: rows base..base+bit-1 are one contiguous run and
+/// the rows bit below them its partner.
 QAPPROX_SYNTH_INLINE void left_u3(linalg::Matrix& m, int q, const U3Entries& g) {
-  const std::size_t dim = m.rows();
   const std::size_t stride = 2 * m.cols();
   double* data = reinterpret_cast<double*>(m.data());
-  const double g00r = g.g00.real(), g00i = g.g00.imag();
-  const double g01r = g.g01.real(), g01i = g.g01.imag();
-  const double g10r = g.g10.real(), g10i = g.g10.imag();
-  const double g11r = g.g11.real(), g11i = g.g11.imag();
   const std::size_t bit = std::size_t{1} << q;
-  for (std::size_t r = 0; r < dim; ++r) {
-    if (r & bit) continue;
-    double* row0 = data + r * stride;
-    double* row1 = data + (r | bit) * stride;
-    for (std::size_t k = 0; k < stride; k += 2) {
-      const double v0r = row0[k], v0i = row0[k + 1];
-      const double v1r = row1[k], v1i = row1[k + 1];
-      // g00 * v0 + g01 * v1 and g10 * v0 + g11 * v1.
-      row0[k] = (g00r * v0r - g00i * v0i) + (g01r * v1r - g01i * v1i);
-      row0[k + 1] = (g00r * v0i + g00i * v0r) + (g01r * v1i + g01i * v1r);
-      row1[k] = (g10r * v0r - g10i * v0i) + (g11r * v1r - g11i * v1i);
-      row1[k + 1] = (g10r * v0i + g10i * v0r) + (g11r * v1i + g11i * v1r);
-    }
+  const std::size_t run = bit * stride;
+  const RunMixer mixer(g.g00, g.g01, g.g10, g.g11);
+  for (std::size_t base = 0; base < m.rows(); base += 2 * bit) {
+    double* p0 = data + base * stride;
+    mixer.apply(p0, p0 + run, run);
   }
 }
 
@@ -117,32 +178,30 @@ QAPPROX_SYNTH_INLINE void left_cx(linalg::Matrix& m, int control, int target) {
   }
 }
 
-/// m := m * embed(U3 on q)  (column mixing).
+/// m := m * embed(U3 on q)  (column mixing): (M G)(r, c0) = M(r, c0) g00 +
+/// M(r, c1) g10, so the columns mix through G's transpose. The columns c and
+/// c | bit pair up in runs of `bit`; the row length is a multiple of 2·bit,
+/// so the runs continue across rows and the matrix is one long row.
 QAPPROX_SYNTH_INLINE void right_u3(linalg::Matrix& m, int q, const U3Entries& g) {
-  const std::size_t rows = m.rows();
-  const std::size_t cols = m.cols();
+  const std::size_t total = 2 * m.rows() * m.cols();
   double* data = reinterpret_cast<double*>(m.data());
-  const double g00r = g.g00.real(), g00i = g.g00.imag();
-  const double g01r = g.g01.real(), g01i = g.g01.imag();
-  const double g10r = g.g10.real(), g10i = g.g10.imag();
-  const double g11r = g.g11.real(), g11i = g.g11.imag();
-  const std::size_t bit = std::size_t{1} << q;
-  for (std::size_t r = 0; r < rows; ++r) {
-    double* row = data + 2 * r * cols;
-    // Column pairs (c, c | bit) in runs of `bit` consecutive columns.
-    for (std::size_t base = 0; base < cols; base += 2 * bit) {
-      double* col0 = row + 2 * base;
-      double* col1 = col0 + 2 * bit;
-      for (std::size_t k = 0; k < 2 * bit; k += 2) {
-        const double v0r = col0[k], v0i = col0[k + 1];
-        const double v1r = col1[k], v1i = col1[k + 1];
-        // (M G)(r, c0) = M(r, c0) g00 + M(r, c1) g10; columns mix through G's rows.
-        col0[k] = (v0r * g00r - v0i * g00i) + (v1r * g10r - v1i * g10i);
-        col0[k + 1] = (v0r * g00i + v0i * g00r) + (v1r * g10i + v1i * g10r);
-        col1[k] = (v0r * g01r - v0i * g01i) + (v1r * g11r - v1i * g11i);
-        col1[k + 1] = (v0r * g01i + v0i * g01r) + (v1r * g11i + v1i * g11r);
-      }
+  const std::size_t run = 2 * (std::size_t{1} << q);
+  const RunMixer mixer(g.g00, g.g10, g.g01, g.g11);
+  if (q == 0) {
+    // Adjacent columns: each pair is one vector [v0 v1].
+    for (std::size_t k = 0; k < total; k += 4) {
+      Lanes4 pair, out;
+      std::memcpy(&pair, data + k, sizeof pair);
+      const Lanes4 v = __builtin_shufflevector(pair, pair, 0, 1, 0, 1);
+      const Lanes4 w = __builtin_shufflevector(pair, pair, 2, 3, 2, 3);
+      mixer.both.apply(v, w, out);
+      std::memcpy(data + k, &out, sizeof out);
     }
+    return;
+  }
+  for (std::size_t base = 0; base < total; base += 2 * run) {
+    double* p0 = data + base;
+    mixer.apply(p0, p0 + run, run);
   }
 }
 
@@ -162,10 +221,11 @@ QAPPROX_SYNTH_INLINE void right_cx(linalg::Matrix& m, int control, int target) {
   }
 }
 
-/// out := the template's unitary at `params` (resized if needed).
-QAPPROX_SYNTH_INLINE void unitary(const TemplateCircuit& tpl, const std::vector<double>& params,
-                                  linalg::Matrix& out) {
-  QC_CHECK(params.size() == static_cast<std::size_t>(tpl.num_params()));
+/// out := the template's unitary (resized if needed), with the entries of
+/// each U3 op taken from entries_of(op).
+template <class EntriesOf>
+QAPPROX_SYNTH_INLINE void build_unitary(const TemplateCircuit& tpl, const EntriesOf& entries_of,
+                                        linalg::Matrix& out) {
   const std::size_t dim = std::size_t{1} << tpl.num_qubits();
   if (out.rows() != dim || out.cols() != dim) out = linalg::Matrix(dim, dim);
   linalg::cplx* m = out.data();
@@ -176,19 +236,23 @@ QAPPROX_SYNTH_INLINE void unitary(const TemplateCircuit& tpl, const std::vector<
     if (op.is_cx) {
       left_cx(out, op.a, op.b);
     } else {
-      left_u3(out, op.a,
-              u3_entries(params[op.param_offset], params[op.param_offset + 1],
-                         params[op.param_offset + 2]));
+      left_u3(out, op.a, entries_of(op));
     }
   }
 }
 
-/// Two and four doubles as GCC vectors: element-wise operators act lane by
-/// lane in IEEE double arithmetic, and a scalar operand is broadcast. Lanes4
-/// is one AVX register in the AVX2 copy and two SSE2 registers in the
-/// baseline copy.
-typedef double Lanes2 __attribute__((vector_size(2 * sizeof(double))));
-typedef double Lanes4 __attribute__((vector_size(4 * sizeof(double))));
+/// out := the template's unitary at `params` (resized if needed).
+QAPPROX_SYNTH_INLINE void unitary(const TemplateCircuit& tpl, const std::vector<double>& params,
+                                  linalg::Matrix& out) {
+  QC_CHECK(params.size() == static_cast<std::size_t>(tpl.num_params()));
+  build_unitary(
+      tpl,
+      [&params](const TemplateCircuit::Op& op) {
+        return u3_entries(params[op.param_offset], params[op.param_offset + 1],
+                          params[op.param_offset + 2]);
+      },
+      out);
+}
 
 /// The running sums of a one-qubit slot's 2x2 environment E(a,b), one lane
 /// per double: row0 = [e00r e00i e01r e01i], row1 = [e10r e10i e11r e11i].

@@ -263,6 +263,38 @@ TEST(Cli, GetIntRejectsTrailingTextAndOverflow) {
   EXPECT_EQ(args.get_int("missing", 5), 5);
 }
 
+/// Asserts that `parse` throws a ContractError naming --name.
+template <class Parse>
+void expect_flag_rejected(const char* name, Parse parse) {
+  try {
+    parse();
+    ADD_FAILURE() << "--" << name << " parsed";
+  } catch (const ContractError& e) {
+    EXPECT_NE(std::string(e.what()).find(std::string("--") + name), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Cli, GetDoubleAndGetSeedParseStrictly) {
+  const char* argv[] = {"prog",          "--abc=abc",   "--trailing=1.5x",
+                        "--negative=-1", "--octal=010", "--empty=",
+                        "--hex=0x10",    "--inf=inf",   "--huge=1e400",
+                        "--wide=18446744073709551616", "--max=18446744073709551615",
+                        "--fraction=0.25"};
+  CliArgs args(12, argv);
+  for (const char* name : {"abc", "trailing", "empty", "hex", "inf", "huge"})
+    expect_flag_rejected(name, [&] { args.get_double(name, 0.0); });
+  EXPECT_EQ(args.get_double("negative", 0.0), -1.0);
+  EXPECT_EQ(args.get_double("octal", 0.0), 10.0);
+  EXPECT_EQ(args.get_double("fraction", 0.0), 0.25);
+
+  for (const char* name : {"abc", "trailing", "negative", "empty", "hex", "wide", "fraction"})
+    expect_flag_rejected(name, [&] { args.get_seed(name, 0); });
+  EXPECT_EQ(args.get_seed("octal", 0), 10u);  // decimal, not octal 8
+  EXPECT_EQ(args.get_seed("max", 0), 18446744073709551615u);
+  EXPECT_EQ(args.get_seed("missing", 5), 5u);
+}
+
 TEST(Cli, DriverContextBoundsShots) {
   const auto shots_for = [](const char* value) {
     const char* argv[] = {"prog", "--shots", value};

@@ -821,55 +821,77 @@ std::vector<linalg::SimdIsa> forceable_isas() {
   return isas;
 }
 
-TEST(Template, RowKernelsMatchComplexReferenceBitwise) {
-  common::Rng rng(51);
-  int negative_cos = 0, negative_sin = 0;
-  for (int n = 1; n <= 5; ++n) {
-    const std::size_t dim = std::size_t{1} << n;
-    for (int trial = 0; trial < 8; ++trial) {
-      const double theta = random_angle(rng);
-      const double phi = random_angle(rng);
-      const double lambda = random_angle(rng);
-      negative_cos += std::cos(theta / 2.0) < 0.0;
-      negative_sin += std::sin(theta / 2.0) < 0.0;
-      const U3Entries g = u3_entries(theta, phi, lambda);
-      const U3Entries want_g = ref::u3_entries(theta, phi, lambda);
-      expect_same_doubles(reinterpret_cast<const double*>(&g),
-                          reinterpret_cast<const double*>(&want_g), 8, "u3_entries");
+/// A rows x cols matrix of entries uniform in [-1, 1) + i[-1, 1).
+Matrix random_matrix(std::size_t rows, std::size_t cols, common::Rng& rng) {
+  Matrix m(rows, cols);
+  for (std::size_t i = 0; i < rows * cols; ++i)
+    m.data()[i] = linalg::cplx{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+  return m;
+}
 
-      Matrix m(dim, dim);
-      for (std::size_t i = 0; i < dim * dim; ++i)
-        m.data()[i] = linalg::cplx{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
-      const std::string where = "n=" + std::to_string(n) + " trial " + std::to_string(trial);
-      for (int q = 0; q < n; ++q) {
-        Matrix got = m, want = m;
-        rowops::left_u3(got, q, g);
-        ref::left_u3(want, q, want_g);
-        expect_same_matrix(got, want, "left_u3 q=" + std::to_string(q) + " " + where);
-        got = m;
-        want = m;
-        rowops::right_u3(got, q, g);
-        ref::right_u3(want, q, want_g);
-        expect_same_matrix(got, want, "right_u3 q=" + std::to_string(q) + " " + where);
+TEST(Template, RowKernelsMatchComplexReferenceBitwise) {
+  const SimdIsaRestorer restore;
+  for (const linalg::SimdIsa isa : forceable_isas()) {
+    ASSERT_EQ(linalg::force_simd_isa(isa), isa);
+    SCOPED_TRACE(linalg::simd_isa_name(isa));
+    common::Rng rng(51);
+    int negative_cos = 0, negative_sin = 0;
+    for (int n = 1; n <= 5; ++n) {
+      const std::size_t dim = std::size_t{1} << n;
+      for (int trial = 0; trial < 8; ++trial) {
+        const double theta = random_angle(rng);
+        const double phi = random_angle(rng);
+        const double lambda = random_angle(rng);
+        negative_cos += std::cos(theta / 2.0) < 0.0;
+        negative_sin += std::sin(theta / 2.0) < 0.0;
+        const U3Entries g = u3_entries(theta, phi, lambda);
+        const U3Entries want_g = ref::u3_entries(theta, phi, lambda);
+        expect_same_doubles(reinterpret_cast<const double*>(&g),
+                            reinterpret_cast<const double*>(&want_g), 8, "u3_entries");
+
+        // Square operands, and a width of 3, which no vector width divides:
+        // left ops on dim x 3, right ops on 3 x dim.
+        for (const std::size_t width : {dim, std::size_t{3}}) {
+          const Matrix rows = random_matrix(dim, width, rng);
+          const Matrix cols = random_matrix(width, dim, rng);
+          const std::string where = "n=" + std::to_string(n) + " width=" +
+                                    std::to_string(width) + " trial " + std::to_string(trial);
+          for (int q = 0; q < n; ++q) {
+            Matrix got = rows, want = rows;
+            rowops::left_u3(got, q, g);
+            ref::left_u3(want, q, want_g);
+            expect_same_matrix(got, want, "left_u3 q=" + std::to_string(q) + " " + where);
+            got = cols;
+            want = cols;
+            rowops::right_u3(got, q, g);
+            ref::right_u3(want, q, want_g);
+            expect_same_matrix(got, want, "right_u3 q=" + std::to_string(q) + " " + where);
+          }
+        }
       }
     }
+    EXPECT_GT(negative_cos, 0);
+    EXPECT_GT(negative_sin, 0);
   }
-  EXPECT_GT(negative_cos, 0);
-  EXPECT_GT(negative_sin, 0);
 }
 
 TEST(Cost, ValueMatchesComplexReferenceBitwise) {
-  common::Rng rng(52);
-  for (int n = 1; n <= 5; ++n) {
-    const TemplateCircuit tpl = random_template(n, rng);
-    const Matrix target = linalg::random_unitary(std::size_t{1} << n, rng);
-    const HsCost cost(tpl, target);
-    for (int trial = 0; trial < 4; ++trial) {
-      std::vector<double> x(static_cast<std::size_t>(tpl.num_params()));
-      for (auto& p : x) p = random_angle(rng);
-      const double got = cost(x);
-      const double want = ref::cost_value(tpl, target, x);
-      expect_same_doubles(&got, &want, 1, "n=" + std::to_string(n));
+  const SimdIsaRestorer restore;
+  for (const linalg::SimdIsa isa : forceable_isas()) {
+    ASSERT_EQ(linalg::force_simd_isa(isa), isa);
+    SCOPED_TRACE(linalg::simd_isa_name(isa));
+    common::Rng rng(52);
+    for (int n = 1; n <= 5; ++n) {
+      const TemplateCircuit tpl = random_template(n, rng);
+      const Matrix target = linalg::random_unitary(std::size_t{1} << n, rng);
+      const HsCost cost(tpl, target);
+      for (int trial = 0; trial < 4; ++trial) {
+        std::vector<double> x(static_cast<std::size_t>(tpl.num_params()));
+        for (auto& p : x) p = random_angle(rng);
+        const double got = cost(x);
+        const double want = ref::cost_value(tpl, target, x);
+        expect_same_doubles(&got, &want, 1, "n=" + std::to_string(n));
+      }
     }
   }
 }
@@ -894,6 +916,61 @@ TEST(Cost, AnalyticGradientMatchesComplexReferenceBitwise) {
         expect_same_doubles(got.data(), want.data(), got.size(),
                             "n=" + std::to_string(n) + " trial " + std::to_string(trial));
       }
+    }
+  }
+}
+
+// The value call leaves the U3 entries of its point in the cost's scratch,
+// and a gradient at the same point reuses them. Whatever came first, the
+// gradient is the reference's, also when the last value's point differs
+// from the gradient's only in the sign of a zero angle: sin(-0.0) is -0.0,
+// so the two are different points to the trig, though at these points the
+// sign does not survive into the gradient's bits.
+TEST(Cost, GradientIgnoresWhetherAValueCameFirst) {
+  const SimdIsaRestorer restore;
+  for (const linalg::SimdIsa isa : forceable_isas()) {
+    ASSERT_EQ(linalg::force_simd_isa(isa), isa);
+    SCOPED_TRACE(linalg::simd_isa_name(isa));
+    common::Rng rng(57);
+    for (int n = 1; n <= 5; ++n) {
+      const TemplateCircuit tpl = random_template(n, rng);
+      const Matrix target = linalg::random_unitary(std::size_t{1} << n, rng);
+      std::vector<double> x(static_cast<std::size_t>(tpl.num_params()));
+      for (auto& p : x) p = random_angle(rng);
+      std::vector<double> other(x.size());
+      for (auto& p : other) p = random_angle(rng);
+      // x with its first θ at +0.0, and the same point with it at -0.0.
+      std::vector<double> plus_zero = x, minus_zero = x;
+      plus_zero[0] = 0.0;
+      minus_zero[0] = -0.0;
+
+      // Runs `before` on a fresh cost, then compares its gradient at `at`.
+      const auto check = [&](const std::function<void(const HsCost&)>& before,
+                             const std::vector<double>& at, const std::string& what) {
+        const HsCost cost(tpl, target);
+        before(cost);
+        std::vector<double> got, want;
+        cost.gradient(at, got);
+        ref::gradient_analytic(tpl, target, at, want);
+        ASSERT_EQ(got.size(), want.size());
+        expect_same_doubles(got.data(), want.data(), got.size(),
+                            what + " n=" + std::to_string(n));
+      };
+      const auto value_at = [](const std::vector<double>& p) {
+        return [&p](const HsCost& cost) { cost(p); };
+      };
+      check([](const HsCost&) {}, x, "gradient alone");
+      check(value_at(x), x, "value then gradient at the same x");
+      check(value_at(other), x, "value at x' then gradient at x");
+      check(
+          [&](const HsCost& cost) {
+            cost(x);
+            std::vector<double> ignored;
+            cost.gradient(other, ignored);
+          },
+          x, "value at x, gradient at x', then gradient at x");
+      check(value_at(plus_zero), minus_zero, "value at +0.0 then gradient at -0.0");
+      check(value_at(minus_zero), plus_zero, "value at -0.0 then gradient at +0.0");
     }
   }
 }
@@ -950,12 +1027,6 @@ std::vector<std::pair<std::string, std::vector<double>>> synthesis_outputs() {
   const auto add_matrix = [&out](std::string label, const Matrix& m) {
     const double* d = reinterpret_cast<const double*>(m.data());
     out.emplace_back(std::move(label), std::vector<double>(d, d + 2 * m.rows() * m.cols()));
-  };
-  const auto random_matrix = [](std::size_t rows, std::size_t cols, common::Rng& rng) {
-    Matrix m(rows, cols);
-    for (std::size_t i = 0; i < rows * cols; ++i)
-      m.data()[i] = linalg::cplx{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
-    return m;
   };
   common::Rng rng(54);
   for (int n = 1; n <= 6; ++n) {
