@@ -40,24 +40,37 @@ namespace {
 
 using namespace qc;
 
-void BM_DensityMatrixDepolarizing(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
+/// rho on n qubits through a two-qubit depolarizing channel on `qubits`. The
+/// channel's Kraus operators are planned once, as a compiled program plans
+/// them, so the loop times the channel application alone.
+void time_depolarizing(benchmark::State& state, int n, const std::vector<int>& qubits) {
   std::vector<linalg::cplx> plus(std::size_t{1} << n);  // H on qubit 0
   plus[0] = plus[1] = linalg::cplx{1.0 / std::sqrt(2.0), 0.0};
   sim::DensityMatrix dm(n, plus);
-  // The channel's Kraus operators are planned once, as a compiled program
-  // plans them, so the loop times the channel application alone.
   const noise::Channel ch = noise::depolarizing(0.01, 2);
-  const std::vector<int> qubits = {0, 1};
   std::vector<linalg::KernelPlan> plans;
   for (const linalg::Matrix& k : ch.kraus())
     plans.push_back(linalg::plan_kernel(k, qubits, dm.rho().rows()));
   for (auto _ : state) {
     dm.apply_kraus(ch.kraus(), plans, nullptr, qubits);
     benchmark::DoNotOptimize(dm.rho().data());
+    benchmark::ClobberMemory();
   }
 }
+
+void BM_DensityMatrixDepolarizing(benchmark::State& state) {
+  time_depolarizing(state, static_cast<int>(state.range(0)), {0, 1});
+}
 BENCHMARK(BM_DensityMatrixDepolarizing)->Arg(3)->Arg(5);
+
+/// The same channel on the top and the bottom qubit, out to 8 qubits, where
+/// rho's 2^16 entries reach the threaded passes. Twelve of its sixteen Kraus
+/// terms are permutation-phase products.
+void BM_DensityMatrixDepolarizing2q(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  time_depolarizing(state, n, {n - 1, 0});
+}
+BENCHMARK(BM_DensityMatrixDepolarizing2q)->Arg(3)->Arg(5)->Arg(8);
 
 void BM_TemplateUnitary(benchmark::State& state) {
   const int blocks = static_cast<int>(state.range(0));

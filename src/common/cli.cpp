@@ -12,6 +12,16 @@
 
 namespace qc::common {
 
+namespace {
+
+/// A bad flag value is the user's input, not a broken invariant: the message
+/// alone, without the failed expression or the source location.
+void require_flag(bool ok, const std::string& message) {
+  if (!ok) throw ContractError(message);
+}
+
+}  // namespace
+
 CliArgs::CliArgs(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -41,7 +51,7 @@ int CliArgs::get_int(const std::string& name, int fallback) const {
   const std::string& text = it->second;
   int value = 0;
   const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-  QC_CHECK_MSG(ec == std::errc() && end == text.data() + text.size(),
+  require_flag(ec == std::errc() && end == text.data() + text.size(),
                "--" + name + ": expected an integer, got '" + text + "'");
   return value;
 }
@@ -52,7 +62,7 @@ double CliArgs::get_double(const std::string& name, double fallback) const {
   const std::string& text = it->second;
   double value = 0.0;
   const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-  QC_CHECK_MSG(ec == std::errc() && end == text.data() + text.size() && std::isfinite(value),
+  require_flag(ec == std::errc() && end == text.data() + text.size() && std::isfinite(value),
                "--" + name + ": expected a finite number, got '" + text + "'");
   return value;
 }
@@ -70,7 +80,7 @@ std::uint64_t CliArgs::get_seed(const std::string& name, std::uint64_t fallback)
   const std::string& text = it->second;
   std::uint64_t value = 0;
   const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-  QC_CHECK_MSG(ec == std::errc() && end == text.data() + text.size(),
+  require_flag(ec == std::errc() && end == text.data() + text.size(),
                "--" + name + ": expected a decimal seed in [0, 2^64), got '" + text + "'");
   return value;
 }

@@ -71,9 +71,9 @@ DriverContext::DriverContext(int argc, char** argv, const std::string& id)
   }
   fast = args.get_bool("fast", false);
   const int requested_shots = args.get_int("shots", static_cast<int>(shots));
-  QC_CHECK_MSG(requested_shots >= 1 && static_cast<std::size_t>(requested_shots) <= kMaxShots,
-               "--shots: " + std::to_string(requested_shots) + " is outside [1, " +
-                   std::to_string(kMaxShots) + "]");
+  if (requested_shots < 1 || static_cast<std::size_t>(requested_shots) > kMaxShots)
+    throw ContractError("--shots: " + std::to_string(requested_shots) + " is outside [1, " +
+                        std::to_string(kMaxShots) + "]");
   shots = static_cast<std::size_t>(requested_shots);
   seed = args.get_seed("seed", default_seed(11));
   csv_path = args.get("csv", id + ".csv");

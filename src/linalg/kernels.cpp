@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <cstdlib>
+#include <cstring>
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
@@ -400,6 +401,74 @@ void s_twoq_perm(const BoundKernel& p, cplx* data, std::size_t b, std::size_t e)
   }
 }
 
+/// One complex double as GCC-vector lanes [re im]. Element-wise operators act
+/// lane by lane in IEEE double arithmetic, at the baseline ISA on every host.
+typedef double Lanes2 __attribute__((vector_size(2 * sizeof(double))));
+
+/// A complex coefficient a in lane form, its imaginary part stored times
+/// [-1 +1]: times(x) is a.re·x + (a.im·[-1 +1])·swap(x), so lane 0 is
+/// a.re·x.re + (-a.im)·x.im and lane 1 a.re·x.im + a.im·x.re. That is the
+/// product a·x as GCC writes out a std::complex<double> product, minus its
+/// NaN-recovery branch, (a.re·x.re - a.im·x.im, a.re·x.im + a.im·x.re):
+/// negation is exact, x + (-y) is x - y, and IEEE products and sums commute,
+/// so for finite inputs each lane rounds exactly as s_twoq_perm's product.
+struct LaneCoef {
+  explicit LaneCoef(cplx a) : re{a.real(), a.real()}, im{-a.imag(), a.imag()} {}
+  Lanes2 times(const Lanes2& x) const {
+    return re * x + im * __builtin_shufflevector(x, x, 1, 0);
+  }
+  Lanes2 re, im;
+};
+
+/// A TwoQPermPhase operator on the row and the column indices of a dim x dim
+/// matrix: index i belongs to sub-index sub(i) and reads from source(i).
+struct PermPhaseGather {
+  std::size_t bit0, bit1, keep;  // the two qubits' bits; every other bit
+  std::size_t from[4];           // source offset per sub-index: offs[perm[s]]
+  bool pure_swap;
+  std::size_t sub(std::size_t i) const {
+    return ((i & bit0) ? 1U : 0U) | ((i & bit1) ? 2U : 0U);
+  }
+  std::size_t source(std::size_t i) const { return (i & keep) | from[sub(i)]; }
+};
+
+/// Rows [b, e) of acc += w · K rho K† for a permutation-phase K with phases
+/// `phase` (one per sub-index), in one gather:
+///   acc[r][c] += w · (conj(phase[c]) · (phase[r] · rho[source(r)][source(c)])).
+/// These are the operations of copying rho, running s_twoq_perm on the row
+/// qubits with K's phases, again on the column qubits with their conjugates,
+/// and the real axpy acc += w · term, in their order: the same bits. A pure
+/// swap moves values with no product, as s_twoq_perm does. The same loop in
+/// std::complex products, whose NaN checks keep GCC from vectorizing it, ran
+/// serve_mix about 8% slower (DESIGN §12).
+void perm_phase_conjugation_rows(const PermPhaseGather& g, const cplx* phase,
+                                 const cplx* rho, cplx* acc, std::size_t dim,
+                                 double w, std::size_t b, std::size_t e) {
+  const Lanes2 weight = {w, w};
+  const auto load = [](const cplx* from) {
+    Lanes2 x;
+    std::memcpy(&x, reinterpret_cast<const double*>(from), sizeof x);
+    return x;
+  };
+  const auto add = [weight, load](cplx* out, const Lanes2& z) {
+    const Lanes2 a = load(out) + weight * z;
+    std::memcpy(reinterpret_cast<double*>(out), &a, sizeof a);
+  };
+  const LaneCoef right[4] = {LaneCoef(std::conj(phase[0])), LaneCoef(std::conj(phase[1])),
+                             LaneCoef(std::conj(phase[2])), LaneCoef(std::conj(phase[3]))};
+  for (std::size_t r = b; r < e; ++r) {
+    const cplx* src = rho + g.source(r) * dim;
+    cplx* out = acc + r * dim;
+    if (g.pure_swap) {
+      for (std::size_t c = 0; c < dim; ++c) add(out + c, load(src + g.source(c)));
+      continue;
+    }
+    const LaneCoef left(phase[g.sub(r)]);
+    for (std::size_t c = 0; c < dim; ++c)
+      add(out + c, right[g.sub(c)].times(left.times(load(src + g.source(c)))));
+  }
+}
+
 void s_twoq_general(const BoundKernel& p, cplx* data, std::size_t b,
                     std::size_t e) {
   for (std::size_t g = b; g < e; ++g) {
@@ -697,6 +766,20 @@ std::size_t loop_count(KernelKind kind, std::size_t dim) {
   return 0;
 }
 
+/// Runs fn(begin, end) over disjoint slices of [0, count) on the thread
+/// pool, about four per worker, each slice starting at a multiple of `align`.
+template <class Fn>
+void for_each_slice(std::size_t count, std::size_t align, const Fn& fn) {
+  const std::size_t workers = common::ThreadPool::global().size();
+  const std::size_t slices = std::min(count, std::max<std::size_t>(1, workers * 4));
+  const std::size_t chunk = ((count + slices - 1) / slices + align - 1) / align * align;
+  common::parallel_for(0, slices, [&](std::size_t s) {
+    const std::size_t begin = s * chunk;
+    if (begin >= count) return;
+    fn(begin, std::min(count, begin + chunk));
+  });
+}
+
 /// Runs a bound kernel (not GenericK) over the `span` amplitudes at `data`.
 /// Spans of at least `options.parallel_threshold` amplitudes are sliced
 /// across the thread pool. Slice boundaries are aligned to multiples of 8
@@ -713,14 +796,8 @@ void apply_span(cplx* data, std::size_t span, const BoundKernel& bound,
     fn(bound, data, 0, count);
     return;
   }
-  const std::size_t workers = common::ThreadPool::global().size();
-  const std::size_t slices = std::min(count, std::max<std::size_t>(1, workers * 4));
-  const std::size_t chunk =
-      ((count + slices - 1) / slices + 7) & ~std::size_t{7};
-  common::parallel_for(0, slices, [&](std::size_t s) {
-    const std::size_t begin = s * chunk;
-    if (begin >= count) return;
-    fn(bound, data, begin, std::min(count, begin + chunk));
+  for_each_slice(count, 8, [&](std::size_t begin, std::size_t end) {
+    fn(bound, data, begin, end);
   });
 }
 
@@ -833,6 +910,36 @@ void right_apply_adjoint(Matrix& u, const Matrix& op,
   // the column qubits of vec(u).
   ConjEntries conj;
   apply_span(u.data(), dim * dim, bind(widen(plan, 0), op, &conj), options);
+}
+
+void add_perm_phase_conjugation(Matrix& acc, const Matrix& rho, const Matrix& op,
+                                const KernelPlan& plan, double weight,
+                                const ApplyOptions& options) {
+  QC_CHECK_MSG(plan.kind == KernelKind::TwoQPermPhase,
+               "the one-pass conjugation serves permutation-phase operators only");
+  const std::size_t dim = rho.rows();
+  QC_CHECK(rho.cols() == dim && acc.rows() == dim && acc.cols() == dim);
+  QC_CHECK_MSG(&acc != &rho, "the channel sum must not alias rho");
+  check_plan(plan, dim, op);
+  const std::size_t bit0 = std::size_t{1} << plan.q[0];
+  const std::size_t bit1 = std::size_t{1} << plan.q[1];
+  const std::size_t offs[4] = {0, bit0, bit1, bit0 | bit1};
+  PermPhaseGather g{bit0, bit1, ~(bit0 | bit1), {}, plan.pure_swap};
+  cplx phase[4];
+  for (int s = 0; s < 4; ++s) {
+    g.from[s] = offs[plan.perm[s]];
+    phase[s] = op(static_cast<std::size_t>(s), plan.perm[s]);
+  }
+  const cplx* src = rho.data();
+  cplx* out = acc.data();
+  if (dim * dim < options.parallel_threshold) {
+    perm_phase_conjugation_rows(g, phase, src, out, dim, weight, 0, dim);
+    return;
+  }
+  // Row slices: each task writes only its own rows of acc and reads rho.
+  for_each_slice(dim, 1, [&](std::size_t begin, std::size_t end) {
+    perm_phase_conjugation_rows(g, phase, src, out, dim, weight, begin, end);
+  });
 }
 
 }  // namespace qc::linalg

@@ -74,6 +74,16 @@
 // register and run the state-vector kernels over all dim^2 entries. On the
 // row side every qubit sits at n or above, so each vector kernel takes its
 // unit-stride path along whole rows.
+//
+// One density-matrix term has a fused form. A TwoQPermPhase Kraus term
+// w·K ρ K† (twelve of the sixteen products of a CX depolarizing channel) is
+// gathered straight into the channel sum by add_perm_phase_conjugation, in
+// one pass instead of a copy of ρ, a left pass, a right pass and an axpy.
+// Both kernel tables serve this kind with the scalar s_twoq_perm, and the
+// fused pass performs that kernel's operations per entry, in explicit
+// [re im] lanes at the baseline ISA, so its bits are the four-pass form's.
+// The diagonal and dense kinds keep the four passes: at AVX2 they round
+// through fmaddsub, which a baseline gather cannot reproduce.
 #pragma once
 
 #include <array>
@@ -299,5 +309,21 @@ void right_apply(Matrix& u, const Matrix& op, const std::vector<int>& qubits,
 void right_apply_adjoint(Matrix& u, const Matrix& op,
                          const std::vector<int>& qubits, const KernelPlan& plan,
                          const ApplyOptions& options = {});
+
+/// acc += weight · embed(op) · rho · embed(op†) for a TwoQPermPhase plan of
+/// op, in one gather pass: with π the permutation on the two qubits' bits and
+/// φ the phases,
+///   acc[r][c] += weight · (conj(φ_c) · (φ_r · rho[π(r)][π(c)])),
+/// each product in GCC-vector lanes [re im] at the baseline ISA on every host
+/// (no FMA), so it is bit-identical to copying rho, left_apply,
+/// right_apply_adjoint and the real axpy acc += weight · term, which run
+/// s_twoq_perm at every ISA. A pure-swap plan multiplies only by the weight.
+/// rho of at least `options.parallel_threshold` entries is sliced by rows
+/// across the thread pool; each row of acc is written by one task, so results
+/// are bit-identical at any thread count. Throws common::Error for another
+/// kind, another span, or acc aliasing rho.
+void add_perm_phase_conjugation(Matrix& acc, const Matrix& rho, const Matrix& op,
+                                const KernelPlan& plan, double weight,
+                                const ApplyOptions& options = {});
 
 }  // namespace qc::linalg

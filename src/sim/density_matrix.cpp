@@ -52,13 +52,18 @@ void DensityMatrix::apply_kraus(const std::vector<Matrix>& ops,
   }
   double* accum = reinterpret_cast<double*>(scratch_accum_.data());
   for (std::size_t i = 0; i < ops.size(); ++i) {
+    const double w = weights ? (*weights)[i] : 1.0;
+    if (plans[i].kind == linalg::KernelKind::TwoQPermPhase) {
+      // One gather pass straight into the sum, with the same bits as below.
+      linalg::add_perm_phase_conjugation(scratch_accum_, rho_, ops[i], plans[i], w);
+      continue;
+    }
     scratch_term_ = rho_;
     // K_i rho K_i†: K_i on the row qubits, conj(K_i) on the column qubits,
     // then one real axpy into the channel sum.
     linalg::left_apply(scratch_term_, ops[i], qubits, plans[i]);
     linalg::right_apply_adjoint(scratch_term_, ops[i], qubits, plans[i]);
     const double* term = reinterpret_cast<const double*>(scratch_term_.data());
-    const double w = weights ? (*weights)[i] : 1.0;
     for (std::size_t j = 0; j < 2 * dim * dim; ++j) accum[j] += w * term[j];
   }
   std::swap(rho_, scratch_accum_);

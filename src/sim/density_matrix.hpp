@@ -5,7 +5,9 @@
 // exactly, through the kernel plans the compiled program made once — the
 // noisy-output engine the paper's "noise model simulations" map onto. Exact
 // probabilities, no sampling noise; practical up to ~7 qubits (128x128 rho),
-// far beyond the paper's 5.
+// far beyond the paper's 5. Channel application is most of its time on
+// device noise models, whose CX depolarizing channels are mostly
+// permutation-phase terms; those take a one-pass gather (apply_kraus).
 #pragma once
 
 #include <vector>
@@ -32,8 +34,14 @@ class DensityMatrix {
                      const std::vector<int>& qubits);
   /// rho := sum_i w_i K_i rho K_i† with one kernel plan per operator; `weights`
   /// may be null (all 1, the plain Kraus form) or per-operator branch
-  /// probabilities (the mixed-unitary form). Reuses persistent scratch — no
-  /// dim x dim temporaries are allocated after the first call.
+  /// probabilities (the mixed-unitary form). The terms are summed in operator
+  /// order. A permutation-phase term (a CX depolarizing channel's X/Y
+  /// products) is gathered into the sum in one pass
+  /// (linalg::add_perm_phase_conjugation); every other term is copied from
+  /// rho, conjugated by left_apply and right_apply_adjoint and added with a
+  /// real axpy. Both forms round alike, so the sum is bit-identical to the
+  /// second form for every term. Reuses persistent scratch — no dim x dim
+  /// temporaries are allocated after the first call.
   void apply_kraus(const std::vector<linalg::Matrix>& ops,
                    const std::vector<linalg::KernelPlan>& plans,
                    const std::vector<double>* weights,

@@ -626,9 +626,9 @@ TEST(Kernels, ThreadedMatrixAppliesAreBitIdenticalToSerial) {
   // The matrix applies run the state-vector kernels over all dim^2 entries of
   // the doubled register; slicing that span across the pool must not move a
   // bit. parallel_threshold = 2 slices every span, the default none below
-  // n = 7. DensityMatrix takes no apply options, so its Kraus update (serial
-  // up to n = 6, sliced at n = 7) is checked against the sliced passes it is
-  // made of.
+  // n = 7. The Kraus update runs at the default options (serial up to n = 6,
+  // sliced at n = 7; a perm-phase op takes the one-pass gather) and is
+  // checked against the sliced four-pass form.
   common::Rng rng(74);
   const SimdIsa prev = active_simd_isa();
   const ApplyOptions serial{};

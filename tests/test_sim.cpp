@@ -28,6 +28,8 @@
 #include "sim/observables.hpp"
 #include "sim/statevector.hpp"
 
+#include "simd_isas.hpp"
+
 namespace qc::sim {
 namespace {
 
@@ -528,6 +530,9 @@ class AdjointReferenceDensityMatrix {
       : rho_(std::size_t{1} << num_qubits, std::size_t{1} << num_qubits) {
     rho_(0, 0) = cplx{1.0, 0.0};
   }
+  explicit AdjointReferenceDensityMatrix(const linalg::Matrix& rho) : rho_(rho) {}
+
+  const linalg::Matrix& rho() const { return rho_; }
 
   void apply_unitary(const linalg::Matrix& u, const linalg::Matrix& u_adjoint,
                      const std::vector<int>& qubits) {
@@ -596,39 +601,205 @@ TEST(Compiled, DensityMatrixMatchesAdjointReferenceBitwise) {
       {"simulator", noise::simulator_noise_model(device)},
       {"hardware", noise::hardware_noise_model(device)},
   };
-  common::Rng rng(41);
-  std::array<std::size_t, 5> blocks_by_k{};
-  for (int n = 2; n <= 5; ++n) {
-    for (int rep = 0; rep < 2; ++rep) {
-      // Every gate carries noise under a device model, so nothing fuses there;
-      // splice in the fused blocks of a noise-free program of the same width
-      // (plans are per span, so its steps run unchanged in the noisy one).
-      const auto blocks = compile_noisy_circuit(random_basis_circuit(n, 8 * n, rng),
-                                                noise::NoiseModel::ideal(n));
-      const auto qc = random_basis_circuit(n, 5 * n, rng);
-      for (const auto& [name, model] : models) {
-        SCOPED_TRACE(::testing::Message() << n << " qubits, " << name << " model");
-        auto compiled = compile_noisy_circuit(qc, model);
-        std::vector<CompiledStep> spliced;
-        for (std::size_t i = 0; i < compiled.steps.size(); ++i) {
-          spliced.push_back(compiled.steps[i]);
-          if (i < blocks.steps.size()) spliced.push_back(blocks.steps[i]);
+  const simd_test::SimdIsaRestorer restore;
+  for (const linalg::SimdIsa isa : simd_test::forceable_isas()) {
+    ASSERT_EQ(linalg::force_simd_isa(isa), isa);
+    SCOPED_TRACE(linalg::simd_isa_name(isa));
+    common::Rng rng(41);
+    std::array<std::size_t, 5> blocks_by_k{};
+    for (int n = 2; n <= 5; ++n) {
+      for (int rep = 0; rep < 2; ++rep) {
+        // Every gate carries noise under a device model, so nothing fuses there;
+        // splice in the fused blocks of a noise-free program of the same width
+        // (plans are per span, so its steps run unchanged in the noisy one).
+        const auto blocks = compile_noisy_circuit(random_basis_circuit(n, 8 * n, rng),
+                                                  noise::NoiseModel::ideal(n));
+        const auto qc = random_basis_circuit(n, 5 * n, rng);
+        for (const auto& [name, model] : models) {
+          SCOPED_TRACE(::testing::Message() << n << " qubits, " << name << " model");
+          auto compiled = compile_noisy_circuit(qc, model);
+          std::vector<CompiledStep> spliced;
+          for (std::size_t i = 0; i < compiled.steps.size(); ++i) {
+            spliced.push_back(compiled.steps[i]);
+            if (i < blocks.steps.size()) spliced.push_back(blocks.steps[i]);
+          }
+          compiled.steps = std::move(spliced);
+          for (const CompiledStep& step : compiled.steps)
+            if (step.source_count > 1) ++blocks_by_k[step.qubits.size()];
+          const auto planned = density_matrix_probabilities(compiled);
+          const auto reference = adjoint_reference_probabilities(compiled);
+          ASSERT_EQ(planned.size(), reference.size());
+          ASSERT_EQ(std::memcmp(planned.data(), reference.data(),
+                                planned.size() * sizeof(double)),
+                    0);
         }
-        compiled.steps = std::move(spliced);
-        for (const CompiledStep& step : compiled.steps)
-          if (step.source_count > 1) ++blocks_by_k[step.qubits.size()];
-        const auto planned = density_matrix_probabilities(compiled);
-        const auto reference = adjoint_reference_probabilities(compiled);
-        ASSERT_EQ(planned.size(), reference.size());
-        ASSERT_EQ(std::memcmp(planned.data(), reference.data(),
-                              planned.size() * sizeof(double)),
-                  0);
+      }
+    }
+    // The sweep must reach the fused 3q/4q kernels, not only 1q/2q gates.
+    EXPECT_GT(blocks_by_k[3], 0u);
+    EXPECT_GT(blocks_by_k[4], 0u);
+  }
+}
+
+bool same_bytes(const linalg::Matrix& a, const linalg::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.rows() * a.cols() * sizeof(cplx)) == 0;
+}
+
+/// Kraus sets on two qubits that reach the one-pass permutation-phase
+/// conjugation in every shape a channel can take it: each set with its
+/// weights (null for the plain Kraus form).
+std::vector<std::pair<std::vector<linalg::Matrix>, std::vector<double>>> perm_phase_channels(
+    common::Rng& rng) {
+  static const char* const kPaulis[] = {"II", "IX", "IY", "IZ", "XI", "XX", "XY", "XZ",
+                                        "YI", "YX", "YY", "YZ", "ZI", "ZX", "ZY", "ZZ"};
+  std::vector<std::pair<std::vector<linalg::Matrix>, std::vector<double>>> channels;
+  // A random Pauli-product set with random branch weights: the mixed-unitary
+  // form of the device models' depolarizing channels, perm-phase and diagonal
+  // products in random order.
+  std::vector<linalg::Matrix> paulis;
+  std::vector<double> weights;
+  for (int i = 0; i < 6; ++i) {
+    paulis.push_back(linalg::pauli_string(kPaulis[rng.uniform_int(16)]));
+    weights.push_back(rng.uniform(0.01, 1.0));
+  }
+  channels.emplace_back(paulis, weights);
+  // The plain Kraus form: sqrt(p_i) P_i for all sixteen products.
+  channels.emplace_back(noise::depolarizing(rng.uniform(0.01, 0.3), 2).kraus(),
+                        std::vector<double>{});
+  // Non-unit phases: ±i, a random unit phase and sqrt(p) X⊗X.
+  const double p = rng.uniform(0.01, 0.3);
+  const double theta = rng.uniform(-3.0, 3.0);
+  channels.emplace_back(
+      std::vector<linalg::Matrix>{linalg::pauli_string("XZ") * cplx{0.0, 1.0},
+                                  linalg::pauli_string("YX") * cplx{0.0, -1.0},
+                                  linalg::pauli_string("XX") * cplx{std::sqrt(p), 0.0},
+                                  linalg::pauli_string("YY") * std::polar(std::sqrt(1 - p), theta)},
+      std::vector<double>{});
+  // Pure swaps: CX with the first operator qubit as control, and SWAP.
+  linalg::Matrix cx(4, 4), swap(4, 4);
+  for (std::size_t r = 0; r < 4; ++r) {
+    cx(r, (r & 1U) ? (r ^ 2U) : r) = cplx{1.0, 0.0};
+    swap(r, ((r & 1U) << 1) | (r >> 1)) = cplx{1.0, 0.0};
+  }
+  channels.emplace_back(std::vector<linalg::Matrix>{cx, swap}, std::vector<double>{0.375, 0.625});
+  // Perm-phase terms interleaved with diagonal and dense ones.
+  linalg::Matrix diag(4, 4);
+  for (std::size_t r = 0; r < 4; ++r) diag(r, r) = std::polar(1.0, rng.uniform(-3.0, 3.0));
+  channels.emplace_back(
+      std::vector<linalg::Matrix>{linalg::pauli_string("XI"), linalg::pauli_string("ZZ"),
+                                  linalg::random_unitary(4, rng), linalg::pauli_string("YY"),
+                                  diag, cx},
+      std::vector<double>{0.1, 0.2, 0.05, 0.3, 0.15, 0.2});
+  return channels;
+}
+
+TEST(DensityMatrix, PermPhaseKrausMatchesReferenceBitwise) {
+  // The whole rho after each channel, against the copy / left / right / axpy
+  // form of the adjoint reference, at every ISA. Each perm-phase term is also
+  // gathered with the row slicing forced (parallel_threshold = 1) and must
+  // match the serial gather; ctest also runs this test at one and at four
+  // pool workers.
+  const simd_test::SimdIsaRestorer restore;
+  std::array<std::size_t, linalg::kNumKernelKinds> terms_by_kind{};
+  std::size_t pure_swaps = 0;
+  for (const linalg::SimdIsa isa : simd_test::forceable_isas()) {
+    ASSERT_EQ(linalg::force_simd_isa(isa), isa);
+    common::Rng rng(83);
+    for (int n = 2; n <= 5; ++n) {
+      const std::size_t dim = std::size_t{1} << n;
+      for (int a = 0; a < n; ++a) {
+        for (int b = 0; b < n; ++b) {
+          if (a == b) continue;
+          SCOPED_TRACE(::testing::Message() << linalg::simd_isa_name(isa) << ", " << n
+                                            << " qubits on (" << a << ", " << b << ")");
+          std::vector<cplx> amplitudes(dim);
+          double norm = 0.0;
+          for (cplx& x : amplitudes) {
+            x = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+            norm += std::norm(x);
+          }
+          for (cplx& x : amplitudes) x /= std::sqrt(norm);
+          DensityMatrix rho(n, amplitudes);
+          AdjointReferenceDensityMatrix reference(rho.rho());
+          const std::vector<int> qubits = {a, b};
+          // One channel after another, so later ones act on mixed states.
+          for (const auto& [ops, weights] : perm_phase_channels(rng)) {
+            std::vector<linalg::KernelPlan> plans;
+            std::vector<linalg::Matrix> adjoints;
+            for (std::size_t i = 0; i < ops.size(); ++i) {
+              plans.push_back(linalg::plan_kernel(ops[i], qubits, dim));
+              adjoints.push_back(ops[i].adjoint());
+              ++terms_by_kind[static_cast<std::size_t>(plans.back().kind)];
+              pure_swaps += plans.back().pure_swap;
+              if (plans.back().kind != linalg::KernelKind::TwoQPermPhase) continue;
+              linalg::Matrix serial = reference.rho() * cplx{0.5, 0.25};
+              linalg::Matrix sliced = serial;
+              const double w = weights.empty() ? 1.0 : weights[i];
+              linalg::add_perm_phase_conjugation(serial, rho.rho(), ops[i], plans.back(), w);
+              linalg::add_perm_phase_conjugation(sliced, rho.rho(), ops[i], plans.back(), w,
+                                                 linalg::ApplyOptions{1});
+              ASSERT_TRUE(same_bytes(serial, sliced));
+            }
+            const std::vector<double>* w = weights.empty() ? nullptr : &weights;
+            rho.apply_kraus(ops, plans, w, qubits);
+            reference.apply_kraus(ops, adjoints, w, qubits);
+            ASSERT_TRUE(same_bytes(rho.rho(), reference.rho()));
+          }
+        }
       }
     }
   }
-  // The sweep must reach the fused 3q/4q kernels, not only 1q/2q gates.
-  EXPECT_GT(blocks_by_k[3], 0u);
-  EXPECT_GT(blocks_by_k[4], 0u);
+  EXPECT_GT(terms_by_kind[static_cast<std::size_t>(linalg::KernelKind::TwoQPermPhase)], 0u);
+  EXPECT_GT(terms_by_kind[static_cast<std::size_t>(linalg::KernelKind::TwoQDiag)], 0u);
+  EXPECT_GT(terms_by_kind[static_cast<std::size_t>(linalg::KernelKind::TwoQGeneral)], 0u);
+  EXPECT_GT(pure_swaps, 0u);
+}
+
+TEST(DensityMatrix, PermPhaseConjugationRefusesOtherKindsAndAliasing) {
+  common::Rng rng(84);
+  const linalg::Matrix x = linalg::pauli_string("XY");
+  const linalg::KernelPlan plan = linalg::plan_kernel(x, {0, 2}, 8);
+  linalg::Matrix rho = linalg::random_unitary(8, rng);
+  linalg::Matrix acc(8, 8);
+  EXPECT_NO_THROW(linalg::add_perm_phase_conjugation(acc, rho, x, plan, 0.5));
+  EXPECT_THROW(linalg::add_perm_phase_conjugation(rho, rho, x, plan, 0.5), common::Error);
+  const linalg::Matrix z = linalg::pauli_string("ZZ");
+  EXPECT_THROW(linalg::add_perm_phase_conjugation(acc, rho, z, linalg::plan_kernel(z, {0, 2}, 8),
+                                                  0.5),
+               common::Error);
+  linalg::Matrix acc16(16, 16);
+  const linalg::Matrix rho16 = linalg::random_unitary(16, rng);
+  EXPECT_THROW(linalg::add_perm_phase_conjugation(acc16, rho16, x, plan, 0.5), common::Error);
+}
+
+TEST(Compiled, RandomCircuitsTrajectoryAgreesWithDensityMatrix) {
+  // The two production engines on seeded random circuits of 2..5 qubits under
+  // both device models: the trajectory counts stay within a shot-scaled total
+  // variation of the exact distribution. Sampling alone gives a total
+  // variation of about 0.4 sqrt(2^n / shots) on average, so the bound
+  // 4 sqrt(2^n / shots) is ten times that.
+  const auto device = noise::device_by_name("rome");
+  common::Rng rng(97);
+  for (int n = 2; n <= 5; ++n) {
+    for (int rep = 0; rep < 2; ++rep) {
+      const auto qc = random_basis_circuit(n, 6 * n, rng);
+      for (const bool hardware : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << n << " qubits, circuit " << rep << ", "
+                                          << (hardware ? "hardware" : "simulator") << " model");
+        const auto model = hardware ? noise::hardware_noise_model(device)
+                                    : noise::simulator_noise_model(device);
+        const auto compiled = compile_noisy_circuit(qc, model);
+        const std::size_t shots = std::size_t{2000} << n;
+        const auto exact = density_matrix_probabilities(compiled);
+        const auto sampled = metrics::counts_to_distribution(
+            trajectory_counts_streamed(compiled, 0, shots, rng.next()));
+        const double bound = 4.0 * std::sqrt(static_cast<double>(exact.size()) /
+                                             static_cast<double>(shots));
+        EXPECT_LT(metrics::total_variation(exact, sampled), bound);
+      }
+    }
+  }
 }
 
 // ---- per-shot reference -----------------------------------------------------

@@ -31,6 +31,8 @@
 #include "transpile/decompose.hpp"
 #include "transpile/euler.hpp"
 
+#include "simd_isas.hpp"
+
 namespace qc::synth {
 namespace {
 
@@ -807,19 +809,8 @@ TemplateCircuit random_template(int n, common::Rng& rng) {
   return tpl;
 }
 
-/// Restores the SIMD ISA that was active when it was made.
-struct SimdIsaRestorer {
-  linalg::SimdIsa saved = linalg::active_simd_isa();
-  ~SimdIsaRestorer() { linalg::force_simd_isa(saved); }
-};
-
-/// The SIMD ISAs this host can force: the baseline copies, and the AVX2
-/// copies where the host runs them.
-std::vector<linalg::SimdIsa> forceable_isas() {
-  std::vector<linalg::SimdIsa> isas{linalg::SimdIsa::Scalar};
-  if (linalg::simd_isa_supported(linalg::SimdIsa::Avx2)) isas.push_back(linalg::SimdIsa::Avx2);
-  return isas;
-}
+using qc::simd_test::forceable_isas;
+using qc::simd_test::SimdIsaRestorer;
 
 /// A rows x cols matrix of entries uniform in [-1, 1) + i[-1, 1).
 Matrix random_matrix(std::size_t rows, std::size_t cols, common::Rng& rng) {
