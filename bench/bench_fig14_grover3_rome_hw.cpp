@@ -19,8 +19,8 @@ static int run(int argc, char** argv) {
   const auto circuits =
       [&] {
         const noise::CouplingMap line = noise::CouplingMap::line(3);
-        return approx::generate_from_reference(reference, bench::grover_generator(ctx),
-                                               &line);
+        return approx::generate_from_reference(
+            reference, approx::grover_generator_preset(ctx.fast), &line);
       }();
   std::printf("harvested %zu approximate circuits\n", circuits.size());
 

@@ -21,6 +21,9 @@
 //                                    PREFIX_mid.prom / PREFIX_final.prom
 //                                    ("" disables the scraper)
 //
+// Counts lie in [1, 2^20] (connections in [1, 1024]), periods in
+// [0, one day]; a value outside its range exits 1 naming the flag.
+//
 // Beyond latency, every job reply's server-side timeline (queued_ns /
 // exec_ns) is collected, so the artifact CSV and the stdout tables split
 // client-observed latency into queue wait vs execution — per percentile and
@@ -64,12 +67,13 @@
 #include <vector>
 
 #include "common/cli.hpp"
-#include "common/strings.hpp"
 #include "common/driver.hpp"
 #include "common/error.hpp"
 #include "common/io.hpp"
 #include "common/json.hpp"
+#include "common/strings.hpp"
 #include "common/table.hpp"
+#include "common/thread_pool.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 
@@ -77,6 +81,10 @@ namespace {
 
 using qc::common::json::Value;
 using Clock = std::chrono::steady_clock;
+
+/// Ceiling on the --jobs, --tenants and --inflight counts (--connections,
+/// one thread each, stops at kMaxThreadPoolSize).
+constexpr std::size_t kMaxCount = std::size_t{1} << 20;
 
 struct Sample {
   double latency_ms = 0.0;       // client-measured, send -> reply
@@ -391,24 +399,22 @@ std::optional<Value> scrape_stats(const std::string& socket_path) {
 
 int run_chaos(qc::common::CliArgs& args, const std::string& socket_path) {
   using namespace qc;
-  const int chaos_kills = args.get_int("chaos", 5);
+  const int chaos_kills = args.get_number("chaos", 5);
   const std::string pidfile = args.get("pidfile", "");
   QC_CHECK_MSG(!socket_path.empty(),
                "--chaos needs --socket (an external server under the "
                "supervisor; an in-process server would die with us)");
   QC_CHECK_MSG(!pidfile.empty(),
                "--chaos needs --pidfile (the supervisor's, to aim SIGKILL)");
-  const std::uint64_t jobs = static_cast<std::uint64_t>(
-      std::max(1, args.get_int("jobs", 2000)));
+  const std::uint64_t jobs = args.get_number<std::uint64_t>("jobs", 2000, 1, kMaxCount);
   const std::size_t connections =
-      static_cast<std::size_t>(std::max(1, args.get_int("connections", 8)));
-  const std::size_t num_tenants =
-      static_cast<std::size_t>(std::max(1, args.get_int("tenants", 4)));
-  const std::size_t inflight =
-      static_cast<std::size_t>(std::max(1, args.get_int("inflight", 32)));
-  const double deadline_ms = args.get_double("deadline-ms", 150.0);
-  const double kill_interval_ms = args.get_double("kill-interval-ms", 700.0);
-  const std::uint64_t seed = args.get_seed("chaos-seed", 11);
+      args.get_number<std::size_t>("connections", 8, 1, common::kMaxThreadPoolSize);
+  const std::size_t num_tenants = args.get_number<std::size_t>("tenants", 4, 1, kMaxCount);
+  const std::size_t inflight = args.get_number<std::size_t>("inflight", 32, 1, kMaxCount);
+  const double deadline_ms = args.get_number("deadline-ms", 150.0, 0.0, common::kMaxPeriodMs);
+  const double kill_interval_ms =
+      args.get_number("kill-interval-ms", 700.0, 0.0, common::kMaxPeriodMs);
+  const std::uint64_t seed = args.get_number<std::uint64_t>("chaos-seed", 11);
 
   std::vector<std::string> tenants;
   for (std::size_t t = 0; t < num_tenants; ++t)
@@ -540,18 +546,15 @@ static int run(int argc, char** argv) {
   using namespace qc;
   common::driver::DriverContext ctx(argc, argv, "bench_serve");
 
-  if (ctx.args.get_int("chaos", 0) > 0)
+  if (ctx.args.get_number("chaos", 0) > 0)
     return run_chaos(ctx.args, ctx.args.get("socket", ""));
 
-  const std::uint64_t jobs =
-      static_cast<std::uint64_t>(std::max(1, ctx.args.get_int("jobs", 2000)));
+  const std::uint64_t jobs = ctx.args.get_number<std::uint64_t>("jobs", 2000, 1, kMaxCount);
   const std::size_t connections =
-      static_cast<std::size_t>(std::max(1, ctx.args.get_int("connections", 8)));
-  const std::size_t num_tenants =
-      static_cast<std::size_t>(std::max(1, ctx.args.get_int("tenants", 4)));
-  const std::size_t inflight =
-      static_cast<std::size_t>(std::max(1, ctx.args.get_int("inflight", 32)));
-  const double deadline_ms = ctx.args.get_double("deadline-ms", 150.0);
+      ctx.args.get_number<std::size_t>("connections", 8, 1, common::kMaxThreadPoolSize);
+  const std::size_t num_tenants = ctx.args.get_number<std::size_t>("tenants", 4, 1, kMaxCount);
+  const std::size_t inflight = ctx.args.get_number<std::size_t>("inflight", 32, 1, kMaxCount);
+  const double deadline_ms = ctx.args.get_number("deadline-ms", 150.0, 0.0, common::kMaxPeriodMs);
   const std::string prom_dump = ctx.args.get("prom-dump", "");
   std::string socket_path = ctx.args.get("socket", "");
 

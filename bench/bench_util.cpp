@@ -77,31 +77,17 @@ approx::TfimStudyConfig tfim_config(const BenchContext& ctx,
   cfg.model.num_qubits = num_qubits;
   cfg.model.num_steps = 21;
 
-  const int max_step = ctx.args.get_int("steps", ctx.fast ? 6 : 21);
+  const int max_step = ctx.args.get_number("steps", ctx.fast ? 6 : 21, 1, cfg.model.num_steps);
   const int stride = ctx.fast ? 2 : 1;
   for (int s = 1; s <= max_step; s += stride) cfg.steps.push_back(s);
 
-  cfg.generator = approx::tfim_generator_preset(num_qubits);
-  if (ctx.fast) {
-    cfg.generator.qsearch.max_nodes = 8;
-    cfg.generator.qfast.max_blocks = 3;
-    cfg.generator.reducer.variants_per_size = 1;
-    cfg.generator.max_circuits = 24;
-  }
+  cfg.generator = approx::tfim_generator_preset(num_qubits, ctx.fast);
 
   const auto device = common::driver::device(device_name);
   cfg.execution = hardware_mode ? approx::ExecutionConfig::hardware(device)
                                 : approx::ExecutionConfig::simulator(device);
   cfg.execution.shots = ctx.shots;
   return cfg;
-}
-
-approx::GeneratorConfig grover_generator(const BenchContext& ctx) {
-  return approx::grover_generator_preset(ctx.fast);
-}
-
-approx::GeneratorConfig toffoli_generator(const BenchContext& ctx, int num_qubits) {
-  return approx::toffoli_generator_preset(num_qubits, ctx.fast);
 }
 
 ToffoliSetup make_toffoli_setup(const BenchContext& ctx, int num_qubits) {
@@ -117,7 +103,7 @@ ToffoliSetup make_toffoli_setup(const BenchContext& ctx, int num_qubits) {
   const ir::QuantumCircuit gate_reference = algos::mct_reference_circuit(num_qubits);
   const noise::CouplingMap line = noise::CouplingMap::line(num_qubits);
   const auto raw = approx::generate_from_reference(
-      gate_reference, toffoli_generator(ctx, num_qubits), &line);
+      gate_reference, approx::toffoli_generator_preset(num_qubits, ctx.fast), &line);
 
   double best_qfast_hs = 2.0;
   for (std::size_t i = 0; i < raw.size(); ++i) {

@@ -51,13 +51,6 @@ approx::TfimStudyConfig tfim_config(const BenchContext& ctx,
                                     const std::string& device_name, int num_qubits,
                                     bool hardware_mode);
 
-/// Generator for the Grover figures: QSearch intermediates + reducer tail.
-approx::GeneratorConfig grover_generator(const BenchContext& ctx);
-
-/// Generator for the n-qubit Toffoli figures: QFast partial solutions +
-/// reducer tail over the no-ancilla reference.
-approx::GeneratorConfig toffoli_generator(const BenchContext& ctx, int num_qubits);
-
 /// Shared setup of the Toffoli JS studies (Figures 6, 7, 15, 17-19):
 /// approximations of the bare n-qubit MCX, each wrapped with the battery
 /// prefix (H on all controls) for execution, scored by JS distance from the

@@ -23,8 +23,8 @@
 static int run(int argc, char** argv) {
   using namespace qc;
   common::CliArgs args(argc, argv);
-  const int qubits = args.get_int("qubits", 6);
-  const int steps = args.get_int("steps", 8);
+  const int qubits = args.get_number("qubits", 6);
+  const int steps = args.get_number("steps", 8);
 
   algos::TfimModel model;
   model.num_qubits = qubits;
@@ -36,7 +36,7 @@ static int run(int argc, char** argv) {
 
   synth::PartitionedSynthesisOptions opts;
   opts.block_qubits = 3;
-  opts.block_hs_budget = args.get_double("budget", 0.05);
+  opts.block_hs_budget = args.get_number("budget", 0.05);
   opts.qsearch.max_nodes = 24;
   opts.qsearch.max_cnots = 4;
 

@@ -13,7 +13,7 @@
 static int run(int argc, char** argv) {
   using namespace qc;
   common::CliArgs args(argc, argv);
-  const int cnots = args.get_int("cnots", 20);
+  const int cnots = args.get_number("cnots", 20);
 
   // A CX ladder whose ideal output equals its input: any deviation is noise.
   // Barriers keep the transpiler from cancelling the adjacent CX pairs (the

@@ -17,8 +17,8 @@
 static int run(int argc, char** argv) {
   using namespace qc;
   common::CliArgs args(argc, argv);
-  const int qubits = args.get_int("qubits", 2);
-  common::Rng rng(args.get_seed("seed", 7));
+  const int qubits = args.get_number("qubits", 2);
+  common::Rng rng(args.get_number<std::uint64_t>("seed", 7));
   const linalg::Matrix target =
       linalg::random_unitary(std::size_t{1} << qubits, rng);
 

@@ -16,8 +16,8 @@
 static int run(int argc, char** argv) {
   using namespace qc;
   common::CliArgs args(argc, argv);
-  const int qubits = args.get_int("qubits", 3);
-  const int steps = args.get_int("steps", 10);
+  const int qubits = args.get_number("qubits", 3);
+  const int steps = args.get_number("steps", 10);
   const std::string device_name = args.get("device", "toronto");
 
   approx::TfimStudyConfig cfg;

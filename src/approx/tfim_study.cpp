@@ -9,7 +9,7 @@
 
 namespace qc::approx {
 
-GeneratorConfig tfim_generator_preset(int num_qubits) {
+GeneratorConfig tfim_generator_preset(int num_qubits, bool fast) {
   GeneratorConfig gen;
   gen.hs_threshold = 0.5;
   if (num_qubits <= 3) {
@@ -38,6 +38,12 @@ GeneratorConfig tfim_generator_preset(int num_qubits) {
     gen.reducer.full_reopt_max_qubits = 4;
     gen.reducer.full_reopt_max_cx = 12;
     gen.max_circuits = 80;
+  }
+  if (fast) {
+    gen.qsearch.max_nodes = 8;
+    gen.qfast.max_blocks = 3;
+    gen.reducer.variants_per_size = 1;
+    gen.max_circuits = 24;
   }
   return gen;
 }

@@ -50,7 +50,8 @@ struct TfimStudyResult {
 TfimStudyResult run_tfim_study(const TfimStudyConfig& config);
 
 /// Bounded-budget generator presets used across the TFIM figures:
-/// QSearch-based for 3 qubits, QFast+reducer for 4 (see DESIGN.md).
-GeneratorConfig tfim_generator_preset(int num_qubits);
+/// QSearch-based for 3 qubits, QFast+reducer for 4 (see DESIGN.md). `fast`
+/// trims search budgets for smoke runs (the bench --fast flag).
+GeneratorConfig tfim_generator_preset(int num_qubits, bool fast = false);
 
 }  // namespace qc::approx

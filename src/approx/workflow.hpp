@@ -110,7 +110,8 @@ std::vector<synth::ApproxCircuit> select_candidates(
 // The budgets the paper figures run with, shared by the bench binaries and
 // the serve job builders so a wire request and a figure driver harvest the
 // same cloud. `fast` trims search budgets for smoke runs (the bench --fast
-// flag). The TFIM preset lives in tfim_study.hpp (tfim_generator_preset).
+// flag). The TFIM preset, with the same `fast` trim, lives in tfim_study.hpp
+// (tfim_generator_preset).
 
 /// Grover figures: QSearch intermediates + reducer tail toward the deep
 /// reference.

@@ -1,8 +1,6 @@
 #include "common/cli.hpp"
 
 #include <atomic>
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <exception>
 #include <mutex>
@@ -11,16 +9,6 @@
 #include "common/strings.hpp"
 
 namespace qc::common {
-
-namespace {
-
-/// A bad flag value is the user's input, not a broken invariant: the message
-/// alone, without the failed expression or the source location.
-void require_flag(bool ok, const std::string& message) {
-  if (!ok) throw ContractError(message);
-}
-
-}  // namespace
 
 CliArgs::CliArgs(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -45,44 +33,11 @@ std::string CliArgs::get(const std::string& name, const std::string& fallback) c
   return it == values_.end() ? fallback : it->second;
 }
 
-int CliArgs::get_int(const std::string& name, int fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  const std::string& text = it->second;
-  int value = 0;
-  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-  require_flag(ec == std::errc() && end == text.data() + text.size(),
-               "--" + name + ": expected an integer, got '" + text + "'");
-  return value;
-}
-
-double CliArgs::get_double(const std::string& name, double fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  const std::string& text = it->second;
-  double value = 0.0;
-  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-  require_flag(ec == std::errc() && end == text.data() + text.size() && std::isfinite(value),
-               "--" + name + ": expected a finite number, got '" + text + "'");
-  return value;
-}
-
 bool CliArgs::get_bool(const std::string& name, bool fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   const std::string v = to_lower(it->second);
   return v == "1" || v == "true" || v == "yes" || v == "on";
-}
-
-std::uint64_t CliArgs::get_seed(const std::string& name, std::uint64_t fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  const std::string& text = it->second;
-  std::uint64_t value = 0;
-  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-  require_flag(ec == std::errc() && end == text.data() + text.size(),
-               "--" + name + ": expected a decimal seed in [0, 2^64), got '" + text + "'");
-  return value;
 }
 
 namespace {

@@ -4,8 +4,13 @@
 // Flag syntax: --name=value or --name value; bare --flag sets "true".
 #pragma once
 
+#include <limits>
 #include <map>
+#include <optional>
 #include <string>
+
+#include "common/error.hpp"
+#include "common/strings.hpp"
 
 namespace qc::common {
 
@@ -15,16 +20,22 @@ class CliArgs {
 
   bool has(const std::string& name) const;
   std::string get(const std::string& name, const std::string& fallback) const;
-  /// The whole value as a decimal int; throws ContractError naming the flag
-  /// when it has trailing text or is out of int range.
-  int get_int(const std::string& name, int fallback) const;
-  /// The whole value as a finite decimal double; throws ContractError naming
-  /// the flag otherwise.
-  double get_double(const std::string& name, double fallback) const;
+  /// The whole value, read by parse_decimal into [lo, hi]; `fallback` when
+  /// the flag is absent. Throws ContractError naming the flag and its range
+  /// otherwise.
+  template <typename T>
+  T get_number(const std::string& name, T fallback,
+               T lo = std::numeric_limits<T>::lowest(),
+               T hi = std::numeric_limits<T>::max()) const {
+    const auto it = values_.find(name);
+    if (it == values_.end()) return fallback;
+    if (const std::optional<T> v = parse_decimal(it->second, lo, hi)) return *v;
+    // A bad flag value is the user's input, not a broken invariant: the
+    // message alone, without the failed expression or the source location.
+    throw ContractError("--" + name + ": expected " + decimal_rule(lo, hi) + ", got '" +
+                        it->second + "'");
+  }
   bool get_bool(const std::string& name, bool fallback) const;
-  /// The whole value as a decimal integer in [0, 2^64); throws ContractError
-  /// naming the flag otherwise (a sign, a base prefix, trailing text).
-  std::uint64_t get_seed(const std::string& name, std::uint64_t fallback) const;
 
  private:
   std::map<std::string, std::string> values_;

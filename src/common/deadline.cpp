@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
-#include <cstdlib>
 #include <limits>
 
 #include "common/error.hpp"
-#include "obs/log.hpp"
+#include "common/strings.hpp"
 
 namespace qc::common {
 
@@ -76,33 +74,10 @@ void Deadline::raise_if_expired(const std::string& what) const {
   if (expired()) throw TimeoutError(what + ": deadline expired");
 }
 
-std::int64_t parse_deadline_ms_env(const char* text) {
-  if (text == nullptr || *text == '\0') return 0;
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(text, &end, 10);
-  while (end != nullptr && (*end == ' ' || *end == '\t')) ++end;
-  if (end == text || end == nullptr || *end != '\0' || errno == ERANGE) {
-    QC_LOG_WARN("deadline",
-                "QAPPROX_DEADLINE_MS=\"%s\" is not a number; running unbounded",
-                text);
-    return 0;
-  }
-  if (v < 0) {
-    QC_LOG_WARN("deadline",
-                "QAPPROX_DEADLINE_MS=%lld must be non-negative; running unbounded",
-                v);
-    return 0;
-  }
-  return static_cast<std::int64_t>(v);
-}
-
 Deadline Deadline::from_env() {
-  static const std::int64_t budget_ms = [] {
-    return parse_deadline_ms_env(std::getenv("QAPPROX_DEADLINE_MS"));
-  }();
-  return budget_ms > 0 ? Deadline::after_ms(static_cast<double>(budget_ms))
-                       : Deadline::never();
+  static const double budget_ms =
+      env_number("QAPPROX_DEADLINE_MS", 0.0, 0.0, kMaxPeriodMs);
+  return budget_ms > 0.0 ? Deadline::after_ms(budget_ms) : Deadline::never();
 }
 
 }  // namespace qc::common

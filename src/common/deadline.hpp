@@ -82,8 +82,9 @@ class Deadline {
   /// Expires at an absolute steady-clock time point.
   static Deadline at(Clock::time_point tp);
 
-  /// Process-default deadline from QAPPROX_DEADLINE_MS (unbounded when the
-  /// variable is unset, empty, zero, or malformed — malformed values warn).
+  /// Process-default deadline from QAPPROX_DEADLINE_MS, milliseconds in
+  /// [0, kMaxPeriodMs] (unbounded when the variable is unset, empty, zero, or
+  /// malformed — malformed values warn).
   /// The environment is read once; the returned Deadline's countdown starts
   /// at this call.
   static Deadline from_env();
@@ -152,11 +153,5 @@ class StopPoller {
   std::uint32_t calls_ = 0;
   bool triggered_ = false;
 };
-
-/// Validates a QAPPROX_DEADLINE_MS value. Returns the parsed budget in
-/// milliseconds, or 0 ("unbounded") for unset/empty/zero input; non-numeric
-/// or negative input warns and returns 0. Exposed for tests (mirrors
-/// parse_thread_count_env).
-std::int64_t parse_deadline_ms_env(const char* text);
 
 }  // namespace qc::common

@@ -2,12 +2,14 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <mutex>
 
 #include "common/deadline.hpp"
 #include "common/error.hpp"
 #include "common/faults.hpp"
+#include "common/strings.hpp"
 #include "noise/catalog.hpp"
 #include "obs/obs.hpp"
 
@@ -45,21 +47,13 @@ exec::ExecutionConfig execution_config(const std::string& device_name,
   if (mode == "simulator") return exec::ExecutionConfig::simulator(dev);
   if (mode == "hardware") return exec::ExecutionConfig::hardware(dev);
   if (mode == "ideal") return exec::ExecutionConfig::noise_free(dev);
-  QC_CHECK_MSG(false, "unknown execution mode '" + mode +
-                          "' (expected simulator | hardware | ideal)");
-  return exec::ExecutionConfig::simulator(dev);  // unreachable
+  throw ContractError("unknown execution mode '" + mode +
+                      "' (expected simulator | hardware | ideal)");
 }
 
 std::uint64_t default_seed(std::uint64_t fallback) {
-  const char* text = std::getenv("QAPPROX_SEED");
-  if (text == nullptr || *text == '\0') return fallback;
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(text, &end, 0);
-  if (end == text || *end != '\0') {
-    std::fprintf(stderr, "qapprox: ignoring malformed QAPPROX_SEED='%s'\n", text);
-    return fallback;
-  }
-  return v;
+  return env_number<std::uint64_t>("QAPPROX_SEED", fallback, 0,
+                                   std::numeric_limits<std::uint64_t>::max());
 }
 
 DriverContext::DriverContext(int argc, char** argv, const std::string& id)
@@ -70,12 +64,8 @@ DriverContext::DriverContext(int argc, char** argv, const std::string& id)
     std::exit(0);
   }
   fast = args.get_bool("fast", false);
-  const int requested_shots = args.get_int("shots", static_cast<int>(shots));
-  if (requested_shots < 1 || static_cast<std::size_t>(requested_shots) > kMaxShots)
-    throw ContractError("--shots: " + std::to_string(requested_shots) + " is outside [1, " +
-                        std::to_string(kMaxShots) + "]");
-  shots = static_cast<std::size_t>(requested_shots);
-  seed = args.get_seed("seed", default_seed(11));
+  shots = args.get_number<std::size_t>("shots", shots, 1, kMaxShots);
+  seed = args.get_number<std::uint64_t>("seed", default_seed(11));
   csv_path = args.get("csv", id + ".csv");
 }
 

@@ -53,8 +53,8 @@ const noise::DeviceProperties& device(const std::string& name);
 exec::ExecutionConfig execution_config(const std::string& device_name,
                                        const std::string& mode);
 
-/// Default seed for drivers: QAPPROX_SEED when set (parsed base-0), else
-/// `fallback`. A malformed value warns and returns the fallback.
+/// Default seed for drivers: QAPPROX_SEED when set (decimal, like --seed),
+/// else `fallback`. A malformed value warns and returns the fallback.
 std::uint64_t default_seed(std::uint64_t fallback);
 
 /// Most shots one run may ask for, on the command line and on the wire.

@@ -4,7 +4,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -46,14 +48,11 @@ int site_index(const std::string& name) {
   return -1;
 }
 
-double parse_number(const std::string& text, const std::string& spec) {
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || (end != nullptr && *end != '\0')) {
-    throw ContractError("fault spec \"" + spec + "\": \"" + text +
-                        "\" is not a number");
-  }
-  return v;
+template <typename T>
+T parse_number(const std::string& text, T lo, T hi, const std::string& spec) {
+  if (const std::optional<T> v = parse_decimal(text, lo, hi)) return *v;
+  throw ContractError("fault spec \"" + spec + "\": \"" + text + "\" is not " +
+                      decimal_rule(lo, hi));
 }
 
 Config parse_spec(const std::string& spec) {
@@ -63,8 +62,8 @@ Config parse_spec(const std::string& spec) {
     const std::string entry = trim(raw);
     if (entry.empty()) continue;
     if (entry.rfind("seed=", 0) == 0) {
-      config.seed =
-          static_cast<std::uint64_t>(parse_number(entry.substr(5), spec));
+      config.seed = parse_number<std::uint64_t>(
+          entry.substr(5), 0, std::numeric_limits<std::uint64_t>::max(), spec);
       continue;
     }
     const std::vector<std::string> parts = split(entry, ':');
@@ -78,15 +77,11 @@ Config parse_spec(const std::string& spec) {
                           trim(parts[0]) +
                           "\" (expected synth, worker, nan, or slow)");
     }
-    const double prob = parse_number(trim(parts[1]), spec);
-    if (prob < 0.0 || prob > 1.0) {
-      throw ContractError("fault spec \"" + spec + "\": probability " +
-                          trim(parts[1]) + " is outside [0, 1]");
-    }
+    const double prob = parse_number(parts[1], 0.0, 1.0, spec);
     SiteConfig& site = config.sites[static_cast<std::size_t>(index)];
     site.armed = prob > 0.0;
     site.probability = prob;
-    site.param = parts.size() == 3 ? parse_number(trim(parts[2]), spec) : 0.0;
+    site.param = parts.size() == 3 ? parse_number(parts[2], 0.0, kMaxPeriodMs, spec) : 0.0;
   }
   if (config.sites[static_cast<std::size_t>(Site::SlowTask)].armed &&
       config.sites[static_cast<std::size_t>(Site::SlowTask)].param <= 0.0) {

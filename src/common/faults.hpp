@@ -10,7 +10,8 @@
 //   QAPPROX_FAULTS="synth:0.15,worker:0.1,nan:0.001,slow:0.05:20,seed=7"
 //
 // Grammar: comma-separated entries, each `site:probability[:param]` or
-// `seed=N`. Sites:
+// `seed=N`, every number read by common::parse_decimal: probability in
+// [0, 1], param in [0, kMaxPeriodMs], N a decimal integer in [0, 2^64). Sites:
 //
 //   synth   — throw SynthesisError at synthesizer entry (stream: the
 //             synthesis seed), forcing the driver retry/fallback path

@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <mutex>
+#include <set>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "obs/log.hpp"
@@ -63,30 +67,71 @@ std::string to_bitstring(std::uint64_t value, int bits) {
   return s;
 }
 
-std::size_t env_size(const char* name, std::size_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(raw, &end, 10);
-  // strtoull negates a leading '-' into a huge value: refuse it outright.
-  if (end == raw || *end != '\0' || v == 0 ||
-      std::strchr(raw, '-') != nullptr) {
-    QC_LOG_WARN("env", "ignoring malformed %s='%s'", name, raw);
-    return fallback;
-  }
-  return static_cast<std::size_t>(v);
+namespace {
+
+/// True the first time `key` is seen in this process.
+bool first_report(const std::string& key) {
+  static std::mutex mutex;
+  static std::set<std::string> seen;  // guarded by mutex
+  std::lock_guard<std::mutex> lock(mutex);
+  return seen.insert(key).second;
 }
 
-double env_double(const char* name, double fallback) {
+}  // namespace
+
+template <typename T>
+std::optional<T> parse_decimal(std::string_view text, T lo, T hi) {
+  const auto space = [](char c) { return c == ' ' || (c >= '\t' && c <= '\r'); };
+  while (!text.empty() && space(text.front())) text.remove_prefix(1);
+  while (!text.empty() && space(text.back())) text.remove_suffix(1);
+  if (text.empty()) return std::nullopt;
+  const char* const end = text.data() + text.size();
+  T value{};
+  std::from_chars_result r{};
+  if constexpr (std::is_floating_point_v<T>) {
+    // The general format reads no hex float; nan and inf parse but are not
+    // finite.
+    r = std::from_chars(text.data(), end, value, std::chars_format::general);
+    if (!std::isfinite(value)) return std::nullopt;
+  } else {
+    r = std::from_chars(text.data(), end, value, 10);
+  }
+  if (r.ec != std::errc() || r.ptr != end || value < lo || value > hi) return std::nullopt;
+  return value;
+}
+
+template <typename T>
+std::string decimal_rule(T lo, T hi) {
+  if constexpr (std::is_floating_point_v<T>) {
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), "a finite decimal number in [%.15g, %.15g]", lo, hi);
+    return buf;
+  } else {
+    return "a decimal integer in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+  }
+}
+
+template <typename T>
+T env_number(const char* name, T fallback, T lo, T hi) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(raw, &end);
-  if (end == raw || *end != '\0' || v < 0.0) {
-    QC_LOG_WARN("env", "ignoring malformed %s='%s'", name, raw);
-    return fallback;
-  }
-  return v;
+  if (const std::optional<T> v = parse_decimal(raw, lo, hi)) return *v;
+  if (first_report(std::string(name) + "=" + raw))
+    QC_LOG_WARN("env", "ignoring %s='%s': expected %s", name, raw,
+                decimal_rule(lo, hi).c_str());
+  return fallback;
 }
+
+#define QC_DECIMAL_INSTANTIATE(T)                                             \
+  template std::optional<T> parse_decimal<T>(std::string_view, T, T);        \
+  template std::string decimal_rule<T>(T, T);                                \
+  template T env_number<T>(const char*, T, T, T);
+QC_DECIMAL_INSTANTIATE(int)
+QC_DECIMAL_INSTANTIATE(long)
+QC_DECIMAL_INSTANTIATE(long long)
+QC_DECIMAL_INSTANTIATE(unsigned long)
+QC_DECIMAL_INSTANTIATE(unsigned long long)
+QC_DECIMAL_INSTANTIATE(double)
+#undef QC_DECIMAL_INSTANTIATE
 
 }  // namespace qc::common

@@ -3,7 +3,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace qc::common {
@@ -27,14 +29,26 @@ std::string format_double(double v, int max_precision = 6);
 /// Zero-padded binary rendering of `value` over `bits` bits, MSB first.
 std::string to_bitstring(std::uint64_t value, int bits);
 
-/// Positive integer environment setting: unset/empty -> `fallback`; a value
-/// that does not parse, in full, as a positive decimal integer warns and
-/// keeps `fallback`.
-std::size_t env_size(const char* name, std::size_t fallback);
+/// Longest period or budget a millisecond setting may ask for: one day.
+inline constexpr double kMaxPeriodMs = 86'400'000.0;
 
-/// Non-negative real environment setting: unset/empty -> `fallback`; a value
-/// that does not parse, in full, as a non-negative number warns and keeps
-/// `fallback`.
-double env_double(const char* name, double fallback);
+/// The one parser of numbers read from outside the program — flags,
+/// environment variables, fault specs, QASM text. Surrounding ASCII
+/// whitespace is trimmed; the rest must be exactly one decimal number (no
+/// base prefix, no hex float, no nan or inf) lying in [lo, hi]. Empty
+/// otherwise. T is an integer type or double.
+template <typename T>
+std::optional<T> parse_decimal(std::string_view text, T lo, T hi);
+
+/// What parse_decimal accepts, for error messages: "a decimal integer in
+/// [1, 1024]" or "a finite decimal number in [0, 8.64e+07]".
+template <typename T>
+std::string decimal_rule(T lo, T hi);
+
+/// Numeric environment setting: unset or empty -> `fallback`; otherwise
+/// parse_decimal into [lo, hi]. A value that fails warns (once per value)
+/// and keeps `fallback`.
+template <typename T>
+T env_number(const char* name, T fallback, T lo, T hi);
 
 }  // namespace qc::common

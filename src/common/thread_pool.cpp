@@ -1,14 +1,13 @@
 #include "common/thread_pool.hpp"
 
 #include <atomic>
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <exception>
 #include <memory>
 #include <string>
 
 #include "common/error.hpp"
+#include "common/strings.hpp"
 #include "obs/obs.hpp"
 
 namespace qc::common {
@@ -52,37 +51,6 @@ void run_task(const std::function<void()>& task, obs::Counter* per_worker_busy_n
 }
 
 }  // namespace
-
-std::size_t parse_thread_count_env(const char* text) {
-  if (text == nullptr) return 0;
-  if (*text == '\0') {
-    QC_LOG_WARN("thread_pool",
-                "QAPPROX_THREADS is set but empty; using hardware concurrency");
-    return 0;
-  }
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(text, &end, 10);
-  while (end != nullptr && (*end == ' ' || *end == '\t')) ++end;
-  if (end == text || end == nullptr || *end != '\0') {
-    QC_LOG_WARN("thread_pool",
-                "QAPPROX_THREADS=\"%s\" is not a number; using hardware concurrency",
-                text);
-    return 0;
-  }
-  if (errno == ERANGE || v > static_cast<long>(kMaxThreadPoolSize)) {
-    QC_LOG_WARN("thread_pool", "QAPPROX_THREADS=%s is absurd; clamping to %zu",
-                text, kMaxThreadPoolSize);
-    return kMaxThreadPoolSize;
-  }
-  if (v <= 0) {
-    QC_LOG_WARN("thread_pool",
-                "QAPPROX_THREADS=%ld must be positive; using hardware concurrency",
-                v);
-    return 0;
-  }
-  return static_cast<std::size_t>(v);
-}
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
   obs::init_from_env();
@@ -215,7 +183,7 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
 ThreadPool& ThreadPool::global() {
   static ThreadPool pool([] {
     obs::init_from_env();  // QAPPROX_LOG must apply before any parse warning
-    return parse_thread_count_env(std::getenv("QAPPROX_THREADS"));
+    return env_number<std::size_t>("QAPPROX_THREADS", 0, 1, kMaxThreadPoolSize);
   }());
   return pool;
 }

@@ -57,15 +57,10 @@ class ThreadPool {
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn);
 
-/// Hard ceiling on QAPPROX_THREADS (values above it are clamped with a
-/// warning — a mistyped value must not spawn tens of thousands of threads).
+/// Hard ceiling on QAPPROX_THREADS and QAPPROX_SERVE_WORKERS: a value above
+/// it is malformed like any other, so it warns and falls back to the default
+/// (hardware concurrency for the pool) — a mistyped value must not spawn
+/// tens of thousands of threads.
 inline constexpr std::size_t kMaxThreadPoolSize = 1024;
-
-/// Validates a QAPPROX_THREADS value. Returns the parsed count, clamped to
-/// kMaxThreadPoolSize; non-numeric, empty, zero, negative, or overflowing
-/// input returns 0 ("use hardware concurrency"). Every override of the
-/// requested value emits a warn-level log. nullptr (variable unset) returns
-/// 0 silently.
-std::size_t parse_thread_count_env(const char* text);
 
 }  // namespace qc::common

@@ -13,9 +13,8 @@ namespace qc::ir {
 
 QuantumCircuit::QuantumCircuit(int num_qubits, std::string name)
     : num_qubits_(num_qubits), name_(std::move(name)) {
-  // Wide registers are fine for IR-level work (device-width circuits during
-  // routing); only to_unitary() and the simulators need small registers.
-  QC_CHECK_MSG(num_qubits > 0 && num_qubits <= 256, "qubit count out of supported range");
+  QC_CHECK_MSG(num_qubits > 0 && num_qubits <= kMaxCircuitQubits,
+               "qubit count out of supported range");
 }
 
 const Gate& QuantumCircuit::gate(std::size_t i) const {

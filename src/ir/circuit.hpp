@@ -11,6 +11,11 @@
 
 namespace qc::ir {
 
+/// Widest register a circuit may declare. Wide registers are fine for
+/// IR-level work (device-width circuits during routing); only to_unitary()
+/// and the simulators need small registers.
+inline constexpr int kMaxCircuitQubits = 256;
+
 class QuantumCircuit {
  public:
   /// Null circuit (0 qubits): a placeholder distinguishable via is_null();

@@ -103,7 +103,7 @@ GateKind gate_kind_from_name(const std::string& name) {
     return m;
   }();
   const auto it = lookup.find(common::to_lower(name));
-  QC_CHECK_MSG(it != lookup.end(), "unknown gate name: " + name);
+  if (it == lookup.end()) throw common::ContractError("unknown gate name: " + name);
   return it->second;
 }
 

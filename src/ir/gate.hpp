@@ -52,7 +52,7 @@ enum class GateKind {
 /// Canonical lowercase mnemonic ("cx", "u3", ...). Stable; used by QASM I/O.
 const std::string& gate_name(GateKind kind);
 
-/// Inverse lookup of gate_name; throws on unknown names.
+/// Inverse lookup of gate_name; throws ContractError on unknown names.
 GateKind gate_kind_from_name(const std::string& name);
 
 /// Qubit arity; -1 for variable arity (MCX, Barrier, Measure).

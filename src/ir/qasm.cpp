@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
+#include <optional>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -10,6 +12,13 @@
 namespace qc::ir {
 
 namespace {
+
+/// QASM text comes from outside the program: a malformed line is the
+/// caller's input, reported as the message alone (no expression or source
+/// location).
+void require(bool ok, const std::string& what, int line_no) {
+  if (!ok) throw common::ContractError("qasm line " + std::to_string(line_no) + ": " + what);
+}
 
 std::string format_param(double v) {
   // High precision so round-trips preserve synthesized angles exactly enough.
@@ -22,7 +31,7 @@ std::string format_param(double v) {
 /// products/quotients like "pi/2", "-3*pi/4", and sums/differences.
 double eval_expr(const std::string& raw, int line_no) {
   const std::string s = common::trim(raw);
-  QC_CHECK_MSG(!s.empty(), "empty parameter at line " + std::to_string(line_no));
+  require(!s.empty(), "empty parameter", line_no);
 
   // Split on top-level + / - (respecting a leading sign).
   int depth = 0;
@@ -50,7 +59,7 @@ double eval_expr(const std::string& raw, int line_no) {
       const double lhs = eval_expr(s.substr(0, i), line_no);
       const double rhs = eval_expr(s.substr(i + 1), line_no);
       if (c == '*') return lhs * rhs;
-      QC_CHECK_MSG(rhs != 0.0, "division by zero at line " + std::to_string(line_no));
+      require(rhs != 0.0, "division by zero", line_no);
       return lhs / rhs;
     }
   }
@@ -58,18 +67,23 @@ double eval_expr(const std::string& raw, int line_no) {
   if (s.front() == '-') return -eval_expr(s.substr(1), line_no);
   if (s.front() == '+') return eval_expr(s.substr(1), line_no);
   if (s == "pi") return 3.14159265358979323846;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  QC_CHECK_MSG(end && *end == '\0',
-               "bad numeric parameter '" + s + "' at line " + std::to_string(line_no));
-  return v;
+  const std::optional<double> v = common::parse_decimal(
+      s, std::numeric_limits<double>::lowest(), std::numeric_limits<double>::max());
+  require(v.has_value(),
+          "bad numeric parameter '" + s + "' (expected pi or a finite decimal number)", line_no);
+  return *v;
 }
 
-int parse_qubit_ref(const std::string& tok, int line_no) {
+/// Reads a q[i] operand of a register of `num_qubits` (declared before use).
+int parse_qubit_ref(const std::string& tok, int num_qubits, int line_no) {
   const std::string t = common::trim(tok);
-  QC_CHECK_MSG(common::starts_with(t, "q[") && t.back() == ']',
-               "expected q[i] operand at line " + std::to_string(line_no));
-  return std::atoi(t.substr(2, t.size() - 3).c_str());
+  require(common::starts_with(t, "q[") && t.back() == ']', "expected q[i] operand", line_no);
+  require(num_qubits > 0, "operand before the qreg declaration", line_no);
+  const std::string index = t.substr(2, t.size() - 3);
+  const std::optional<int> q = common::parse_decimal(index, 0, num_qubits - 1);
+  require(q.has_value(), "qubit index '" + index + "' is not " +
+                             common::decimal_rule(0, num_qubits - 1), line_no);
+  return *q;
 }
 
 }  // namespace
@@ -138,7 +152,7 @@ QuantumCircuit from_qasm(const std::string& text) {
     if (comment != std::string::npos) line = line.substr(0, comment);
     line = common::trim(line);
     if (line.empty()) continue;
-    QC_CHECK_MSG(line.back() == ';', "missing ';' at line " + std::to_string(line_no));
+    require(line.back() == ';', "missing ';'", line_no);
     line.pop_back();
     line = common::trim(line);
 
@@ -148,16 +162,19 @@ QuantumCircuit from_qasm(const std::string& text) {
     if (common::starts_with(line, "qreg")) {
       const std::size_t lb = line.find('[');
       const std::size_t rb = line.find(']');
-      QC_CHECK_MSG(lb != std::string::npos && rb > lb,
-                   "bad qreg at line " + std::to_string(line_no));
-      num_qubits = std::atoi(line.substr(lb + 1, rb - lb - 1).c_str());
+      require(lb != std::string::npos && rb != std::string::npos && rb > lb, "bad qreg",
+              line_no);
+      const std::string size = line.substr(lb + 1, rb - lb - 1);
+      const std::optional<int> n = common::parse_decimal(size, 1, kMaxCircuitQubits);
+      require(n.has_value(), "qreg size '" + size + "' is not " +
+                                 common::decimal_rule(1, kMaxCircuitQubits), line_no);
+      num_qubits = *n;
       continue;
     }
     if (common::starts_with(line, "measure")) {
       const std::size_t arrow = line.find("->");
-      QC_CHECK_MSG(arrow != std::string::npos,
-                   "bad measure at line " + std::to_string(line_no));
-      const int q = parse_qubit_ref(common::trim(line.substr(7, arrow - 7)), line_no);
+      require(arrow != std::string::npos, "bad measure", line_no);
+      const int q = parse_qubit_ref(line.substr(7, arrow - 7), num_qubits, line_no);
       pending.emplace_back(GateKind::Measure, std::vector<int>{q});
       continue;
     }
@@ -169,21 +186,24 @@ QuantumCircuit from_qasm(const std::string& text) {
     std::size_t operands_at;
     if (paren != std::string::npos && paren < line.find(' ')) {
       const std::size_t close = line.find(')', paren);
-      QC_CHECK_MSG(close != std::string::npos, "unclosed '(' at line " + std::to_string(line_no));
+      require(close != std::string::npos, "unclosed '('", line_no);
       head = line.substr(0, paren);
       for (const std::string& p :
-           common::split(line.substr(paren + 1, close - paren - 1), ','))
+           common::split(line.substr(paren + 1, close - paren - 1), ',')) {
         params.push_back(eval_expr(p, line_no));
+        // Finite literals can still overflow in arithmetic (1e300*1e300).
+        require(std::isfinite(params.back()), "parameter '" + p + "' is not finite", line_no);
+      }
       operands_at = close + 1;
     } else {
       const std::size_t sp = line.find(' ');
-      QC_CHECK_MSG(sp != std::string::npos, "missing operands at line " + std::to_string(line_no));
+      require(sp != std::string::npos, "missing operands", line_no);
       head = line.substr(0, sp);
       operands_at = sp + 1;
     }
     std::vector<int> qubits;
     for (const std::string& tok : common::split(line.substr(operands_at), ','))
-      qubits.push_back(parse_qubit_ref(tok, line_no));
+      qubits.push_back(parse_qubit_ref(tok, num_qubits, line_no));
 
     std::string name = common::trim(head);
     GateKind kind;
@@ -195,7 +215,7 @@ QuantumCircuit from_qasm(const std::string& text) {
     pending.emplace_back(kind, std::move(qubits), std::move(params));
   }
 
-  QC_CHECK_MSG(num_qubits > 0, "QASM program declared no qreg");
+  if (num_qubits <= 0) throw common::ContractError("qasm: the program declares no qreg");
   QuantumCircuit circuit(num_qubits);
   // Coalesce consecutive single-qubit measures into one gate when they cover
   // distinct qubits (mirrors measure_all round-trips); otherwise keep as-is.

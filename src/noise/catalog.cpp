@@ -75,8 +75,7 @@ DeviceProperties device_by_name(const std::string& name) {
   const std::string lower = common::to_lower(name);
   for (const auto& e : kEntries)
     if (lower == e.name || lower == std::string("ibmq_") + e.name) return build(e);
-  QC_CHECK_MSG(false, "unknown device: " + name);
-  return build(kEntries[0]);  // unreachable
+  throw common::ContractError("unknown device: " + name);
 }
 
 std::vector<DeviceProperties> device_catalog() {

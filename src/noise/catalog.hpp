@@ -23,7 +23,8 @@
 
 namespace qc::noise {
 
-/// Builds the calibration snapshot for one device; throws on unknown names.
+/// Builds the calibration snapshot for one device; throws ContractError on
+/// unknown names.
 DeviceProperties device_by_name(const std::string& name);
 
 /// All five Table 1 devices.

@@ -26,10 +26,17 @@ namespace driver = common::driver;
 
 namespace {
 
+/// Wire parameters are the client's input, not an invariant: a rejection
+/// carries the message alone, without the failed expression or the source
+/// location.
+void require(bool ok, const std::string& message) {
+  if (!ok) throw common::ContractError(message);
+}
+
 int checked_qubits(const json::Value& params, int fallback, int max_qubits) {
   const std::int64_t q = params.get_int("qubits", fallback);
-  QC_CHECK_MSG(q >= 1 && q <= max_qubits,
-               "\"qubits\" out of range [1, " + std::to_string(max_qubits) + "]");
+  require(q >= 1 && q <= max_qubits,
+          "\"qubits\" out of range [1, " + std::to_string(max_qubits) + "]");
   return static_cast<int>(q);
 }
 
@@ -55,8 +62,8 @@ std::string outcome_bits(std::size_t index, int num_qubits) {
 void run_stall_hooks(const json::Value& params,
                      const common::Deadline& deadline) {
   const std::int64_t sleep_ms = params.get_int("sleep_ms", 0);
-  QC_CHECK_MSG(sleep_ms >= 0 && sleep_ms <= 60000,
-               "\"sleep_ms\" out of range [0, 60000]");
+  require(sleep_ms >= 0 && sleep_ms <= 60000,
+          "\"sleep_ms\" out of range [0, 60000]");
   if (sleep_ms > 0) {
     const auto until = std::chrono::steady_clock::now() +
                        std::chrono::milliseconds(sleep_ms);
@@ -66,8 +73,8 @@ void run_stall_hooks(const json::Value& params,
     }
   }
   const std::int64_t hang_ms = params.get_int("hang_ms", 0);
-  QC_CHECK_MSG(hang_ms >= 0 && hang_ms <= 60000,
-               "\"hang_ms\" out of range [0, 60000]");
+  require(hang_ms >= 0 && hang_ms <= 60000,
+          "\"hang_ms\" out of range [0, 60000]");
   if (hang_ms > 0)
     std::this_thread::sleep_for(std::chrono::milliseconds(hang_ms));
 }
@@ -81,7 +88,7 @@ Workload build_workload(const json::Value& params) {
     algos::TfimModel model;
     model.num_qubits = checked_qubits(params, 3, 6);
     const std::int64_t steps = params.get_int("steps", 5);
-    QC_CHECK_MSG(steps >= 1 && steps <= 64, "\"steps\" out of range [1, 64]");
+    require(steps >= 1 && steps <= 64, "\"steps\" out of range [1, 64]");
     model.num_steps = std::max(model.num_steps, static_cast<int>(steps));
     w.circuit = model.circuit_up_to(static_cast<int>(steps));
     w.metric = "magnetization";
@@ -89,25 +96,25 @@ Workload build_workload(const json::Value& params) {
     const int qubits = checked_qubits(params, 3, 6);
     const std::uint64_t all_ones = (1ull << qubits) - 1;
     const std::int64_t marked = params.get_int("marked", static_cast<std::int64_t>(all_ones));
-    QC_CHECK_MSG(marked >= 0 && static_cast<std::uint64_t>(marked) <= all_ones,
-                 "\"marked\" outside the outcome space");
+    require(marked >= 0 && static_cast<std::uint64_t>(marked) <= all_ones,
+            "\"marked\" outside the outcome space");
     const std::int64_t iterations = params.get_int("iterations", 0);
-    QC_CHECK_MSG(iterations >= 0 && iterations <= 64, "\"iterations\" out of range");
+    require(iterations >= 0 && iterations <= 64, "\"iterations\" out of range");
     w.marked = static_cast<std::uint64_t>(marked);
     w.circuit = algos::grover_circuit(qubits, w.marked, static_cast<int>(iterations));
     w.metric = "success_probability";
   } else if (w.name == "mct") {
     const int qubits = checked_qubits(params, 3, 6);
-    QC_CHECK_MSG(qubits >= 2, "mct needs at least 2 qubits");
+    require(qubits >= 2, "mct needs at least 2 qubits");
     w.circuit = algos::mct_battery_circuit(qubits);
     w.metric = "js_to_ideal";
   } else if (w.name == "qasm") {
     const json::Value* text = params.find("qasm");
-    QC_CHECK_MSG(text != nullptr && text->is_string(),
-                 "workload \"qasm\" needs a string field \"qasm\"");
+    require(text != nullptr && text->is_string(),
+            "workload \"qasm\" needs a string field \"qasm\"");
     w.circuit = ir::from_qasm(text->as_string());
-    QC_CHECK_MSG(w.circuit.num_qubits() <= 12,
-                 "inline qasm capped at 12 qubits per job");
+    require(w.circuit.num_qubits() <= 12,
+            "inline qasm capped at 12 qubits per job");
   } else {
     throw common::ContractError("unknown workload \"" + w.name +
                                 "\" (tfim | grover | mct | qasm)");
@@ -129,8 +136,8 @@ JobOutcome run_simulate_job(const json::Value& params,
                                         params.get_string("mode", "simulator"));
   const std::int64_t shots = params.get_int(
       "shots", static_cast<std::int64_t>(req.config.shots));
-  QC_CHECK_MSG(shots >= 1 && static_cast<std::size_t>(shots) <= driver::kMaxShots,
-               "\"shots\" out of range");
+  require(shots >= 1 && static_cast<std::size_t>(shots) <= driver::kMaxShots,
+          "\"shots\" out of range");
   req.config.shots = static_cast<std::size_t>(shots);
   req.config.seed = static_cast<std::uint64_t>(
       params.get_int("seed", static_cast<std::int64_t>(driver::default_seed(11))));
@@ -174,7 +181,7 @@ JobOutcome run_simulate_job(const json::Value& params,
 
   // Top-k outcomes by probability (bitstrings in circuit wire order).
   const std::int64_t top_k_arg = params.get_int("top_k", 8);
-  QC_CHECK_MSG(top_k_arg >= 0 && top_k_arg <= 64, "\"top_k\" out of range");
+  require(top_k_arg >= 0 && top_k_arg <= 64, "\"top_k\" out of range");
   std::vector<std::size_t> order(run.probabilities.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   const std::size_t top_k =
@@ -215,13 +222,7 @@ JobOutcome run_synthesize_job(const json::Value& params,
     json::Value shape = params;  // workload fields share the simulate schema
     shape.set("workload", "tfim");
     reference = build_workload(shape).circuit;
-    gen = approx::tfim_generator_preset(reference.num_qubits());
-    if (fast) {
-      gen.qsearch.max_nodes = 8;
-      gen.qfast.max_blocks = 3;
-      gen.reducer.variants_per_size = 1;
-      gen.max_circuits = 24;
-    }
+    gen = approx::tfim_generator_preset(reference.num_qubits(), fast);
   } else if (preset == "grover") {
     json::Value shape = params;
     shape.set("workload", "grover");
@@ -243,15 +244,15 @@ JobOutcome run_synthesize_job(const json::Value& params,
       algos::TfimModel model;
       model.num_qubits = checked_qubits(params, 3, 10);
       const std::int64_t steps = params.get_int("steps", 10);
-      QC_CHECK_MSG(steps >= 1 && steps <= 64, "\"steps\" out of range [1, 64]");
+      require(steps >= 1 && steps <= 64, "\"steps\" out of range [1, 64]");
       model.num_steps = std::max(model.num_steps, static_cast<int>(steps));
       reference = model.circuit_up_to(static_cast<int>(steps));
     }
     gen.use_qsearch = false;
     gen.use_partition = true;
     const std::int64_t block_qubits = params.get_int("block_qubits", 3);
-    QC_CHECK_MSG(block_qubits >= 2 && block_qubits <= 4,
-                 "\"block_qubits\" out of range [2, 4]");
+    require(block_qubits >= 2 && block_qubits <= 4,
+            "\"block_qubits\" out of range [2, 4]");
     gen.partition.block_qubits = static_cast<int>(block_qubits);
     gen.partition.block_hs_budget =
         params.get_number("block_hs_budget", gen.partition.block_hs_budget);
@@ -270,8 +271,8 @@ JobOutcome run_synthesize_job(const json::Value& params,
   gen.hs_threshold = params.get_number("hs_threshold", gen.hs_threshold);
   const std::int64_t max_circuits = params.get_int(
       "max_circuits", static_cast<std::int64_t>(gen.max_circuits));
-  QC_CHECK_MSG(max_circuits >= 1 && max_circuits <= 1000,
-               "\"max_circuits\" out of range [1, 1000]");
+  require(max_circuits >= 1 && max_circuits <= 1000,
+          "\"max_circuits\" out of range [1, 1000]");
   gen.max_circuits = static_cast<std::size_t>(max_circuits);
   gen.deadline = deadline;
 

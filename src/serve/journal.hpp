@@ -53,8 +53,8 @@ namespace qc::serve {
 /// recovery rebuilds it from DONE records; it also runs journal-less
 /// (in-memory only) when QAPPROX_JOURNAL_DIR is unset. Eviction is
 /// capacity-only: an evicted key's retry re-executes, so the cap trades
-/// memory against the retry horizon (QAPPROX_REPLAY_CACHE, default 4096 —
-/// size chaos loads under it).
+/// memory against the retry horizon (ServerOptions::replay_cache_cap,
+/// default 4096 — size chaos loads under it).
 using ReplayCache = common::LruCache<std::string, common::json::Value>;
 
 /// An ACCEPTED-without-DONE job found at recovery: the server re-enqueues it.

@@ -35,6 +35,9 @@
 
 namespace qc::serve {
 
+/// Ceiling on SchedulerOptions::queue_cap read from QAPPROX_SERVE_QUEUE_CAP.
+inline constexpr std::size_t kMaxQueueCap = std::size_t{1} << 16;
+
 struct SchedulerOptions {
   std::size_t workers = 4;
   std::size_t queue_cap = 256;      // total queued jobs across tenants

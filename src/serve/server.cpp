@@ -29,8 +29,7 @@ namespace qc::serve {
 
 namespace json = common::json;
 namespace driver = common::driver;
-using common::env_double;
-using common::env_size;
+using common::env_number;
 
 namespace {
 
@@ -87,24 +86,21 @@ ServerOptions ServerOptions::from_env() {
   ServerOptions opts;
   if (const char* sock = std::getenv("QAPPROX_SERVE_SOCKET"))
     if (*sock != '\0') opts.socket_path = sock;
-  opts.scheduler.workers = env_size("QAPPROX_SERVE_WORKERS", opts.scheduler.workers);
-  opts.scheduler.queue_cap =
-      env_size("QAPPROX_SERVE_QUEUE_CAP", opts.scheduler.queue_cap);
+  opts.scheduler.workers = env_number<std::size_t>(
+      "QAPPROX_SERVE_WORKERS", opts.scheduler.workers, 1, common::kMaxThreadPoolSize);
+  opts.scheduler.queue_cap = env_number<std::size_t>(
+      "QAPPROX_SERVE_QUEUE_CAP", opts.scheduler.queue_cap, 1, kMaxQueueCap);
   opts.scheduler.per_tenant_cap =
       std::min(opts.scheduler.per_tenant_cap, opts.scheduler.queue_cap);
   opts.synth_cache_dir = synth::synth_cache_dir_env();
   if (const char* dir = std::getenv("QAPPROX_TRACE_DIR"))
     if (*dir != '\0') opts.trace_dir = dir;
-  opts.tail_top_k = env_size("QAPPROX_TAIL_K", opts.tail_top_k);
-  opts.metrics_period_ms =
-      env_double("QAPPROX_METRICS_PERIOD_MS", opts.metrics_period_ms);
+  opts.metrics_period_ms = env_number("QAPPROX_METRICS_PERIOD_MS", opts.metrics_period_ms,
+                                      0.0, common::kMaxPeriodMs);
   if (const char* dir = std::getenv("QAPPROX_JOURNAL_DIR"))
     if (*dir != '\0') opts.journal_dir = dir;
-  opts.replay_cache_cap =
-      env_size("QAPPROX_REPLAY_CACHE", opts.replay_cache_cap);
-  opts.write_budget_bytes =
-      env_size("QAPPROX_WRITE_BUDGET", opts.write_budget_bytes);
-  opts.watchdog = Watchdog::options_from_env();
+  opts.watchdog.scan_period_ms = env_number(
+      "QAPPROX_WATCHDOG_MS", opts.watchdog.scan_period_ms, 0.0, common::kMaxPeriodMs);
   return opts;
 }
 
@@ -580,7 +576,6 @@ void QapproxServer::dispatch_job(const std::shared_ptr<ConnState>& conn,
   };
   std::string reject_reason;
   if (!scheduler_.submit(tenant, std::move(body), &reject_reason)) {
-    counters_.overloaded.fetch_add(1, std::memory_order_relaxed);
     // Nothing ran. For a keyed job the ledger also closes the key in the
     // journal (recovery must not re-enqueue it) and bounces the retries that
     // attached between admission and this rejection.

@@ -10,7 +10,7 @@
 // starts that connection's writer; readers decode frames and either answer
 // inline (ping/stats/metrics/shutdown — cheap, never queued behind
 // synthesis) or submit a job. Replies stream back in completion order
-// through a bounded per-connection write queue (QAPPROX_WRITE_BUDGET; a
+// through a bounded per-connection write queue (write_budget_bytes; a
 // reader slower than its replies is disconnected rather than buffered
 // without limit). A connection cleans up after itself: when its read loop
 // ends it waits for its writer, which exits once every job the connection
@@ -76,7 +76,7 @@ struct ServerOptions {
   /// server force-enables tracing with bounded per-thread rings and writes
   /// the slowest / degraded / errored jobs' traces here (QAPPROX_TRACE_DIR).
   std::string trace_dir;
-  /// Slowest jobs captured per rolling window (QAPPROX_TAIL_K).
+  /// Slowest jobs captured per rolling window.
   std::size_t tail_top_k = 3;
   /// > 0: a background thread snapshots the metrics registry every period —
   /// JSON to the QAPPROX_METRICS path and Prometheus text next to it
@@ -86,27 +86,29 @@ struct ServerOptions {
   /// jobs are journaled (see journal.hpp) and restart re-enqueues incomplete
   /// work (QAPPROX_JOURNAL_DIR).
   std::string journal_dir;
-  /// Reply-replay cache entries (QAPPROX_REPLAY_CACHE). Retries of keys past
-  /// the cap re-execute, so size chaos/retry horizons under it.
+  /// Reply-replay cache entries. Retries of keys past the cap re-execute, so
+  /// size chaos/retry horizons under it.
   std::size_t replay_cache_cap = 4096;
-  /// Per-connection write-queue byte budget (QAPPROX_WRITE_BUDGET). A reader
-  /// slower than its replies accumulate is disconnected at the budget
-  /// instead of growing the queue without bound.
+  /// Per-connection write-queue byte budget. A reader slower than its
+  /// replies accumulate is disconnected at the budget instead of growing the
+  /// queue without bound.
   std::size_t write_budget_bytes = 8u << 20;
-  /// Hung-job watchdog (QAPPROX_WATCHDOG_MS / QAPPROX_WATCHDOG_GRACE).
+  /// Hung-job watchdog (scan period: QAPPROX_WATCHDOG_MS).
   WatchdogOptions watchdog;
 
-  /// Reads QAPPROX_SERVE_SOCKET / _WORKERS / _QUEUE_CAP /
-  /// QAPPROX_SYNTH_CACHE_DIR / QAPPROX_TRACE_DIR / QAPPROX_TAIL_K /
-  /// QAPPROX_METRICS_PERIOD_MS / QAPPROX_JOURNAL_DIR / QAPPROX_REPLAY_CACHE / QAPPROX_WRITE_BUDGET /
-  /// QAPPROX_WATCHDOG_MS / QAPPROX_WATCHDOG_GRACE (malformed numbers warn
-  /// and keep defaults).
+  /// The server's one source of settings: QAPPROX_SERVE_SOCKET,
+  /// QAPPROX_SERVE_WORKERS in [1, kMaxThreadPoolSize],
+  /// QAPPROX_SERVE_QUEUE_CAP in [1, kMaxQueueCap], QAPPROX_SYNTH_CACHE_DIR,
+  /// QAPPROX_TRACE_DIR, QAPPROX_METRICS_PERIOD_MS and QAPPROX_WATCHDOG_MS in
+  /// [0, kMaxPeriodMs], QAPPROX_JOURNAL_DIR. Numbers are read by
+  /// common::env_number: a malformed or out-of-range value warns and keeps
+  /// the default.
   static ServerOptions from_env();
 };
 
 class QapproxServer {
  public:
-  explicit QapproxServer(ServerOptions options = ServerOptions::from_env());
+  explicit QapproxServer(ServerOptions options);
   ~QapproxServer();
 
   QapproxServer(const QapproxServer&) = delete;
@@ -238,7 +240,6 @@ class QapproxServer {
     std::atomic<std::uint64_t> shutdown{0};
     std::atomic<std::uint64_t> bad_requests{0};
     std::atomic<std::uint64_t> oversized_frames{0};
-    std::atomic<std::uint64_t> overloaded{0};
     std::atomic<std::uint64_t> replies{0};
     std::atomic<std::uint64_t> write_failures{0};
     std::atomic<std::uint64_t> job_errors{0};

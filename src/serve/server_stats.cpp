@@ -80,7 +80,6 @@ json::Value QapproxServer::build_stats() const {
                {"metrics", c.metrics.load()}, {"shutdown", c.shutdown.load()},
                {"bad_requests", c.bad_requests.load()},
                {"oversized_frames", c.oversized_frames.load()},
-               {"overloaded", c.overloaded.load()},
                {"replies", c.replies.load()},
                {"write_failures", c.write_failures.load()},
                {"job_errors", c.job_errors.load()}})},

@@ -7,16 +7,6 @@
 
 namespace qc::serve {
 
-WatchdogOptions Watchdog::options_from_env() {
-  WatchdogOptions opts;
-  opts.scan_period_ms =
-      common::env_double("QAPPROX_WATCHDOG_MS", opts.scan_period_ms);
-  opts.grace = common::env_double("QAPPROX_WATCHDOG_GRACE", opts.grace);
-  if (opts.grace < 1.0) opts.grace = 1.0;  // reaping before the budget is up
-                                           // would race healthy jobs
-  return opts;
-}
-
 Watchdog::Watchdog(const WatchdogOptions& options, ReapFn on_reap)
     : options_(options), on_reap_(std::move(on_reap)) {
   stats_.enabled = enabled();

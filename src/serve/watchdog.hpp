@@ -22,8 +22,8 @@
 // surplus worker retires to keep the pool at its configured size.
 //
 // Jobs with no deadline at all are exempt (budget 0 = they may legitimately
-// run forever); the scan period and grace come from QAPPROX_WATCHDOG_MS and
-// QAPPROX_WATCHDOG_GRACE.
+// run forever); the scan period comes from QAPPROX_WATCHDOG_MS, the grace is
+// fixed at WatchdogOptions' default.
 #pragma once
 
 #include <atomic>
@@ -46,7 +46,8 @@ namespace qc::serve {
 struct WatchdogOptions {
   /// Scan period; <= 0 disables the watchdog (QAPPROX_WATCHDOG_MS).
   double scan_period_ms = 250.0;
-  /// A job is overdue once elapsed > budget × grace (QAPPROX_WATCHDOG_GRACE).
+  /// A job is overdue once elapsed > budget × grace; below 1 it would race
+  /// healthy jobs.
   double grace = 4.0;
 };
 
@@ -113,9 +114,6 @@ class Watchdog {
   void stop();
 
   WatchdogStats stats() const;
-
-  /// Reads QAPPROX_WATCHDOG_MS / QAPPROX_WATCHDOG_GRACE.
-  static WatchdogOptions options_from_env();
 
  private:
   void scan_loop();

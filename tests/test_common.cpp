@@ -1,5 +1,6 @@
 // Unit tests for qc::common — RNG, thread pool, tables, CLI, strings, the
-// bounded LRU cache.
+// bounded LRU cache, and the one parser of numbers read from outside the
+// program, fed through every source that uses it.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,6 +10,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -17,13 +19,17 @@
 #include "common/cli.hpp"
 #include "common/driver.hpp"
 #include "common/error.hpp"
+#include "common/faults.hpp"
 #include "common/json.hpp"
 #include "common/lru_cache.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
+#include "ir/qasm.hpp"
+#include "obs/log.hpp"
 #include "obs/metrics.hpp"
+#include "serve/server.hpp"
 
 namespace qc::common {
 namespace {
@@ -233,10 +239,10 @@ TEST(Table, AddRowValuesFormats) {
 TEST(Cli, ParsesEqualsAndSpaceForms) {
   const char* argv[] = {"prog", "--alpha=3", "--beta", "x", "--flag"};
   CliArgs args(5, argv);
-  EXPECT_EQ(args.get_int("alpha", 0), 3);
+  EXPECT_EQ(args.get_number("alpha", 0), 3);
   EXPECT_EQ(args.get("beta", ""), "x");
   EXPECT_TRUE(args.get_bool("flag", false));
-  EXPECT_EQ(args.get_double("missing", 2.5), 2.5);
+  EXPECT_EQ(args.get_number("missing", 2.5), 2.5);
 }
 
 TEST(Cli, BoolParsing) {
@@ -268,9 +274,9 @@ TEST(Cli, GetIntRejectsTrailingTextAndOverflow) {
   const char* argv[] = {"prog", "--a=12x", "--b=abc", "--c=-7", "--d=99999999999", "--e="};
   CliArgs args(6, argv);
   for (const char* name : {"a", "b", "d", "e"})
-    expect_flag_rejected(name, [&] { args.get_int(name, 0); });
-  EXPECT_EQ(args.get_int("c", 0), -7);
-  EXPECT_EQ(args.get_int("missing", 5), 5);
+    expect_flag_rejected(name, [&] { args.get_number(name, 0); });
+  EXPECT_EQ(args.get_number("c", 0), -7);
+  EXPECT_EQ(args.get_number("missing", 5), 5);
 }
 
 TEST(Cli, GetDoubleAndGetSeedParseStrictly) {
@@ -281,16 +287,16 @@ TEST(Cli, GetDoubleAndGetSeedParseStrictly) {
                         "--fraction=0.25"};
   CliArgs args(12, argv);
   for (const char* name : {"abc", "trailing", "empty", "hex", "inf", "huge"})
-    expect_flag_rejected(name, [&] { args.get_double(name, 0.0); });
-  EXPECT_EQ(args.get_double("negative", 0.0), -1.0);
-  EXPECT_EQ(args.get_double("octal", 0.0), 10.0);
-  EXPECT_EQ(args.get_double("fraction", 0.0), 0.25);
+    expect_flag_rejected(name, [&] { args.get_number(name, 0.0); });
+  EXPECT_EQ(args.get_number("negative", 0.0), -1.0);
+  EXPECT_EQ(args.get_number("octal", 0.0), 10.0);
+  EXPECT_EQ(args.get_number("fraction", 0.0), 0.25);
 
   for (const char* name : {"abc", "trailing", "negative", "empty", "hex", "wide", "fraction"})
-    expect_flag_rejected(name, [&] { args.get_seed(name, 0); });
-  EXPECT_EQ(args.get_seed("octal", 0), 10u);  // decimal, not octal 8
-  EXPECT_EQ(args.get_seed("max", 0), 18446744073709551615u);
-  EXPECT_EQ(args.get_seed("missing", 5), 5u);
+    expect_flag_rejected(name, [&] { args.get_number<std::uint64_t>(name, 0); });
+  EXPECT_EQ(args.get_number<std::uint64_t>("octal", 0), 10u);  // decimal, not octal 8
+  EXPECT_EQ(args.get_number<std::uint64_t>("max", 0), 18446744073709551615u);
+  EXPECT_EQ(args.get_number<std::uint64_t>("missing", 5), 5u);
 }
 
 TEST(Cli, DriverContextBoundsShots) {
@@ -305,6 +311,216 @@ TEST(Cli, DriverContextBoundsShots) {
     expect_flag_rejected("shots", [&] { shots_for(bad); });
   const char* argv[] = {"prog"};
   EXPECT_EQ(driver::DriverContext(1, const_cast<char**>(argv), "test").shots, 2048u);
+}
+
+// ---- numbers read from outside the program ----------------------------------
+//
+// Flags, environment variables, fault specs and QASM text all read numbers
+// through parse_decimal and differ only in what they do on failure: a flag
+// throws naming itself, an environment variable warns and keeps its default,
+// a fault spec or a QASM program is refused whole. One table of inputs, fed
+// through every source; each column is one kind of setting.
+
+struct OutsideNumberCase {
+  const char* text;
+  std::optional<std::uint64_t> seed;  // a seed: a decimal integer in [0, 2^64)
+  std::optional<double> period;       // a millisecond period in [0, kMaxPeriodMs]
+  std::optional<int> qubits;          // a QASM qreg size in [1, kMaxCircuitQubits]
+  std::optional<double> angle;        // a QASM angle: any finite number
+};
+
+constexpr std::nullopt_t kRejected = std::nullopt;
+
+const OutsideNumberCase kOutsideNumbers[] = {
+    {"", kRejected, kRejected, kRejected, kRejected},
+    {" 12 ", 12, 12.0, 12, 12.0},  // surrounding whitespace is trimmed
+    {"12abc", kRejected, kRejected, kRejected, kRejected},
+    {"-3", kRejected, kRejected, kRejected, -3.0},  // QASM: unary minus on 3
+    {"0", 0, 0.0, kRejected, 0.0},
+    {"010", 10, 10.0, 10, 10.0},  // decimal, never octal
+    {"0x10", kRejected, kRejected, kRejected, kRejected},
+    {"1e3", kRejected, 1000.0, kRejected, 1000.0},
+    {"nan", kRejected, kRejected, kRejected, kRejected},
+    {"inf", kRejected, kRejected, kRejected, kRejected},
+    {"1e300", kRejected, kRejected, kRejected, 1e300},
+    {"18446744073709551616", kRejected, kRejected, kRejected, 18446744073709551616.0},
+};
+
+/// Sets an environment variable for one scope.
+struct ScopedEnv {
+  const char* name;
+  ScopedEnv(const char* n, const std::string& value) : name(n) {
+    ::setenv(name, value.c_str(), 1);
+  }
+  ~ScopedEnv() { ::unsetenv(name); }
+};
+
+/// Counts the warnings logged while it lives.
+struct WarningCount {
+  static inline std::size_t count = 0;
+  const obs::LogLevel saved = obs::log_level();
+  WarningCount() {
+    count = 0;
+    obs::set_log_level(obs::LogLevel::Warn);
+    obs::set_log_sink([](obs::LogLevel level, const char*, const char*) {
+      if (level == obs::LogLevel::Warn) ++count;
+    });
+  }
+  ~WarningCount() {
+    obs::set_log_sink(nullptr);
+    obs::set_log_level(saved);
+  }
+};
+
+/// A refusal of outside text carries the message alone.
+void expect_message_only(const std::string& what) {
+  EXPECT_EQ(what.find("check failed"), std::string::npos) << what;
+  EXPECT_EQ(what.find(".cpp"), std::string::npos) << what;
+}
+
+TEST(OutsideNumber, FlagsThrowNamingTheFlagAndItsRange) {
+  for (const OutsideNumberCase& c : kOutsideNumbers) {
+    SCOPED_TRACE(std::string("'") + c.text + "'");
+    const std::string flag = std::string("--v=") + c.text;
+    const char* argv[] = {"prog", flag.c_str()};
+    const CliArgs args(2, argv);
+    if (c.seed) {
+      EXPECT_EQ(args.get_number<std::uint64_t>("v", 7), *c.seed);
+    } else {
+      expect_flag_rejected("v", [&] { args.get_number<std::uint64_t>("v", 7); });
+    }
+    if (c.period) {
+      EXPECT_EQ(args.get_number("v", 7.0, 0.0, kMaxPeriodMs), *c.period);
+    } else {
+      expect_flag_rejected("v", [&] { args.get_number("v", 7.0, 0.0, kMaxPeriodMs); });
+    }
+  }
+  const char* argv[] = {"prog", "--v=-7"};
+  const CliArgs args(2, argv);
+  EXPECT_EQ(args.get_number("v", 0), -7);  // no bounds given: the type's range
+  EXPECT_EQ(args.get_number("missing", 5), 5);
+  try {
+    args.get_number("v", 0, 1, 9);
+    ADD_FAILURE() << "-7 parsed into [1, 9]";
+  } catch (const ContractError& e) {
+    EXPECT_STREQ(e.what(), "--v: expected a decimal integer in [1, 9], got '-7'");
+  }
+}
+
+TEST(OutsideNumber, EnvironmentWarnsOnceAndKeepsTheDefault) {
+  WarningCount warnings;
+  for (const OutsideNumberCase& c : kOutsideNumbers) {
+    SCOPED_TRACE(std::string("'") + c.text + "'");
+    {
+      const ScopedEnv env("QAPPROX_SEED", c.text);
+      EXPECT_EQ(driver::default_seed(77), c.seed.value_or(77));
+    }
+    const ScopedEnv env("QAPPROX_TEST_PERIOD_MS", c.text);
+    EXPECT_EQ(env_number("QAPPROX_TEST_PERIOD_MS", 5.0, 0.0, kMaxPeriodMs),
+              c.period.value_or(5.0));
+    // A value already reported stays quiet however often it is read.
+    const std::size_t before = WarningCount::count;
+    (void)driver::default_seed(77);
+    (void)env_number("QAPPROX_TEST_PERIOD_MS", 5.0, 0.0, kMaxPeriodMs);
+    EXPECT_EQ(WarningCount::count, before);
+  }
+  // Unset and empty are the default, silently; a fresh malformed value warns.
+  static int fresh = 0;
+  WarningCount::count = 0;
+  EXPECT_EQ(env_number("QAPPROX_TEST_UNSET", 3, 1, 9), 3);
+  {
+    const ScopedEnv env("QAPPROX_TEST_PERIOD_MS", "");
+    EXPECT_EQ(env_number("QAPPROX_TEST_PERIOD_MS", 5.0, 0.0, kMaxPeriodMs), 5.0);
+  }
+  EXPECT_EQ(WarningCount::count, 0u);
+  const ScopedEnv env("QAPPROX_TEST_PERIOD_MS", "bad" + std::to_string(++fresh));
+  EXPECT_EQ(env_number("QAPPROX_TEST_PERIOD_MS", 5.0, 0.0, kMaxPeriodMs), 5.0);
+  EXPECT_EQ(WarningCount::count, 1u);
+}
+
+TEST(OutsideNumber, ThreadCountAboveTheCeilingFallsBackToHardwareConcurrency) {
+  // The global pool reads QAPPROX_THREADS exactly this way (0 = hardware
+  // concurrency); a value above the ceiling is malformed, not clamped.
+  const auto threads = [](const char* text) {
+    const ScopedEnv env("QAPPROX_TEST_THREADS", text);
+    return env_number<std::size_t>("QAPPROX_TEST_THREADS", 0, 1, kMaxThreadPoolSize);
+  };
+  EXPECT_EQ(threads("16"), 16u);
+  EXPECT_EQ(threads("1024"), kMaxThreadPoolSize);
+  for (const char* bad : {"0", "-3", "4x", "99999", "99999999999999999999"})
+    EXPECT_EQ(threads(bad), 0u) << bad;
+}
+
+TEST(OutsideNumber, FaultSpecsRefuseTheWholeSpec) {
+  for (const OutsideNumberCase& c : kOutsideNumbers) {
+    SCOPED_TRACE(std::string("'") + c.text + "'");
+    const auto install = [](const std::string& spec) {
+      try {
+        faults::install_spec(spec);
+        return true;
+      } catch (const ContractError& e) {
+        expect_message_only(e.what());
+        return false;
+      }
+    };
+    EXPECT_EQ(install(std::string("seed=") + c.text), c.seed.has_value());
+    // The worker site keeps its param as given (slow defaults a 0 to 10 ms).
+    EXPECT_EQ(install(std::string("worker:0.5:") + c.text), c.period.has_value());
+    if (c.period) {
+      EXPECT_EQ(faults::param(faults::Site::WorkerThrow), *c.period);
+    }
+    faults::install_spec("");
+  }
+}
+
+TEST(OutsideNumber, QasmRefusesTheProgram) {
+  for (const OutsideNumberCase& c : kOutsideNumbers) {
+    SCOPED_TRACE(std::string("'") + c.text + "'");
+    const auto parse = [](const std::string& program) -> std::optional<ir::QuantumCircuit> {
+      try {
+        return ir::from_qasm(program);
+      } catch (const ContractError& e) {
+        expect_message_only(e.what());
+        EXPECT_NE(std::string(e.what()).find("qasm"), std::string::npos) << e.what();
+        return std::nullopt;
+      }
+    };
+    const auto sized = parse(std::string("qreg q[") + c.text + "];\nh q[0];\n");
+    ASSERT_EQ(sized.has_value(), c.qubits.has_value());
+    if (sized) {
+      EXPECT_EQ(sized->num_qubits(), *c.qubits);
+    }
+    const auto turned = parse(std::string("qreg q[1];\nrz(") + c.text + ") q[0];\n");
+    ASSERT_EQ(turned.has_value(), c.angle.has_value());
+    if (turned) {
+      EXPECT_EQ(turned->gate(0).params.at(0), *c.angle);
+    }
+  }
+}
+
+TEST(OutsideNumber, ServerSettingsOutsideTheirBoundsKeepTheDefaults) {
+  const serve::ServerOptions defaults;
+  {
+    // Parsed only: no scheduler is ever started with the requested count.
+    const ScopedEnv workers("QAPPROX_SERVE_WORKERS", "5000");
+    const ScopedEnv queue("QAPPROX_SERVE_QUEUE_CAP", "0");
+    const ScopedEnv period("QAPPROX_METRICS_PERIOD_MS", "1e300");
+    const ScopedEnv watchdog("QAPPROX_WATCHDOG_MS", "inf");
+    const serve::ServerOptions opts = serve::ServerOptions::from_env();
+    EXPECT_EQ(opts.scheduler.workers, defaults.scheduler.workers);
+    EXPECT_EQ(opts.scheduler.queue_cap, defaults.scheduler.queue_cap);
+    EXPECT_EQ(opts.metrics_period_ms, defaults.metrics_period_ms);
+    EXPECT_EQ(opts.watchdog.scan_period_ms, defaults.watchdog.scan_period_ms);
+  }
+  const ScopedEnv workers("QAPPROX_SERVE_WORKERS", "8");
+  const ScopedEnv queue("QAPPROX_SERVE_QUEUE_CAP", "65536");
+  const ScopedEnv period("QAPPROX_METRICS_PERIOD_MS", "86400000");
+  const ScopedEnv watchdog("QAPPROX_WATCHDOG_MS", "0");
+  const serve::ServerOptions opts = serve::ServerOptions::from_env();
+  EXPECT_EQ(opts.scheduler.workers, 8u);
+  EXPECT_EQ(opts.scheduler.queue_cap, serve::kMaxQueueCap);
+  EXPECT_EQ(opts.metrics_period_ms, kMaxPeriodMs);
+  EXPECT_EQ(opts.watchdog.scan_period_ms, 0.0);
 }
 
 TEST(Strings, SplitTrimLower) {
@@ -329,22 +545,24 @@ TEST(Strings, BitstringMsbFirst) {
 
 TEST(Strings, EnvSettingsParseOrWarnAndKeepTheFallback) {
   const char* name = "QAPPROX_TEST_ENV_SETTING";
+  const auto count = [&] { return env_number<std::size_t>(name, 7, 1, 1000); };
+  const auto ratio = [&] { return env_number(name, 2.5, 0.0, 1000.0); };
   ::unsetenv(name);
-  EXPECT_EQ(env_size(name, 7), 7u);
-  EXPECT_EQ(env_double(name, 2.5), 2.5);
+  EXPECT_EQ(count(), 7u);
+  EXPECT_EQ(ratio(), 2.5);
   ::setenv(name, "12", 1);
-  EXPECT_EQ(env_size(name, 7), 12u);
-  EXPECT_EQ(env_double(name, 2.5), 12.0);
+  EXPECT_EQ(count(), 12u);
+  EXPECT_EQ(ratio(), 12.0);
   ::setenv(name, "0.25", 1);
-  EXPECT_EQ(env_size(name, 7), 7u);  // not a whole integer
-  EXPECT_EQ(env_double(name, 2.5), 0.25);
+  EXPECT_EQ(count(), 7u);  // not a whole integer
+  EXPECT_EQ(ratio(), 0.25);
   for (const char* bad : {"0", "-3", " -3", "12abc", "x"}) {
     ::setenv(name, bad, 1);
-    EXPECT_EQ(env_size(name, 7), 7u) << bad;
+    EXPECT_EQ(count(), 7u) << bad;
   }
   for (const char* bad : {"-1", "1.5ms", "fast"}) {
     ::setenv(name, bad, 1);
-    EXPECT_EQ(env_double(name, 2.5), 2.5) << bad;
+    EXPECT_EQ(ratio(), 2.5) << bad;
   }
   ::unsetenv(name);
 }

@@ -252,6 +252,14 @@ TEST(Qasm, RejectsMalformedInput) {
   EXPECT_THROW(from_qasm("qreg q[2];\nh q[0]\n"), common::Error);   // missing ;
   EXPECT_THROW(from_qasm("h q[0];\n"), common::Error);              // no qreg
   EXPECT_THROW(from_qasm("qreg q[1];\nzz q[0];\n"), common::Error); // bad gate
+  // Registers and operands are whole decimal numbers inside their range.
+  EXPECT_THROW(from_qasm("qreg q[abc];\nh q[0];\n"), common::ContractError);
+  EXPECT_THROW(from_qasm("qreg q[2];\nh q[1x];\n"), common::ContractError);
+  EXPECT_THROW(from_qasm("qreg q[2];\nh q[2];\n"), common::ContractError);
+  EXPECT_THROW(from_qasm("qreg q[2];\nh q[-1];\n"), common::ContractError);
+  EXPECT_THROW(from_qasm("qreg q[257];\nh q[0];\n"), common::ContractError);
+  EXPECT_THROW(from_qasm("qreg q[1];\nrz(inf) q[0];\n"), common::ContractError);
+  EXPECT_THROW(from_qasm("qreg q[1];\nrz(1e300*1e300) q[0];\n"), common::ContractError);
 }
 
 }  // namespace

@@ -5,11 +5,13 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "algos/grover.hpp"
+#include "common/strings.hpp"
 #include "common/thread_pool.hpp"
 #include "exec/engine.hpp"
 #include "noise/catalog.hpp"
@@ -258,32 +260,50 @@ TEST(ObsLogTest, ParseLogLevel) {
 
 // ---- QAPPROX_THREADS validation --------------------------------------------
 
+/// Reads `text` the way ThreadPool::global() reads QAPPROX_THREADS; 0 means
+/// hardware concurrency.
+std::size_t thread_count_env(const char* text) {
+  const char* name = "QAPPROX_TEST_THREADS";
+  if (text == nullptr) {
+    ::unsetenv(name);
+  } else {
+    ::setenv(name, text, 1);
+  }
+  const std::size_t threads =
+      common::env_number<std::size_t>(name, 0, 1, common::kMaxThreadPoolSize);
+  ::unsetenv(name);
+  return threads;
+}
+
 TEST(ThreadCountEnvTest, AcceptsPlainPositiveNumbers) {
   SinkCapture capture;
-  EXPECT_EQ(common::parse_thread_count_env("1"), 1u);
-  EXPECT_EQ(common::parse_thread_count_env("16"), 16u);
-  EXPECT_EQ(common::parse_thread_count_env("16 "), 16u);
-  EXPECT_EQ(common::parse_thread_count_env(nullptr), 0u);
+  EXPECT_EQ(thread_count_env("1"), 1u);
+  EXPECT_EQ(thread_count_env("16"), 16u);
+  EXPECT_EQ(thread_count_env("16 "), 16u);
+  EXPECT_EQ(thread_count_env(nullptr), 0u);
   EXPECT_TRUE(g_captured.empty());  // no warnings for valid input
 }
 
 TEST(ThreadCountEnvTest, RejectsGarbageWithWarning) {
   SinkCapture capture;
-  EXPECT_EQ(common::parse_thread_count_env("abc"), 0u);
-  EXPECT_EQ(common::parse_thread_count_env(""), 0u);
-  EXPECT_EQ(common::parse_thread_count_env("4x"), 0u);
-  EXPECT_EQ(common::parse_thread_count_env("0"), 0u);
-  EXPECT_EQ(common::parse_thread_count_env("-3"), 0u);
-  EXPECT_EQ(g_captured.size(), 5u);
+  EXPECT_EQ(thread_count_env(""), 0u);  // empty is unset: no warning
+  EXPECT_TRUE(g_captured.empty());
+  EXPECT_EQ(thread_count_env("abc"), 0u);
+  EXPECT_EQ(thread_count_env("4x"), 0u);
+  EXPECT_EQ(thread_count_env("0"), 0u);
+  EXPECT_EQ(thread_count_env("-3"), 0u);
+  EXPECT_EQ(g_captured.size(), 4u);
   for (const auto& [level, msg] : g_captured)
     EXPECT_EQ(level, obs::LogLevel::Warn) << msg;
 }
 
 TEST(ThreadCountEnvTest, ClampsAbsurdValues) {
+  // A count above the ceiling is malformed like any other: it warns and
+  // falls back to hardware concurrency instead of clamping to the ceiling.
   SinkCapture capture;
-  EXPECT_EQ(common::parse_thread_count_env("99999"), common::kMaxThreadPoolSize);
-  EXPECT_EQ(common::parse_thread_count_env("99999999999999999999"),
-            common::kMaxThreadPoolSize);
+  EXPECT_EQ(thread_count_env("1024"), common::kMaxThreadPoolSize);
+  EXPECT_EQ(thread_count_env("99999"), 0u);
+  EXPECT_EQ(thread_count_env("99999999999999999999"), 0u);
   EXPECT_EQ(g_captured.size(), 2u);
 }
 

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -21,6 +22,7 @@
 #include "common/error.hpp"
 #include "common/faults.hpp"
 #include "common/io.hpp"
+#include "common/strings.hpp"
 #include "exec/engine.hpp"
 #include "linalg/factories.hpp"
 #include "noise/catalog.hpp"
@@ -126,12 +128,24 @@ TEST(DeadlineTest, StopPollerLatchesOnceTriggered) {
 }
 
 TEST(DeadlineTest, EnvParserRejectsGarbage) {
-  EXPECT_EQ(common::parse_deadline_ms_env(nullptr), 0);
-  EXPECT_EQ(common::parse_deadline_ms_env(""), 0);
-  EXPECT_EQ(common::parse_deadline_ms_env("0"), 0);
-  EXPECT_EQ(common::parse_deadline_ms_env("250"), 250);
-  EXPECT_EQ(common::parse_deadline_ms_env("notanumber"), 0);
-  EXPECT_EQ(common::parse_deadline_ms_env("-40"), 0);
+  // Deadline::from_env reads QAPPROX_DEADLINE_MS once, with these bounds.
+  const char* name = "QAPPROX_TEST_DEADLINE_MS";
+  const auto budget = [&](const char* text) {
+    if (text == nullptr) {
+      ::unsetenv(name);
+    } else {
+      ::setenv(name, text, 1);
+    }
+    const double ms = common::env_number(name, 0.0, 0.0, common::kMaxPeriodMs);
+    ::unsetenv(name);
+    return ms;
+  };
+  EXPECT_EQ(budget(nullptr), 0);
+  EXPECT_EQ(budget(""), 0);
+  EXPECT_EQ(budget("0"), 0);
+  EXPECT_EQ(budget("250"), 250);
+  EXPECT_EQ(budget("notanumber"), 0);
+  EXPECT_EQ(budget("-40"), 0);
 }
 
 // ---- fault-injection harness -----------------------------------------------

@@ -751,6 +751,36 @@ TEST(Server, IntegerParamsOutsideEveryIntegerRangeAreContractErrors) {
   server.stop();
 }
 
+TEST(Server, WireRejectionsNameTheFieldWithoutCompilerText) {
+  // A bad parameter is the client's input: its reply is the message alone,
+  // never the failed expression or the server's source location.
+  QapproxServer server(test_options("wire-errors"));
+  server.start();
+  Client client = Client::connect(server.options().socket_path);
+  const std::pair<const char*, const char*> cases[] = {
+      {"mode", R"({"workload": "grover", "qubits": 3, "mode": "bogus"})"},
+      {"device", R"({"workload": "grover", "qubits": 3, "device": "nowhere"})"},
+      {"qubits", R"({"workload": "grover", "qubits": 99})"},
+      {"qasm", R"({"workload": "qasm", "qasm": "qreg q[x];\nh q[0];\n"})"},
+  };
+  int id = 0;
+  for (const auto& [field, params] : cases) {
+    client.send_raw(encode_frame("{\"id\": " + std::to_string(++id) +
+                                 ", \"type\": \"simulate\", \"params\": " + params + "}"));
+    const auto reply = client.recv();
+    ASSERT_TRUE(reply.has_value()) << field;
+    EXPECT_EQ(reply->get_string("status", ""), "error") << reply->dump();
+    ASSERT_NE(reply->find("error"), nullptr) << reply->dump();
+    EXPECT_EQ(reply->find("error")->get_string("kind", ""), "contract");
+    const std::string message = reply->find("error")->get_string("message", "");
+    EXPECT_NE(message.find(field), std::string::npos) << message;
+    EXPECT_EQ(message.find("check failed"), std::string::npos) << message;
+    EXPECT_EQ(message.find(".cpp"), std::string::npos) << message;
+    EXPECT_EQ(message.find("src/"), std::string::npos) << message;
+  }
+  server.stop();
+}
+
 TEST(Server, OverloadRejectsWithBackpressureAndStillRepliesToEveryRequest) {
   ServerOptions opts = test_options("overload");
   opts.scheduler.workers = 1;
@@ -793,7 +823,8 @@ TEST(Server, OverloadRejectsWithBackpressureAndStillRepliesToEveryRequest) {
   EXPECT_GT(overloaded, 0) << "queue_cap=2 never tripped under a 12-job burst";
 
   const Value stats = server.build_stats();
-  EXPECT_GT(stats.find("requests")->get_int("overloaded", 0), 0);
+  // The scheduler counts each refusal, once.
+  EXPECT_EQ(stats.find("scheduler")->get_int("rejected", 0), overloaded);
   EXPECT_LE(stats.find("scheduler")->get_int("peak_queued", 99), 2);
   server.stop();
 }

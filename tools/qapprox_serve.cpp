@@ -1,24 +1,21 @@
 // The qapprox server daemon.
 //
 // Binds the approximation service to a local socket and runs until a wire
-// "shutdown" request or SIGINT/SIGTERM. Configuration is flags-over-env:
-//
-//   qapprox_serve [--socket=PATH] [--workers=N] [--queue-cap=N]
-//                 [--cache-dir=DIR] [--trace-dir=DIR] [--journal-dir=DIR]
-//                 [--metrics-period-ms=N] [--version]
+// "shutdown" request or SIGINT/SIGTERM. Its settings come from the
+// environment alone (ServerOptions::from_env); the only flag is --version.
 //
 //   QAPPROX_SERVE_SOCKET       socket path        (default /tmp/qapprox.sock)
-//   QAPPROX_SERVE_WORKERS      worker threads     (default 4)
-//   QAPPROX_SERVE_QUEUE_CAP    total queued jobs  (default 256)
+//   QAPPROX_SERVE_WORKERS      worker threads, 1-1024        (default 4)
+//   QAPPROX_SERVE_QUEUE_CAP    total queued jobs, 1-65536    (default 256)
 //   QAPPROX_SYNTH_CACHE_DIR    synthesis-cache snapshot dir (default: off)
 //   QAPPROX_TRACE_DIR          tail-sample capture dir      (default: off)
 //   QAPPROX_METRICS_PERIOD_MS  periodic metrics snapshots to the
 //                              QAPPROX_METRICS path (+ .prom) (default: off)
 //   QAPPROX_JOURNAL_DIR        crash-durable job journal dir (default: off)
-//   QAPPROX_REPLAY_CACHE       reply-replay cache entries    (default 4096)
-//   QAPPROX_WRITE_BUDGET       per-connection write-queue bytes (default 8 MiB)
 //   QAPPROX_WATCHDOG_MS        hung-job scan period; 0 = off (default 250)
-//   QAPPROX_WATCHDOG_GRACE     budget multiplier before a strike (default 4)
+//
+// Both periods lie in [0, one day]. A malformed or out-of-range number warns
+// and keeps its default.
 //
 // The rolling SLO histograms and the tail sampler use fixed 1000 ms windows.
 //
@@ -37,6 +34,7 @@
 
 #include "common/cli.hpp"
 #include "common/driver.hpp"
+#include "common/error.hpp"
 #include "serve/server.hpp"
 
 namespace {
@@ -54,18 +52,11 @@ static int run(int argc, char** argv) {
   using namespace qc;
   common::driver::DriverContext ctx(argc, argv, "qapprox_serve");
 
-  serve::ServerOptions opts = serve::ServerOptions::from_env();
-  opts.socket_path = ctx.args.get("socket", opts.socket_path);
-  opts.scheduler.workers = static_cast<std::size_t>(ctx.args.get_int(
-      "workers", static_cast<int>(opts.scheduler.workers)));
-  opts.scheduler.queue_cap = static_cast<std::size_t>(ctx.args.get_int(
-      "queue-cap", static_cast<int>(opts.scheduler.queue_cap)));
-  opts.synth_cache_dir = ctx.args.get("cache-dir", opts.synth_cache_dir);
-  opts.trace_dir = ctx.args.get("trace-dir", opts.trace_dir);
-  opts.journal_dir = ctx.args.get("journal-dir", opts.journal_dir);
-  opts.metrics_period_ms =
-      ctx.args.get_double("metrics-period-ms", opts.metrics_period_ms);
-
+  if (argc > 1)
+    throw common::ContractError(
+        "qapprox_serve takes no flags besides --version; set QAPPROX_SERVE_WORKERS, "
+        "QAPPROX_SERVE_SOCKET and its other settings in the environment");
+  const serve::ServerOptions opts = serve::ServerOptions::from_env();
   serve::QapproxServer server(opts);
   g_server = &server;
   std::signal(SIGINT, handle_signal);

@@ -23,6 +23,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -64,8 +65,9 @@ static int run(int argc, char** argv) {
     }
   common::CliArgs args(split, argv);
   const std::string pidfile = args.get("pidfile", "");
-  const int max_restarts = args.get_int("max-restarts", -1);  // -1 = unlimited
-  const double stable_ms = args.get_double("stable-ms", 5000.0);
+  const int max_restarts =  // -1 = unlimited
+      args.get_number("max-restarts", -1, -1, std::numeric_limits<int>::max());
+  const double stable_ms = args.get_number("stable-ms", 5000.0, 0.0, common::kMaxPeriodMs);
 
   std::string default_child;  // keeps the c_str alive across iterations
   std::vector<char*> child_argv;

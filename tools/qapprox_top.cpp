@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -180,8 +181,10 @@ static int run(int argc, char** argv) {
   }
   const bool once = ctx.args.get_bool("once", false);
   const bool clear = !once && !ctx.args.get_bool("no-clear", false);
-  const int interval_ms = std::max(50, ctx.args.get_int("interval-ms", 1000));
-  const int iterations = once ? 1 : ctx.args.get_int("iterations", 0);
+  const int interval_ms = ctx.args.get_number(
+      "interval-ms", 1000, 50, static_cast<int>(common::kMaxPeriodMs));
+  const int iterations =
+      once ? 1 : ctx.args.get_number("iterations", 0, 0, std::numeric_limits<int>::max());
 
   serve::Client client;
   try {
